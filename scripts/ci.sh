@@ -128,4 +128,10 @@ if ! grep -q 'active CRC implementation: slicing-by-8' <<<"$env_out"; then
   exit 1
 fi
 
+# Smoke-run the GeminiSystem benchmark on its control-plane workload. Its exit
+# status covers bit-exact shards against a failure-free trainer, a recovery
+# record for every injected failure, and identical results across runs.
+echo "==> bench smoke: perfbench ctrl_scale"
+python3 perfbench/run.py --workload ctrl_scale --seed 1 --seconds 1 --trace 0
+
 echo "==> done"

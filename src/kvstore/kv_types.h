@@ -27,9 +27,8 @@ enum class KvOpType {
   kPutBatch,
   kDelete,
   // Creates a lease with a TTL; keys attached to it are deleted on expiry.
+  // (Renewals never enter the log: the leader serves them from its lessor.)
   kLeaseGrant,
-  // Refreshes a lease's deadline.
-  kLeaseKeepAlive,
   // Revokes a lease (explicitly or on expiry), deleting attached keys.
   kLeaseRevoke,
 };

@@ -9,6 +9,7 @@
 #include "src/agent/worker_agent.h"
 #include "src/cluster/cluster.h"
 #include "src/kvstore/kv_store.h"
+#include "src/obs/metrics.h"
 
 namespace gemini {
 namespace {
@@ -202,6 +203,28 @@ TEST_F(AgentTest, HealthKeysSurviveKvLeaderFailover) {
           << "rank " << rank << " lost its health key across the KV failover";
     }
   }
+}
+
+TEST_F(AgentTest, LiveAgentRegrantsRevokedLease) {
+  MetricsRegistry metrics;
+  workers_[2]->set_metrics(&metrics);
+  StartWorkers();
+  Settle(Seconds(10));
+  const std::string key = std::string(kHealthKeyPrefix) + "2";
+  const StatusOr<KvEntry> before = kv_->Get(key);
+  ASSERT_TRUE(before.ok());
+  const int64_t acquired = metrics.counter_value("agent.lease_acquired");
+  kv_->LeaseRevoke(before->lease, [](Status) {});
+  Settle(Millis(10));
+  ASSERT_EQ(kv_->Get(key).status().code(), StatusCode::kNotFound);
+  // The next keepalive is refused with kNotFound, which drops the lease; the
+  // one after grants a new lease and republishes the key.
+  Settle(2 * AgentConfig{}.keepalive_interval);
+  EXPECT_EQ(metrics.counter_value("agent.lease_acquired"), acquired + 1);
+  const StatusOr<KvEntry> after = kv_->Get(key);
+  ASSERT_TRUE(after.ok()) << "live agent never recovered its health key";
+  EXPECT_EQ(after->value, kStatusHealthy);
+  EXPECT_NE(after->lease, before->lease);
 }
 
 // ---------------------------------------------------------------------------
