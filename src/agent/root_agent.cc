@@ -67,6 +67,12 @@ void RootAgent::OnScanTick() {
   if (sim_.now() < started_at_ + config_.health_lease_ttl + config_.root_scan_interval) {
     return;
   }
+  // While the KV store has no leader (e.g. its leader's machine just died)
+  // nothing can be read, and an empty listing would make every rank look
+  // failed. Scan again on the next tick.
+  if (!kv_.LeaderRank().has_value()) {
+    return;
+  }
 
   if (root_scans_counter_ != nullptr) {
     root_scans_counter_->Increment();
