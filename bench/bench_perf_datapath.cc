@@ -20,7 +20,6 @@
 #include "src/cluster/machine.h"
 #include "src/common/crc32.h"
 #include "src/common/rng.h"
-#include "src/common/thread_pool.h"
 #include "src/obs/metrics.h"
 #include "src/storage/cpu_store.h"
 #include "src/storage/serializer.h"
@@ -142,10 +141,9 @@ struct DatapathFixture {
   std::vector<std::unique_ptr<CpuCheckpointStore>> stores;
 };
 
-// End-to-end serialize(+pool)+CRC throughput: the bytes a disk-backed shard
-// write pushes through SerializeCheckpointShared per wall-clock second, with
-// the worker pool the persistent store would use (null = inline).
-double SerializeThroughputMbPerSec(ThreadPool* workers) {
+// End-to-end serialize+CRC throughput: the bytes a disk-backed shard write
+// pushes through SerializeCheckpoint per wall-clock second.
+double SerializeThroughputMbPerSec() {
   constexpr size_t kPayloadFloats = 4 << 20;  // 16 MiB payload per blob.
   Checkpoint checkpoint;
   checkpoint.owner_rank = 0;
@@ -159,15 +157,13 @@ double SerializeThroughputMbPerSec(ThreadPool* workers) {
   checkpoint.payload = std::move(payload);
   checkpoint.StampPayloadCrc();
 
-  BlobPool pool;
-  const SerializeOptions options{workers, &pool};
-  // Warm: allocate the pooled blob and fault everything in.
-  size_t blob_bytes = SerializeCheckpointShared(checkpoint, options)->size();
+  // Warm: fault the payload and the CRC tables in.
+  size_t blob_bytes = SerializeCheckpoint(checkpoint).size();
   const auto start = Clock::now();
   size_t passes = 0;
   double elapsed = 0.0;
   do {
-    blob_bytes = SerializeCheckpointShared(checkpoint, options)->size();
+    blob_bytes = SerializeCheckpoint(checkpoint).size();
     ++passes;
     elapsed = SecondsSince(start);
   } while (elapsed < 0.25);
@@ -217,18 +213,8 @@ int main() {
   reporter.Metric("crc.speedup_vs_bytewise", crc_speedup);
   reporter.Metric("crc.hw_speedup_vs_slicing8", hw_speedup);
 
-  // Serialize+CRC end-to-end: inline versus handed a small pool. The 16 MiB
-  // blob sits below the serializer's bytes-per-worker floor, so the pooled
-  // call must take the inline path — the earlier fan-out-always version
-  // measured the parallel leg *slower* than serial at this size.
-  const double serialize_mb_s = gemini::SerializeThroughputMbPerSec(nullptr);
-  gemini::ThreadPool workers(4);
-  const double serialize_parallel_mb_s = gemini::SerializeThroughputMbPerSec(&workers);
+  const double serialize_mb_s = gemini::SerializeThroughputMbPerSec();
   reporter.Metric("serialize.throughput_mb_s", serialize_mb_s);
-  reporter.Metric("serialize.parallel4_throughput_mb_s", serialize_parallel_mb_s);
-  const double serialize_parallel_ratio =
-      serialize_mb_s > 0.0 ? serialize_parallel_mb_s / serialize_mb_s : 0.0;
-  reporter.Metric("serialize.parallel4_vs_serial_ratio", serialize_parallel_ratio);
 
   struct SizePoint {
     int elements;
@@ -252,17 +238,12 @@ int main() {
 #if defined(GEMINI_BENCH_INSTRUMENTED)
   const bool ratio_gates = true;  // Skipped: wall-clock ratios are meaningless here.
 #else
-  // 0.9 leaves room for run-to-run noise; the pre-threshold regression sat
-  // near 0.92 consistently, and with the inline path taken both legs now run
-  // the same code.
-  const bool ratio_gates = crc_speedup >= 3.0 && (!hw_active || hw_speedup >= 2.0) &&
-                           serialize_parallel_ratio >= 0.9;
+  const bool ratio_gates = crc_speedup >= 3.0 && (!hw_active || hw_speedup >= 2.0);
 #endif
   reporter.ShapeCheck(
       ratio_gates && worst_us > 0.0 && serialize_mb_s > 0.0,
       "slice-by-8 CRC is >= 3x the byte-at-a-time reference, hardware CRC (when dispatched) "
-      "is >= 2x slicing-by-8 (ratio gates waived in sanitizer builds), a pooled serialize of "
-      "a small blob is no slower than inline (bytes-per-worker floor), and the "
+      "is >= 2x slicing-by-8 (ratio gates waived in sanitizer builds), and the "
       "capture->commit->verify data path completes at all payload sizes");
   return reporter.Finish();
 }

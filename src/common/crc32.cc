@@ -1,13 +1,9 @@
 #include "src/common/crc32.h"
 
-#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdlib>
 #include <cstring>
-#include <vector>
-
-#include "src/common/thread_pool.h"
 
 // Hardware kernels are compiled only where the ISA extension exists and the
 // build has not forced the portable path (-DGEMINI_DISABLE_HWCRC=ON). The
@@ -236,25 +232,6 @@ const Crc32Dispatch& ActiveCrc32() {
   return dispatch;
 }
 
-// GF(2) 32x32 matrix helpers for Crc32Combine: a matrix is 32 column
-// vectors; `times` multiplies matrix * vector, `square` composes the
-// operator with itself (doubling the number of appended zero bits).
-uint32_t Gf2MatrixTimes(const std::array<uint32_t, 32>& mat, uint32_t vec) {
-  uint32_t sum = 0;
-  for (size_t i = 0; vec != 0; vec >>= 1, ++i) {
-    if ((vec & 1u) != 0) {
-      sum ^= mat[i];
-    }
-  }
-  return sum;
-}
-
-void Gf2MatrixSquare(std::array<uint32_t, 32>& square, const std::array<uint32_t, 32>& mat) {
-  for (size_t i = 0; i < 32; ++i) {
-    square[i] = Gf2MatrixTimes(mat, mat[i]);
-  }
-}
-
 }  // namespace
 
 uint32_t Crc32UpdateBytewise(uint32_t crc, const void* data, size_t length) {
@@ -304,73 +281,6 @@ Crc32UpdateFn Crc32ActiveKernel() { return ActiveCrc32().fn; }
 
 const char* Crc32ImplementationName() { return ActiveCrc32().name; }
 
-uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t length_b) {
-  if (length_b == 0) {
-    return crc_a;
-  }
-  // Build the "append one zero bit" operator, square it up to "two" and
-  // "four", then walk length_b's bits, applying the operator for each set
-  // bit — O(log length_b) squarings instead of feeding length_b zero bytes.
-  std::array<uint32_t, 32> even;
-  std::array<uint32_t, 32> odd;
-  odd[0] = kPolynomial;
-  uint32_t row = 1;
-  for (size_t i = 1; i < 32; ++i) {
-    odd[i] = row;
-    row <<= 1;
-  }
-  Gf2MatrixSquare(even, odd);  // two zero bits
-  Gf2MatrixSquare(odd, even);  // four zero bits
-
-  uint64_t remaining = length_b;
-  uint32_t crc = crc_a;
-  do {
-    // First squaring of each pair yields the operator for one zero *byte*.
-    Gf2MatrixSquare(even, odd);
-    if ((remaining & 1u) != 0) {
-      crc = Gf2MatrixTimes(even, crc);
-    }
-    remaining >>= 1;
-    if (remaining == 0) {
-      break;
-    }
-    Gf2MatrixSquare(odd, even);
-    if ((remaining & 1u) != 0) {
-      crc = Gf2MatrixTimes(odd, crc);
-    }
-    remaining >>= 1;
-  } while (remaining != 0);
-  return crc ^ crc_b;
-}
-
 uint32_t Crc32(const void* data, size_t length) { return Crc32Update(0, data, length); }
-
-uint32_t Crc32Parallel(const void* data, size_t length, ThreadPool* workers) {
-  // Below this, the fan-out latency costs more than the CRC it hides.
-  constexpr size_t kMinBytesPerSegment = 64 << 10;
-  const size_t segments =
-      workers == nullptr
-          ? 1
-          : std::min<size_t>(static_cast<size_t>(workers->threads()),
-                             std::max<size_t>(1, length / kMinBytesPerSegment));
-  if (segments <= 1) {
-    return Crc32(data, length);
-  }
-  const auto* bytes = static_cast<const uint8_t*>(data);
-  std::vector<uint32_t> segment_crcs(segments);
-  std::vector<size_t> segment_lengths(segments);
-  const size_t step = length / segments;
-  workers->ParallelFor(segments, [&](size_t i) {
-    const size_t begin = i * step;
-    const size_t end = i + 1 == segments ? length : begin + step;
-    segment_lengths[i] = end - begin;
-    segment_crcs[i] = Crc32(bytes + begin, end - begin);
-  });
-  uint32_t crc = segment_crcs[0];
-  for (size_t i = 1; i < segments; ++i) {
-    crc = Crc32Combine(crc, segment_crcs[i], segment_lengths[i]);
-  }
-  return crc;
-}
 
 }  // namespace gemini

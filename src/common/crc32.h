@@ -51,21 +51,6 @@ Crc32UpdateFn Crc32ActiveKernel();
 // or "slicing-by-8". Stable across the process lifetime (resolved once).
 const char* Crc32ImplementationName();
 
-// CRC of the concatenation A||B from crc_a = CRC(A), crc_b = CRC(B) and B's
-// length, in O(log length_b) GF(2) matrix operations (no data needed). Lets
-// parallel pipelines CRC disjoint segments concurrently and combine the
-// per-segment results in rank order, bit-identical to one sequential pass.
-uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t length_b);
-
-class ThreadPool;
-
-// One-shot CRC fanned out across `workers`: the buffer is cut into disjoint
-// per-worker segments, each CRC'd concurrently, and the per-segment results
-// are combined in rank order. Bit-identical to Crc32(data, length) for every
-// thread count; a null (or 1-thread) pool — or a buffer too small to be
-// worth splitting — runs one sequential pass inline.
-uint32_t Crc32Parallel(const void* data, size_t length, ThreadPool* workers);
-
 }  // namespace gemini
 
 #endif  // SRC_COMMON_CRC32_H_

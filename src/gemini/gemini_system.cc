@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/common/thread_pool.h"
 #include "src/gemini/replicator.h"
 
 namespace gemini {
@@ -56,8 +55,8 @@ Status GeminiConfig::Validate() const {
   if (reprotection_max_attempts < 1) {
     return InvalidArgumentError("reprotection_max_attempts must be positive");
   }
-  if (pipeline_threads < 1) {
-    return InvalidArgumentError("pipeline_threads must be positive");
+  if (pipeline_threads != 1) {
+    return InvalidArgumentError("pipeline_threads must be 1: host-side threading was removed");
   }
   if (incremental.sparse_update_fraction <= 0.0 || incremental.sparse_update_fraction > 1.0) {
     return InvalidArgumentError("incremental.sparse_update_fraction must be in (0, 1]");
@@ -148,12 +147,8 @@ Status GeminiSystem::Initialize() {
   dirty_accum_.assign(static_cast<size_t>(config_.num_machines),
                       std::vector<uint8_t>(trainer_->dirty_chunk_count(), 0));
   persistent_bases_.assign(static_cast<size_t>(config_.num_machines), std::nullopt);
-  if (config_.pipeline_threads > 1 && datapath_pool_ == nullptr) {
-    datapath_pool_ = std::make_unique<ThreadPool>(config_.pipeline_threads);
-  }
   persistent_ = std::make_unique<PersistentStore>(sim_, config_.persistent);
   persistent_->set_metrics(&metrics_);
-  persistent_->set_workers(datapath_pool_.get());
   if (config_.incremental.enabled) {
     persistent_->ConfigureRedoLog(redo_config);
   }
@@ -1363,8 +1358,6 @@ void GeminiSystem::MaybeStartReprotection() {
   replicator_config.num_buffers = config_.num_buffers;
   replicator_config.metrics = &metrics_;
   replicator_config.auditor = &auditor_;
-  replicator_config.pipeline_threads = config_.pipeline_threads;
-  replicator_config.workers = datapath_pool_.get();
   std::vector<CpuCheckpointStore*> stores;
   stores.reserve(cpu_stores_.size());
   for (const auto& store : cpu_stores_) {

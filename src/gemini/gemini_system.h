@@ -32,7 +32,6 @@
 #include "src/agent/failure_injector.h"
 #include "src/agent/root_agent.h"
 #include "src/agent/worker_agent.h"
-#include "src/baselines/system_model.h"
 #include "src/cluster/cluster.h"
 #include "src/common/rng.h"
 #include "src/kvstore/kv_store.h"
@@ -51,8 +50,6 @@
 #include "src/training/trainer.h"
 
 namespace gemini {
-
-class ThreadPool;
 
 struct GeminiConfig {
   ModelConfig model = Gpt2_100B();
@@ -90,12 +87,7 @@ struct GeminiConfig {
   // RunTracer stored-record cap (0 = unlimited; dropped records are counted
   // in "tracer.dropped_records").
   size_t tracer_max_records = 0;
-  // Host-side worker threads for the checkpoint data path: disk-shard
-  // serialization + CRC in the persistent store and the re-protection
-  // streams' pre-commit integrity CRC fan out across a shared pool. 1 (the
-  // default) keeps everything inline on the simulator thread; larger values
-  // change wall-clock only — simulated timing, event order, and all produced
-  // bytes are identical (per-segment CRCs combine in rank order).
+  // Only 1 is valid; kept because perfbench/workloads.cc still assigns it.
   int pipeline_threads = 1;
   // Publish a per-checkpoint watermark to the KV store at each commit (one
   // key per staged shard plus a block-level key, all riding a single batched
@@ -461,8 +453,6 @@ class GeminiSystem : public PolicyHost {
   std::unique_ptr<Cluster> cluster_;
   std::unique_ptr<KvStoreCluster> kvstore_;
   std::unique_ptr<PersistentStore> persistent_;
-  // Checkpoint data-path worker pool (null when pipeline_threads <= 1).
-  std::unique_ptr<ThreadPool> datapath_pool_;
   std::vector<std::unique_ptr<CpuCheckpointStore>> cpu_stores_;
   std::unique_ptr<ShardedTrainer> trainer_;
   std::unique_ptr<CloudOperator> cloud_;

@@ -7,7 +7,6 @@
 
 #include "src/common/crc32.h"
 #include "src/common/logging.h"
-#include "src/common/thread_pool.h"
 #include "src/obs/auditor.h"
 #include "src/obs/metrics.h"
 
@@ -40,11 +39,6 @@ struct Outcome {
   // Final totals match the per-chunk form exactly.
   int64_t unflushed_chunks = 0;
   int64_t unflushed_bytes = 0;
-  // Worker pool for the commit path's integrity CRC. Borrowed from the
-  // caller via ReplicatorConfig::workers, or owned for this pass when only
-  // pipeline_threads was set. Null = inline sequential CRC.
-  ThreadPool* workers = nullptr;
-  std::unique_ptr<ThreadPool> owned_workers;
   int pending_streams = 0;
   bool failed = false;
   std::function<void(ReplicationOutcome)> done;
@@ -56,14 +50,6 @@ struct Outcome {
     chunks_transferred_counter = &metrics->counter("replicator.chunks_transferred");
     bytes_replicated_counter = &metrics->counter("replicator.bytes_replicated");
     commits_counter = &metrics->counter("replicator.commits");
-  }
-
-  void AdoptWorkers(const ReplicatorConfig& config) {
-    workers = config.workers;
-    if (workers == nullptr && config.pipeline_threads > 1) {
-      owned_workers = std::make_unique<ThreadPool>(config.pipeline_threads);
-      workers = owned_workers.get();
-    }
   }
 
   void FlushMetricBatch() {
@@ -217,13 +203,10 @@ struct Stream : std::enable_shared_from_this<Stream> {
       received.payload =
           PayloadRef(std::shared_ptr<const std::vector<float>>(std::move(assembled)));
       // Integrity gate: the digest stamped at capture must match the bytes
-      // this stream reassembled. Crc32Parallel fans the pass across the
-      // configured worker pool (per-segment CRCs combined in rank order —
-      // the same value at any thread count); with the default
-      // pipeline_threads = 1 it is one inline sequential pass.
+      // this stream reassembled.
       if (received.payload_crc != 0 &&
-          Crc32Parallel(received.payload.data(), received.payload.size_bytes(),
-                        outcome->workers) != received.payload_crc) {
+          Crc32(received.payload.data(), received.payload.size_bytes()) !=
+              received.payload_crc) {
         outcome->Fail(DataLossError("replica assembled for rank " +
                                     std::to_string(snapshot.owner_rank) +
                                     " failed its pre-commit CRC check"));
@@ -356,7 +339,6 @@ void ReplicateSnapshot(Cluster& cluster, const PlacementPlan& placement,
   outcome->metrics = config.metrics;
   outcome->auditor = config.auditor;
   outcome->ResolveMetricHandles();
-  outcome->AdoptWorkers(config);
   outcome->done = std::move(done);
 
   std::vector<std::shared_ptr<Stream>> streams;
@@ -434,7 +416,6 @@ void ReplicateDeltaSnapshot(Cluster& cluster, const PlacementPlan& placement,
   outcome->metrics = config.metrics;
   outcome->auditor = config.auditor;
   outcome->ResolveMetricHandles();
-  outcome->AdoptWorkers(config);
   outcome->done = std::move(done);
 
   // Tiles `total` into chunk_bytes-bounded fabric pieces (always at least
@@ -564,7 +545,6 @@ void ReprotectReplicas(Cluster& cluster, const PlacementPlan& placement,
   outcome->metrics = config.metrics;
   outcome->auditor = config.auditor;
   outcome->ResolveMetricHandles();
-  outcome->AdoptWorkers(config);
   outcome->done = std::move(done);
 
   std::vector<std::shared_ptr<Stream>> streams;

@@ -32,7 +32,6 @@ namespace gemini {
 
 class InterferenceAuditor;
 class MetricsRegistry;
-class ThreadPool;
 
 struct ReplicatorConfig {
   // Number of in-flight sub-buffers on the receive path (pipeline depth p).
@@ -48,16 +47,6 @@ struct ReplicatorConfig {
   // Pool the receive-side assembly buffers are leased from, so steady-state
   // replication allocates nothing once warm. Null = a process-wide default.
   PayloadPool* pool = nullptr;
-  // Host-side wall-clock parallelism for the commit path's integrity CRC
-  // over each assembled replica (per-segment CRCs combined in rank order —
-  // bit-identical to one thread). 1 (the default) runs everything inline on
-  // the simulator thread, keeping the discrete-event engine deterministic
-  // and single-threaded; values > 1 only change wall-clock, never simulated
-  // timing, event order, or bytes.
-  int pipeline_threads = 1;
-  // Worker pool to use when pipeline_threads > 1. Null = the pass creates a
-  // private pool of pipeline_threads for its own lifetime.
-  ThreadPool* workers = nullptr;
 };
 
 struct ReplicationOutcome {

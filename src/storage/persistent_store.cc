@@ -75,20 +75,16 @@ std::string PersistentStore::ShardPath(int owner_rank, int64_t iteration) const 
 
 namespace {
 
-Status WriteShardFile(const std::string& path, const Checkpoint& checkpoint,
-                      const SerializeOptions& options) {
+Status WriteShardFile(const std::string& path, const Checkpoint& checkpoint) {
   std::error_code ec;
   std::filesystem::create_directories(std::filesystem::path(path).parent_path(), ec);
-  // Pooled + (optionally) parallel serialization; the blob buffer goes back
-  // to the pool when this frame's shared_ptr drops.
-  const std::shared_ptr<std::vector<uint8_t>> blob =
-      SerializeCheckpointShared(checkpoint, options);
+  const std::vector<uint8_t> blob = SerializeCheckpoint(checkpoint);
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) {
     return UnavailableError("cannot open shard file for writing: " + path);
   }
-  out.write(reinterpret_cast<const char*>(blob->data()),
-            static_cast<std::streamsize>(blob->size()));
+  out.write(reinterpret_cast<const char*>(blob.data()),
+            static_cast<std::streamsize>(blob.size()));
   if (!out) {
     return DataLossError("short write to shard file: " + path);
   }
@@ -136,8 +132,7 @@ TimeNs PersistentStore::Save(Checkpoint checkpoint, int expected_world_size, Don
         const int64_t iteration = checkpoint.iteration;
         const std::string path = ShardPath(checkpoint.owner_rank, iteration);
         if (!path.empty()) {
-          const Status written =
-              WriteShardFile(path, checkpoint, SerializeOptions{workers_, &blob_pool_});
+          const Status written = WriteShardFile(path, checkpoint);
           if (!written.ok()) {
             done(written);
             return;
@@ -189,8 +184,7 @@ TimeNs PersistentStore::SaveDelta(DeltaCheckpoint delta, int expected_world_size
         }
         const std::string path = ShardPath(owner, iteration);
         if (!path.empty()) {
-          const Status written =
-              WriteShardFile(path, *materialized, SerializeOptions{workers_, &blob_pool_});
+          const Status written = WriteShardFile(path, *materialized);
           if (!written.ok()) {
             done(written);
             return;
@@ -389,8 +383,7 @@ void PersistentStore::SeedImmediate(Checkpoint checkpoint, int expected_world_si
   const int64_t iteration = checkpoint.iteration;
   const std::string path = ShardPath(checkpoint.owner_rank, iteration);
   if (!path.empty()) {
-    const Status written =
-        WriteShardFile(path, checkpoint, SerializeOptions{workers_, &blob_pool_});
+    const Status written = WriteShardFile(path, checkpoint);
     if (!written.ok()) {
       GEMINI_LOG(kError) << "seeding persistent shard failed: " << written;
     }

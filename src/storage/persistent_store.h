@@ -25,11 +25,8 @@
 #include "src/storage/checkpoint.h"
 #include "src/storage/checkpoint_store.h"
 #include "src/storage/delta.h"
-#include "src/storage/serializer.h"
 
 namespace gemini {
-
-class ThreadPool;
 
 struct PersistentStoreConfig {
   // Aggregate bandwidth across all concurrent readers/writers.
@@ -71,11 +68,6 @@ class PersistentStore : public CheckpointStore {
   // are resolved here, once, per the hot-path metric convention
   // (src/obs/metrics.h).
   void set_metrics(MetricsRegistry* metrics);
-
-  // Optional worker pool for disk-backed shard writes: serialization (payload
-  // copy + CRC) fans out across it. Null (the default) serializes inline;
-  // the file bytes are identical either way.
-  void set_workers(ThreadPool* workers) { workers_ = workers; }
 
   using DoneCallback = std::function<void(Status)>;
 
@@ -187,9 +179,6 @@ class PersistentStore : public CheckpointStore {
   Counter* compaction_folds_counter_ = nullptr;
   Counter* compaction_bytes_folded_counter_ = nullptr;
   RetrievalFaultHook fault_hook_;
-  ThreadPool* workers_ = nullptr;
-  // Serialized-blob buffers recycled across disk-backed shard writes.
-  BlobPool blob_pool_;
   TimeNs busy_until_ = 0;
   Bytes bytes_written_ = 0;
   // iteration -> owner -> shard; complete-set tracking by expected world.

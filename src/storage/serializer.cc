@@ -1,29 +1,15 @@
 #include "src/storage/serializer.h"
 
-#include <algorithm>
 #include <array>
 #include <cstring>
 
 #include "src/common/crc32.h"
-#include "src/common/thread_pool.h"
 
 namespace gemini {
 namespace {
 
 constexpr std::array<uint8_t, 4> kMagic = {'G', 'M', 'C', 'K'};
 constexpr uint32_t kVersion = 1;
-
-// Below this, segmenting the copy/CRC across workers costs more in fan-out
-// latency than the memory traffic it hides.
-constexpr size_t kMinBytesPerSegment = 64 << 10;
-
-// Fan-out pays only once every worker owns a dense slab: below this many
-// payload bytes per pool thread the wake/join latency plus the cores
-// contending for the same DRAM channels make the parallel path *slower* than
-// one inline pass (measured: a 16 MiB blob across 4 workers serialized at
-// ~0.92x the inline throughput), so such payloads stay fully inline —
-// sequential copy and sequential CRC.
-constexpr size_t kMinBytesPerWorker = 8 << 20;
 
 template <typename T>
 void Append(std::vector<uint8_t>& out, const T& value) {
@@ -42,6 +28,8 @@ bool Read(const std::vector<uint8_t>& in, size_t& offset, T& value) {
   return true;
 }
 
+}  // namespace
+
 // GCC 12's inliner raises false-positive -Wstringop-overflow/-Warray-bounds
 // diagnostics for byte appends into a growing std::vector (GCC bug 105705).
 #if defined(__GNUC__) && !defined(__clang__)
@@ -49,17 +37,8 @@ bool Read(const std::vector<uint8_t>& in, size_t& offset, T& value) {
 #pragma GCC diagnostic ignored "-Wstringop-overflow"
 #pragma GCC diagnostic ignored "-Warray-bounds"
 #endif
-// Writes the full serialized form into `out` (replacing its contents). The
-// payload copy and the trailing CRC fan out across `workers` when profitable;
-// the bytes produced are identical for every thread count.
-void SerializeInto(std::vector<uint8_t>& out, const Checkpoint& checkpoint,
-                   ThreadPool* workers) {
-  if (workers != nullptr &&
-      checkpoint.payload.size_bytes() <
-          kMinBytesPerWorker * static_cast<size_t>(workers->threads())) {
-    workers = nullptr;
-  }
-  out.clear();
+std::vector<uint8_t> SerializeCheckpoint(const Checkpoint& checkpoint) {
+  std::vector<uint8_t> out;
   out.reserve(40 + checkpoint.payload.size_bytes() + sizeof(uint32_t));
   out.insert(out.end(), kMagic.begin(), kMagic.end());
   Append(out, kVersion);
@@ -68,54 +47,19 @@ void SerializeInto(std::vector<uint8_t>& out, const Checkpoint& checkpoint,
   Append(out, static_cast<int64_t>(checkpoint.logical_bytes));
   Append(out, static_cast<uint64_t>(checkpoint.payload.size()));
   const size_t payload_offset = out.size();
-  const size_t payload_bytes = checkpoint.payload.size_bytes();
-  out.resize(payload_offset + payload_bytes);
+  out.resize(payload_offset + checkpoint.payload.size_bytes());
   if (!checkpoint.payload.empty()) {
-    const auto* src = reinterpret_cast<const uint8_t*>(checkpoint.payload.data());
-    uint8_t* dst = out.data() + payload_offset;
-    const size_t segments =
-        workers == nullptr
-            ? 1
-            : std::min<size_t>(static_cast<size_t>(workers->threads()),
-                               std::max<size_t>(1, payload_bytes / kMinBytesPerSegment));
-    if (segments <= 1) {
-      std::memcpy(dst, src, payload_bytes);
-    } else {
-      const size_t step = payload_bytes / segments;
-      workers->ParallelFor(segments, [&](size_t i) {
-        const size_t begin = i * step;
-        const size_t end = i + 1 == segments ? payload_bytes : begin + step;
-        std::memcpy(dst + begin, src + begin, end - begin);
-      });
-    }
+    std::memcpy(out.data() + payload_offset, checkpoint.payload.data(),
+                checkpoint.payload.size_bytes());
   }
-  // Crc32Parallel combines per-segment CRCs in rank order with the exact
-  // Crc32Combine, so the trailing word is bit-identical for every thread
-  // count and segmenting choice.
-  const uint32_t crc = Crc32Parallel(out.data(), out.size(), workers);
+  const uint32_t crc = Crc32(out.data(), out.size());
   Append(out, crc);
+  return out;
 }
 #if defined(__GNUC__) && !defined(__clang__)
 #pragma GCC diagnostic pop
 #endif
 
-}  // namespace
-
-std::vector<uint8_t> SerializeCheckpoint(const Checkpoint& checkpoint) {
-  std::vector<uint8_t> out;
-  SerializeInto(out, checkpoint, nullptr);
-  return out;
-}
-
-std::shared_ptr<std::vector<uint8_t>> SerializeCheckpointShared(const Checkpoint& checkpoint,
-                                                                const SerializeOptions& options) {
-  const size_t total = 40 + checkpoint.payload.size_bytes() + sizeof(uint32_t);
-  std::shared_ptr<std::vector<uint8_t>> out =
-      options.pool != nullptr ? options.pool->Acquire(total)
-                              : std::make_shared<std::vector<uint8_t>>();
-  SerializeInto(*out, checkpoint, options.workers);
-  return out;
-}
 StatusOr<Checkpoint> DeserializeCheckpoint(const std::vector<uint8_t>& bytes) {
   if (bytes.size() < kMagic.size() + sizeof(uint32_t)) {
     return DataLossError("checkpoint blob truncated");

@@ -10,7 +10,6 @@
 #define SRC_STORAGE_SERIALIZER_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "src/common/status.h"
@@ -18,53 +17,7 @@
 
 namespace gemini {
 
-class ThreadPool;
-
-// Recycles serialized-blob buffers across checkpoints the way PayloadPool
-// recycles float buffers: Acquire() hands back a released buffer only when
-// no other shared_ptr still references it, so a blob pinned by an in-flight
-// upload is never clobbered. Steady-state serialization is allocation-free
-// once warm.
-class BlobPool {
- public:
-  // A mutable buffer resized to `bytes` (contents unspecified).
-  std::shared_ptr<std::vector<uint8_t>> Acquire(size_t bytes) {
-    for (auto& slot : buffers_) {
-      if (slot.use_count() == 1 && slot->capacity() >= bytes) {
-        std::shared_ptr<std::vector<uint8_t>> buffer = slot;
-        buffer->resize(bytes);
-        return buffer;
-      }
-    }
-    buffers_.push_back(std::make_shared<std::vector<uint8_t>>(bytes));
-    return buffers_.back();
-  }
-
-  size_t allocated_buffers() const { return buffers_.size(); }
-
- private:
-  std::vector<std::shared_ptr<std::vector<uint8_t>>> buffers_;
-};
-
-// Knobs for the pooled/parallel serialization path. Defaults reproduce the
-// plain SerializeCheckpoint byte-for-byte (they always do — see below).
-struct SerializeOptions {
-  // Fans the payload copy and the trailing CRC out across workers (per-shard
-  // segments, per-segment CRCs combined in rank order with Crc32Combine).
-  // Null (or a 1-thread pool) runs inline. The output bytes are identical
-  // either way: segmented-CRC-combine is exact, not approximate.
-  ThreadPool* workers = nullptr;
-  // Output buffers are leased from this pool instead of freshly allocated.
-  BlobPool* pool = nullptr;
-};
-
 std::vector<uint8_t> SerializeCheckpoint(const Checkpoint& checkpoint);
-
-// Pooled/parallel form: same bytes as SerializeCheckpoint, in a buffer owned
-// by options.pool (or a fresh one when pool is null). The caller's
-// shared_ptr pins the buffer; dropping it returns the buffer to the pool.
-std::shared_ptr<std::vector<uint8_t>> SerializeCheckpointShared(const Checkpoint& checkpoint,
-                                                                const SerializeOptions& options);
 
 StatusOr<Checkpoint> DeserializeCheckpoint(const std::vector<uint8_t>& bytes);
 

@@ -1,8 +1,6 @@
-// Tests for src/common: status, units, rng, stats, crc32, thread pool,
-// table printer.
+// Tests for src/common: status, units, rng, stats, crc32, table printer.
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <cmath>
 #include <cstring>
 #include <set>
@@ -12,7 +10,6 @@
 #include "src/common/stats.h"
 #include "src/common/status.h"
 #include "src/common/table_printer.h"
-#include "src/common/thread_pool.h"
 #include "src/common/units.h"
 
 namespace gemini {
@@ -447,81 +444,6 @@ TEST(Crc32Test, DispatchedKernelChainsAcrossArbitrarySplits) {
     crc = active(crc, data.data() + split, data.size() - split);
     EXPECT_EQ(crc, reference) << "split at " << split;
   }
-}
-
-TEST(Crc32Test, CombineMatchesWholeBufferCrc) {
-  Rng rng(0xC0B13E);
-  std::vector<uint8_t> data(1 << 16);
-  for (auto& byte : data) {
-    byte = static_cast<uint8_t>(rng.UniformInt(0, 255));
-  }
-  const uint32_t whole = Crc32(data.data(), data.size());
-  for (const size_t split : {size_t{0}, size_t{1}, size_t{63}, size_t{1024},
-                             size_t{40000}, data.size()}) {
-    const uint32_t a = Crc32(data.data(), split);
-    const uint32_t b = Crc32(data.data() + split, data.size() - split);
-    EXPECT_EQ(Crc32Combine(a, b, data.size() - split), whole) << "split " << split;
-  }
-  // Zero-length second half is the identity.
-  EXPECT_EQ(Crc32Combine(whole, 0, 0), whole);
-}
-
-TEST(Crc32Test, ParallelMatchesSequentialAtEveryThreadCount) {
-  Rng rng(0x9A12A11E1);
-  std::vector<uint8_t> data(3 << 20 | 0x155);  // Odd size: uneven segments.
-  for (auto& byte : data) {
-    byte = static_cast<uint8_t>(rng.UniformInt(0, 255));
-  }
-  const uint32_t sequential = Crc32(data.data(), data.size());
-  EXPECT_EQ(Crc32Parallel(data.data(), data.size(), nullptr), sequential);
-  for (const int threads : {1, 2, 3, 4, 7}) {
-    ThreadPool pool(threads);
-    EXPECT_EQ(Crc32Parallel(data.data(), data.size(), &pool), sequential)
-        << threads << " threads";
-  }
-  // Small buffers skip the fan-out but still produce the same value.
-  ThreadPool pool(4);
-  EXPECT_EQ(Crc32Parallel(data.data(), 100, &pool), Crc32(data.data(), 100));
-  EXPECT_EQ(Crc32Parallel(nullptr, 0, &pool), 0u);
-}
-
-// ---------------------------------------------------------------------------
-// ThreadPool
-// ---------------------------------------------------------------------------
-
-TEST(ThreadPoolTest, SingleThreadRunsInlineInIndexOrder) {
-  // threads <= 1 must spawn no workers and execute bodies inline, in index
-  // order — the determinism contract the simulator-facing default relies on.
-  ThreadPool pool(1);
-  EXPECT_EQ(pool.threads(), 1);
-  std::vector<size_t> order;
-  pool.ParallelFor(5, [&](size_t i) { order.push_back(i); });
-  ASSERT_EQ(order.size(), 5u);
-  for (size_t i = 0; i < order.size(); ++i) {
-    EXPECT_EQ(order[i], i);
-  }
-}
-
-TEST(ThreadPoolTest, RunsEveryIndexExactlyOnce) {
-  ThreadPool pool(4);
-  EXPECT_EQ(pool.threads(), 4);
-  constexpr size_t kTasks = 1000;
-  std::vector<std::atomic<int>> hits(kTasks);
-  pool.ParallelFor(kTasks, [&](size_t i) { hits[i].fetch_add(1); });
-  for (size_t i = 0; i < kTasks; ++i) {
-    EXPECT_EQ(hits[i].load(), 1) << "index " << i;
-  }
-}
-
-TEST(ThreadPoolTest, ReusableAcrossBatches) {
-  ThreadPool pool(3);
-  std::atomic<size_t> total{0};
-  for (int round = 0; round < 20; ++round) {
-    pool.ParallelFor(17, [&](size_t) { total.fetch_add(1); });
-  }
-  EXPECT_EQ(total.load(), 20u * 17u);
-  pool.ParallelFor(0, [&](size_t) { total.fetch_add(1); });  // No-op.
-  EXPECT_EQ(total.load(), 20u * 17u);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 // build/apply round-trips and CRC-keyed content dedupe, the epoch-sealed
 // redo log (sealing, compaction, corruption), the CPU and persistent
 // stores' chain paths, delta streaming through the replicator, PayloadRef
-// slice / Crc32Combine edge cases, config validation of the incremental
+// slice edge cases, config validation of the incremental
 // knobs, and the acceptance property: delta-chain recovery is bit-exact
 // against full-snapshot recovery.
 #include <gtest/gtest.h>
@@ -12,7 +12,6 @@
 #include <optional>
 #include <vector>
 
-#include "src/common/crc32.h"
 #include "src/gemini/gemini_system.h"
 #include "src/gemini/replicator.h"
 #include "src/obs/metrics.h"
@@ -392,7 +391,7 @@ TEST(TrainerDirtyTest, TakeDirtyChunksReturnsAccumulatedBitsAndClears) {
       std::all_of(after_restore.begin(), after_restore.end(), [](uint8_t b) { return b != 0; }));
 }
 
-// ---- PayloadRef slice / Crc32Combine edge cases ---------------------------
+// ---- PayloadRef slice edge cases -----------------------------------------
 
 TEST(PayloadSliceEdgeTest, ZeroLengthAndEndSlices) {
   const PayloadRef payload(std::vector<float>{1.f, 2.f, 3.f, 4.f, 5.f});
@@ -416,39 +415,6 @@ TEST(PayloadSliceEdgeTest, ZeroLengthAndEndSlices) {
   const PayloadRef null_ref;
   EXPECT_EQ(null_ref.data(), nullptr);
   EXPECT_FALSE(null_ref.SharesBufferWith(payload));
-}
-
-TEST(Crc32CombineEdgeTest, EmptySegmentsAreIdentityElements) {
-  const std::vector<uint8_t> data = {0xDE, 0xAD, 0xBE, 0xEF, 0x42, 0x00, 0x17};
-  const uint32_t whole = Crc32(data.data(), data.size());
-  const uint32_t empty = Crc32(data.data(), 0);
-  // CRC of zero bytes never perturbs a combination, on either side.
-  EXPECT_EQ(Crc32Combine(whole, empty, 0), whole);
-  EXPECT_EQ(Crc32Combine(empty, whole, data.size()), whole);
-  EXPECT_EQ(Crc32Combine(empty, empty, 0), empty);
-  // Interleaving empty segments into a multi-way split changes nothing.
-  const uint32_t a = Crc32(data.data(), 3);
-  const uint32_t b = Crc32(data.data() + 3, 4);
-  uint32_t combined = Crc32Combine(a, empty, 0);
-  combined = Crc32Combine(combined, b, 4);
-  combined = Crc32Combine(combined, empty, 0);
-  EXPECT_EQ(combined, whole);
-}
-
-TEST(Crc32CombineEdgeTest, MultiSegmentCombineMatchesOneShot) {
-  std::vector<uint8_t> data(1024);
-  for (size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<uint8_t>(i * 31 + 7);
-  }
-  const uint32_t whole = Crc32(data.data(), data.size());
-  // Uneven segmentation, including a 1-byte and a 0-byte segment.
-  const size_t cuts[] = {0, 1, 7, 7, 512, 1024};
-  uint32_t combined = Crc32(data.data(), cuts[1]);
-  for (size_t i = 1; i + 1 < std::size(cuts); ++i) {
-    const size_t length = cuts[i + 1] - cuts[i];
-    combined = Crc32Combine(combined, Crc32(data.data() + cuts[i], length), length);
-  }
-  EXPECT_EQ(combined, whole);
 }
 
 // ---- Config validation ----------------------------------------------------

@@ -7,6 +7,7 @@
 
 #include <filesystem>
 
+#include "src/baselines/system_model.h"
 #include "src/common/stats.h"
 #include "src/gemini/gemini_system.h"
 
@@ -368,26 +369,6 @@ TEST(GeminiSystemTest, WatermarkOffByDefaultLeavesKvStateUntouched) {
   ASSERT_TRUE(system.Initialize().ok());
   ASSERT_TRUE(system.TrainUntil(3).ok());
   EXPECT_TRUE(system.kvstore().List("ckpt/").empty());
-}
-
-TEST(GeminiSystemTest, PipelineThreadsDoNotChangeSimulatedResults) {
-  // pipeline_threads parallelizes host-side serialization/CRC only: wall
-  // time, trained state, and every commit must be identical to the default.
-  GeminiConfig config = SmallConfig();
-  config.persistent_checkpoint_interval = Minutes(2);  // Exercise the store.
-  std::vector<TimeNs> wall_times;
-  for (const int threads : {1, 4}) {
-    config.pipeline_threads = threads;
-    GeminiSystem system(config);
-    ASSERT_TRUE(system.Initialize().ok());
-    system.failure_injector().InjectAt(Minutes(3), FailureType::kHardware, {6});
-    const auto report = system.TrainUntil(6);
-    ASSERT_TRUE(report.ok()) << report.status();
-    wall_times.push_back(report->wall_time);
-    ExpectStateMatchesReference(system, config, 6);
-  }
-  EXPECT_EQ(wall_times[0], wall_times[1])
-      << "host-side threads leaked into simulated time";
 }
 
 TEST(GeminiSystemTest, DeterministicAcrossRuns) {

@@ -96,6 +96,16 @@ TEST(PolicyConfigTest, CreateRejectsBadConfigsUniformly) {
   config.policy.checkmate.replay_cost_fraction = -0.5;
   EXPECT_FALSE(GeminiSystem::Create(config).ok());
 
+  for (const int threads : {0, 4}) {
+    config = SmallConfig();
+    config.pipeline_threads = threads;
+    const auto created = GeminiSystem::Create(config);
+    ASSERT_FALSE(created.ok()) << threads << " threads";
+    EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(created.status().message(),
+              "pipeline_threads must be 1: host-side threading was removed");
+  }
+
   // And a valid config builds a fully initialized system in one call.
   const StatusOr<std::unique_ptr<GeminiSystem>> system = GeminiSystem::Create(SmallConfig());
   ASSERT_TRUE(system.ok()) << system.status();

@@ -3,7 +3,6 @@
 // cross-validation of the analytic scheduling model.
 #include <gtest/gtest.h>
 
-#include "src/common/thread_pool.h"
 #include "src/gemini/replicator.h"
 #include "src/training/trainer.h"
 
@@ -90,60 +89,6 @@ TEST_F(ReplicatorTest, CommitsBitIdenticalCheckpointsAtAllHolders) {
   }
   // 3 remote streams... every owner sends one remote copy: 4 x 16 chunks.
   EXPECT_EQ(outcome->chunks_transferred, kMachines * 16);
-}
-
-TEST_F(ReplicatorTest, PipelineThreadsCommitBitIdenticalCheckpoints) {
-  // pipeline_threads > 1 only parallelizes the commit path's integrity CRC
-  // on the host: the committed bytes, the simulated completion times, and
-  // the chunk counts must all be identical to the single-threaded default.
-  trainer_->Step();
-  const std::vector<Checkpoint> snapshots = Snapshots();
-
-  std::optional<ReplicationOutcome> baseline;
-  ReplicateSnapshot(*cluster_, placement_, StorePointers(), snapshots, EvenChunks(16),
-                    ReplicatorConfig{}, [&](ReplicationOutcome result) { baseline = result; });
-  sim_.Run();
-  ASSERT_TRUE(baseline.has_value());
-  ASSERT_TRUE(baseline->status.ok()) << baseline->status;
-
-  trainer_->Step();  // New iteration so the second pass commits fresh state.
-  const std::vector<Checkpoint> next = Snapshots();
-  ReplicatorConfig parallel_config;
-  parallel_config.pipeline_threads = 4;
-  const TimeNs second_start = sim_.now();
-  std::optional<ReplicationOutcome> outcome;
-  ReplicateSnapshot(*cluster_, placement_, StorePointers(), next, EvenChunks(16),
-                    parallel_config, [&](ReplicationOutcome result) { outcome = result; });
-  sim_.Run();
-  ASSERT_TRUE(outcome.has_value());
-  ASSERT_TRUE(outcome->status.ok()) << outcome->status;
-  // Simulated timing is untouched by host-side threads: both passes moved
-  // the same bytes through the same (idle) fabric, so their simulated
-  // durations are identical.
-  EXPECT_EQ(outcome->network_done - second_start, baseline->network_done);
-  EXPECT_EQ(outcome->committed_at - second_start, baseline->committed_at);
-  EXPECT_EQ(outcome->chunks_transferred, baseline->chunks_transferred);
-  for (int owner = 0; owner < kMachines; ++owner) {
-    for (const int holder : placement_.replica_sets[static_cast<size_t>(owner)]) {
-      const auto stored = stores_[static_cast<size_t>(holder)]->Latest(owner);
-      ASSERT_TRUE(stored.has_value());
-      EXPECT_EQ(*stored, next[static_cast<size_t>(owner)])
-          << "holder " << holder << " owner " << owner << " bytes diverged";
-    }
-  }
-  // A shared caller-owned pool works the same way.
-  trainer_->Step();
-  const std::vector<Checkpoint> third = Snapshots();
-  ThreadPool shared_pool(4);
-  ReplicatorConfig shared_config;
-  shared_config.workers = &shared_pool;
-  std::optional<ReplicationOutcome> shared_outcome;
-  ReplicateSnapshot(*cluster_, placement_, StorePointers(), third, EvenChunks(16),
-                    shared_config,
-                    [&](ReplicationOutcome result) { shared_outcome = result; });
-  sim_.Run();
-  ASSERT_TRUE(shared_outcome.has_value());
-  ASSERT_TRUE(shared_outcome->status.ok()) << shared_outcome->status;
 }
 
 TEST_F(ReplicatorTest, CommitRejectsPayloadDigestMismatch) {
