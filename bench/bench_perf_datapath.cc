@@ -5,10 +5,10 @@
 // measures what the *harness* pays per iteration for the real-bytes plane —
 // capture (MakeCheckpoint + CRC stamp), commit into every holder's
 // double-buffered CPU store, and one CRC-verified recovery read — at three
-// payload sizes, plus raw CRC-32 throughput. Unlike the figure benches these
-// numbers are host wall-clock, not simulated time: they track harness speed
-// across commits (EXPERIMENTS.md records the trajectory), not modeled
-// behaviour.
+// payload sizes, plus raw CRC-32 and update-kernel throughput. Unlike the
+// figure benches these numbers are host wall-clock, not simulated time: they
+// track harness speed across commits (EXPERIMENTS.md records the trajectory),
+// not modeled behaviour.
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
@@ -24,6 +24,7 @@
 #include "src/storage/cpu_store.h"
 #include "src/storage/serializer.h"
 #include "src/training/trainer.h"
+#include "src/training/update_kernel.h"
 
 // Sanitizer instrumentation skews the cost of table loads vs. intrinsics vs.
 // plain loops arbitrarily (slicing-by-8 can measure *slower* than the
@@ -70,6 +71,26 @@ double CrcThroughputMbPerSec(uint32_t (*crc_fn)(uint32_t, const void*, size_t)) 
   volatile uint32_t keep = sink;
   (void)keep;
   return static_cast<double>(passes) * static_cast<double>(kBufferBytes) / elapsed / 1e6;
+}
+
+// Trainer update-kernel throughput in millions of elements per second, over
+// one 4 MiB shard written out of place (as a step after a capture does).
+double UpdateThroughputMelemPerSec(decltype(&ApplyUpdate) kernel) {
+  constexpr size_t kElements = 1 << 20;
+  std::vector<float> in(kElements, 0.25f);
+  std::vector<float> out(kElements);
+  kernel(/*seed=*/7, /*iteration=*/0, /*rank=*/0, 0, kElements, in.data(), out.data());
+  const auto start = Clock::now();
+  int64_t passes = 0;
+  double elapsed = 0.0;
+  do {
+    kernel(7, passes, 0, 0, kElements, in.data(), out.data());
+    ++passes;
+    elapsed = SecondsSince(start);
+  } while (elapsed < 0.25);
+  volatile float keep = out[kElements / 2];
+  (void)keep;
+  return static_cast<double>(passes) * static_cast<double>(kElements) / elapsed / 1e6;
 }
 
 // One steady-state iteration of the harness data plane: step, capture every
@@ -212,6 +233,17 @@ int main() {
   reporter.Metric("crc.bytewise_mb_s", crc_bytewise_mb_s);
   reporter.Metric("crc.speedup_vs_bytewise", crc_speedup);
   reporter.Metric("crc.hw_speedup_vs_slicing8", hw_speedup);
+
+  // The trainer's update kernel: reported, not gated — which variant runs
+  // depends on the host's ISA.
+  const std::string update_impl = gemini::UpdateKernelName();
+  std::cout << "active update kernel: " << update_impl << "\n";
+  const double update_melem_s = gemini::UpdateThroughputMelemPerSec(&gemini::ApplyUpdate);
+  const double update_portable_melem_s =
+      gemini::UpdateThroughputMelemPerSec(&gemini::ApplyUpdatePortable);
+  reporter.Metric("update.avx512_active", static_cast<int64_t>(update_impl == "avx512" ? 1 : 0));
+  reporter.Metric("update.throughput_melem_s", update_melem_s);
+  reporter.Metric("update.portable_melem_s", update_portable_melem_s);
 
   const double serialize_mb_s = gemini::SerializeThroughputMbPerSec();
   reporter.Metric("serialize.throughput_mb_s", serialize_mb_s);

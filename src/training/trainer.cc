@@ -2,27 +2,14 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstring>
 
 #include "src/obs/metrics.h"
 #include "src/obs/run_tracer.h"
+#include "src/training/update_kernel.h"
 
 namespace gemini {
 namespace {
-
-// Deterministic per-element update delta derived from (seed, iteration,
-// rank, element) — a stand-in for a gradient step that makes divergence
-// detectable at single-bit resolution.
-float UpdateDelta(uint64_t seed, int64_t iteration, int rank, size_t element) {
-  uint64_t x = seed;
-  x ^= static_cast<uint64_t>(iteration) * 0x9E3779B97F4A7C15ULL;
-  x ^= (static_cast<uint64_t>(rank) + 1) * 0xBF58476D1CE4E5B9ULL;
-  x ^= (static_cast<uint64_t>(element) + 1) * 0x94D049BB133111EBULL;
-  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-  x ^= x >> 31;
-  // Map to [-0.5, 0.5).
-  return static_cast<float>(static_cast<double>(x >> 11) * 0x1.0p-53 - 0.5);
-}
 
 // Deterministic sparse-update predicate: whether (iteration, rank, chunk)
 // is touched this step. A distinct mix constant keeps it decorrelated from
@@ -47,20 +34,22 @@ ShardedTrainer::ShardedTrainer(const ModelConfig& model, int num_machines, int p
   assert(payload_elements >= 1);
   shards_.resize(static_cast<size_t>(num_machines));
   for (int rank = 0; rank < num_machines; ++rank) {
-    auto& shard = shards_[static_cast<size_t>(rank)];
-    shard.resize(static_cast<size_t>(payload_elements));
-    for (size_t i = 0; i < shard.size(); ++i) {
-      shard[i] = UpdateDelta(seed_, /*iteration=*/-1, rank, i);
-    }
+    Shard& shard = shards_[static_cast<size_t>(rank)];
+    shard.live = shard.pool.Acquire(static_cast<size_t>(payload_elements));
+    // The initial states are the iteration -1 deltas: 0 * 0.999f + d == d.
+    std::fill(shard.live->begin(), shard.live->end(), 0.0f);
+    ApplyUpdate(seed_, /*iteration=*/-1, rank, 0, shard.live->size(), shard.live->data(),
+                shard.live->data());
   }
 }
 
 void ShardedTrainer::set_metrics(MetricsRegistry* metrics) {
-  metrics_ = metrics;
   steps_counter_ = metrics != nullptr ? &metrics->counter("trainer.steps") : nullptr;
   restores_counter_ = metrics != nullptr ? &metrics->counter("trainer.restores") : nullptr;
   rollback_iterations_counter_ =
       metrics != nullptr ? &metrics->counter("trainer.rollback_iterations") : nullptr;
+  replayed_iterations_counter_ =
+      metrics != nullptr ? &metrics->counter("trainer.replayed_iterations") : nullptr;
 }
 
 void ShardedTrainer::SetSparseUpdates(double fraction, size_t chunk_elements) {
@@ -84,7 +73,7 @@ size_t ShardedTrainer::dirty_chunk_count() const {
   if (dirty_chunk_elements_ == 0 || shards_.empty()) {
     return 0;
   }
-  const size_t elements = shards_.front().size();
+  const size_t elements = shards_.front().live->size();
   return (elements + dirty_chunk_elements_ - 1) / dirty_chunk_elements_;
 }
 
@@ -111,31 +100,41 @@ void ShardedTrainer::MarkChunkDirty(int rank, size_t chunk) {
   }
 }
 
+std::shared_ptr<std::vector<float>> ShardedTrainer::WriteBuffer(Shard& shard) {
+  // The pool's slot and `live` are the only handles unless a capture (or a
+  // view of one) still shares the buffer.
+  if (shard.live.use_count() == 2) {
+    return shard.live;
+  }
+  return shard.pool.Acquire(shard.live->size());
+}
+
 void ShardedTrainer::UpdateShardsAtCurrentIteration() {
   for (int rank = 0; rank < num_machines_; ++rank) {
-    auto& shard = shards_[static_cast<size_t>(rank)];
+    Shard& shard = shards_[static_cast<size_t>(rank)];
+    std::shared_ptr<std::vector<float>> out = WriteBuffer(shard);
+    const float* in = shard.live->data();
+    const size_t elements = shard.live->size();
     if (sparse_fraction_ >= 1.0) {
-      // Dense fast path: exactly the historical update loop, bit for bit.
-      for (size_t i = 0; i < shard.size(); ++i) {
-        shard[i] = shard[i] * 0.999f + UpdateDelta(seed_, iteration_, rank, i);
-      }
+      ApplyUpdate(seed_, iteration_, rank, 0, elements, in, out->data());
+      shard.live = std::move(out);
       MarkAllDirty(rank);
       continue;
     }
     // Sparse mode: only touched chunks see the update (and its decay) this
     // iteration — the MoE-style workload where most expert shards are
-    // frozen per step.
-    const size_t num_chunks =
-        (shard.size() + sparse_chunk_elements_ - 1) / sparse_chunk_elements_;
+    // frozen per step. Written out of place, untouched chunks are copied.
+    const size_t num_chunks = (elements + sparse_chunk_elements_ - 1) / sparse_chunk_elements_;
     for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
+      const size_t begin = chunk * sparse_chunk_elements_;
+      const size_t end = std::min(elements, begin + sparse_chunk_elements_);
       if (!ChunkTouched(seed_, iteration_, rank, chunk, sparse_fraction_)) {
+        if (out->data() != in) {
+          std::memcpy(out->data() + begin, in + begin, (end - begin) * sizeof(float));
+        }
         continue;
       }
-      const size_t begin = chunk * sparse_chunk_elements_;
-      const size_t end = std::min(shard.size(), begin + sparse_chunk_elements_);
-      for (size_t i = begin; i < end; ++i) {
-        shard[i] = shard[i] * 0.999f + UpdateDelta(seed_, iteration_, rank, i);
-      }
+      ApplyUpdate(seed_, iteration_, rank, begin, end - begin, in + begin, out->data() + begin);
       if (dirty_tracking_enabled()) {
         if (dirty_chunk_elements_ == sparse_chunk_elements_) {
           MarkChunkDirty(rank, chunk);
@@ -149,6 +148,7 @@ void ShardedTrainer::UpdateShardsAtCurrentIteration() {
         }
       }
     }
+    shard.live = std::move(out);
   }
 }
 
@@ -161,7 +161,15 @@ void ShardedTrainer::Step() {
 }
 
 const std::vector<float>& ShardedTrainer::shard(int rank) const {
-  return shards_.at(static_cast<size_t>(rank));
+  return *shards_.at(static_cast<size_t>(rank)).live;
+}
+
+size_t ShardedTrainer::allocated_buffers() const {
+  size_t buffers = 0;
+  for (const Shard& shard : shards_) {
+    buffers += shard.pool.allocated_buffers();
+  }
+  return buffers;
 }
 
 Checkpoint ShardedTrainer::MakeCheckpoint(int rank) const {
@@ -169,14 +177,8 @@ Checkpoint ShardedTrainer::MakeCheckpoint(int rank) const {
   checkpoint.owner_rank = rank;
   checkpoint.iteration = iteration_;
   checkpoint.logical_bytes = checkpoint_bytes_per_machine();
-  // Snapshot semantics require one copy (the shard keeps mutating under
-  // Step()), but the buffer comes from the capture pool — recycled as soon as
-  // the stores' double buffers drop the previous block's snapshot — and is
-  // then shared untouched by every downstream holder.
-  const auto& shard = shards_.at(static_cast<size_t>(rank));
-  std::shared_ptr<std::vector<float>> buffer = capture_pool_.Acquire(shard.size());
-  std::copy(shard.begin(), shard.end(), buffer->begin());
-  checkpoint.payload = PayloadRef(std::shared_ptr<const std::vector<float>>(std::move(buffer)));
+  const Shard& shard = shards_.at(static_cast<size_t>(rank));
+  checkpoint.payload = PayloadRef(std::shared_ptr<const std::vector<float>>(shard.live));
   checkpoint.StampPayloadCrc();
   return checkpoint;
 }
@@ -185,11 +187,15 @@ Status ShardedTrainer::RestoreShard(const Checkpoint& checkpoint) {
   if (checkpoint.owner_rank < 0 || checkpoint.owner_rank >= num_machines_) {
     return InvalidArgumentError("checkpoint owner rank out of range");
   }
-  auto& shard = shards_[static_cast<size_t>(checkpoint.owner_rank)];
-  if (checkpoint.payload.size() != shard.size()) {
+  Shard& shard = shards_[static_cast<size_t>(checkpoint.owner_rank)];
+  if (checkpoint.payload.size() != shard.live->size()) {
     return InvalidArgumentError("checkpoint payload size mismatch");
   }
-  shard.assign(checkpoint.payload.begin(), checkpoint.payload.end());
+  // A checkpoint viewing the live buffer holds it, so this never copies a
+  // buffer onto itself.
+  std::shared_ptr<std::vector<float>> out = WriteBuffer(shard);
+  std::copy(checkpoint.payload.begin(), checkpoint.payload.end(), out->begin());
+  shard.live = std::move(out);
   // A restore can land arbitrarily far from any delta base; every chunk is
   // potentially changed until the next full snapshot seals a new base.
   MarkAllDirty(checkpoint.owner_rank);
@@ -240,8 +246,8 @@ Status ShardedTrainer::ReplayTo(int64_t target_iteration) {
     ++iteration_;
   }
   if (replayed > 0) {
-    if (metrics_ != nullptr) {
-      metrics_->counter("trainer.replayed_iterations").Increment(replayed);
+    if (replayed_iterations_counter_ != nullptr) {
+      replayed_iterations_counter_->Increment(replayed);
     }
     if (tracer_ != nullptr) {
       tracer_->Event("trainer_replay", "training",

@@ -12,6 +12,7 @@
 #define SRC_TRAINING_TRAINER_H_
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "src/common/status.h"
@@ -68,10 +69,19 @@ class ShardedTrainer {
   // Returns the accumulated change bits for `rank` and clears them.
   std::vector<uint8_t> TakeDirtyChunks(int rank);
 
+  // `rank`'s current model states. The reference is valid only until the
+  // next Step(), Restore*() or ReplayTo(): a write while a capture holds the
+  // buffer moves the states to another one.
   const std::vector<float>& shard(int rank) const;
 
-  // Snapshot of `rank`'s model states at the current iteration.
+  // Snapshot of `rank`'s model states at the current iteration. Copy-free:
+  // the checkpoint shares the live shard buffer (copy-on-write — the next
+  // write to this rank goes to a recycled buffer while any capture holds it).
   Checkpoint MakeCheckpoint(int rank) const;
+
+  // Buffers allocated across the per-rank pools: live shards plus captures
+  // still held downstream. Flat once the capture pattern is steady.
+  size_t allocated_buffers() const;
 
   // Restores one rank's shard; fails when the checkpoint belongs to a
   // different rank or has a mismatched payload size.
@@ -89,10 +99,21 @@ class ShardedTrainer {
   Status ReplayTo(int64_t target_iteration);
 
  private:
+  // One rank's states: the live buffer and the pool it came from. The pool
+  // owns every buffer the rank's states have lived in and recycles one once
+  // no capture references it.
+  struct Shard {
+    PayloadPool pool;
+    std::shared_ptr<std::vector<float>> live;
+  };
+
   // One optimizer step over every shard at `iteration_` (dense or sparse);
   // shared by Step() and the ReplayTo() loop so both trajectories are
   // bit-identical.
   void UpdateShardsAtCurrentIteration();
+  // The buffer `shard`'s next states go to: the live one when no capture
+  // holds it (in place), else a free pool buffer with unspecified contents.
+  static std::shared_ptr<std::vector<float>> WriteBuffer(Shard& shard);
   void MarkAllDirty(int rank);
   void MarkChunkDirty(int rank, size_t chunk);
 
@@ -107,16 +128,14 @@ class ShardedTrainer {
   // Per-rank change bits (one byte per chunk), accumulated since the rank's
   // last TakeDirtyChunks().
   std::vector<std::vector<uint8_t>> dirty_;
-  MetricsRegistry* metrics_ = nullptr;
   RunTracer* tracer_ = nullptr;
   // Hot-path metric handles (resolved once in set_metrics).
   Counter* steps_counter_ = nullptr;
   Counter* restores_counter_ = nullptr;
   Counter* rollback_iterations_counter_ = nullptr;
-  std::vector<std::vector<float>> shards_;
-  // Recycles capture buffers across MakeCheckpoint calls (mutable: capture is
-  // logically const — it does not advance training state).
-  mutable PayloadPool capture_pool_;
+  Counter* replayed_iterations_counter_ = nullptr;
+  // One pool per rank keeps each pool's linear Acquire scan short.
+  std::vector<Shard> shards_;
 };
 
 }  // namespace gemini

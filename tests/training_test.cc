@@ -1,12 +1,18 @@
 // Tests for model configurations (Table 2), the ZeRO-3 timeline generator,
-// the online profiler, and the sharded trainer's recovery-replay property.
+// the online profiler, the update kernel, and the sharded trainer's
+// recovery-replay and copy-on-write capture properties.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
+
+#include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/training/model_config.h"
 #include "src/training/profiler.h"
 #include "src/training/timeline.h"
 #include "src/training/trainer.h"
+#include "src/training/update_kernel.h"
 
 namespace gemini {
 namespace {
@@ -366,6 +372,165 @@ TEST(TrainerTest, RestoreShardRejectsBadRank) {
   Checkpoint checkpoint = trainer.MakeCheckpoint(0);
   checkpoint.owner_rank = 9;
   EXPECT_EQ(trainer.RestoreShard(checkpoint).code(), StatusCode::kInvalidArgument);
+}
+
+std::vector<uint32_t> ShardCrcs(const ShardedTrainer& trainer) {
+  std::vector<uint32_t> crcs;
+  for (int rank = 0; rank < trainer.num_machines(); ++rank) {
+    const std::vector<float>& shard = trainer.shard(rank);
+    crcs.push_back(Crc32(shard.data(), shard.size() * sizeof(float)));
+  }
+  return crcs;
+}
+
+// Every other trainer test compares one trainer with another, which a kernel
+// that is self-consistent but different would pass. These digests pin the
+// update rule's exact bits (dense and sparse) to the scalar reference loop
+// the kernel replaced.
+TEST(TrainerTest, ShardsMatchParentGoldenCrcs) {
+  ShardedTrainer dense(Gpt2_100B(), 4, 4099, 2024);
+  ShardedTrainer sparse(Gpt2_100B(), 4, 4099, 2024);
+  sparse.SetSparseUpdates(0.25, 64);
+  for (int i = 0; i < 5; ++i) {
+    dense.Step();
+    sparse.Step();
+  }
+  EXPECT_EQ(ShardCrcs(dense),
+            (std::vector<uint32_t>{0xe1855372u, 0x2200deabu, 0xefb7b9eau, 0xaaf29dbcu}));
+  EXPECT_EQ(ShardCrcs(sparse),
+            (std::vector<uint32_t>{0x4f2f5388u, 0xe2ed6891u, 0x6a21213au, 0xb66d53c5u}));
+}
+
+// The dispatched variant (AVX-512 where the CPU has it) against the portable
+// one at every vector-remainder length and misalignment, in place and out of
+// place. Elements outside [begin, begin + length) must stay untouched.
+TEST(UpdateKernelTest, DispatchedMatchesPortable) {
+  constexpr size_t kElements = 48;
+  std::vector<float> input(kElements);
+  Rng rng(99);
+  for (float& value : input) {
+    value = static_cast<float>(rng.NextDouble() - 0.5);
+  }
+  for (size_t begin = 0; begin <= 7; ++begin) {
+    for (size_t length = 0; length <= 40; ++length) {
+      std::vector<float> want = input;
+      std::vector<float> got = input;
+      ApplyUpdatePortable(5, 3, 2, begin, length, want.data() + begin, want.data() + begin);
+      ApplyUpdate(5, 3, 2, begin, length, got.data() + begin, got.data() + begin);
+      ASSERT_EQ(std::memcmp(want.data(), got.data(), kElements * sizeof(float)), 0)
+          << "in place, begin " << begin << " length " << length;
+
+      std::vector<float> out(kElements, -1.0f);
+      ApplyUpdate(5, 3, 2, begin, length, input.data() + begin, out.data() + begin);
+      for (size_t i = 0; i < kElements; ++i) {
+        const float expected = i >= begin && i < begin + length ? want[i] : -1.0f;
+        ASSERT_EQ(std::memcmp(&out[i], &expected, sizeof(float)), 0)
+            << "out of place, begin " << begin << " length " << length << " element " << i;
+      }
+    }
+  }
+  EXPECT_TRUE(std::string(UpdateKernelName()) == "avx512" ||
+              std::string(UpdateKernelName()) == "portable");
+}
+
+// Copy-on-write capture: a checkpoint shares the live buffer, and every later
+// write to the rank leaves the captured bytes exactly as they were.
+TEST(TrainerTest, CaptureIsFrozenAcrossStep) {
+  for (const double fraction : {1.0, 0.5}) {
+    ShardedTrainer trainer(Gpt2_10B(), 2, 100, 3);
+    trainer.SetSparseUpdates(fraction, 8);
+    trainer.Step();
+    const std::vector<float> before = trainer.shard(1);
+    const Checkpoint capture = trainer.MakeCheckpoint(1);
+    EXPECT_EQ(capture.payload.data(), trainer.shard(1).data()) << "capture copied the shard";
+    trainer.Step();
+    EXPECT_NE(trainer.shard(1), before);
+    EXPECT_TRUE(capture.IntegrityOk());
+    EXPECT_EQ(capture.payload, before);
+    EXPECT_EQ(capture.iteration, 1);
+  }
+}
+
+TEST(TrainerTest, RestoreAndReplayLeaveHeldCaptureUntouched) {
+  ShardedTrainer trainer(Gpt2_10B(), 3, 64, 4);
+  ShardedTrainer reference(Gpt2_10B(), 3, 64, 4);
+  trainer.Step();
+  reference.Step();
+  std::vector<Checkpoint> base;
+  for (int rank = 0; rank < 3; ++rank) {
+    base.push_back(trainer.MakeCheckpoint(rank));
+  }
+  trainer.Step();
+  const Checkpoint held = trainer.MakeCheckpoint(0);
+  const std::vector<float> held_values = held.payload.ToVector();
+
+  // RestoreShard and RestoreAll write over a rank whose live buffer `held`
+  // shares; ReplayTo then steps it again.
+  ASSERT_TRUE(trainer.RestoreShard(base[0]).ok());
+  EXPECT_EQ(held.payload, held_values);
+  const Checkpoint held_after_restore = trainer.MakeCheckpoint(0);
+  ASSERT_TRUE(trainer.RestoreAll(base).ok());
+  EXPECT_EQ(held_after_restore.payload, base[0].payload);
+  ASSERT_TRUE(trainer.ReplayTo(4).ok());
+  while (reference.iteration() < 4) {
+    reference.Step();
+  }
+  EXPECT_EQ(held.payload, held_values);
+  EXPECT_TRUE(held.IntegrityOk());
+  for (const Checkpoint& checkpoint : base) {
+    EXPECT_TRUE(checkpoint.IntegrityOk());
+  }
+  for (int rank = 0; rank < 3; ++rank) {
+    EXPECT_EQ(trainer.shard(rank), reference.shard(rank)) << "rank " << rank;
+  }
+}
+
+// The data path's steady state: step, capture every rank, hold the capture
+// for a while (stores double-buffer), drop it. Once warm, the pools recycle,
+// and the out-of-place steps land on the same bits as in-place ones.
+TEST(TrainerTest, SteadyStateCaptureStopsAllocating) {
+  for (const double fraction : {1.0, 0.25}) {
+    ShardedTrainer trainer(Gpt2_10B(), 4, 256, 5);
+    ShardedTrainer uncaptured(Gpt2_10B(), 4, 256, 5);
+    trainer.SetSparseUpdates(fraction, 16);
+    uncaptured.SetSparseUpdates(fraction, 16);
+    std::vector<std::vector<Checkpoint>> held;
+    size_t warm = 0;
+    for (int iteration = 0; iteration < 20; ++iteration) {
+      trainer.Step();
+      std::vector<Checkpoint> captures;
+      for (int rank = 0; rank < 4; ++rank) {
+        captures.push_back(trainer.MakeCheckpoint(rank));
+      }
+      held.push_back(std::move(captures));
+      if (held.size() > 2) {
+        held.erase(held.begin());
+      }
+      if (iteration == 4) {
+        warm = trainer.allocated_buffers();
+      }
+    }
+    EXPECT_EQ(trainer.allocated_buffers(), warm);
+    EXPECT_LE(warm, 4u * 3u);
+    while (uncaptured.iteration() < trainer.iteration()) {
+      uncaptured.Step();
+    }
+    EXPECT_EQ(uncaptured.allocated_buffers(), 4u);
+    for (int rank = 0; rank < 4; ++rank) {
+      EXPECT_EQ(trainer.shard(rank), uncaptured.shard(rank)) << "rank " << rank;
+    }
+    held.clear();
+    // With nothing held, step + capture + drop stays in place.
+    const size_t settled = trainer.allocated_buffers();
+    for (int iteration = 0; iteration < 5; ++iteration) {
+      trainer.Step();
+      const float* live = trainer.shard(0).data();
+      trainer.MakeCheckpoint(0);  // Captured and dropped at once.
+      trainer.Step();
+      EXPECT_EQ(trainer.shard(0).data(), live);
+    }
+    EXPECT_EQ(trainer.allocated_buffers(), settled);
+  }
 }
 
 }  // namespace
