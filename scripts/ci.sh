@@ -60,13 +60,30 @@ echo "==> sanitizer pass: ctest -L delta (incremental checkpoints under ASan+UBS
 echo "==> sanitizer pass: ctest (remaining suites)"
 (cd build-asan && ctest --output-on-failure -LE 'obs|policy|delta' -j"$(nproc)")
 
-# Smoke-run the auditor bench: its shape check gates the zero-overhead and
-# determinism claims, and an uncapped tracer dropping records is a regression
-# even if the shape check were ever loosened.
-echo "==> bench smoke: bench_ext_auditor"
 GEMINI_BENCH_OUT_DIR="$(mktemp -d)" && trap 'rm -rf "$GEMINI_BENCH_OUT_DIR"' EXIT
 export GEMINI_BENCH_OUT_DIR
-./build/bench/bench_ext_auditor
+
+# Byte-identity: these benches are deterministic (same seed, same bytes), so
+# each is regenerated on the plain build and compared with its committed
+# report; a change that moves a reported number must update the report too.
+# Running them also gates their shape checks. Among them, bench_ext_deltas
+# gates the incremental data path's headline claims: full-vs-delta runs end
+# bit-identical, replicated checkpoint bytes drop >= 2x at <= 25% dirty
+# fraction, and dense updates cost nothing extra.
+echo "==> bench byte-identity: regenerate and cmp committed BENCH reports"
+for bench in fig07_iteration_time fig09_recovery_probability fig14_recovery_timeline \
+    ext_cascade ext_deltas ext_auditor; do
+  "./build/bench/bench_$bench"
+  if ! cmp "BENCH_$bench.json" "$GEMINI_BENCH_OUT_DIR/BENCH_$bench.json"; then
+    echo "FAIL: BENCH_$bench.json differs from the committed report" >&2
+    exit 1
+  fi
+done
+
+# The auditor bench's shape check (run above) gates the zero-overhead and
+# determinism claims, and an uncapped tracer dropping records is a regression
+# even if the shape check were ever loosened.
+echo "==> bench smoke: bench_ext_auditor tracer records"
 if ! grep -q '"stable.tracer_dropped_records": 0' \
     "$GEMINI_BENCH_OUT_DIR/BENCH_ext_auditor.json"; then
   echo "FAIL: uncapped tracer dropped records during the auditor smoke run" >&2
@@ -84,13 +101,6 @@ if [[ -z "$switches" || "$switches" -lt 1 ]]; then
   echo "FAIL: Chameleon selector never switched during the policy smoke run" >&2
   exit 1
 fi
-
-# Smoke-run the delta bench: its shape check gates the incremental data
-# path's headline claims — full-vs-delta runs end bit-identical, replicated
-# checkpoint bytes drop >= 2x at <= 25% dirty fraction, and dense updates
-# cost nothing extra.
-echo "==> bench smoke: bench_ext_deltas"
-./build/bench/bench_ext_deltas
 
 # Smoke-run the data-path bench from the Release tree: its shape check gates
 # the slice-by-8 CRC speedup (>= 3x over the byte-wise reference), the

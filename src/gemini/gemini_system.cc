@@ -61,18 +61,19 @@ Status GeminiConfig::Validate() const {
   if (incremental.sparse_update_fraction <= 0.0 || incremental.sparse_update_fraction > 1.0) {
     return InvalidArgumentError("incremental.sparse_update_fraction must be in (0, 1]");
   }
-  if (incremental.enabled) {
-    if (incremental.chunk_elements < 1) {
-      return InvalidArgumentError("incremental.chunk_elements must be positive");
-    }
-    if (incremental.max_chain_length < 1) {
-      return InvalidArgumentError(
-          "incremental.max_chain_length must be >= 1: a compaction cap of 0 would let delta "
-          "chains grow without bound and recovery replay them forever");
-    }
-    if (incremental.max_chain_bytes < 0) {
-      return InvalidArgumentError("incremental.max_chain_bytes must be non-negative");
-    }
+  // Chunks size both the delta encoding and the sparse-update workload; the
+  // chain caps only matter when deltas are built.
+  const bool deltas = incremental.enabled;
+  if ((deltas || incremental.sparse_update_fraction < 1.0) && incremental.chunk_elements < 1) {
+    return InvalidArgumentError("incremental.chunk_elements must be positive");
+  }
+  if (deltas && incremental.max_chain_length < 1) {
+    return InvalidArgumentError(
+        "incremental.max_chain_length must be >= 1: a compaction cap of 0 would let delta "
+        "chains grow without bound and recovery replay them forever");
+  }
+  if (deltas && incremental.max_chain_bytes < 0) {
+    return InvalidArgumentError("incremental.max_chain_bytes must be non-negative");
   }
   return policy.Validate();
 }
@@ -120,9 +121,7 @@ Status GeminiSystem::Initialize() {
   for (int rank = 0; rank < config_.num_machines; ++rank) {
     cpu_stores_.push_back(std::make_unique<CpuCheckpointStore>(cluster_->machine(rank)));
     cpu_stores_.back()->set_metrics(&metrics_);
-    if (config_.incremental.enabled) {
-      cpu_stores_.back()->ConfigureRedoLog(redo_config);
-    }
+    cpu_stores_.back()->ConfigureRedoLog(redo_config);
   }
   for (int owner = 0; owner < config_.num_machines; ++owner) {
     for (const int holder : placement_.replica_sets[static_cast<size_t>(owner)]) {
@@ -149,16 +148,12 @@ Status GeminiSystem::Initialize() {
   persistent_bases_.assign(static_cast<size_t>(config_.num_machines), std::nullopt);
   persistent_ = std::make_unique<PersistentStore>(sim_, config_.persistent);
   persistent_->set_metrics(&metrics_);
-  if (config_.incremental.enabled) {
-    persistent_->ConfigureRedoLog(redo_config);
-  }
+  persistent_->ConfigureRedoLog(redo_config);
   for (int rank = 0; rank < config_.num_machines; ++rank) {
+    // The seed seals the persistent tier's first chain base; the first
+    // interval save can already ship a delta against iteration 0.
     Checkpoint seeded = trainer_->MakeCheckpoint(rank);
-    if (config_.incremental.enabled) {
-      // The seed seals the persistent tier's first chain base; the first
-      // interval save can already ship a delta against iteration 0.
-      persistent_bases_[static_cast<size_t>(rank)] = seeded;
-    }
+    persistent_bases_[static_cast<size_t>(rank)] = seeded;
     persistent_->SeedImmediate(std::move(seeded), config_.num_machines);
   }
 
@@ -360,12 +355,10 @@ void GeminiSystem::StartNextIteration() {
     for (int owner = 0; owner < config_.num_machines; ++owner) {
       if (cluster_->machine(owner).alive()) {
         staged_snapshots_.push_back(trainer_->MakeCheckpoint(owner));
-        if (config_.incremental.enabled) {
-          // Fold the bits marked since the previous capture into the window
-          // accumulated since the owner's last sealed base (a discarded block
-          // just leaves the accumulator a conservative superset).
-          AccumulateDirtyBits(owner);
-        }
+        // Fold the bits marked since the previous capture into the window
+        // accumulated since the owner's last sealed base (a discarded block
+        // just leaves the accumulator a conservative superset).
+        AccumulateDirtyBits(owner);
       }
     }
     staged_iteration_ = iteration;
@@ -470,16 +463,15 @@ void GeminiSystem::OnCheckpointCommit(int64_t snapshot_iteration) {
     if (!cluster_->machine(owner).alive()) {
       continue;
     }
-    std::optional<DeltaCheckpoint> delta;
-    if (config_.incremental.enabled) {
-      delta = MaybeBuildCommitDelta(snapshot);
-    }
+    const std::vector<uint8_t>& hint = dirty_accum_[static_cast<size_t>(owner)];
+    const std::optional<DeltaCheckpoint> delta = MaybeBuildDelta(
+        delta_bases_[static_cast<size_t>(owner)], snapshot, hint.empty() ? nullptr : &hint);
     for (const int holder : placement_.replica_sets[static_cast<size_t>(owner)]) {
       if (!cluster_->machine(holder).alive()) {
         continue;
       }
       CpuCheckpointStore& store = *cpu_stores_[static_cast<size_t>(holder)];
-      if (delta.has_value() && store.ChainHeadIteration(owner) == delta->base_iteration) {
+      if (delta.has_value() && store.ExtendsChainHead(*delta)) {
         const Status status = store.WriteDelta(*delta);
         if (status.ok()) {
           continue;
@@ -495,14 +487,11 @@ void GeminiSystem::OnCheckpointCommit(int64_t snapshot_iteration) {
         return;
       }
     }
-    if (config_.incremental.enabled) {
-      incremental_committed_bytes_ +=
-          delta.has_value() ? delta->delta_bytes : snapshot.logical_bytes;
-      incremental_full_equivalent_bytes_ += snapshot.logical_bytes;
-      delta_bases_[static_cast<size_t>(owner)] = snapshot;
-      auto& accum = dirty_accum_[static_cast<size_t>(owner)];
-      std::fill(accum.begin(), accum.end(), 0);
-    }
+    incremental_committed_bytes_ += delta.has_value() ? delta->delta_bytes : snapshot.logical_bytes;
+    incremental_full_equivalent_bytes_ += snapshot.logical_bytes;
+    delta_bases_[static_cast<size_t>(owner)] = snapshot;
+    auto& accum = dirty_accum_[static_cast<size_t>(owner)];
+    std::fill(accum.begin(), accum.end(), 0);
   }
   ++report_.cpu_checkpoints_committed;
   if (config_.publish_checkpoint_watermark) {
@@ -566,22 +555,11 @@ void GeminiSystem::MaybePersistentCheckpoint() {
       continue;
     }
     Checkpoint full = trainer_->MakeCheckpoint(rank);
-    std::optional<DeltaCheckpoint> delta;
-    if (config_.incremental.enabled) {
-      const std::optional<Checkpoint>& base = persistent_bases_[static_cast<size_t>(rank)];
-      // Deltas are built against the last *scheduled* state; the store's FIFO
-      // preserves arrival order, so each delta lands on the chain head it was
-      // sealed against.
-      if (base.has_value() && full.iteration > base->iteration &&
-          base->payload.size() == full.payload.size() &&
-          persistent_->DeltaBaseIteration(rank) >= 0) {
-        StatusOr<DeltaCheckpoint> built = BuildDeltaCheckpoint(
-            *base, full, static_cast<size_t>(config_.incremental.chunk_elements));
-        if (built.ok()) {
-          delta = std::move(built).value();
-        }
-      }
-    }
+    // Deltas are built against the last *scheduled* state; the store's FIFO
+    // preserves arrival order, so each delta lands on the chain head it was
+    // sealed against.
+    std::optional<DeltaCheckpoint> delta =
+        MaybeBuildDelta(persistent_bases_[static_cast<size_t>(rank)], full, nullptr);
     if (delta.has_value()) {
       max_rank_bytes = std::max(max_rank_bytes, delta->delta_bytes);
       persistent_->SaveDelta(std::move(*delta), config_.num_machines, [this, rank](Status status) {
@@ -595,14 +573,12 @@ void GeminiSystem::MaybePersistentCheckpoint() {
     } else {
       max_rank_bytes = std::max(max_rank_bytes, replica_bytes);
       persistent_->Save(full, config_.num_machines, [this, rank](Status status) {
-        if (!status.ok() && config_.incremental.enabled) {
+        if (!status.ok()) {
           persistent_bases_[static_cast<size_t>(rank)] = std::nullopt;
         }
       });
     }
-    if (config_.incremental.enabled) {
-      persistent_bases_[static_cast<size_t>(rank)] = std::move(full);
-    }
+    persistent_bases_[static_cast<size_t>(rank)] = std::move(full);
   }
   const TimeNs serialize = TransferTime(max_rank_bytes, config_.serialization_bandwidth);
   ++report_.persistent_checkpoints_committed;
@@ -628,20 +604,18 @@ void GeminiSystem::AccumulateDirtyBits(int owner_rank) {
   }
 }
 
-std::optional<DeltaCheckpoint> GeminiSystem::MaybeBuildCommitDelta(const Checkpoint& snapshot) {
-  const int owner = snapshot.owner_rank;
-  const std::optional<Checkpoint>& base = delta_bases_[static_cast<size_t>(owner)];
-  if (!base.has_value() || snapshot.iteration <= base->iteration ||
-      base->payload.size() != snapshot.payload.size()) {
+std::optional<DeltaCheckpoint> GeminiSystem::MaybeBuildDelta(
+    const std::optional<Checkpoint>& base, const Checkpoint& current,
+    const std::vector<uint8_t>* dirty_hint) const {
+  if (!config_.incremental.enabled || !base.has_value() || current.iteration <= base->iteration ||
+      base->payload.size() != current.payload.size()) {
     return std::nullopt;
   }
-  const std::vector<uint8_t>& hint = dirty_accum_[static_cast<size_t>(owner)];
   StatusOr<DeltaCheckpoint> delta = BuildDeltaCheckpoint(
-      *base, snapshot, static_cast<size_t>(config_.incremental.chunk_elements),
-      hint.empty() ? nullptr : &hint);
+      *base, current, static_cast<size_t>(config_.incremental.chunk_elements), dirty_hint);
   if (!delta.ok()) {
-    GEMINI_LOG(kWarning) << "delta build for owner " << owner << " failed (" << delta.status()
-                         << "); committing a full snapshot";
+    GEMINI_LOG(kWarning) << "delta build for owner " << current.owner_rank << " failed ("
+                         << delta.status() << "); writing a full snapshot";
     return std::nullopt;
   }
   return std::move(delta).value();
@@ -656,7 +630,7 @@ void GeminiSystem::ResetIncrementalBases() {
 }
 
 double GeminiSystem::incremental_delta_fraction() const {
-  if (!config_.incremental.enabled || incremental_full_equivalent_bytes_ <= 0) {
+  if (incremental_full_equivalent_bytes_ <= 0) {
     return 1.0;
   }
   return static_cast<double>(incremental_committed_bytes_) /
@@ -1323,11 +1297,9 @@ void GeminiSystem::ResumeTraining(RecoveryRecord record) {
   }
   recovering_ = false;
   active_case_.reset();
-  if (config_.incremental.enabled) {
-    // Recovery rewired store contents (restores, refills, rollbacks); no
-    // sealed base can be trusted, so the next block writes full snapshots.
-    ResetIncrementalBases();
-  }
+  // Recovery rewired store contents (restores, refills, rollbacks); no sealed
+  // base can be trusted, so the next block writes full snapshots.
+  ResetIncrementalBases();
   if (root_agent_ != nullptr) {
     root_agent_->ClearHandled(case_ranks);
     root_agent_->SetPaused(false);

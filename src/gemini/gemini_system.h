@@ -351,9 +351,12 @@ class GeminiSystem : public PolicyHost {
   // Folds the owner's freshly taken dirty bits into the accumulator covering
   // the window since its last sealed base.
   void AccumulateDirtyBits(int owner_rank);
-  // Builds the commit delta for `snapshot` against the owner's last sealed
-  // CPU-tier base; nullopt (-> full write) when no compatible base exists.
-  std::optional<DeltaCheckpoint> MaybeBuildCommitDelta(const Checkpoint& snapshot);
+  // Builds the delta taking `base` to `current` for a CPU-tier commit or a
+  // persistent save; nullopt (-> full write) when the mode is off or no
+  // compatible base exists.
+  std::optional<DeltaCheckpoint> MaybeBuildDelta(const std::optional<Checkpoint>& base,
+                                                 const Checkpoint& current,
+                                                 const std::vector<uint8_t>* dirty_hint) const;
   // Invalidates every delta base after recovery rewires store contents; the
   // next block re-seals full bases everywhere.
   void ResetIncrementalBases();
@@ -483,9 +486,10 @@ class GeminiSystem : public PolicyHost {
   TimeNs staged_at_ = 0;
   TimeNs iteration_started_at_ = 0;
 
-  // ---- Incremental mode state (sized/used only when enabled) ----
+  // ---- Delta bases (kept in both modes; deltas are built only when on) ----
   // Per-owner diff base: the last full snapshot whose replication to the CPU
-  // tier committed, plus the dirty bits accumulated since it was captured.
+  // tier committed, plus the dirty bits accumulated since it was captured
+  // (empty while dirty tracking is off).
   std::vector<std::optional<Checkpoint>> delta_bases_;
   std::vector<std::vector<uint8_t>> dirty_accum_;
   // Last full state *scheduled* to the persistent tier per rank; the store's

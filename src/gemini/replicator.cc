@@ -14,11 +14,9 @@ namespace gemini {
 namespace {
 
 // Assembly buffers recycled across replication passes (double-buffer aware:
-// a buffer still pinned by a store's completed slot is never handed out).
-// The simulator is single-threaded, so one process-wide pool is safe; callers
-// that want isolation (tests asserting recycling) pass their own via
-// ReplicatorConfig::pool.
-PayloadPool& DefaultAssemblyPool() {
+// a buffer still pinned by a store's completed state is never handed out).
+// The simulator is single-threaded, so one process-wide pool is safe.
+PayloadPool& AssemblyPool() {
   static PayloadPool pool;
   return pool;
 }
@@ -80,12 +78,36 @@ struct Outcome {
   }
 };
 
-// One owner->holder chunk stream with a p-deep send window.
+// Tiles `total` bytes into `chunk_bytes`-bounded fabric pieces (one piece
+// when chunk_bytes <= 0). Always at least one piece, so a zero-byte delta
+// still round-trips the data plane and commits.
+std::vector<ChunkAssignment> TileChunks(Bytes total, Bytes chunk_bytes) {
+  const Bytes step = std::max<Bytes>(chunk_bytes > 0 ? std::min(chunk_bytes, total) : total, 1);
+  std::vector<ChunkAssignment> chunks;
+  Bytes offset = 0;
+  do {
+    ChunkAssignment chunk;
+    chunk.bytes = std::min(step, total - offset);
+    chunk.offset = offset;
+    chunks.push_back(chunk);
+    offset += step;
+  } while (offset < total);
+  return chunks;
+}
+
+// One source->holder chunk stream with a p-deep send window. Every chunk
+// moves the same way — fabric transfer, auditor note, PCIe staging into the
+// holder's CPU memory. Only the landing differs: a full replica is assembled
+// chunk by chunk into the holder's ongoing buffer and committed
+// (AppendChunk + CommitWrite); a delta is reassembled once all of it has
+// landed, CRC-gated per chunk, and appended to the holder's chain
+// (WriteDelta).
 struct Stream : std::enable_shared_from_this<Stream> {
   Cluster* cluster = nullptr;
   std::shared_ptr<Outcome> outcome;
   CpuCheckpointStore* store = nullptr;
-  Checkpoint snapshot;  // Owner's full checkpoint (payload shared, not copied).
+  Checkpoint snapshot;  // Full replica to land (payload shared, not copied).
+  std::optional<DeltaCheckpoint> delta;  // Set: land this delta instead.
   int source = -1;      // Fabric endpoint the bytes come from (the owner for
                         // foreground replication, any holder for re-protection).
   int dest = -1;
@@ -94,11 +116,10 @@ struct Stream : std::enable_shared_from_this<Stream> {
   // redundancy goal was already met, so losing that race is success.
   bool tolerate_supersede = false;
   std::vector<ChunkAssignment> chunks;
-  TimeNs alpha = 0;
   size_t next_send = 0;
-  size_t committed_chunks = 0;
-  // Received-side assembly target, leased from the pool for this stream's
-  // lifetime and frozen into the committed checkpoint.
+  size_t landed_chunks = 0;
+  // Full replicas: received-side assembly target, leased from the pool for
+  // this stream's lifetime and frozen into the committed checkpoint.
   std::shared_ptr<std::vector<float>> assembled;
   // Elements written through SliceFor; must tile the payload exactly.
   size_t assembled_elements = 0;
@@ -181,139 +202,25 @@ struct Stream : std::enable_shared_from_this<Stream> {
     if (outcome->failed) {
       return;
     }
-    const Status appended = store->AppendChunk(snapshot.owner_rank, chunk.bytes);
-    if (!appended.ok()) {
-      if (Superseded()) {
-        outcome->StreamFinished(cluster->sim().now());
+    if (!delta.has_value()) {
+      const Status appended = store->AppendChunk(snapshot.owner_rank, chunk.bytes);
+      if (!appended.ok()) {
+        EndOnWriteError(appended);
         return;
       }
-      outcome->Fail(appended);
+      const auto [begin, end] = SliceFor(chunk);
+      std::copy(snapshot.payload.begin() + static_cast<std::ptrdiff_t>(begin),
+                snapshot.payload.begin() + static_cast<std::ptrdiff_t>(end),
+                assembled->begin() + static_cast<std::ptrdiff_t>(begin));
+      assembled_elements += end - begin;
+    }
+    if (++landed_chunks < chunks.size()) {
+      SendNext();  // Replenish the send window.
       return;
     }
-    const auto [begin, end] = SliceFor(chunk);
-    std::copy(snapshot.payload.begin() + static_cast<std::ptrdiff_t>(begin),
-              snapshot.payload.begin() + static_cast<std::ptrdiff_t>(end),
-              assembled->begin() + static_cast<std::ptrdiff_t>(begin));
-    assembled_elements += end - begin;
-    if (++committed_chunks == chunks.size()) {
-      // The chunk slices must have tiled the payload exactly — a mis-rounded
-      // slice map would commit a replica that differs from the source.
-      assert(assembled_elements == snapshot.payload.size());
-      Checkpoint received = snapshot;  // O(1): metadata + shared payload ref.
-      received.payload =
-          PayloadRef(std::shared_ptr<const std::vector<float>>(std::move(assembled)));
-      // Integrity gate: the digest stamped at capture must match the bytes
-      // this stream reassembled.
-      if (received.payload_crc != 0 &&
-          Crc32(received.payload.data(), received.payload.size_bytes()) !=
-              received.payload_crc) {
-        outcome->Fail(DataLossError("replica assembled for rank " +
-                                    std::to_string(snapshot.owner_rank) +
-                                    " failed its pre-commit CRC check"));
-        return;
-      }
-      const Status committed = store->CommitWrite(std::move(received));
-      if (!committed.ok()) {
-        if (Superseded()) {
-          outcome->StreamFinished(cluster->sim().now());
-          return;
-        }
-        outcome->Fail(committed);
-        return;
-      }
-      if (outcome->commits_counter != nullptr) {
-        outcome->commits_counter->Increment();
-      }
-      outcome->StreamFinished(cluster->sim().now());
-      return;
-    }
-    SendNext();  // Replenish the send window.
-  }
-};
-
-// One owner->holder *delta* stream: ships only the delta bytes (in bounded
-// fabric pieces), reassembles the chunk payloads on the receive side, gates
-// every chunk on its capture-time CRC fingerprint, and appends the delta to
-// the holder's redo chain.
-struct DeltaStream : std::enable_shared_from_this<DeltaStream> {
-  Cluster* cluster = nullptr;
-  std::shared_ptr<Outcome> outcome;
-  CpuCheckpointStore* store = nullptr;
-  DeltaCheckpoint delta;  // Chunk payloads shared, not copied.
-  int source = -1;
-  int dest = -1;
-  std::vector<Bytes> pieces;  // Fabric transfer sizes tiling delta_bytes.
-  size_t next_send = 0;
-  size_t landed = 0;
-  PayloadPool* pool = nullptr;
-
-  void SendNext() {
-    if (outcome->failed || next_send >= pieces.size()) {
-      return;
-    }
-    const Bytes piece = pieces[next_send++];
-    auto self = shared_from_this();
-    const TimeNs sent_at = cluster->sim().now();
-    Fabric::TransferOptions options;
-    cluster->fabric().Transfer(source, dest, piece, options, [self, piece,
-                                                             sent_at](Status status) {
-      if (!status.ok()) {
-        self->outcome->Fail(std::move(status));
-        return;
-      }
-      ++self->outcome->result.chunks_transferred;
-      self->outcome->unflushed_chunks += 1;
-      self->outcome->unflushed_bytes += piece;
-      if (self->outcome->failed) {
-        self->outcome->FlushMetricBatch();
-      }
-      self->outcome->result.network_done =
-          std::max(self->outcome->result.network_done, self->cluster->sim().now());
-      self->cluster->pcie().Copy(self->dest, piece, [self](Status copy_status) {
-        if (!copy_status.ok()) {
-          self->outcome->Fail(std::move(copy_status));
-          return;
-        }
-        self->OnPieceLanded();
-      });
-    });
-  }
-
-  void OnPieceLanded() {
-    if (outcome->failed) {
-      return;
-    }
-    if (++landed < pieces.size()) {
-      SendNext();
-      return;
-    }
-    // All delta bytes are in CPU memory: reassemble the chunk payloads into
-    // one fresh buffer (what actually crossed the wire), re-slice it, and
-    // CRC-gate every chunk before the chain append.
-    std::shared_ptr<std::vector<float>> buffer = pool->Acquire(delta.delta_elements());
-    size_t cursor = 0;
-    for (const DeltaChunk& chunk : delta.chunks) {
-      std::copy(chunk.data.begin(), chunk.data.end(),
-                buffer->begin() + static_cast<std::ptrdiff_t>(cursor));
-      cursor += chunk.data.size();
-    }
-    const PayloadRef assembled(std::shared_ptr<const std::vector<float>>(std::move(buffer)));
-    DeltaCheckpoint received = delta;
-    cursor = 0;
-    for (DeltaChunk& chunk : received.chunks) {
-      const size_t count = chunk.data.size();
-      chunk.data = assembled.Slice(cursor, count);
-      cursor += count;
-      if (Crc32(chunk.data.data(), chunk.data.size_bytes()) != chunk.crc) {
-        outcome->Fail(DataLossError(
-            "delta chunk assembled for rank " + std::to_string(delta.owner_rank) +
-            " failed its pre-append CRC check"));
-        return;
-      }
-    }
-    const Status written = store->WriteDelta(std::move(received));
-    if (!written.ok()) {
-      outcome->Fail(written);
+    const Status committed = delta.has_value() ? CommitDelta() : CommitReplica();
+    if (!committed.ok()) {
+      EndOnWriteError(committed);
       return;
     }
     if (outcome->commits_counter != nullptr) {
@@ -321,6 +228,144 @@ struct DeltaStream : std::enable_shared_from_this<DeltaStream> {
     }
     outcome->StreamFinished(cluster->sim().now());
   }
+
+  Status CommitReplica() {
+    // The chunk slices must have tiled the payload exactly — a mis-rounded
+    // slice map would commit a replica that differs from the source.
+    assert(assembled_elements == snapshot.payload.size());
+    Checkpoint received = snapshot;  // O(1): metadata + shared payload ref.
+    received.payload =
+        PayloadRef(std::shared_ptr<const std::vector<float>>(std::move(assembled)));
+    // Integrity gate: the digest stamped at capture must match the bytes
+    // this stream reassembled.
+    if (received.payload_crc != 0 &&
+        Crc32(received.payload.data(), received.payload.size_bytes()) !=
+            received.payload_crc) {
+      return DataLossError("replica assembled for rank " + std::to_string(snapshot.owner_rank) +
+                           " failed its pre-commit CRC check");
+    }
+    return store->CommitWrite(std::move(received));
+  }
+
+  // All delta bytes are in CPU memory: reassemble the chunk payloads into one
+  // fresh buffer (what actually crossed the wire), re-slice it, and CRC-gate
+  // every chunk before the chain append.
+  Status CommitDelta() {
+    std::shared_ptr<std::vector<float>> buffer = AssemblyPool().Acquire(delta->delta_elements());
+    size_t cursor = 0;
+    for (const DeltaChunk& chunk : delta->chunks) {
+      std::copy(chunk.data.begin(), chunk.data.end(),
+                buffer->begin() + static_cast<std::ptrdiff_t>(cursor));
+      cursor += chunk.data.size();
+    }
+    const PayloadRef wire(std::shared_ptr<const std::vector<float>>(std::move(buffer)));
+    DeltaCheckpoint received = *delta;
+    cursor = 0;
+    for (DeltaChunk& chunk : received.chunks) {
+      const size_t count = chunk.data.size();
+      chunk.data = wire.Slice(cursor, count);
+      cursor += count;
+      if (Crc32(chunk.data.data(), chunk.data.size_bytes()) != chunk.crc) {
+        return DataLossError("delta chunk assembled for rank " +
+                             std::to_string(delta->owner_rank) +
+                             " failed its pre-append CRC check");
+      }
+    }
+    return store->WriteDelta(std::move(received));
+  }
+
+  void EndOnWriteError(Status status) {
+    if (Superseded()) {
+      outcome->StreamFinished(cluster->sim().now());
+      return;
+    }
+    outcome->Fail(std::move(status));
+  }
+};
+
+// One replication pass: the outcome every write reports into, and the streams
+// it launches together once all are open.
+struct Pass {
+  Pass(Cluster& cluster, const ReplicatorConfig& config,
+       std::function<void(ReplicationOutcome)> done)
+      : cluster(&cluster),
+        window(std::max(1, config.num_buffers)),
+        outcome(std::make_shared<Outcome>()) {
+    outcome->metrics = config.metrics;
+    outcome->auditor = config.auditor;
+    outcome->ResolveMetricHandles();
+    outcome->done = std::move(done);
+  }
+
+  std::shared_ptr<Stream>& AddStream(CpuCheckpointStore* store, int source, int dest,
+                                     std::vector<ChunkAssignment> chunks) {
+    auto stream = std::make_shared<Stream>();
+    stream->cluster = cluster;
+    stream->outcome = outcome;
+    stream->store = store;
+    stream->source = source;
+    stream->dest = dest;
+    stream->chunks = std::move(chunks);
+    streams.push_back(std::move(stream));
+    return streams.back();
+  }
+
+  // Opens a full-replica stream into the holder's ongoing buffer.
+  Status AddReplica(CpuCheckpointStore* store, const Checkpoint& snapshot, int source, int dest,
+                    std::vector<ChunkAssignment> chunks, bool tolerate_supersede = false) {
+    GEMINI_RETURN_IF_ERROR(store->BeginWrite(snapshot.owner_rank, snapshot.iteration));
+    std::shared_ptr<Stream>& stream = AddStream(store, source, dest, std::move(chunks));
+    stream->snapshot = snapshot;  // Shares the payload buffer.
+    stream->tolerate_supersede = tolerate_supersede;
+    stream->assembled = AssemblyPool().Acquire(snapshot.payload.size());
+    return Status::Ok();
+  }
+
+  void AddDelta(CpuCheckpointStore* store, const DeltaCheckpoint& delta, int source, int dest,
+                Bytes chunk_bytes) {
+    AddStream(store, source, dest, TileChunks(delta.delta_bytes, chunk_bytes))->delta =
+        delta;  // Shares the chunk payload buffers.
+  }
+
+  // The owner's local replica: copies over its *own* GPUs' PCIe links, which
+  // the received-replica staging (modeled by the shared per-machine engine)
+  // does not use — the paper's "no interference between the local
+  // GPU-to-CPU copy of its own checkpoint and other checkpoints".
+  void AddLocalWrite(Bytes bytes, std::function<Status()> write) {
+    ++outcome->pending_streams;
+    cluster->sim().ScheduleAfter(
+        TransferTime(bytes, cluster->spec().gpu_cpu_copy_bandwidth),
+        [outcome = outcome, cluster = cluster, write = std::move(write)] {
+          const Status written = write();
+          if (!written.ok()) {
+            outcome->Fail(written);
+            return;
+          }
+          outcome->StreamFinished(cluster->sim().now());
+        });
+  }
+
+  // Opens every stream's send window; with nothing to move at all, reports
+  // success with zero traffic.
+  void Start() {
+    outcome->pending_streams += static_cast<int>(streams.size());
+    if (outcome->pending_streams == 0) {
+      outcome->result.status = Status::Ok();
+      outcome->result.committed_at = cluster->sim().now();
+      outcome->done(outcome->result);
+      return;
+    }
+    for (const auto& stream : streams) {
+      for (int i = 0; i < window; ++i) {
+        stream->SendNext();
+      }
+    }
+  }
+
+  Cluster* cluster;
+  int window;
+  std::shared_ptr<Outcome> outcome;
+  std::vector<std::shared_ptr<Stream>> streams;
 };
 
 }  // namespace
@@ -334,14 +379,7 @@ void ReplicateSnapshot(Cluster& cluster, const PlacementPlan& placement,
   assert(static_cast<int>(stores.size()) == cluster.size());
   assert(static_cast<int>(snapshots.size()) == cluster.size());
 
-  PayloadPool& pool = config.pool != nullptr ? *config.pool : DefaultAssemblyPool();
-  auto outcome = std::make_shared<Outcome>();
-  outcome->metrics = config.metrics;
-  outcome->auditor = config.auditor;
-  outcome->ResolveMetricHandles();
-  outcome->done = std::move(done);
-
-  std::vector<std::shared_ptr<Stream>> streams;
+  Pass pass(cluster, config, std::move(done));
   for (int owner = 0; owner < cluster.size(); ++owner) {
     if (!cluster.machine(owner).alive()) {
       continue;
@@ -353,52 +391,24 @@ void ReplicateSnapshot(Cluster& cluster, const PlacementPlan& placement,
       if (!cluster.machine(dest).alive()) {
         continue;
       }
-      auto stream = std::make_shared<Stream>();
-      stream->cluster = &cluster;
-      stream->outcome = outcome;
-      stream->store = stores[static_cast<size_t>(dest)];
-      stream->snapshot = snapshot;  // Shares the payload buffer.
-      stream->source = owner;
-      stream->dest = dest;
-      stream->alpha = config.comm_alpha;
-      stream->assembled = pool.Acquire(snapshot.payload.size());
+      std::vector<ChunkAssignment> replica_chunks;
       for (const ChunkAssignment& chunk : chunks) {
         if (chunk.replica_index == static_cast<int>(replica)) {
-          stream->chunks.push_back(chunk);
+          replica_chunks.push_back(chunk);
         }
       }
-      const Status begun = stream->store->BeginWrite(owner, snapshot.iteration);
-      if (!begun.ok()) {
-        outcome->Fail(begun);
+      const Status opened = pass.AddReplica(stores[static_cast<size_t>(dest)], snapshot, owner,
+                                            dest, std::move(replica_chunks));
+      if (!opened.ok()) {
+        pass.outcome->Fail(opened);
         return;
       }
-      streams.push_back(std::move(stream));
     }
-    // Local replica: copies over the owner's *own* GPUs' PCIe links, which
-    // the received-replica staging (modeled by the shared per-machine
-    // engine) does not use — the paper's "no interference between the local
-    // GPU-to-CPU copy of its own checkpoint and other checkpoints".
-    ++outcome->pending_streams;
-    const TimeNs local_copy =
-        TransferTime(snapshot.logical_bytes, cluster.spec().gpu_cpu_copy_bandwidth);
-    cluster.sim().ScheduleAfter(
-        local_copy, [outcome, store = stores[static_cast<size_t>(owner)], snapshot, &cluster] {
-          const Status written = store->WriteComplete(snapshot);
-          if (!written.ok()) {
-            outcome->Fail(written);
-            return;
-          }
-          outcome->StreamFinished(cluster.sim().now());
-        });
+    CpuCheckpointStore* local = stores[static_cast<size_t>(owner)];
+    pass.AddLocalWrite(snapshot.logical_bytes,
+                       [local, snapshot] { return local->WriteComplete(snapshot); });
   }
-
-  outcome->pending_streams += static_cast<int>(streams.size());
-  for (const auto& stream : streams) {
-    const int window = std::max(1, config.num_buffers);
-    for (int i = 0; i < window; ++i) {
-      stream->SendNext();
-    }
-  }
+  pass.Start();
 }
 
 void ReplicateDeltaSnapshot(Cluster& cluster, const PlacementPlan& placement,
@@ -411,28 +421,8 @@ void ReplicateDeltaSnapshot(Cluster& cluster, const PlacementPlan& placement,
   assert(static_cast<int>(snapshots.size()) == cluster.size());
   assert(static_cast<int>(deltas.size()) == cluster.size());
 
-  PayloadPool& pool = config.pool != nullptr ? *config.pool : DefaultAssemblyPool();
-  auto outcome = std::make_shared<Outcome>();
-  outcome->metrics = config.metrics;
-  outcome->auditor = config.auditor;
-  outcome->ResolveMetricHandles();
-  outcome->done = std::move(done);
-
-  // Tiles `total` into chunk_bytes-bounded fabric pieces (always at least
-  // one, so a zero-byte delta still round-trips the data plane and commits).
-  const auto make_pieces = [chunk_bytes](Bytes total) {
-    std::vector<Bytes> pieces;
-    const Bytes step = chunk_bytes > 0 ? std::min(chunk_bytes, std::max<Bytes>(total, 1)) : std::max<Bytes>(total, 1);
-    Bytes offset = 0;
-    do {
-      pieces.push_back(std::min(step, total - offset));
-      offset += step;
-    } while (offset < total);
-    return pieces;
-  };
-
-  std::vector<std::shared_ptr<Stream>> full_streams;
-  std::vector<std::shared_ptr<DeltaStream>> delta_streams;
+  Pass pass(cluster, config, std::move(done));
+  int64_t delta_streams = 0;
   for (int owner = 0; owner < cluster.size(); ++owner) {
     if (!cluster.machine(owner).alive()) {
       continue;
@@ -444,93 +434,36 @@ void ReplicateDeltaSnapshot(Cluster& cluster, const PlacementPlan& placement,
         continue;
       }
       CpuCheckpointStore* store = stores[static_cast<size_t>(dest)];
-      if (delta.has_value() && store->incremental() &&
-          store->ChainHeadIteration(owner) == delta->base_iteration) {
-        auto stream = std::make_shared<DeltaStream>();
-        stream->cluster = &cluster;
-        stream->outcome = outcome;
-        stream->store = store;
-        stream->delta = *delta;  // Shares the chunk payload buffers.
-        stream->source = owner;
-        stream->dest = dest;
-        stream->pieces = make_pieces(delta->delta_bytes);
-        stream->pool = &pool;
-        delta_streams.push_back(std::move(stream));
+      if (delta.has_value() && store->ExtendsChainHead(*delta)) {
+        pass.AddDelta(store, *delta, owner, dest, chunk_bytes);
+        ++delta_streams;
         continue;
       }
       // No compatible sealed base on this holder: full snapshot stream.
-      auto stream = std::make_shared<Stream>();
-      stream->cluster = &cluster;
-      stream->outcome = outcome;
-      stream->store = store;
-      stream->snapshot = snapshot;  // Shares the payload buffer.
-      stream->source = owner;
-      stream->dest = dest;
-      stream->alpha = config.comm_alpha;
-      stream->assembled = pool.Acquire(snapshot.payload.size());
-      const Bytes total = snapshot.logical_bytes;
-      const Bytes step = chunk_bytes > 0 ? std::min(chunk_bytes, total) : total;
-      for (Bytes offset = 0; offset < total; offset += step) {
-        ChunkAssignment chunk;
-        chunk.bytes = std::min(step, total - offset);
-        chunk.offset = offset;
-        stream->chunks.push_back(chunk);
-      }
-      const Status begun = store->BeginWrite(owner, snapshot.iteration);
-      if (!begun.ok()) {
-        outcome->Fail(begun);
+      const Status opened = pass.AddReplica(store, snapshot, owner, dest,
+                                            TileChunks(snapshot.logical_bytes, chunk_bytes));
+      if (!opened.ok()) {
+        pass.outcome->Fail(opened);
         return;
       }
-      full_streams.push_back(std::move(stream));
     }
-    // Local replica over the owner's own PCIe links: delta-sized when the
-    // local chain head matches, full otherwise.
-    ++outcome->pending_streams;
+    // Local replica: delta-sized when the local chain head matches, full
+    // otherwise.
     CpuCheckpointStore* local = stores[static_cast<size_t>(owner)];
-    if (delta.has_value() && local->incremental() &&
-        local->ChainHeadIteration(owner) == delta->base_iteration) {
-      const TimeNs local_copy =
-          TransferTime(delta->delta_bytes, cluster.spec().gpu_cpu_copy_bandwidth);
-      cluster.sim().ScheduleAfter(local_copy,
-                                  [outcome, local, delta = *delta, &cluster]() mutable {
-                                    const Status written = local->WriteDelta(std::move(delta));
-                                    if (!written.ok()) {
-                                      outcome->Fail(written);
-                                      return;
-                                    }
-                                    outcome->StreamFinished(cluster.sim().now());
-                                  });
-    } else {
-      const TimeNs local_copy =
-          TransferTime(snapshot.logical_bytes, cluster.spec().gpu_cpu_copy_bandwidth);
-      cluster.sim().ScheduleAfter(local_copy, [outcome, local, snapshot, &cluster] {
-        const Status written = local->WriteComplete(snapshot);
-        if (!written.ok()) {
-          outcome->Fail(written);
-          return;
-        }
-        outcome->StreamFinished(cluster.sim().now());
+    if (delta.has_value() && local->ExtendsChainHead(*delta)) {
+      pass.AddLocalWrite(delta->delta_bytes, [local, delta = *delta]() mutable {
+        return local->WriteDelta(std::move(delta));
       });
+    } else {
+      pass.AddLocalWrite(snapshot.logical_bytes,
+                         [local, snapshot] { return local->WriteComplete(snapshot); });
     }
   }
 
-  outcome->pending_streams +=
-      static_cast<int>(full_streams.size() + delta_streams.size());
-  if (config.metrics != nullptr && !delta_streams.empty()) {
-    config.metrics->counter("replicator.delta_streams")
-        .Increment(static_cast<int64_t>(delta_streams.size()));
+  if (config.metrics != nullptr && delta_streams > 0) {
+    config.metrics->counter("replicator.delta_streams").Increment(delta_streams);
   }
-  const int window = std::max(1, config.num_buffers);
-  for (const auto& stream : full_streams) {
-    for (int i = 0; i < window; ++i) {
-      stream->SendNext();
-    }
-  }
-  for (const auto& stream : delta_streams) {
-    for (int i = 0; i < window; ++i) {
-      stream->SendNext();
-    }
-  }
+  pass.Start();
 }
 
 void ReprotectReplicas(Cluster& cluster, const PlacementPlan& placement,
@@ -540,14 +473,7 @@ void ReprotectReplicas(Cluster& cluster, const PlacementPlan& placement,
                        std::function<void(ReplicationOutcome)> done) {
   assert(static_cast<int>(stores.size()) == cluster.size());
 
-  PayloadPool& pool = config.pool != nullptr ? *config.pool : DefaultAssemblyPool();
-  auto outcome = std::make_shared<Outcome>();
-  outcome->metrics = config.metrics;
-  outcome->auditor = config.auditor;
-  outcome->ResolveMetricHandles();
-  outcome->done = std::move(done);
-
-  std::vector<std::shared_ptr<Stream>> streams;
+  Pass pass(cluster, config, std::move(done));
   for (const int target : target_ranks) {
     if (!cluster.machine(target).alive()) {
       continue;  // Died again; a later pass will pick it up post-replacement.
@@ -576,56 +502,26 @@ void ReprotectReplicas(Cluster& cluster, const PlacementPlan& placement,
       if (!snapshot.has_value()) {
         continue;  // No surviving copy anywhere; nothing to re-protect from.
       }
-      if (stores[static_cast<size_t>(target)]->LatestIteration(owner) >= snapshot->iteration) {
+      CpuCheckpointStore* store = stores[static_cast<size_t>(target)];
+      if (store->LatestIteration(owner) >= snapshot->iteration) {
         continue;  // Already protected (a foreground commit got there first).
       }
-      auto stream = std::make_shared<Stream>();
-      stream->cluster = &cluster;
-      stream->outcome = outcome;
-      stream->store = stores[static_cast<size_t>(target)];
-      stream->snapshot = *snapshot;  // Shares the payload buffer.
-      stream->source = source;
-      stream->dest = target;
-      stream->tolerate_supersede = true;
-      stream->alpha = config.comm_alpha;
-      stream->assembled = pool.Acquire(snapshot->payload.size());
-      const Bytes total = snapshot->logical_bytes;
-      const Bytes step = chunk_bytes > 0 ? std::min(chunk_bytes, total) : total;
-      for (Bytes offset = 0; offset < total; offset += step) {
-        ChunkAssignment chunk;
-        chunk.bytes = std::min(step, total - offset);
-        chunk.offset = offset;
-        stream->chunks.push_back(chunk);
-      }
-      const Status begun = stream->store->BeginWrite(owner, snapshot->iteration);
-      if (!begun.ok()) {
-        outcome->Fail(begun);
+      const Status opened =
+          pass.AddReplica(store, *snapshot, source, target,
+                          TileChunks(snapshot->logical_bytes, chunk_bytes),
+                          /*tolerate_supersede=*/true);
+      if (!opened.ok()) {
+        pass.outcome->Fail(opened);
         return;
       }
-      streams.push_back(std::move(stream));
     }
   }
 
-  if (streams.empty()) {
-    // Everything is already fully replicated (or nothing can be): report
-    // success with zero traffic.
-    outcome->result.status = Status::Ok();
-    outcome->result.committed_at = cluster.sim().now();
-    outcome->done(outcome->result);
-    return;
-  }
-
-  outcome->pending_streams = static_cast<int>(streams.size());
-  if (config.metrics != nullptr) {
+  if (config.metrics != nullptr && !pass.streams.empty()) {
     config.metrics->counter("replicator.reprotected_replicas")
-        .Increment(static_cast<int64_t>(streams.size()));
+        .Increment(static_cast<int64_t>(pass.streams.size()));
   }
-  for (const auto& stream : streams) {
-    const int window = std::max(1, config.num_buffers);
-    for (int i = 0; i < window; ++i) {
-      stream->SendNext();
-    }
-  }
+  pass.Start();
 }
 
 }  // namespace gemini

@@ -8,16 +8,19 @@
 // (BeginWrite / AppendChunk / CommitWrite), and the local replica is staged
 // through the local PCIe path. Payload bytes are sliced proportionally to
 // chunk sizes so the committed checkpoints are bit-identical to the source.
+// Full replicas and deltas ride the same stream type; only the landing step
+// differs (CommitWrite of the assembled replica vs. WriteDelta of the
+// reassembled, CRC-gated delta).
 //
-// GeminiSystem uses the executor's timing for long simulations; tests and
-// the cross-validation example run the replicator to confirm that the real
-// event-driven data plane (a) commits exactly the snapshot bytes and (b)
-// finishes in the time the analytic model predicts.
+// GeminiSystem uses the executor's timing for foreground checkpoints and
+// calls only ReprotectReplicas, to refill replaced machines after recovery.
+// Tests run the other two entry points to confirm that the real event-driven
+// data plane (a) commits exactly the snapshot bytes and (b) finishes in the
+// time the analytic model predicts.
 #ifndef SRC_GEMINI_REPLICATOR_H_
 #define SRC_GEMINI_REPLICATOR_H_
 
 #include <functional>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -36,7 +39,6 @@ class MetricsRegistry;
 struct ReplicatorConfig {
   // Number of in-flight sub-buffers on the receive path (pipeline depth p).
   int num_buffers = 4;
-  TimeNs comm_alpha = Micros(100);
   // Optional sink for "replicator.*" counters; may stay null. Per-chunk
   // increments are batched in the pass and flushed once per stream commit —
   // final totals are unchanged, but mid-pass reads see coarser granularity.
@@ -44,9 +46,6 @@ struct ReplicatorConfig {
   // Optional interference auditor notified of every completed chunk transfer
   // (the background traffic it attributes inflation to); may stay null.
   InterferenceAuditor* auditor = nullptr;
-  // Pool the receive-side assembly buffers are leased from, so steady-state
-  // replication allocates nothing once warm. Null = a process-wide default.
-  PayloadPool* pool = nullptr;
 };
 
 struct ReplicationOutcome {
@@ -69,8 +68,8 @@ void ReplicateSnapshot(Cluster& cluster, const PlacementPlan& placement,
                        const ReplicatorConfig& config,
                        std::function<void(ReplicationOutcome)> done);
 
-// Incremental mode: replicates one global snapshot shipping only delta bytes
-// wherever possible. For each owner, `deltas[owner]` (when set) is streamed —
+// Replicates one global snapshot shipping only delta bytes wherever
+// possible. For each owner, `deltas[owner]` (when set) is streamed —
 // in `chunk_bytes`-bounded fabric pieces through the same fabric+PCIe data
 // plane — to every holder whose redo-chain head matches the delta's base
 // iteration; the receive side reassembles the delta payload into a fresh

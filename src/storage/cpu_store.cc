@@ -1,8 +1,5 @@
 #include "src/storage/cpu_store.h"
 
-#include <cassert>
-#include <cstring>
-
 #include "src/common/logging.h"
 #include "src/obs/metrics.h"
 
@@ -37,6 +34,9 @@ void CpuCheckpointStore::set_metrics(MetricsRegistry* metrics) {
 
 void CpuCheckpointStore::ConfigureRedoLog(const RedoLogConfig& config) {
   log_config_ = config;
+  for (auto& [owner, slot] : slots_) {
+    slot.log.set_config(config);
+  }
 }
 
 void CpuCheckpointStore::ResetForMachine(Machine& machine) {
@@ -59,6 +59,7 @@ Status CpuCheckpointStore::HostOwner(int owner_rank, Bytes replica_bytes) {
   GEMINI_RETURN_IF_ERROR(machine_->AllocateCpuMemory(needed));
   Slot slot;
   slot.replica_bytes = replica_bytes;
+  slot.log.set_config(log_config_);
   slots_.emplace(owner_rank, std::move(slot));
   reserved_ += needed;
   return Status::Ok();
@@ -120,20 +121,15 @@ Status CpuCheckpointStore::CommitWrite(Checkpoint checkpoint) {
   if (slot.writing_iteration != checkpoint.iteration) {
     return InvalidArgumentError("commit iteration does not match BeginWrite");
   }
-  slot.completed = std::move(checkpoint);
+  const Bytes committed_bytes = checkpoint.logical_bytes;
+  // A full commit seals a new redo-log base; any older chain is subsumed.
+  slot.log.Reset(std::move(checkpoint));
   slot.writing = false;
   slot.writing_iteration = -1;
   slot.received = 0;
-  if (log_config_.has_value()) {
-    // A full commit seals a new redo-log base; any older chain is subsumed.
-    if (!slot.log.has_value()) {
-      slot.log.emplace(*log_config_);
-    }
-    slot.log->Reset(*slot.completed);
-  }
   if (commits_counter_ != nullptr) {
     commits_counter_->Increment();
-    bytes_committed_counter_->Increment(slot.completed->logical_bytes);
+    bytes_committed_counter_->Increment(committed_bytes);
   }
   return Status::Ok();
 }
@@ -143,32 +139,21 @@ Status CpuCheckpointStore::WriteDelta(DeltaCheckpoint delta) {
   if (it == slots_.end()) {
     return FailedPreconditionError("owner not hosted on this machine");
   }
-  if (!log_config_.has_value()) {
-    return FailedPreconditionError("store is not in incremental mode");
-  }
-  Slot& slot = it->second;
-  if (!slot.log.has_value()) {
-    return FailedPreconditionError("no sealed base to append a delta to");
-  }
+  RedoLog& log = it->second.log;
   const Bytes delta_bytes = delta.delta_bytes;
   const Bytes full_bytes = delta.logical_bytes;
-  GEMINI_RETURN_IF_ERROR(slot.log->Append(std::move(delta)));
+  GEMINI_RETURN_IF_ERROR(log.Append(std::move(delta)));
   if (delta_commits_counter_ != nullptr) {
     delta_commits_counter_->Increment();
     bytes_committed_counter_->Increment(delta_bytes);
     delta_bytes_saved_counter_->Increment(full_bytes - delta_bytes);
-    chain_length_gauge_->Set(static_cast<double>(slot.log->chain_length()));
+    chain_length_gauge_->Set(static_cast<double>(log.chain_length()));
   }
-  if (slot.log->NeedsCompaction()) {
-    const Bytes folded = slot.log->chain_bytes();
-    const Status compacted = slot.log->Compact();
-    if (compacted.ok()) {
-      // The folded base replaces the old completed checkpoint.
-      slot.completed = slot.log->base();
-      if (compaction_folds_counter_ != nullptr) {
-        compaction_folds_counter_->Increment();
-        compaction_bytes_folded_counter_->Increment(folded);
-      }
+  if (log.NeedsCompaction()) {
+    const Bytes folded = log.chain_bytes();
+    if (log.Compact().ok() && compaction_folds_counter_ != nullptr) {
+      compaction_folds_counter_->Increment();
+      compaction_bytes_folded_counter_->Increment(folded);
     }
     // A failed fold (corrupt link) is left in place: the read path will
     // surface the corruption and the retry cascade takes over.
@@ -178,31 +163,21 @@ Status CpuCheckpointStore::WriteDelta(DeltaCheckpoint delta) {
 
 int64_t CpuCheckpointStore::ChainHeadIteration(int owner_rank) const {
   auto it = slots_.find(owner_rank);
-  if (it == slots_.end()) {
-    return -1;
-  }
-  const Slot& slot = it->second;
-  if (slot.log.has_value() && slot.log->has_base()) {
-    return slot.log->latest_iteration();
-  }
-  return slot.completed.has_value() ? slot.completed->iteration : -1;
+  return it == slots_.end() ? -1 : it->second.log.latest_iteration();
 }
 
 size_t CpuCheckpointStore::ChainLength(int owner_rank) const {
   auto it = slots_.find(owner_rank);
-  if (it == slots_.end() || !it->second.log.has_value()) {
-    return 0;
-  }
-  return it->second.log->chain_length();
+  return it == slots_.end() ? 0 : it->second.log.chain_length();
 }
 
 Status CpuCheckpointStore::CorruptChainDelta(int owner_rank, size_t chain_index,
                                              size_t bit_index) {
   auto it = slots_.find(owner_rank);
-  if (it == slots_.end() || !it->second.log.has_value()) {
+  if (it == slots_.end()) {
     return NotFoundError("no redo log chain to corrupt");
   }
-  GEMINI_RETURN_IF_ERROR(it->second.log->CorruptDelta(chain_index, bit_index));
+  GEMINI_RETURN_IF_ERROR(it->second.log.CorruptDelta(chain_index, bit_index));
   if (corruptions_counter_ != nullptr) {
     corruptions_counter_->Increment();
   }
@@ -231,32 +206,28 @@ Status CpuCheckpointStore::WriteComplete(Checkpoint checkpoint) {
 std::optional<Checkpoint> CpuCheckpointStore::LatestImpl(int owner_rank,
                                                          bool count_failures) const {
   auto it = slots_.find(owner_rank);
-  if (it == slots_.end()) {
+  if (it == slots_.end() || !it->second.log.has_base()) {
     return std::nullopt;
   }
-  const Slot& slot = it->second;
-  if (slot.log.has_value() && slot.log->chain_length() > 0) {
-    // Incremental mode with a live chain: replay base+deltas in epoch
-    // order. A corrupt link fails the whole replica — serving the base (an
-    // older iteration than siblings committed) would hand RestoreAll a
-    // mixed-iteration set, so the retry cascade falls to another holder or
-    // the persistent tier instead.
-    StatusOr<Checkpoint> materialized = slot.log->Materialize();
-    if (!materialized.ok()) {
-      if (count_failures) {
-        if (crc_failures_counter_ != nullptr) {
-          crc_failures_counter_->Increment();
-        }
-        GEMINI_LOG(kWarning) << "cpu store on " << machine_->DebugName()
-                             << ": delta chain for owner " << owner_rank
-                             << " failed to materialize (" << materialized.status()
-                             << "); treating as lost";
+  // Replay base+deltas in epoch order (just the base when the chain is
+  // empty). A corrupt link fails the whole replica — serving the base (an
+  // older iteration than siblings committed) would hand RestoreAll a
+  // mixed-iteration set, so the retry cascade falls to another holder or the
+  // persistent tier instead.
+  StatusOr<Checkpoint> materialized = it->second.log.Materialize();
+  if (!materialized.ok()) {
+    if (count_failures) {
+      if (crc_failures_counter_ != nullptr) {
+        crc_failures_counter_->Increment();
       }
-      return std::nullopt;
+      GEMINI_LOG(kWarning) << "cpu store on " << machine_->DebugName()
+                           << ": delta chain for owner " << owner_rank
+                           << " failed to materialize (" << materialized.status()
+                           << "); treating as lost";
     }
-    return std::move(materialized).value();
+    return std::nullopt;
   }
-  return slot.completed;
+  return std::move(materialized).value();
 }
 
 std::optional<Checkpoint> CpuCheckpointStore::Latest(int owner_rank) const {
@@ -286,20 +257,10 @@ int64_t CpuCheckpointStore::LatestIteration(int owner_rank) const {
 
 Status CpuCheckpointStore::CorruptLatest(int owner_rank, size_t bit_index) {
   auto it = slots_.find(owner_rank);
-  if (it == slots_.end() || !it->second.completed.has_value()) {
+  if (it == slots_.end() || !it->second.log.has_base()) {
     return NotFoundError("no completed replica to corrupt");
   }
-  Checkpoint& checkpoint = *it->second.completed;
-  if (checkpoint.payload.empty()) {
-    return FailedPreconditionError("replica has no payload bytes");
-  }
-  const size_t total_bits = checkpoint.payload.size() * sizeof(float) * 8;
-  const size_t bit = bit_index % total_bits;
-  // Copy-on-write: the payload buffer is shared with every other holder of
-  // this snapshot; MutableData() detaches onto a private copy so the injected
-  // bit-rot stays local to this replica.
-  auto* bytes = reinterpret_cast<uint8_t*>(checkpoint.payload.MutableData());
-  bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  GEMINI_RETURN_IF_ERROR(it->second.log.CorruptBase(bit_index));
   if (corruptions_counter_ != nullptr) {
     corruptions_counter_->Increment();
   }

@@ -62,22 +62,27 @@ class CpuCheckpointStore : public CheckpointStore {
   // GPU->CPU copies whose timing is handled by the caller).
   Status WriteComplete(Checkpoint checkpoint);
 
-  // Incremental mode. Once configured, every full commit seals a new redo
-  // log base for its owner, WriteDelta appends epoch-sealed deltas on top,
+  // Every hosted owner's completed state is a redo log: a full commit seals a
+  // new base (RedoLog::Reset), WriteDelta appends epoch-sealed deltas on top,
   // and the read path (Latest / LatestVerified / LatestIteration)
   // materializes base+chain transparently — callers never see the chain.
-  // The chain is folded into a new base when `config` caps are exceeded.
+  // This sets the compaction caps at which a chain folds into a new base.
   void ConfigureRedoLog(const RedoLogConfig& config);
-  bool incremental() const { return log_config_.has_value(); }
 
   // Appends one delta to the owner's chain. The delta must extend the chain
-  // head exactly (epoch sealing); a stale or gapped delta is rejected and
-  // the caller should fall back to a full write.
+  // head exactly (epoch sealing); a stale or gapped delta, or one with no
+  // sealed base under it, is rejected and the caller should fall back to a
+  // full write.
   Status WriteDelta(DeltaCheckpoint delta);
 
   // Chain head iteration a new delta must base on (-1 when no base); equals
-  // LatestIteration in incremental mode but never materializes.
+  // LatestIteration but never materializes.
   int64_t ChainHeadIteration(int owner_rank) const;
+  // True when `delta` bases on this store's chain head for its owner, i.e.
+  // WriteDelta can append it instead of a full write.
+  bool ExtendsChainHead(const DeltaCheckpoint& delta) const {
+    return ChainHeadIteration(delta.owner_rank) == delta.base_iteration;
+  }
   size_t ChainLength(int owner_rank) const;
 
   // Fault injection: flips one payload bit inside the owner's chain at
@@ -96,8 +101,10 @@ class CpuCheckpointStore : public CheckpointStore {
   // Iteration of the latest completed checkpoint, or -1.
   int64_t LatestIteration(int owner_rank) const override;
 
-  // Fault injection: flips one payload bit of the owner's completed replica
-  // (the checkpoint bit-rot the CRC reads exist to catch).
+  // Fault injection: flips one payload bit of the owner's sealed base (the
+  // checkpoint bit-rot the CRC reads exist to catch). With a live chain, a
+  // bit in a chunk no delta rewrote fails the materialized state's CRC; a
+  // bit a delta overwrote is repaired by the replay.
   Status CorruptLatest(int owner_rank, size_t bit_index) override;
 
   Bytes reserved_bytes() const { return reserved_; }
@@ -105,23 +112,22 @@ class CpuCheckpointStore : public CheckpointStore {
  private:
   struct Slot {
     Bytes replica_bytes = 0;
-    std::optional<Checkpoint> completed;
-    // Epoch-sealed delta chain on top of `completed` (incremental mode).
-    std::optional<RedoLog> log;
+    // Completed state: the sealed base of the last full commit plus the
+    // epoch-sealed deltas on top of it (no base until the first commit).
+    RedoLog log;
     // Ongoing write state.
     bool writing = false;
     int64_t writing_iteration = -1;
     Bytes received = 0;
   };
 
-  // Serves the owner's newest state: the materialized chain in incremental
-  // mode (nullopt on a corrupt link when `count_failures`), else the
-  // completed full checkpoint.
+  // Serves the owner's newest state: the materialized base+chain (nullopt
+  // with no base, or on a corrupt link, counted when `count_failures`).
   std::optional<Checkpoint> LatestImpl(int owner_rank, bool count_failures) const;
 
   Machine* machine_;
   MetricsRegistry* metrics_ = nullptr;
-  std::optional<RedoLogConfig> log_config_;
+  RedoLogConfig log_config_;
   // Hot-path metric handles (resolved once in set_metrics).
   Counter* commits_counter_ = nullptr;
   Counter* bytes_committed_counter_ = nullptr;

@@ -208,6 +208,21 @@ Status RedoLog::Compact() {
   return Status::Ok();
 }
 
+Status RedoLog::CorruptBase(size_t bit_index) {
+  if (!base_.valid()) {
+    return NotFoundError("redo log has no sealed base to corrupt");
+  }
+  if (base_.payload.empty()) {
+    return FailedPreconditionError("base has no payload bytes");
+  }
+  const size_t bit = bit_index % (base_.payload.size_bytes() * 8);
+  // Copy-on-write: the base shares its buffer with every other holder of
+  // this snapshot; detach so the injected bit-rot stays local to this log.
+  auto* bytes = reinterpret_cast<uint8_t*>(base_.payload.MutableData());
+  bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+  return Status::Ok();
+}
+
 Status RedoLog::CorruptDelta(size_t chain_index, size_t bit_index) {
   if (chain_index >= deltas_.size()) {
     return NotFoundError("redo log chain has no delta at that index");

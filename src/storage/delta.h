@@ -107,6 +107,8 @@ class RedoLog {
   RedoLog() = default;
   explicit RedoLog(const RedoLogConfig& config) : config_(config) {}
 
+  void set_config(const RedoLogConfig& config) { config_ = config; }
+
   // Seals a new full base; any existing chain is discarded (the base
   // subsumes it).
   void Reset(Checkpoint base);
@@ -138,6 +140,11 @@ class RedoLog {
   // failure the chain is left untouched so the caller's read path can
   // surface the corruption.
   Status Compact();
+
+  // Fault injection: flips one payload bit of the sealed base (copy-on-write,
+  // like CorruptDelta). The base keeps its capture-time CRC, so the flip
+  // fails the read path's CRC gate unless a later delta rewrites that chunk.
+  Status CorruptBase(size_t bit_index);
 
   // Fault injection: flips one payload bit inside the chain's
   // `chain_index`-th delta (copy-on-write — other holders of the slices are

@@ -42,22 +42,19 @@ void PersistentStore::set_metrics(MetricsRegistry* metrics) {
 
 void PersistentStore::ConfigureRedoLog(const RedoLogConfig& config) {
   log_config_ = config;
+  for (auto& [owner, log] : delta_logs_) {
+    log.set_config(config);
+  }
 }
 
 void PersistentStore::ResetLogForFullSave(const Checkpoint& checkpoint) {
-  if (!log_config_.has_value()) {
-    return;
-  }
-  auto [it, inserted] = delta_logs_.try_emplace(checkpoint.owner_rank, *log_config_);
+  auto [it, inserted] = delta_logs_.try_emplace(checkpoint.owner_rank, log_config_);
   it->second.Reset(checkpoint);
 }
 
 int64_t PersistentStore::DeltaBaseIteration(int owner_rank) const {
   const auto it = delta_logs_.find(owner_rank);
-  if (it == delta_logs_.end() || !it->second.has_base()) {
-    return -1;
-  }
-  return it->second.latest_iteration();
+  return it != delta_logs_.end() ? it->second.latest_iteration() : -1;
 }
 
 size_t PersistentStore::ChainLength(int owner_rank) const {

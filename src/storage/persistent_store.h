@@ -76,15 +76,14 @@ class PersistentStore : public CheckpointStore {
   // visible (durable) only at completion.
   TimeNs Save(Checkpoint checkpoint, int expected_world_size, DoneCallback done);
 
-  // Incremental mode: a full Save (or SeedImmediate) seals a per-owner redo
-  // log base; SaveDelta then uploads only the delta bytes through the same
+  // Every full Save (or SeedImmediate) seals a per-owner redo log base;
+  // SaveDelta then uploads only the delta bytes through the same
   // shared-bandwidth FIFO. At arrival the delta is appended to the owner's
   // epoch-sealed chain, materialized (CRC-gated), and the materialized shard
   // becomes durable — so the retrieval surface (Retrieve / Peek /
   // LatestCompleteIteration) is unchanged and the chain is invisible to
-  // readers. Chains fold into a new base at the configured caps.
+  // readers. This sets the caps at which a chain folds into a new base.
   void ConfigureRedoLog(const RedoLogConfig& config);
-  bool incremental() const { return log_config_.has_value(); }
 
   // Uploads one rank's delta on top of the owner's chain head. Deltas must
   // be scheduled in epoch order on top of the previously scheduled state
@@ -158,14 +157,14 @@ class PersistentStore : public CheckpointStore {
   TimeNs TryRetrieve(int owner_rank, int64_t iteration, int attempt,
                      std::function<void(StatusOr<Checkpoint>)> done);
 
-  // Seals a new chain base for the checkpoint's owner (incremental mode).
+  // Seals a new chain base for the checkpoint's owner.
   void ResetLogForFullSave(const Checkpoint& checkpoint);
 
   Simulator& sim_;
   PersistentStoreConfig config_;
   MetricsRegistry* metrics_ = nullptr;
-  std::optional<RedoLogConfig> log_config_;
-  // Per-owner epoch-sealed delta chains (incremental mode).
+  RedoLogConfig log_config_;
+  // Per-owner epoch-sealed delta chains, one per owner ever saved.
   std::map<int, RedoLog> delta_logs_;
   // Hot-path metric handles (resolved once in set_metrics).
   Counter* saves_counter_ = nullptr;

@@ -294,6 +294,31 @@ TEST_F(CpuStoreDeltaTest, CorruptChainLinkIsCaughtByMaterializationCrc) {
   EXPECT_GE(metrics_.counter_value("cpu_store.crc_failures"), 1);
 }
 
+TEST_F(CpuStoreDeltaTest, CorruptLatestUnderALiveChainFailsUnlessADeltaRewroteTheBit) {
+  store_.ConfigureRedoLog(RedoLogConfig{});
+  ASSERT_TRUE(store_.HostOwner(0, MiB(64)).ok());
+  // 16 chunks of 8 elements; the delta rewrites 3 of them.
+  const Checkpoint c1 = MakeCheckpoint(0, 1, 128);
+  const Checkpoint c2 = MutateChunks(c1, 2, 8, {2, 7, 11});
+  ASSERT_TRUE(store_.WriteComplete(c1).ok());
+  ASSERT_TRUE(store_.WriteDelta(*BuildDeltaCheckpoint(c1, c2, 8)).ok());
+  ASSERT_EQ(store_.ChainLength(0), 1u);
+
+  // A bit in element 56 (chunk 7): the delta overwrites it, so the replay
+  // repairs it and the clean state is served.
+  ASSERT_TRUE(store_.CorruptLatest(0, /*bit_index=*/56 * 32 + 5).ok());
+  const auto repaired = store_.LatestVerified(0);
+  ASSERT_TRUE(repaired.has_value());
+  EXPECT_EQ(*repaired, c2);
+  EXPECT_EQ(metrics_.counter_value("cpu_store.crc_failures"), 0);
+
+  // A bit in element 0 (chunk 0), which no delta rewrites: the materialized
+  // state fails its CRC and the replica is treated as lost.
+  ASSERT_TRUE(store_.CorruptLatest(0, /*bit_index=*/5).ok());
+  EXPECT_FALSE(store_.LatestVerified(0).has_value());
+  EXPECT_EQ(metrics_.counter_value("cpu_store.crc_failures"), 1);
+}
+
 // ---- Persistent store chains ----------------------------------------------
 
 class PersistentDeltaTest : public ::testing::Test {
@@ -444,6 +469,16 @@ TEST(IncrementalConfigTest, ValidateRejectsDegenerateKnobs) {
   config.incremental.sparse_update_fraction = 1.5;
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
   config.incremental.sparse_update_fraction = 1.0;
+
+  // Sparse updates are chunked even with the mode off, so a non-positive
+  // chunk size must be rejected there too (it would divide by zero in the
+  // trainer); dense updates never read it.
+  config.incremental.sparse_update_fraction = 0.25;
+  config.incremental.chunk_elements = 0;
+  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
+  config.incremental.sparse_update_fraction = 1.0;
+  EXPECT_TRUE(config.Validate().ok());
+  config.incremental.chunk_elements = 16;
 
   // With the mode off, the chain knobs are inert and must not reject.
   config.incremental.max_chain_length = 0;
@@ -640,7 +675,18 @@ TEST(DeltaEndToEndTest, IncrementalRecoveryBitExactVsFullSnapshotRecovery) {
       EXPECT_GT(snapshot.delta_bytes_saved, 0);
       EXPECT_LT(system.incremental_delta_fraction(), 1.0);
     } else {
+      // Delta bookkeeping runs in both modes; with the mode off it must never
+      // ship a delta.
       EXPECT_DOUBLE_EQ(system.incremental_delta_fraction(), 1.0);
+      const SystemSnapshot snapshot = system.Snapshot();
+      EXPECT_EQ(snapshot.delta_commits, 0);
+      EXPECT_EQ(snapshot.delta_bytes_saved, 0);
+      for (int holder = 0; holder < config.num_machines; ++holder) {
+        for (int owner = 0; owner < config.num_machines; ++owner) {
+          EXPECT_EQ(system.cpu_store(holder).ChainLength(owner), 0u)
+              << "holder " << holder << " owner " << owner;
+        }
+      }
     }
   }
   // Uninterrupted reference under the same sparse workload.
