@@ -1,8 +1,13 @@
 // Micro-benchmarks (google-benchmark) of the core algorithms: Algorithm 1
 // placement construction, recovery-probability evaluation, Algorithm 2
 // partitioning, the timeline generator, checkpoint serialization, the event
-// queue, and the ring collectives' cost evaluation.
+// queue (distinct timestamps, and the control plane's timer storm), and the
+// ring collectives' cost evaluation.
 #include <benchmark/benchmark.h>
+
+#include <functional>
+#include <memory>
+#include <vector>
 
 #include "src/common/rng.h"
 #include "src/placement/placement.h"
@@ -10,6 +15,7 @@
 #include "src/schedule/executor.h"
 #include "src/schedule/partition.h"
 #include "src/sim/simulator.h"
+#include "src/sim/timer.h"
 #include "src/storage/serializer.h"
 #include "src/training/model_config.h"
 #include "src/training/timeline.h"
@@ -133,6 +139,41 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * events);
 }
 BENCHMARK(BM_SimulatorScheduleRun)->Arg(1000)->Arg(100000);
+
+// The control plane's event mix: N same-period timers that all fire at one
+// instant (agent keepalives and health scans), plus one Raft-style election
+// timer cancelled and re-armed at a random deadline on every heartbeat. Each
+// benchmark iteration simulates one period.
+void BM_SimulatorTimerStorm(benchmark::State& state) {
+  const int timers = static_cast<int>(state.range(0));
+  const TimeNs period = Millis(100);
+  Simulator sim;
+  int64_t events = 0;
+  std::vector<std::unique_ptr<RepeatingTimer>> agents;
+  for (int i = 0; i < timers; ++i) {
+    agents.push_back(std::make_unique<RepeatingTimer>(sim, period, [&events] { ++events; }));
+    agents.back()->Start();
+  }
+  Rng rng(static_cast<uint64_t>(timers));
+  EventId election{};
+  std::function<void()> reset_election = [&] {
+    ++events;
+    sim.Cancel(election);
+    election = sim.ScheduleAfter(rng.UniformInt(period / 2, 2 * period),
+                                 [&reset_election] { reset_election(); });
+  };
+  RepeatingTimer heartbeat(sim, period, [&reset_election] { reset_election(); });
+  heartbeat.Start();
+  sim.RunUntil(10 * period);
+
+  events = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(sim.RunUntil(sim.now() + period));
+  }
+  state.counters["events_per_s"] =
+      benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_SimulatorTimerStorm)->Arg(256)->Arg(1024);
 
 }  // namespace
 }  // namespace gemini

@@ -44,6 +44,12 @@ cmake --build build-release -j
 echo "==> release pass: ctest"
 (cd build-release && ctest --output-on-failure -j"$(nproc)")
 
+# Keeps the event engine's micro cases (distinct timestamps, and the control
+# plane's same-period timer storm) building and running. Not a speed gate.
+echo "==> release pass: simulator micro-benchmarks (smoke)"
+./build-release/bench/bench_micro_algorithms --benchmark_filter=Simulator \
+  --benchmark_min_time=0.01
+
 echo "==> sanitizer pass: configure + build (address,undefined)"
 cmake -B build-asan -S . -DGEMINI_SANITIZE=address,undefined >/dev/null
 cmake --build build-asan -j

@@ -59,7 +59,7 @@ void Fabric::Local(TimeNs duration, DoneCallback done) {
   sim_.ScheduleAfter(duration, [done = std::move(done)] { done(Status::Ok()); });
 }
 
-void Fabric::SendControl(int src_rank, int dst_rank, std::function<void()> deliver) {
+void Fabric::SendControl(int src_rank, int dst_rank, EventCallback deliver) {
   assert(src_rank >= 0 && src_rank < num_ranks());
   assert(dst_rank >= 0 && dst_rank < num_ranks());
   // A dead source cannot send; a dead destination silently drops the message
@@ -68,7 +68,7 @@ void Fabric::SendControl(int src_rank, int dst_rank, std::function<void()> deliv
     return;
   }
   sim_.ScheduleAfter(config_.control_delay,
-                     [this, src_rank, dst_rank, deliver = std::move(deliver)] {
+                     [this, src_rank, dst_rank, deliver = std::move(deliver)]() mutable {
     if (!alive_(dst_rank) || !Connected(src_rank, dst_rank)) {
       return;
     }

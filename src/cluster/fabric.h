@@ -69,7 +69,7 @@ class Fabric {
   void Local(TimeNs duration, DoneCallback done);
 
   // Delivers a control message (no bandwidth use) after control_delay.
-  void SendControl(int src_rank, int dst_rank, std::function<void()> deliver);
+  void SendControl(int src_rank, int dst_rank, EventCallback deliver);
 
   // Earliest time a bulk transfer src->dst could begin.
   TimeNs EarliestStart(int src_rank, int dst_rank) const;

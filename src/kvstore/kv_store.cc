@@ -272,7 +272,7 @@ void KvNode::ResetAndRestart() {
   ResetElectionTimer();
 }
 
-void KvNode::Send(int peer_index, std::function<void()> handler) {
+void KvNode::Send(int peer_index, EventCallback handler) {
   const int peer_rank = cluster_.server_ranks_[static_cast<size_t>(peer_index)];
   cluster_.fabric_.SendControl(rank_, peer_rank, std::move(handler));
 }

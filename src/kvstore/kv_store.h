@@ -222,7 +222,7 @@ class KvNode {
   // Leader-only: proposes revocations for expired leases.
   void ExpireLeases();
 
-  void Send(int peer_index, std::function<void()> handler);
+  void Send(int peer_index, EventCallback handler);
 
   uint64_t LastLogIndex() const { return static_cast<uint64_t>(log_.size()); }
   uint64_t LastLogTerm() const { return log_.empty() ? 0 : log_.back().term; }

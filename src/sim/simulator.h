@@ -5,16 +5,23 @@
 // heartbeat, a machine failure) is an event scheduled on one Simulator.
 // Events at equal timestamps fire in scheduling order (FIFO tie-break via a
 // monotonically increasing sequence number), so runs are bit-reproducible.
+//
+// Internals (see DESIGN.md, "Simulator engine"): callbacks live in a slab of
+// generation-counted slots, and the ready queue is a min-heap of buckets,
+// each holding the events of one exact timestamp as a FIFO list threaded
+// through the slots. Only the most recently opened bucket accepts appends, so
+// buckets that share a timestamp hold disjoint, ordered seq ranges and the
+// pop order is exactly (when, seq). Once the slab, bucket pool and heap have
+// grown to a run's high-water mark, scheduling and running events allocates
+// only for callbacks larger than EventCallback::kInlineSize.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <functional>
-#include <queue>
-#include <unordered_map>
 #include <vector>
 
 #include "src/common/units.h"
+#include "src/sim/event_callback.h"
 
 namespace gemini {
 
@@ -34,14 +41,16 @@ class Simulator {
   TimeNs now() const { return now_; }
 
   // Schedules `fn` to run at absolute time `when` (>= now()).
-  EventId ScheduleAt(TimeNs when, std::function<void()> fn);
+  EventId ScheduleAt(TimeNs when, EventCallback fn);
 
   // Schedules `fn` to run `delay` after now().
-  EventId ScheduleAfter(TimeNs delay, std::function<void()> fn);
+  EventId ScheduleAfter(TimeNs delay, EventCallback fn);
 
   // Cancels a pending event. Returns false if the event already ran, was
-  // already cancelled, or never existed. Cancellation is O(1): the event is
-  // tombstoned and skipped when popped.
+  // already cancelled, or never existed; an id whose slot has since been
+  // reused by another event is recognised by its generation and also returns
+  // false. O(1): the callback is destroyed at once and its slot is reclaimed
+  // when the queue reaches it.
   bool Cancel(EventId id);
 
   // Runs events until the queue is empty. Returns the number of events run.
@@ -54,36 +63,60 @@ class Simulator {
   // Runs at most one event. Returns false when the queue is empty.
   bool Step();
 
-  // Number of events waiting (including tombstoned ones).
-  size_t pending_events() const { return queue_.size(); }
+  // Number of events still queued: those waiting to run plus cancelled ones
+  // whose slot the queue has not reached yet.
+  size_t pending_events() const { return slots_.size() - free_slots_.size(); }
 
   // Hard cap on total events per Run*/Step sequence to catch runaway loops in
   // tests; 0 disables. Exceeding the cap aborts the process.
   void set_event_limit(int64_t limit) { event_limit_ = limit; }
 
  private:
-  struct Event {
-    TimeNs when;
-    uint64_t seq;
-    // Ordered min-first by (when, seq).
-    friend bool operator>(const Event& a, const Event& b) {
-      if (a.when != b.when) {
-        return a.when > b.when;
-      }
-      return a.seq > b.seq;
-    }
+  static constexpr uint32_t kNone = UINT32_MAX;
+
+  struct Slot {
+    EventCallback fn;  // empty once cancelled
+    // Bumped whenever the slot is freed, so ids of earlier occupants go stale.
+    uint32_t generation = 1;
+    uint32_t next = kNone;  // next slot in the same bucket
   };
+
+  // FIFO list of slots, all with the same timestamp.
+  struct Bucket {
+    uint32_t head = kNone;
+    uint32_t tail = kNone;
+  };
+
+  // Min-heap entry, ordered by (when, first_seq).
+  struct HeapEntry {
+    TimeNs when;
+    uint64_t first_seq;
+    uint32_t bucket;
+  };
+
+  // Drops cancelled slots and drained buckets from the front of the queue.
+  // Returns false when no live event remains; otherwise the head slot of the
+  // top bucket is live.
+  bool SkipDead();
 
   // Pops and runs the next live event. Returns false if none remain.
   bool RunOne();
+
+  void FreeSlot(uint32_t slot);
 
   TimeNs now_ = 0;
   uint64_t next_seq_ = 1;
   int64_t events_run_ = 0;
   int64_t event_limit_ = 0;
-  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue_;
-  // seq -> callback for live events; cancelled events are simply erased.
-  std::unordered_map<uint64_t, std::function<void()>> callbacks_;
+  std::vector<Slot> slots_;
+  std::vector<uint32_t> free_slots_;
+  std::vector<Bucket> buckets_;
+  std::vector<uint32_t> free_buckets_;
+  std::vector<HeapEntry> heap_;
+  // The most recently opened bucket, the only one that accepts appends, and
+  // its timestamp; kNone once that bucket has been reclaimed.
+  uint32_t open_bucket_ = kNone;
+  TimeNs open_when_ = 0;
 };
 
 }  // namespace gemini

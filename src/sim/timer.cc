@@ -12,7 +12,7 @@ RepeatingTimer::RepeatingTimer(Simulator& sim, TimeNs period, std::function<void
 }
 
 RepeatingTimer::~RepeatingTimer() {
-  *alive_ = false;
+  assert(!in_tick_ && "RepeatingTimer destroyed from inside its own callback");
   Stop();
 }
 
@@ -33,19 +33,21 @@ void RepeatingTimer::Stop() {
 }
 
 void RepeatingTimer::Arm(TimeNs delay) {
-  std::weak_ptr<bool> alive = alive_;
-  pending_ = sim_.ScheduleAfter(delay, [this, alive] {
-    const auto locked = alive.lock();
-    if (!locked || !*locked || !running_) {
-      return;
-    }
-    pending_ = EventId{};
-    on_tick_();
-    // on_tick_ may have stopped the timer.
-    if (running_) {
-      Arm(period_);
-    }
-  });
+  pending_ = sim_.ScheduleAfter(delay, [this] { Tick(); });
+}
+
+void RepeatingTimer::Tick() {
+  // Stop() cancels the pending tick, so a tick only fires while running.
+  assert(running_);
+  pending_ = EventId{};
+  in_tick_ = true;
+  on_tick_();
+  in_tick_ = false;
+  // on_tick_ may have stopped the timer, or stopped and restarted it, which
+  // armed it already.
+  if (running_ && !pending_.valid()) {
+    Arm(period_);
+  }
 }
 
 }  // namespace gemini

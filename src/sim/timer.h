@@ -1,10 +1,13 @@
 // Repeating timer built on the Simulator, used for heartbeats and periodic
 // health scans. The callback may Stop() the timer (e.g. when its agent dies).
+//
+// Lifetime: the destructor cancels the pending tick, so a timer may be
+// destroyed at any time except from inside its own callback: the tick reads
+// the timer after on_tick returns, to re-arm it. Debug builds assert this.
 #ifndef SRC_SIM_TIMER_H_
 #define SRC_SIM_TIMER_H_
 
 #include <functional>
-#include <memory>
 
 #include "src/sim/simulator.h"
 
@@ -27,15 +30,14 @@ class RepeatingTimer {
 
  private:
   void Arm(TimeNs delay);
+  void Tick();
 
   Simulator& sim_;
   TimeNs period_;
   std::function<void()> on_tick_;
   bool running_ = false;
+  bool in_tick_ = false;
   EventId pending_{};
-  // Guards against use-after-free when the owner destroys the timer while an
-  // event holding a reference is in flight.
-  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace gemini
