@@ -11,22 +11,6 @@
 
 namespace gemini {
 
-std::string_view RecoverySourceName(RecoverySource source) {
-  switch (source) {
-    case RecoverySource::kLocalCpuMemory:
-      return "local_cpu_memory";
-    case RecoverySource::kRemoteCpuMemory:
-      return "remote_cpu_memory";
-    case RecoverySource::kPersistentStorage:
-      return "persistent_storage";
-    case RecoverySource::kGradientReplay:
-      return "gradient_replay";
-    case RecoverySource::kPeerRecompute:
-      return "peer_recompute";
-  }
-  return "unknown";
-}
-
 Status GeminiConfig::Validate() const {
   if (num_machines < 1) {
     return InvalidArgumentError("need at least one machine");
@@ -191,7 +175,7 @@ Status GeminiSystem::Initialize() {
   injector_->set_observer([this](const FailureEvent& event) {
     // Synchronous training hangs the moment any participant fails: the
     // in-flight iteration (and its in-flight checkpoint) never completes.
-    if (running_ && !recovering_) {
+    if (running_ && !active_case_.has_value()) {
       if (iteration_end_event_.valid()) {
         sim_.Cancel(iteration_end_event_);
         iteration_end_event_ = EventId{};
@@ -318,7 +302,7 @@ void GeminiSystem::FinishRun() {
 }
 
 void GeminiSystem::StartNextIteration() {
-  if (!running_ || recovering_) {
+  if (!running_ || active_case_.has_value()) {
     return;
   }
   if (trainer_->iteration() >= target_iterations_) {
@@ -645,7 +629,7 @@ void GeminiSystem::OnFailureDetected(const FailureReport& report) {
   if (!running_) {
     return;
   }
-  if (recovering_) {
+  if (active_case_.has_value()) {
     // Cascading failure: merge it into the active case instead of dropping
     // it (the pre-hardening behavior silently ignored these).
     AbsorbFailureDuringRecovery(report);
@@ -654,7 +638,6 @@ void GeminiSystem::OnFailureDetected(const FailureReport& report) {
   // Feed the failure-rate signal the Chameleon selector keys on (pure
   // bookkeeping: no metric or trace output).
   auditor_.NoteFailure(sim_.now());
-  recovering_ = true;
   active_case_.emplace();
   ActiveRecoveryCase& recovery_case = *active_case_;
   recovery_case.type = report.type;
@@ -716,6 +699,15 @@ void GeminiSystem::AbsorbFailureDuringRecovery(const FailureReport& report) {
   StartRecoveryAttempt();
 }
 
+template <typename Fn>
+auto GeminiSystem::InEpoch(Fn fn) {
+  return [this, epoch = recovery_epoch_, fn = std::move(fn)](auto&&... args) mutable {
+    if (epoch == recovery_epoch_) {
+      fn(std::forward<decltype(args)>(args)...);
+    }
+  };
+}
+
 void GeminiSystem::StartRecoveryAttempt() {
   ++recovery_epoch_;  // Invalidate every callback of the previous attempt.
   ActiveRecoveryCase& recovery_case = *active_case_;
@@ -724,20 +716,10 @@ void GeminiSystem::StartRecoveryAttempt() {
     // torch.load can read them, then warm up. The policy decides the chain —
     // GEMINI restores everyone from the local replica (Figure 6b) with zero
     // retrieval traffic.
-    const uint64_t epoch = recovery_epoch_;
     const TimeNs serialize_wait =
         std::max<TimeNs>(0, recovery_case.serialize_done_at - sim_.now());
-    sim_.ScheduleAfter(serialize_wait + config_.restart_warmup, [this, epoch] {
-      if (epoch != recovery_epoch_ || !recovering_) {
-        return;
-      }
-      RecoverySituation situation;
-      situation.type = FailureType::kSoftware;
-      situation.peer_recoverable = true;
-      situation.iteration_at_failure = active_case_->iteration_at_failure;
-      ExecuteRecoverySteps(MakeCaseRecord(), policy_->BuildRecoveryPlan(*this, situation),
-                           /*step_index=*/0, {});
-    });
+    sim_.ScheduleAfter(serialize_wait + config_.restart_warmup,
+                       InEpoch([this] { RunRecoveryPlan(); }));
     return;
   }
   // Hardware: replace every rank that is currently dead and not already being
@@ -754,69 +736,6 @@ void GeminiSystem::StartRecoveryAttempt() {
         rank, [this, rank](Machine& machine) { OnMachineReplaced(rank, machine); });
   }
   MaybeAnalyzeHardwareCase();
-}
-
-void GeminiSystem::ExecuteRecoverySteps(RecoveryRecord record, RecoveryPlan plan,
-                                        size_t step_index, std::vector<int> replaced_ranks) {
-  if (step_index >= plan.steps.size()) {
-    GEMINI_LOG(kError) << "recovery: the policy's fallback chain is exhausted; "
-                          "training cannot resume";
-    FinishRun();
-    return;
-  }
-  const RecoveryStep step = plan.steps[step_index];
-  switch (step.kind) {
-    case RecoveryStepKind::kRestoreFromLocalCpu:
-      RestoreFromLocalCpu(std::move(record), std::move(plan), step_index);
-      break;
-    case RecoveryStepKind::kFetchFromPeers:
-      RetrieveFromPeersAndResume(std::move(record), std::move(plan), step_index,
-                                 std::move(replaced_ranks));
-      break;
-    case RecoveryStepKind::kFetchFromPersistent:
-      RetrieveFromPersistentAndResume(std::move(record), std::move(replaced_ranks));
-      break;
-    case RecoveryStepKind::kReplayLoggedGradients:
-      ReplayLoggedGradientsAndResume(std::move(record), step);
-      break;
-    case RecoveryStepKind::kRecomputeFromPeers:
-      RecomputeFromPeersAndResume(std::move(record), step);
-      break;
-  }
-}
-
-void GeminiSystem::RestoreFromLocalCpu(RecoveryRecord record, RecoveryPlan plan,
-                                       size_t step_index) {
-  record.source = RecoverySource::kLocalCpuMemory;
-  std::vector<Checkpoint> checkpoints;
-  for (int rank = 0; rank < config_.num_machines; ++rank) {
-    const std::optional<Checkpoint> local =
-        cpu_stores_[static_cast<size_t>(rank)]->LatestVerified(rank);
-    if (!local.has_value()) {
-      // Failure before the first commit (or a corrupted local replica): fall
-      // through to the chain's next stage (the persistent tier for GEMINI).
-      ExecuteRecoverySteps(std::move(record), std::move(plan), step_index + 1, {});
-      return;
-    }
-    // The restarting process loads through the serialized form (the
-    // torch.save/torch.load path), so the CRC integrity check guards the
-    // bytes actually restored.
-    const StatusOr<Checkpoint> loaded = DeserializeCheckpoint(SerializeCheckpoint(*local));
-    if (!loaded.ok()) {
-      GEMINI_LOG(kError) << "local checkpoint failed integrity check: " << loaded.status();
-      ExecuteRecoverySteps(std::move(record), std::move(plan), step_index + 1, {});
-      return;
-    }
-    checkpoints.push_back(*loaded);
-  }
-  const Status status = trainer_->RestoreAll(checkpoints);
-  if (!status.ok()) {
-    GEMINI_LOG(kError) << "software recovery failed to restore: " << status;
-    ExecuteRecoverySteps(std::move(record), std::move(plan), step_index + 1, {});
-    return;
-  }
-  record.rollback_iteration = trainer_->iteration();
-  ResumeTraining(record);
 }
 
 void GeminiSystem::OnMachineReplaced(int rank, Machine& machine) {
@@ -852,43 +771,113 @@ void GeminiSystem::MaybeAnalyzeHardwareCase() {
     return;
   }
   // All machines replaced. Serialization may still be running.
-  const uint64_t epoch = recovery_epoch_;
   const TimeNs wait = std::max<TimeNs>(0, active_case_->serialize_done_at - sim_.now());
-  sim_.ScheduleAfter(wait, [this, epoch] {
-    if (epoch != recovery_epoch_ || !recovering_ || !active_case_.has_value()) {
-      return;
-    }
-    // Case analysis: can every rank's checkpoint be served from CPU memory
-    // of machines that survived? The policy turns the answer into its
-    // fallback chain (Section 6.2's case 1 / case 2 for GEMINI).
-    RecoveryRecord record = MakeCaseRecord();
-    const std::vector<int> replaced = active_case_->replaced;
-    std::vector<bool> failed(static_cast<size_t>(config_.num_machines), false);
-    for (const int rank : replaced) {
-      failed[static_cast<size_t>(rank)] = true;
-    }
-    RecoverySituation situation;
-    situation.type = FailureType::kHardware;
-    situation.replaced_ranks = replaced;
-    situation.peer_recoverable = placement_.Recoverable(failed);
-    situation.iteration_at_failure = active_case_->iteration_at_failure;
-    if (!situation.peer_recoverable && policy_->uses_cpu_checkpoints()) {
-      GEMINI_LOG(kWarning) << "recovery: an entire placement group was lost; falling back to "
-                              "persistent storage";
-    }
-    ExecuteRecoverySteps(std::move(record), policy_->BuildRecoveryPlan(*this, situation),
-                         /*step_index=*/0, replaced);
-  });
+  sim_.ScheduleAfter(wait, InEpoch([this] { RunRecoveryPlan(); }));
 }
 
-RecoveryRecord GeminiSystem::MakeCaseRecord() const {
-  const ActiveRecoveryCase& recovery_case = *active_case_;
-  RecoveryRecord record;
-  record.type = recovery_case.type;
-  record.failed_ranks.assign(recovery_case.ranks.begin(), recovery_case.ranks.end());
-  record.failure_detected_at = recovery_case.first_detected_at;
-  record.iteration_at_failure = recovery_case.iteration_at_failure;
-  return record;
+void GeminiSystem::RunRecoveryPlan() {
+  // Case analysis: can every rank's checkpoint be served from CPU memory of
+  // machines that survived? The policy turns the answer into its fallback
+  // chain (Section 6.2's cases for GEMINI).
+  ActiveRecoveryCase& recovery_case = *active_case_;
+  std::vector<bool> failed(static_cast<size_t>(config_.num_machines), false);
+  for (const int rank : recovery_case.replaced) {
+    failed[static_cast<size_t>(rank)] = true;
+  }
+  RecoverySituation situation;
+  situation.type = recovery_case.type;
+  situation.replaced_ranks = recovery_case.replaced;
+  situation.peer_recoverable = placement_.Recoverable(failed);
+  situation.iteration_at_failure = recovery_case.iteration_at_failure;
+  if (!situation.peer_recoverable && policy_->uses_cpu_checkpoints()) {
+    GEMINI_LOG(kWarning) << "recovery: an entire placement group was lost; falling back to "
+                            "persistent storage";
+  }
+  recovery_case.plan = policy_->BuildRecoveryPlan(*this, situation);
+  recovery_case.step = 0;
+  RunRecoveryStep();
+}
+
+void GeminiSystem::RunRecoveryStep() {
+  ActiveRecoveryCase& recovery_case = *active_case_;
+  if (recovery_case.step >= recovery_case.plan.steps.size()) {
+    GEMINI_LOG(kError) << "recovery: the policy's fallback chain is exhausted; "
+                          "training cannot resume";
+    FinishRun();
+    return;
+  }
+  const RecoveryStep& step = recovery_case.plan.steps[recovery_case.step];
+  recovery_case.step_started_at = sim_.now();
+  recovery_case.fetched.clear();
+  switch (step.source) {
+    case RecoverySource::kLocalCpuMemory:
+      for (int rank = 0; rank < config_.num_machines; ++rank) {
+        const std::optional<Checkpoint> local =
+            cpu_stores_[static_cast<size_t>(rank)]->LatestVerified(rank);
+        if (!local.has_value()) {
+          // Failure before the first commit, or a corrupted local replica.
+          FallThrough(DataLossError("rank " + std::to_string(rank) +
+                                    " has no CRC-verified local replica"));
+          return;
+        }
+        // The restarting process loads through the serialized form (the
+        // torch.save/torch.load path), so the CRC integrity check guards the
+        // bytes actually restored.
+        StatusOr<Checkpoint> loaded = DeserializeCheckpoint(SerializeCheckpoint(*local));
+        if (!loaded.ok()) {
+          FallThrough(loaded.status());
+          return;
+        }
+        recovery_case.fetched.push_back(std::move(loaded).value());
+      }
+      RestoreFetched();
+      return;
+    case RecoverySource::kRemoteCpuMemory:
+      recovery_case.pending_fetches = static_cast<int>(recovery_case.replaced.size());
+      injector_->Fire(kTriggerRetrievalStart);
+      if (recovery_case.replaced.empty()) {
+        RestoreFetched();
+        return;
+      }
+      for (const int rank : recovery_case.replaced) {
+        // Go through the scheduler so trigger-armed events with zero delay
+        // (from the Fire above) land before the first read.
+        sim_.ScheduleAfter(0, InEpoch([this, rank] { TryFetchReplica(rank, 0); }));
+      }
+      return;
+    case RecoverySource::kPersistentStorage:
+    case RecoverySource::kGradientReplay: {
+      // Replay starts from the same persistent base a rollback restores.
+      const int64_t iteration = persistent_->LatestCompleteIteration();
+      if (iteration < 0) {
+        FallThrough(NotFoundError("no complete persistent checkpoint exists"));
+        return;
+      }
+      FetchFromPersistent(iteration);
+      return;
+    }
+    case RecoverySource::kPeerRecompute: {
+      // No checkpoint fetch at all: surviving peers hold enough redundancy to
+      // rebuild the lost shard in place at a fixed iterations-worth of
+      // recompute. The state never left the GPUs.
+      const TimeNs stall = static_cast<TimeNs>(
+          step.recompute_iterations * static_cast<double>(current_iteration_duration_));
+      tracer_.Span("peer_recompute", "recovery", sim_.now(), sim_.now() + stall,
+                   {TraceAttr::Real("recompute_iterations", step.recompute_iterations)});
+      FinishStep(stall);
+      return;
+    }
+  }
+}
+
+void GeminiSystem::FallThrough(const Status& why) {
+  ActiveRecoveryCase& recovery_case = *active_case_;
+  GEMINI_LOG(kWarning) << "recovery: "
+                       << RecoverySourceName(recovery_case.plan.steps[recovery_case.step].source)
+                       << " step failed (" << why << "); falling through to the next step";
+  ++recovery_epoch_;  // The abandoned step's in-flight callbacks become no-ops.
+  ++recovery_case.step;
+  RunRecoveryStep();
 }
 
 RetryPolicy GeminiSystem::RetrievalRetryPolicy() const {
@@ -896,72 +885,25 @@ RetryPolicy GeminiSystem::RetrievalRetryPolicy() const {
                      config_.retrieval_backoff_cap};
 }
 
-// Shared state of one peer-retrieval pass (one fetch task per replaced rank).
-struct GeminiSystem::PeerRetrievalContext {
-  RecoveryRecord record;
-  // The policy's chain and our position in it, so retry exhaustion falls
-  // through to the correct next stage.
-  RecoveryPlan plan;
-  size_t step_index = 0;
-  std::vector<int> replaced_ranks;
-  TimeNs started = 0;
-  std::vector<Checkpoint> fetched;
-  int pending = 0;
-  // Set when the pass fell through to the next stage; late transfer
-  // completions become no-ops.
-  bool aborted = false;
-};
-
-void GeminiSystem::RetrieveFromPeersAndResume(RecoveryRecord record, RecoveryPlan plan,
-                                              size_t step_index,
-                                              std::vector<int> replaced_ranks) {
-  const uint64_t epoch = recovery_epoch_;
-  record.source = RecoverySource::kRemoteCpuMemory;
-  auto ctx = std::make_shared<PeerRetrievalContext>();
-  ctx->record = std::move(record);
-  ctx->plan = std::move(plan);
-  ctx->step_index = step_index;
-  ctx->replaced_ranks = std::move(replaced_ranks);
-  ctx->started = sim_.now();
-  ctx->pending = static_cast<int>(ctx->replaced_ranks.size());
-  injector_->Fire(kTriggerRetrievalStart);
-  if (ctx->replaced_ranks.empty()) {
-    FinishPeerRetrieval(ctx, epoch);
-    return;
-  }
-  for (const int rank : ctx->replaced_ranks) {
-    // Go through the scheduler so trigger-armed events with zero delay (from
-    // the Fire above) land before the first read.
-    sim_.ScheduleAfter(0, [this, ctx, rank, epoch] { TryFetchReplica(ctx, rank, 0, epoch); });
-  }
-}
-
-void GeminiSystem::TryFetchReplica(std::shared_ptr<PeerRetrievalContext> ctx, int rank,
-                                   int attempt, uint64_t epoch) {
-  if (epoch != recovery_epoch_ || ctx->aborted) {
-    return;
-  }
+void GeminiSystem::TryFetchReplica(int rank, int attempt) {
   if (RetrievalRetryPolicy().Exhausted(attempt)) {
-    GEMINI_LOG(kWarning) << "recovery: rank " << rank << " exhausted " << attempt
-                         << " retrieval attempts; falling back to persistent storage";
-    ctx->aborted = true;
-    ExecuteRecoverySteps(ctx->record, ctx->plan, ctx->step_index + 1, ctx->replaced_ranks);
+    FallThrough(UnavailableError("rank " + std::to_string(rank) + " exhausted " +
+                                 std::to_string(attempt) + " retrieval attempts"));
     return;
   }
   // Re-derive the holder set every attempt: the alive set may have changed
   // since the case analysis. Replaced ranks count as holding nothing (their
-  // fresh DRAM is only filled when this pass finishes).
+  // fresh DRAM is only filled when this step restores).
   std::vector<bool> holder_alive(static_cast<size_t>(config_.num_machines), false);
   for (int r = 0; r < config_.num_machines; ++r) {
     holder_alive[static_cast<size_t>(r)] = cluster_->machine(r).alive();
   }
-  for (const int r : ctx->replaced_ranks) {
+  for (const int r : active_case_->replaced) {
     holder_alive[static_cast<size_t>(r)] = false;
   }
   const std::vector<int> holders = placement_.AliveRemoteHolders(rank, holder_alive);
   if (holders.empty()) {
-    ctx->aborted = true;
-    ExecuteRecoverySteps(ctx->record, ctx->plan, ctx->step_index + 1, ctx->replaced_ranks);
+    FallThrough(UnavailableError("no alive peer holds rank " + std::to_string(rank)));
     return;
   }
   // Cycle through the holders: m-1 distinct sources first, then another
@@ -970,7 +912,7 @@ void GeminiSystem::TryFetchReplica(std::shared_ptr<PeerRetrievalContext> ctx, in
   std::optional<Checkpoint> replica =
       cpu_stores_[static_cast<size_t>(holder)]->LatestVerified(rank);
   if (!replica.has_value()) {
-    RetryFetchReplica(ctx, rank, attempt, epoch,
+    RetryFetchReplica(rank, attempt,
                       DataLossError("holder " + std::to_string(holder) +
                                     " has no CRC-verified replica"));
     return;
@@ -978,268 +920,149 @@ void GeminiSystem::TryFetchReplica(std::shared_ptr<PeerRetrievalContext> ctx, in
   Fabric::TransferOptions options;  // Full line rate for retrieval.
   cluster_->fabric().Transfer(
       holder, rank, replica->logical_bytes, options,
-      [this, ctx, rank, attempt, epoch, replica = std::move(*replica)](Status status) mutable {
-        if (epoch != recovery_epoch_ || ctx->aborted) {
-          return;
-        }
+      InEpoch([this, rank, attempt, replica = std::move(*replica)](Status status) mutable {
         if (!status.ok()) {
-          RetryFetchReplica(ctx, rank, attempt, epoch, status);
+          RetryFetchReplica(rank, attempt, status);
           return;
         }
         if (!replica.IntegrityOk()) {
-          RetryFetchReplica(ctx, rank, attempt, epoch,
-                            DataLossError("fetched replica failed its CRC check"));
+          RetryFetchReplica(rank, attempt, DataLossError("fetched replica failed its CRC check"));
           return;
         }
-        ctx->fetched.push_back(std::move(replica));
-        if (--ctx->pending == 0) {
-          FinishPeerRetrieval(ctx, epoch);
-        }
-      });
+        OnFetched(std::move(replica));
+      }));
 }
 
-void GeminiSystem::RetryFetchReplica(std::shared_ptr<PeerRetrievalContext> ctx, int rank,
-                                     int attempt, uint64_t epoch, const Status& why) {
+void GeminiSystem::RetryFetchReplica(int rank, int attempt, const Status& why) {
   metrics_.counter("replicator.retries").Increment();
   tracer_.Event("retrieval_retry", "recovery",
                 {TraceAttr::Int("rank", rank), TraceAttr::Int("attempt", attempt + 1)});
   GEMINI_LOG(kWarning) << "recovery: retrieval attempt " << attempt + 1 << " for rank " << rank
                        << " failed (" << why << "); retrying";
   sim_.ScheduleAfter(RetrievalRetryPolicy().BackoffBefore(attempt + 1),
-                     [this, ctx, rank, attempt, epoch] {
-                       TryFetchReplica(ctx, rank, attempt + 1, epoch);
-                     });
+                     InEpoch([this, rank, attempt] { TryFetchReplica(rank, attempt + 1); }));
 }
 
-void GeminiSystem::FinishPeerRetrieval(std::shared_ptr<PeerRetrievalContext> ctx,
-                                       uint64_t epoch) {
-  if (epoch != recovery_epoch_ || ctx->aborted) {
+void GeminiSystem::FetchFromPersistent(int64_t iteration) {
+  active_case_->pending_fetches = config_.num_machines;
+  for (int rank = 0; rank < config_.num_machines; ++rank) {
+    persistent_->Retrieve(rank, iteration, InEpoch([this](StatusOr<Checkpoint> result) {
+                            if (!result.ok()) {
+                              FallThrough(result.status());
+                              return;
+                            }
+                            OnFetched(std::move(result).value());
+                          }));
+  }
+}
+
+void GeminiSystem::OnFetched(Checkpoint checkpoint) {
+  active_case_->fetched.push_back(std::move(checkpoint));
+  if (--active_case_->pending_fetches == 0) {
+    RestoreFetched();
+  }
+}
+
+void GeminiSystem::RestoreFetched() {
+  ActiveRecoveryCase& recovery_case = *active_case_;
+  const RecoveryStep& step = recovery_case.plan.steps[recovery_case.step];
+  if (step.source == RecoverySource::kRemoteCpuMemory) {
+    // Install fetched replicas, then restore everyone: survivors from local
+    // CPU memory, replacements from the fetched copies (Figure 6c).
+    std::vector<bool> have(static_cast<size_t>(config_.num_machines), false);
+    for (const Checkpoint& checkpoint : recovery_case.fetched) {
+      (void)cpu_stores_[static_cast<size_t>(checkpoint.owner_rank)]->WriteComplete(checkpoint);
+      have[static_cast<size_t>(checkpoint.owner_rank)] = true;
+    }
+    for (int rank = 0; rank < config_.num_machines; ++rank) {
+      if (have[static_cast<size_t>(rank)]) {
+        continue;
+      }
+      std::optional<Checkpoint> local =
+          cpu_stores_[static_cast<size_t>(rank)]->LatestVerified(rank);
+      if (!local.has_value()) {
+        FallThrough(DataLossError("survivor rank " + std::to_string(rank) +
+                                  " has no CRC-verified local replica"));
+        return;
+      }
+      recovery_case.fetched.push_back(std::move(*local));
+    }
+  }
+  const Status restored = trainer_->RestoreAll(recovery_case.fetched);
+  if (!restored.ok()) {
+    FallThrough(restored);
     return;
   }
-  RecoveryRecord record = ctx->record;
-  // Install fetched replicas, then restore everyone: survivors from local
-  // CPU memory, replacements from the fetched copies (Figure 6c).
-  std::vector<Checkpoint> checkpoints;
-  std::vector<bool> have(static_cast<size_t>(config_.num_machines), false);
-  for (Checkpoint& checkpoint : ctx->fetched) {
-    (void)cpu_stores_[static_cast<size_t>(checkpoint.owner_rank)]->WriteComplete(checkpoint);
-    have[static_cast<size_t>(checkpoint.owner_rank)] = true;
-    checkpoints.push_back(std::move(checkpoint));
-  }
-  for (int rank = 0; rank < config_.num_machines; ++rank) {
-    if (have[static_cast<size_t>(rank)]) {
-      continue;
+  TimeNs stall = 0;
+  if (step.source == RecoverySource::kPersistentStorage) {
+    // Refill the CPU tier so subsequent failures recover fast again.
+    for (const Checkpoint& checkpoint : recovery_case.fetched) {
+      for (const int holder :
+           placement_.replica_sets[static_cast<size_t>(checkpoint.owner_rank)]) {
+        if (cluster_->machine(holder).alive()) {
+          (void)cpu_stores_[static_cast<size_t>(holder)]->WriteComplete(checkpoint);
+        }
+      }
     }
-    const std::optional<Checkpoint> local =
-        cpu_stores_[static_cast<size_t>(rank)]->LatestVerified(rank);
-    if (!local.has_value()) {
-      ctx->aborted = true;
-      ExecuteRecoverySteps(record, ctx->plan, ctx->step_index + 1, ctx->replaced_ranks);
+  }
+  if (step.source == RecoverySource::kRemoteCpuMemory ||
+      step.source == RecoverySource::kPersistentStorage) {
+    tracer_.Span("retrieval", "recovery", recovery_case.step_started_at, sim_.now(),
+                 {TraceAttr::Text("source", std::string(RecoverySourceName(step.source)))});
+  }
+  if (step.source == RecoverySource::kGradientReplay) {
+    // Replay the logged gradient stream forward to the failure iteration: the
+    // deterministic update reproduces the pre-failure states bit-exactly, so
+    // no progress is lost — only the replay stall (a fraction of an iteration
+    // per replayed iteration) is paid.
+    const int64_t base_iteration = trainer_->iteration();
+    const int64_t target = recovery_case.iteration_at_failure;
+    const Status replayed = trainer_->ReplayTo(target);
+    if (!replayed.ok()) {
+      FallThrough(replayed);
       return;
     }
-    checkpoints.push_back(*local);
+    stall = static_cast<TimeNs>(static_cast<double>(target - base_iteration) *
+                                step.replay_cost_fraction *
+                                static_cast<double>(current_iteration_duration_));
+    tracer_.Span("gradient_replay", "recovery", recovery_case.step_started_at,
+                 sim_.now() + stall,
+                 {TraceAttr::Int("base_iteration", base_iteration),
+                  TraceAttr::Int("replayed_iterations", target - base_iteration)});
   }
-  const Status status = trainer_->RestoreAll(checkpoints);
-  if (!status.ok()) {
-    GEMINI_LOG(kError) << "peer recovery failed to restore: " << status;
-    ctx->aborted = true;
-    ExecuteRecoverySteps(record, ctx->plan, ctx->step_index + 1, ctx->replaced_ranks);
+  FinishStep(stall);
+}
+
+void GeminiSystem::FinishStep(TimeNs stall) {
+  ActiveRecoveryCase& recovery_case = *active_case_;
+  // Lost progress, plus the step's own retrieval time and stall (the paper's
+  // wasted-time metric). An in-place recompute rolls nothing back, even when
+  // an iteration that was in flight at detection completed during recovery
+  // and left the trainer past the failure iteration.
+  const RecoverySource source = recovery_case.plan.steps[recovery_case.step].source;
+  recovery_case.rollback_iteration = trainer_->iteration();
+  const int64_t lost_iterations =
+      source == RecoverySource::kPeerRecompute
+          ? 0
+          : recovery_case.iteration_at_failure - recovery_case.rollback_iteration;
+  recovery_case.wasted_time = lost_iterations * execution_.iteration_time +
+                              (sim_.now() - recovery_case.step_started_at) + stall;
+  if (source == RecoverySource::kLocalCpuMemory) {
+    // The software restart's warm-up already ran before the chain started.
+    ResumeTraining();
     return;
   }
-  record.rollback_iteration = trainer_->iteration();
-  record.wasted_time =
-      (record.iteration_at_failure - record.rollback_iteration) * execution_.iteration_time +
-      (sim_.now() - ctx->started);
-  tracer_.Span("retrieval", "recovery", ctx->started, sim_.now(),
-               {TraceAttr::Text("source", std::string(RecoverySourceName(record.source)))});
-  sim_.ScheduleAfter(config_.restart_warmup, [this, record, epoch]() mutable {
-    if (epoch != recovery_epoch_ || !recovering_) {
-      return;
-    }
-    ResumeTraining(record);
-  });
+  sim_.ScheduleAfter(stall + config_.restart_warmup, InEpoch([this] { ResumeTraining(); }));
 }
 
-void GeminiSystem::RetrieveFromPersistentAndResume(RecoveryRecord record,
-                                                   std::vector<int> replaced_ranks) {
-  (void)replaced_ranks;
-  const uint64_t epoch = recovery_epoch_;
-  record.source = RecoverySource::kPersistentStorage;
-  const TimeNs retrieval_started = sim_.now();
-  const int64_t iteration = persistent_->LatestCompleteIteration();
-  if (iteration < 0) {
-    GEMINI_LOG(kError) << "recovery: no persistent checkpoint exists; training cannot resume";
-    FinishRun();
-    return;
-  }
-  auto checkpoints = std::make_shared<std::vector<Checkpoint>>();
-  auto pending = std::make_shared<int>(config_.num_machines);
-  for (int rank = 0; rank < config_.num_machines; ++rank) {
-    persistent_->Retrieve(
-        rank, iteration,
-        [this, record, retrieval_started, checkpoints, pending,
-         epoch](StatusOr<Checkpoint> result) mutable {
-          if (epoch != recovery_epoch_ || !recovering_) {
-            return;  // A mid-retrieval failure restarted the case analysis.
-          }
-          if (!result.ok()) {
-            GEMINI_LOG(kError) << "persistent retrieval failed: " << result.status();
-            FinishRun();
-            return;
-          }
-          checkpoints->push_back(std::move(result).value());
-          if (--*pending > 0) {
-            return;
-          }
-          const Status status = trainer_->RestoreAll(*checkpoints);
-          if (!status.ok()) {
-            GEMINI_LOG(kError) << "persistent recovery failed to restore: " << status;
-            FinishRun();
-            return;
-          }
-          // Refill the CPU tier so subsequent failures recover fast again.
-          for (const Checkpoint& checkpoint : *checkpoints) {
-            for (const int holder :
-                 placement_.replica_sets[static_cast<size_t>(checkpoint.owner_rank)]) {
-              if (cluster_->machine(holder).alive()) {
-                (void)cpu_stores_[static_cast<size_t>(holder)]->WriteComplete(checkpoint);
-              }
-            }
-          }
-          record.rollback_iteration = trainer_->iteration();
-          record.wasted_time = (record.iteration_at_failure - record.rollback_iteration) *
-                                   execution_.iteration_time +
-                               (sim_.now() - retrieval_started);
-          tracer_.Span("retrieval", "recovery", retrieval_started, sim_.now(),
-                       {TraceAttr::Text("source", std::string(RecoverySourceName(record.source)))});
-          sim_.ScheduleAfter(config_.restart_warmup, [this, record, epoch]() mutable {
-            if (epoch != recovery_epoch_ || !recovering_) {
-              return;
-            }
-            ResumeTraining(record);
-          });
-        });
-  }
-}
-
-void GeminiSystem::ReplayLoggedGradientsAndResume(RecoveryRecord record, RecoveryStep step) {
-  const uint64_t epoch = recovery_epoch_;
-  record.source = RecoverySource::kGradientReplay;
-  const TimeNs retrieval_started = sim_.now();
-  const int64_t base = persistent_->LatestCompleteIteration();
-  if (base < 0) {
-    GEMINI_LOG(kError) << "recovery: no persistent base for gradient replay; "
-                          "training cannot resume";
-    FinishRun();
-    return;
-  }
-  // Fetch the persistent base, then replay the logged gradient stream forward
-  // to the failure iteration: the deterministic update reproduces the
-  // pre-failure states bit-exactly, so no progress is lost — only the replay
-  // stall (a fraction of an iteration per replayed iteration) is paid.
-  auto checkpoints = std::make_shared<std::vector<Checkpoint>>();
-  auto pending = std::make_shared<int>(config_.num_machines);
-  for (int rank = 0; rank < config_.num_machines; ++rank) {
-    persistent_->Retrieve(
-        rank, base,
-        [this, record, step, retrieval_started, checkpoints, pending,
-         epoch](StatusOr<Checkpoint> result) mutable {
-          if (epoch != recovery_epoch_ || !recovering_) {
-            return;
-          }
-          if (!result.ok()) {
-            GEMINI_LOG(kError) << "persistent retrieval failed: " << result.status();
-            FinishRun();
-            return;
-          }
-          checkpoints->push_back(std::move(result).value());
-          if (--*pending > 0) {
-            return;
-          }
-          const Status status = trainer_->RestoreAll(*checkpoints);
-          if (!status.ok()) {
-            GEMINI_LOG(kError) << "gradient-replay recovery failed to restore: " << status;
-            FinishRun();
-            return;
-          }
-          const int64_t base_iteration = trainer_->iteration();
-          const int64_t target = record.iteration_at_failure;
-          const Status replayed = trainer_->ReplayTo(target);
-          if (!replayed.ok()) {
-            GEMINI_LOG(kError) << "gradient replay failed: " << replayed;
-            FinishRun();
-            return;
-          }
-          const TimeNs replay_stall = static_cast<TimeNs>(
-              static_cast<double>(target - base_iteration) * step.replay_cost_fraction *
-              static_cast<double>(current_iteration_duration_));
-          record.rollback_iteration = trainer_->iteration();  // == target: zero rollback.
-          record.wasted_time = (sim_.now() - retrieval_started) + replay_stall;
-          tracer_.Span("gradient_replay", "recovery", retrieval_started,
-                       sim_.now() + replay_stall,
-                       {TraceAttr::Int("base_iteration", base_iteration),
-                        TraceAttr::Int("replayed_iterations", target - base_iteration)});
-          sim_.ScheduleAfter(replay_stall + config_.restart_warmup,
-                             [this, record, epoch]() mutable {
-                               if (epoch != recovery_epoch_ || !recovering_) {
-                                 return;
-                               }
-                               ResumeTraining(record);
-                             });
-        });
-  }
-}
-
-void GeminiSystem::RecomputeFromPeersAndResume(RecoveryRecord record, RecoveryStep step) {
-  const uint64_t epoch = recovery_epoch_;
-  record.source = RecoverySource::kPeerRecompute;
-  const TimeNs started = sim_.now();
-  // No checkpoint fetch at all: surviving peers hold enough redundancy to
-  // rebuild the lost shard in place at a fixed iterations-worth of recompute.
-  const TimeNs recompute_stall = static_cast<TimeNs>(
-      step.recompute_iterations * static_cast<double>(current_iteration_duration_));
-  record.rollback_iteration = trainer_->iteration();  // State never left GPUs.
-  record.wasted_time = recompute_stall;
-  tracer_.Span("peer_recompute", "recovery", started, started + recompute_stall,
-               {TraceAttr::Real("recompute_iterations", step.recompute_iterations)});
-  sim_.ScheduleAfter(recompute_stall + config_.restart_warmup, [this, record, epoch]() mutable {
-    if (epoch != recovery_epoch_ || !recovering_) {
-      return;
-    }
-    ResumeTraining(record);
-  });
-}
-
-void GeminiSystem::ResumeTraining(RecoveryRecord record) {
-  record.training_resumed_at = sim_.now();
-  record.downtime = record.training_resumed_at - record.failure_detected_at;
-  if (record.wasted_time == 0) {
-    record.wasted_time = (record.iteration_at_failure - record.rollback_iteration) *
-                         execution_.iteration_time;
-  }
-  // Expand the merged case into one RecoveryRecord per absorbed FailureReport:
-  // a cascade of k overlapping failures yields k records (none dropped), each
-  // with its own type/ranks/detection time but the shared resolution.
-  std::vector<RecoveryRecord> records;
-  if (active_case_.has_value() && !active_case_->reports.empty()) {
-    for (const FailureReport& report : active_case_->reports) {
-      RecoveryRecord per = record;
-      per.type = report.type;
-      per.failed_ranks = report.ranks;
-      per.failure_detected_at = report.detected_at;
-      per.downtime = per.training_resumed_at - report.detected_at;
-      records.push_back(std::move(per));
-    }
-  } else {
-    records.push_back(record);
-  }
+void GeminiSystem::ResumeTraining() {
+  const ActiveRecoveryCase& recovery_case = *active_case_;
+  const RecoverySource source = recovery_case.plan.steps[recovery_case.step].source;
+  const TimeNs resumed_at = sim_.now();
   // Clear the process-down marks: every surviving machine in the case is
-  // running its restarted process again (moved here from the software path so
-  // software->persistent fallbacks also reset health).
-  std::vector<int> case_ranks = record.failed_ranks;
-  if (active_case_.has_value()) {
-    case_ranks.assign(active_case_->ranks.begin(), active_case_->ranks.end());
-  }
+  // running its restarted process again (also after a software case fell
+  // through to a non-local step).
+  const std::vector<int> case_ranks(recovery_case.ranks.begin(), recovery_case.ranks.end());
   for (const int rank : case_ranks) {
     Machine& machine = cluster_->machine(rank);
     if (machine.alive() && !machine.process_running()) {
@@ -1247,18 +1070,26 @@ void GeminiSystem::ResumeTraining(RecoveryRecord record) {
       workers_[static_cast<size_t>(rank)]->ReportHealthy();
     }
   }
-  const std::vector<int> replaced =
-      active_case_.has_value() ? active_case_->replaced : std::vector<int>{};
-  const TimeNs degraded_since =
-      active_case_.has_value() ? active_case_->first_detected_at : record.failure_detected_at;
-  for (const RecoveryRecord& emitted : records) {
-    GEMINI_LOG(kInfo) << "recovery: resumed training at iteration "
-                      << emitted.rollback_iteration << " from "
-                      << RecoverySourceName(emitted.source) << " (downtime "
-                      << FormatDuration(emitted.downtime) << ", wasted "
-                      << FormatDuration(emitted.wasted_time) << ")";
+  // Expand the merged case into one RecoveryRecord per absorbed FailureReport:
+  // a cascade of k overlapping failures yields k records (none dropped), each
+  // with its own type/ranks/detection time but the shared resolution.
+  for (const FailureReport& report : recovery_case.reports) {
+    RecoveryRecord record;
+    record.type = report.type;
+    record.failed_ranks = report.ranks;
+    record.source = source;
+    record.failure_detected_at = report.detected_at;
+    record.training_resumed_at = resumed_at;
+    record.iteration_at_failure = recovery_case.iteration_at_failure;
+    record.rollback_iteration = recovery_case.rollback_iteration;
+    record.wasted_time = recovery_case.wasted_time;
+    record.downtime = resumed_at - report.detected_at;
+    GEMINI_LOG(kInfo) << "recovery: resumed training at iteration " << record.rollback_iteration
+                      << " from " << RecoverySourceName(source) << " (downtime "
+                      << FormatDuration(record.downtime) << ", wasted "
+                      << FormatDuration(record.wasted_time) << ")";
     metrics_.counter("system.recoveries").Increment();
-    switch (emitted.source) {
+    switch (source) {
       case RecoverySource::kLocalCpuMemory:
         metrics_.counter("system.recoveries.local_cpu").Increment();
         break;
@@ -1276,26 +1107,27 @@ void GeminiSystem::ResumeTraining(RecoveryRecord record) {
         break;
     }
     metrics_.histogram("system.recovery.downtime_seconds")
-        .Observe(static_cast<double>(emitted.downtime) / 1e9);
+        .Observe(static_cast<double>(record.downtime) / 1e9);
     metrics_.histogram("system.recovery.wasted_seconds")
-        .Observe(static_cast<double>(emitted.wasted_time) / 1e9);
+        .Observe(static_cast<double>(record.wasted_time) / 1e9);
     // The recovery span covers detection -> resume by construction, so its
     // duration equals the record's downtime; the attrs carry the rest.
-    tracer_.Span("recovery", "recovery", emitted.failure_detected_at,
-                 emitted.training_resumed_at,
-                 {TraceAttr::Text("type", std::string(FailureTypeName(emitted.type))),
-                  TraceAttr::Text("source", std::string(RecoverySourceName(emitted.source))),
-                  TraceAttr::Int("rollback_iteration", emitted.rollback_iteration),
-                  TraceAttr::Int("wasted_time_ns", emitted.wasted_time),
-                  TraceAttr::Int("downtime_ns", emitted.downtime)});
-    report_.recoveries.push_back(emitted);
+    tracer_.Span("recovery", "recovery", record.failure_detected_at, record.training_resumed_at,
+                 {TraceAttr::Text("type", std::string(FailureTypeName(record.type))),
+                  TraceAttr::Text("source", std::string(RecoverySourceName(source))),
+                  TraceAttr::Int("rollback_iteration", record.rollback_iteration),
+                  TraceAttr::Int("wasted_time_ns", record.wasted_time),
+                  TraceAttr::Int("downtime_ns", record.downtime)});
+    report_.recoveries.push_back(std::move(record));
   }
   tracer_.Event("training_resumed", "recovery",
-                {TraceAttr::Int("iteration", record.rollback_iteration)});
+                {TraceAttr::Int("iteration", recovery_case.rollback_iteration)});
   if (config_.flight_recorder_capacity > 0) {
     flight_recorder_.Dump("recovery_complete", sim_.now(), &metrics_);
   }
-  recovering_ = false;
+  const std::vector<int> replaced = recovery_case.replaced;
+  const TimeNs degraded_since = recovery_case.first_detected_at;
+  ++recovery_epoch_;  // Nothing scheduled for the resolved case may run.
   active_case_.reset();
   // Recovery rewired store contents (restores, refills, rollbacks); no sealed
   // base can be trusted, so the next block writes full snapshots.
@@ -1318,7 +1150,8 @@ void GeminiSystem::QueueReprotection(const std::vector<int>& targets, TimeNs deg
 }
 
 void GeminiSystem::MaybeStartReprotection() {
-  if (reprotection_inflight_ || reprotect_targets_.empty() || !running_ || recovering_) {
+  if (reprotection_inflight_ || reprotect_targets_.empty() || !running_ ||
+      active_case_.has_value()) {
     return;
   }
   reprotection_inflight_ = true;
@@ -1411,26 +1244,12 @@ SystemSnapshot GeminiSystem::Snapshot() const {
   snapshot.iterations_completed = trainer_ != nullptr ? trainer_->iteration() : 0;
   snapshot.cpu_checkpoints_committed = report_.cpu_checkpoints_committed;
   snapshot.persistent_checkpoints_committed = report_.persistent_checkpoints_committed;
-  snapshot.recoveries = static_cast<int64_t>(report_.recoveries.size());
-  for (const RecoveryRecord& record : report_.recoveries) {
-    switch (record.source) {
-      case RecoverySource::kLocalCpuMemory:
-        ++snapshot.recoveries_from_local_cpu;
-        break;
-      case RecoverySource::kRemoteCpuMemory:
-        ++snapshot.recoveries_from_remote_cpu;
-        break;
-      case RecoverySource::kPersistentStorage:
-        ++snapshot.recoveries_from_persistent;
-        break;
-      case RecoverySource::kGradientReplay:
-        ++snapshot.recoveries_from_replay;
-        break;
-      case RecoverySource::kPeerRecompute:
-        ++snapshot.recoveries_from_recompute;
-        break;
-    }
-  }
+  snapshot.recoveries = metrics_.counter_value("system.recoveries");
+  snapshot.recoveries_from_local_cpu = metrics_.counter_value("system.recoveries.local_cpu");
+  snapshot.recoveries_from_remote_cpu = metrics_.counter_value("system.recoveries.remote_cpu");
+  snapshot.recoveries_from_persistent = metrics_.counter_value("system.recoveries.persistent");
+  snapshot.recoveries_from_replay = metrics_.counter_value("system.recoveries.replay");
+  snapshot.recoveries_from_recompute = metrics_.counter_value("system.recoveries.recompute");
   snapshot.root_rank = root_rank_;
   snapshot.audits = auditor_.audits();
   snapshot.interference_events = auditor_.total_interference_events();

@@ -134,18 +134,6 @@ struct GeminiConfig {
   Status Validate() const;
 };
 
-enum class RecoverySource {
-  kLocalCpuMemory,
-  kRemoteCpuMemory,
-  kPersistentStorage,
-  // Persistent base + deterministic gradient replay (Checkmate-style).
-  kGradientReplay,
-  // Lost state rebuilt in place from peer redundancy (recompute policies).
-  kPeerRecompute,
-};
-
-std::string_view RecoverySourceName(RecoverySource source);
-
 struct RecoveryRecord {
   FailureType type = FailureType::kSoftware;
   std::vector<int> failed_ranks;
@@ -301,7 +289,7 @@ class GeminiSystem : public PolicyHost {
   ProtectionPolicy& policy() { return *policy_; }
   const ProtectionPolicy& policy() const { return *policy_; }
   int root_rank() const { return root_rank_; }
-  bool recovering() const { return recovering_; }
+  bool recovering() const { return active_case_.has_value(); }
 
   // ---- PolicyHost (the slice policies program against) --------------------
   const ExecutionResult& execution() const override { return execution_; }
@@ -376,11 +364,14 @@ class GeminiSystem : public PolicyHost {
   // ---- Recovery (Section 6.2, hardened) ----
   // One recovery *case* merges every FailureReport that arrives while it is
   // in flight: an overlapping failure escalates the case (hardware supersedes
-  // software), extends its rank set, bumps `recovery_epoch_`, and restarts
-  // the case analysis against the updated alive set. Every in-flight recovery
-  // callback carries the epoch it was scheduled under and no-ops when a
-  // preemption made it stale. At resume, one RecoveryRecord is emitted per
-  // absorbed report — overlapping failures are never dropped.
+  // software), extends its rank set and restarts the case analysis against
+  // the updated alive set. The case owns the policy's fallback chain and runs
+  // each step through one pipeline: fetch -> restore -> finish -> resume. A
+  // failing step falls through to the next one. Preemption, fall-through and
+  // resume each bump `recovery_epoch_`; every in-flight recovery callback is
+  // wrapped by InEpoch() and no-ops once its epoch is stale. At resume, one
+  // RecoveryRecord is emitted per absorbed report — overlapping failures are
+  // never dropped.
   struct ActiveRecoveryCase {
     FailureType type = FailureType::kSoftware;  // Escalates, never de-escalates.
     std::vector<FailureReport> reports;         // Every report merged into the case.
@@ -391,8 +382,18 @@ class GeminiSystem : public PolicyHost {
     TimeNs first_detected_at = 0;
     TimeNs serialize_done_at = 0;
     int64_t iteration_at_failure = 0;
+    // The policy's fallback chain and the step being executed.
+    RecoveryPlan plan;
+    size_t step = 0;
+    TimeNs step_started_at = 0;
+    // The step's checkpoints (one per rank once restorable) and the fetches
+    // still in flight.
+    std::vector<Checkpoint> fetched;
+    int pending_fetches = 0;
+    // Set by the step that restored training state.
+    int64_t rollback_iteration = 0;
+    TimeNs wasted_time = 0;
   };
-  struct PeerRetrievalContext;
 
   void OnFailureDetected(const FailureReport& report);
   void AbsorbFailureDuringRecovery(const FailureReport& report);
@@ -403,35 +404,36 @@ class GeminiSystem : public PolicyHost {
   // Once no replacement is pending, schedules the Section 6.2 case analysis
   // after the serialization window.
   void MaybeAnalyzeHardwareCase();
-  RecoveryRecord MakeCaseRecord() const;
-  // Runs the policy's fallback chain from `step_index`: each step executor
-  // either resumes training or falls through to the next step; an exhausted
-  // chain ends the run.
-  void ExecuteRecoverySteps(RecoveryRecord record, RecoveryPlan plan, size_t step_index,
-                            std::vector<int> replaced_ranks);
-  // kRestoreFromLocalCpu: every rank reloads its own CPU replica through the
-  // serialized (CRC-guarded) form.
-  void RestoreFromLocalCpu(RecoveryRecord record, RecoveryPlan plan, size_t step_index);
-  // kFetchFromPeers: fetch replacements' checkpoints from alive group peers,
-  // retrying across all holders (capped exponential backoff, CRC per
-  // attempt); exhaustion falls through to the chain's next step.
-  void RetrieveFromPeersAndResume(RecoveryRecord record, RecoveryPlan plan, size_t step_index,
-                                  std::vector<int> replaced_ranks);
-  void TryFetchReplica(std::shared_ptr<PeerRetrievalContext> ctx, int rank, int attempt,
-                       uint64_t epoch);
-  void RetryFetchReplica(std::shared_ptr<PeerRetrievalContext> ctx, int rank, int attempt,
-                         uint64_t epoch, const Status& why);
-  void FinishPeerRetrieval(std::shared_ptr<PeerRetrievalContext> ctx, uint64_t epoch);
+  // Wraps a recovery callback so it runs only while the epoch it was created
+  // under is current.
+  template <typename Fn>
+  auto InEpoch(Fn fn);
+  // Asks the policy for the case's fallback chain and runs its first step.
+  void RunRecoveryPlan();
+  // Fetch phase of the current step; an exhausted chain ends the run.
+  void RunRecoveryStep();
+  // Abandons the current step (its callbacks go stale) and runs the next.
+  void FallThrough(const Status& why);
+  // kRemoteCpuMemory: fetch replacements' checkpoints from alive group
+  // peers, retrying across all holders (capped exponential backoff, CRC per
+  // attempt); exhaustion falls through.
+  void TryFetchReplica(int rank, int attempt);
+  void RetryFetchReplica(int rank, int attempt, const Status& why);
   RetryPolicy RetrievalRetryPolicy() const;
-  // kFetchFromPersistent: roll everyone back to the persistent tier.
-  void RetrieveFromPersistentAndResume(RecoveryRecord record, std::vector<int> replaced_ranks);
-  // kReplayLoggedGradients: persistent base + deterministic replay of the
-  // logged gradient stream to the failure iteration (zero rollback).
-  void ReplayLoggedGradientsAndResume(RecoveryRecord record, RecoveryStep step);
-  // kRecomputeFromPeers: rebuild lost state in place from peer redundancy at
-  // a fixed iterations-worth of recompute cost.
-  void RecomputeFromPeersAndResume(RecoveryRecord record, RecoveryStep step);
-  void ResumeTraining(RecoveryRecord record);
+  // kPersistentStorage and kGradientReplay: every rank's shard of the
+  // persistent checkpoint at `iteration`.
+  void FetchFromPersistent(int64_t iteration);
+  // Collects one fetched checkpoint; the last pending fetch starts the
+  // restore.
+  void OnFetched(Checkpoint checkpoint);
+  // Restore phase: load the fetched checkpoints into the trainer (plus the
+  // step's own epilogue: refill, replay), then FinishStep.
+  void RestoreFetched();
+  // Records rollback and wasted time, then resumes after `stall` plus the
+  // restart warm-up (immediately for kLocalCpuMemory, whose warm-up ran
+  // before the chain started).
+  void FinishStep(TimeNs stall);
+  void ResumeTraining();
   void RestartAgentsForRank(int rank);
   void OnWorkerPromotedToRoot(int rank);
 
@@ -502,9 +504,8 @@ class GeminiSystem : public PolicyHost {
 
   bool initialized_ = false;
   bool running_ = false;
-  bool recovering_ = false;
-  // The active merged failure case (set while recovering_) and the epoch that
-  // invalidates stale recovery callbacks after a mid-recovery preemption.
+  // The active merged failure case (set while recovering) and the epoch that
+  // invalidates stale recovery callbacks.
   std::optional<ActiveRecoveryCase> active_case_;
   uint64_t recovery_epoch_ = 0;
   // Replaced machines awaiting the background re-replication pass.

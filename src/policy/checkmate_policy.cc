@@ -46,10 +46,10 @@ RecoveryPlan CheckmatePolicy::BuildRecoveryPlan(const PolicyHost& host,
   // base is unusable, degrade to a plain persistent rollback.
   RecoveryPlan plan;
   RecoveryStep replay;
-  replay.kind = RecoveryStepKind::kReplayLoggedGradients;
+  replay.source = RecoverySource::kGradientReplay;
   replay.replay_cost_fraction = options_.replay_cost_fraction;
   plan.steps.push_back(replay);
-  plan.steps.push_back({RecoveryStepKind::kFetchFromPersistent});
+  plan.steps.push_back({RecoverySource::kPersistentStorage});
   return plan;
 }
 

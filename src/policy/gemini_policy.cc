@@ -39,11 +39,11 @@ RecoveryPlan GeminiPolicy::BuildRecoveryPlan(const PolicyHost& host,
   // persistent tier (case 2, or any exhausted/corrupted chain above it).
   RecoveryPlan plan;
   if (situation.type == FailureType::kSoftware) {
-    plan.steps.push_back({RecoveryStepKind::kRestoreFromLocalCpu});
+    plan.steps.push_back({RecoverySource::kLocalCpuMemory});
   } else if (situation.peer_recoverable) {
-    plan.steps.push_back({RecoveryStepKind::kFetchFromPeers});
+    plan.steps.push_back({RecoverySource::kRemoteCpuMemory});
   }
-  plan.steps.push_back({RecoveryStepKind::kFetchFromPersistent});
+  plan.steps.push_back({RecoverySource::kPersistentStorage});
   return plan;
 }
 

@@ -26,18 +26,18 @@ std::string_view PolicyKindName(PolicyKind kind) {
   return "unknown";
 }
 
-std::string_view RecoveryStepKindName(RecoveryStepKind kind) {
-  switch (kind) {
-    case RecoveryStepKind::kRestoreFromLocalCpu:
-      return "restore_from_local_cpu";
-    case RecoveryStepKind::kFetchFromPeers:
-      return "fetch_from_peers";
-    case RecoveryStepKind::kFetchFromPersistent:
-      return "fetch_from_persistent";
-    case RecoveryStepKind::kReplayLoggedGradients:
-      return "replay_logged_gradients";
-    case RecoveryStepKind::kRecomputeFromPeers:
-      return "recompute_from_peers";
+std::string_view RecoverySourceName(RecoverySource source) {
+  switch (source) {
+    case RecoverySource::kLocalCpuMemory:
+      return "local_cpu_memory";
+    case RecoverySource::kRemoteCpuMemory:
+      return "remote_cpu_memory";
+    case RecoverySource::kPersistentStorage:
+      return "persistent_storage";
+    case RecoverySource::kGradientReplay:
+      return "gradient_replay";
+    case RecoverySource::kPeerRecompute:
+      return "peer_recompute";
   }
   return "unknown";
 }

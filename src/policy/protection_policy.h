@@ -8,8 +8,12 @@
 //
 //  * `ProtectionPolicy` decides per-iteration capture/commit, the persistent
 //    cadence, the recovery serialization bill, and — per failure — an ordered
-//    fallback chain of `RecoveryStep`s the host executes. It self-reports its
-//    steady-state cost so selectors and benches compare policies uniformly.
+//    fallback chain of `RecoveryStep`s the host executes. Each step names the
+//    `RecoverySource` it restores from; the host runs it as fetch -> restore
+//    -> resume, and any step that fails (missing or corrupt checkpoint,
+//    exhausted retries, failed restore or replay) falls through to the next.
+//    Only an exhausted chain ends the run. It self-reports its steady-state
+//    cost so selectors and benches compare policies uniformly.
 //  * `PolicyHost` is the narrow view of GeminiSystem a policy programs
 //    against (simulated clock, observability, schedule facts, and the
 //    auditor-derived signals the online selector feeds on). Policies never
@@ -62,25 +66,29 @@ struct IterationPlan {
   TimeNs added_stall = 0;
 };
 
-// One stage of a recovery fallback chain. The host executes stages in order;
-// a stage that cannot produce a restorable state falls through to the next.
-enum class RecoveryStepKind {
-  kRestoreFromLocalCpu,    // Every rank reloads its own CPU replica.
-  kFetchFromPeers,         // Replaced ranks fetch replicas from group peers.
-  kFetchFromPersistent,    // Everyone rolls back to the persistent tier.
-  kReplayLoggedGradients,  // Persistent base + deterministic gradient replay.
-  kRecomputeFromPeers,     // Rebuild lost state from peer redundancy in place.
+// Where a recovery restores training state from; also the kind of a
+// recovery step.
+enum class RecoverySource {
+  kLocalCpuMemory,     // Every rank reloads its own CPU replica.
+  kRemoteCpuMemory,    // Replaced ranks fetch replicas from group peers.
+  kPersistentStorage,  // Everyone rolls back to the persistent tier.
+  // Persistent base + deterministic gradient replay (Checkmate-style).
+  kGradientReplay,
+  // Lost state rebuilt in place from peer redundancy (recompute policies).
+  kPeerRecompute,
 };
 
-std::string_view RecoveryStepKindName(RecoveryStepKind kind);
+std::string_view RecoverySourceName(RecoverySource source);
 
+// One stage of a recovery fallback chain. The host executes stages in order;
+// a stage that cannot produce a restorable state falls through to the next.
 struct RecoveryStep {
-  RecoveryStepKind kind = RecoveryStepKind::kFetchFromPersistent;
-  // kReplayLoggedGradients: fraction of an iteration's time each replayed
+  RecoverySource source = RecoverySource::kPersistentStorage;
+  // kGradientReplay: fraction of an iteration's time each replayed
   // iteration costs (replay skips the forward pass's data loading / eval).
   double replay_cost_fraction = 0.0;
-  // kRecomputeFromPeers: iterations-worth of recompute work, independent of
-  // how far back the failure reaches.
+  // kPeerRecompute: iterations-worth of recompute work, independent of how
+  // far back the failure reaches.
   double recompute_iterations = 0.0;
 };
 

@@ -31,11 +31,11 @@ RecoveryPlan RecomputePolicy::BuildRecoveryPlan(const PolicyHost& host,
   RecoveryPlan plan;
   if (situation.peer_recoverable) {
     RecoveryStep recompute;
-    recompute.kind = RecoveryStepKind::kRecomputeFromPeers;
+    recompute.source = RecoverySource::kPeerRecompute;
     recompute.recompute_iterations = options_.recompute_iterations;
     plan.steps.push_back(recompute);
   }
-  plan.steps.push_back({RecoveryStepKind::kFetchFromPersistent});
+  plan.steps.push_back({RecoverySource::kPersistentStorage});
   return plan;
 }
 

@@ -43,11 +43,11 @@ RecoveryPlan TierCheckPolicy::BuildRecoveryPlan(const PolicyHost& host,
   // Same chains as GEMINI — the persistent fallback is simply much fresher.
   RecoveryPlan plan;
   if (situation.type == FailureType::kSoftware) {
-    plan.steps.push_back({RecoveryStepKind::kRestoreFromLocalCpu});
+    plan.steps.push_back({RecoverySource::kLocalCpuMemory});
   } else if (situation.peer_recoverable) {
-    plan.steps.push_back({RecoveryStepKind::kFetchFromPeers});
+    plan.steps.push_back({RecoverySource::kRemoteCpuMemory});
   }
-  plan.steps.push_back({RecoveryStepKind::kFetchFromPersistent});
+  plan.steps.push_back({RecoverySource::kPersistentStorage});
   return plan;
 }
 

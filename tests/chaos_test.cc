@@ -147,6 +147,31 @@ TEST(ChaosTest, CorruptedReplicaForcesRetryCascadeToNextHolder) {
   ExpectStateMatchesReference(system, config, 8);
 }
 
+TEST(ChaosTest, AbandonedPeerFetchDoesNotLeakIntoTheFallbackStep) {
+  // Ranks 5 and 7 die in different groups. Rank 7's only remote holder
+  // (rank 6) has its replica bit-flipped as retrieval starts, and with a
+  // single attempt the peer step falls through to the persistent tier while
+  // rank 5's transfer is still in flight. That late transfer belongs to the
+  // abandoned step: it must not count as one of the persistent step's
+  // fetches, or the restore would mix a CPU replica into the rollback.
+  GeminiConfig config = SmallConfig();
+  config.retrieval_max_attempts = 1;
+  GeminiSystem system(config);
+  ASSERT_TRUE(system.Initialize().ok());
+  system.failure_injector().InjectAt(Minutes(4), FailureType::kHardware, {5, 7});
+  system.failure_injector().ArmCorruptionOnTrigger(kTriggerRetrievalStart, /*holder_rank=*/6,
+                                                   /*owner_rank=*/7, /*bit_index=*/7);
+  const auto report = system.TrainUntil(8, /*sim_deadline=*/Hours(4));
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  ASSERT_EQ(report->recoveries.size(), 1u);
+  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kPersistentStorage);
+  EXPECT_EQ(system.metrics().counter_value("injector.corruptions_injected"), 1);
+  ExpectNoDroppedReports(system, *report);
+  EXPECT_EQ(report->iterations_completed, 8);
+  ExpectStateMatchesReference(system, config, 8);
+}
+
 TEST(ChaosTest, CorruptedDeltaChainLinkForcesCascadeToIntactHolder) {
   // Incremental mode, m=3: the dead rank 8 has two remote holders (6 and 7),
   // each protecting it with a redo chain (base + deltas). A mid-chain link on

@@ -558,6 +558,55 @@ TEST(GeminiSystemTest, ReportMetricsAreInternallyConsistent) {
   EXPECT_GE(recovery.training_resumed_at, recovery.failure_detected_at);
 }
 
+TEST(GeminiSystemTest, SnapshotRecoveryCountsComeFromTheRegistry) {
+  // One run hits all three Section 6.2 paths: a software failure (local CPU),
+  // a single-machine hardware failure (group peer), then a whole-group loss
+  // (persistent tier).
+  GeminiConfig config = SmallConfig();
+  config.cloud.num_standby = 4;
+  GeminiSystem system(config);
+  ASSERT_TRUE(system.Initialize().ok());
+  system.failure_injector().InjectAt(Minutes(3), FailureType::kSoftware, {2});
+  system.failure_injector().InjectAt(Minutes(16), FailureType::kHardware, {6});
+  system.failure_injector().InjectAt(Minutes(32), FailureType::kHardware, {4, 5});
+  const auto report = system.TrainUntil(30, /*sim_deadline=*/Hours(4));
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->recoveries.size(), 3u);
+  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kLocalCpuMemory);
+  EXPECT_EQ(report->recoveries[1].source, RecoverySource::kRemoteCpuMemory);
+  EXPECT_EQ(report->recoveries[2].source, RecoverySource::kPersistentStorage);
+
+  int64_t tally[5] = {};
+  for (const RecoveryRecord& record : report->recoveries) {
+    ++tally[static_cast<int>(record.source)];
+  }
+  const SystemSnapshot snapshot = system.Snapshot();
+  const MetricsRegistry& metrics = system.metrics();
+  EXPECT_EQ(snapshot.recoveries, metrics.counter_value("system.recoveries"));
+  EXPECT_EQ(snapshot.recoveries, static_cast<int64_t>(report->recoveries.size()));
+  const struct {
+    int64_t snapshot_field;
+    std::string_view counter;
+    RecoverySource source;
+  } fields[] = {
+      {snapshot.recoveries_from_local_cpu, "system.recoveries.local_cpu",
+       RecoverySource::kLocalCpuMemory},
+      {snapshot.recoveries_from_remote_cpu, "system.recoveries.remote_cpu",
+       RecoverySource::kRemoteCpuMemory},
+      {snapshot.recoveries_from_persistent, "system.recoveries.persistent",
+       RecoverySource::kPersistentStorage},
+      {snapshot.recoveries_from_replay, "system.recoveries.replay",
+       RecoverySource::kGradientReplay},
+      {snapshot.recoveries_from_recompute, "system.recoveries.recompute",
+       RecoverySource::kPeerRecompute},
+  };
+  for (const auto& field : fields) {
+    EXPECT_EQ(field.snapshot_field, metrics.counter_value(field.counter)) << field.counter;
+    EXPECT_EQ(field.snapshot_field, tally[static_cast<int>(field.source)]) << field.counter;
+  }
+  ExpectStateMatchesReference(system, config, report->iterations_completed);
+}
+
 TEST(GeminiSystemTest, KvQuorumLossStopsDetectionButDeadlineTerminates) {
   // Losing two of three KV servers removes the quorum: failures can no
   // longer be detected (a real etcd deployment would page an operator).

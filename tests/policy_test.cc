@@ -136,6 +136,67 @@ TEST(PolicyFactoryTest, BuildsEveryKind) {
 }
 
 // ---------------------------------------------------------------------------
+// Recovery plans: each policy's fallback chain per failure shape
+// ---------------------------------------------------------------------------
+
+TEST(RecoveryPlanTest, EveryPolicyBuildsItsDocumentedChains) {
+  GeminiConfig config = SmallConfig();
+  config.policy.checkmate.replay_cost_fraction = 0.25;
+  config.policy.recompute.recompute_iterations = 3.0;
+  GeminiSystem host(config);
+  ASSERT_TRUE(host.Initialize().ok());
+
+  RecoverySituation software;
+  software.type = FailureType::kSoftware;
+  RecoverySituation hardware;
+  hardware.type = FailureType::kHardware;
+  hardware.replaced_ranks = {6};
+  RecoverySituation group_loss;
+  group_loss.type = FailureType::kHardware;
+  group_loss.replaced_ranks = {4, 5};
+  group_loss.peer_recoverable = false;
+
+  constexpr RecoverySource kLocal = RecoverySource::kLocalCpuMemory;
+  constexpr RecoverySource kRemote = RecoverySource::kRemoteCpuMemory;
+  constexpr RecoverySource kPersistent = RecoverySource::kPersistentStorage;
+  constexpr RecoverySource kReplay = RecoverySource::kGradientReplay;
+  constexpr RecoverySource kRecompute = RecoverySource::kPeerRecompute;
+  using Chain = std::vector<RecoverySource>;
+  const struct {
+    PolicyKind kind;
+    Chain software, hardware, group_loss;
+  } expected[] = {
+      {PolicyKind::kGemini, {kLocal, kPersistent}, {kRemote, kPersistent}, {kPersistent}},
+      {PolicyKind::kTierCheck, {kLocal, kPersistent}, {kRemote, kPersistent}, {kPersistent}},
+      {PolicyKind::kCheckmate, {kReplay, kPersistent}, {kReplay, kPersistent},
+       {kReplay, kPersistent}},
+      {PolicyKind::kRecompute, {kRecompute, kPersistent}, {kRecompute, kPersistent},
+       {kPersistent}},
+  };
+  for (const auto& want : expected) {
+    config.policy.kind = want.kind;
+    const std::unique_ptr<ProtectionPolicy> policy = MakeProtectionPolicy(config.policy);
+    const std::pair<const RecoverySituation*, const Chain*> cases[] = {
+        {&software, &want.software}, {&hardware, &want.hardware}, {&group_loss, &want.group_loss}};
+    for (const auto& [situation, chain] : cases) {
+      const RecoveryPlan plan = policy->BuildRecoveryPlan(host, *situation);
+      Chain sources;
+      for (const RecoveryStep& step : plan.steps) {
+        sources.push_back(step.source);
+        // Only the step that prices itself carries a knob.
+        EXPECT_EQ(step.replay_cost_fraction, step.source == kReplay ? 0.25 : 0.0)
+            << policy->name();
+        EXPECT_EQ(step.recompute_iterations, step.source == kRecompute ? 3.0 : 0.0)
+            << policy->name();
+      }
+      EXPECT_EQ(sources, *chain) << policy->name() << " / "
+                                 << FailureTypeName(situation->type)
+                                 << (situation->peer_recoverable ? "" : " (group loss)");
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // GeminiPolicy: the extracted default must behave exactly as before
 // ---------------------------------------------------------------------------
 
@@ -233,6 +294,32 @@ TEST(CheckmatePolicyTest, ReplayRecoveryLosesNoProgress) {
   EXPECT_EQ(system.Snapshot().cpu_checkpoints_committed, 0);
   EXPECT_EQ(system.Snapshot().recoveries_from_replay, 1);
   EXPECT_GT(system.metrics().counter_value("policy.checkmate.logged_iterations"), 0);
+}
+
+TEST(CheckmatePolicyTest, FailedReplayFallsThroughToPersistentStep) {
+  // Rank 0's first persistent fetch fails every attempt, so the replay step
+  // cannot build its base; the chain's next step (a plain persistent
+  // rollback) must take over instead of ending the run.
+  GeminiConfig config = SmallConfig();
+  config.policy.kind = PolicyKind::kCheckmate;
+  GeminiSystem system(config);
+  ASSERT_TRUE(system.Initialize().ok());
+  int rank0_failures = 0;
+  system.persistent_store().set_fault_hook([&](int owner_rank, int64_t, int) {
+    if (owner_rank == 0 && rank0_failures < config.persistent.retrieval_max_attempts) {
+      ++rank0_failures;
+      return UnavailableError("injected persistent fetch failure");
+    }
+    return Status::Ok();
+  });
+  system.failure_injector().InjectAt(Minutes(4), FailureType::kSoftware, {3});
+  const StatusOr<TrainingReport> report = system.TrainUntil(60);
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(rank0_failures, config.persistent.retrieval_max_attempts);
+  ASSERT_EQ(report->recoveries.size(), 1u);
+  EXPECT_EQ(report->recoveries[0].source, RecoverySource::kPersistentStorage);
+  EXPECT_EQ(report->iterations_completed, 60);
+  ExpectStateMatchesReference(system, config, 60);
 }
 
 // ---------------------------------------------------------------------------
