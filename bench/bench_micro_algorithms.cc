@@ -1,8 +1,9 @@
 // Micro-benchmarks (google-benchmark) of the core algorithms: Algorithm 1
 // placement construction, recovery-probability evaluation, Algorithm 2
 // partitioning, the timeline generator, checkpoint serialization, the event
-// queue (distinct timestamps, and the control plane's timer storm), and the
-// ring collectives' cost evaluation.
+// queue (distinct timestamps, and the control plane's timer storm), the
+// delta write path (building a delta, replaying a redo log), and the ring
+// collectives' cost evaluation.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -16,6 +17,7 @@
 #include "src/schedule/partition.h"
 #include "src/sim/simulator.h"
 #include "src/sim/timer.h"
+#include "src/storage/delta.h"
 #include "src/storage/serializer.h"
 #include "src/training/model_config.h"
 #include "src/training/timeline.h"
@@ -126,6 +128,73 @@ void BM_DeserializeCheckpoint(benchmark::State& state) {
                           static_cast<int64_t>(blob.size()));
 }
 BENCHMARK(BM_DeserializeCheckpoint);
+
+// The incremental write path's shape: a 64-chunk shard of 1024-float chunks
+// in which each iteration rewrites 16 chunks.
+constexpr size_t kDeltaChunkElements = 1024;
+constexpr size_t kDeltaChunks = 64;
+constexpr size_t kDirtyChunksPerLink = 16;
+
+Checkpoint DeltaBenchCheckpoint(int64_t iteration, std::vector<float> values) {
+  Checkpoint checkpoint;
+  checkpoint.owner_rank = 0;
+  checkpoint.iteration = iteration;
+  checkpoint.logical_bytes = GiB(1);
+  checkpoint.payload = std::move(values);
+  checkpoint.StampPayloadCrc();
+  return checkpoint;
+}
+
+// `base` one iteration on, with kDirtyChunksPerLink random chunks rewritten.
+Checkpoint NextDeltaBenchState(const Checkpoint& base, Rng& rng) {
+  std::vector<float> values = base.payload.ToVector();
+  for (const int chunk : rng.SampleWithoutReplacement(static_cast<int>(kDeltaChunks),
+                                                      static_cast<int>(kDirtyChunksPerLink))) {
+    for (size_t i = 0; i < kDeltaChunkElements; ++i) {
+      values[static_cast<size_t>(chunk) * kDeltaChunkElements + i] += 1.0f;
+    }
+  }
+  return DeltaBenchCheckpoint(base.iteration + 1, std::move(values));
+}
+
+// One link's build, with every chunk dirty-hinted: the 48 clean ones are
+// deduplicated by content, the 16 changed ones are checksummed and shipped.
+void BM_BuildDeltaCheckpoint(benchmark::State& state) {
+  Rng rng(11);
+  const Checkpoint base =
+      DeltaBenchCheckpoint(0, std::vector<float>(kDeltaChunks * kDeltaChunkElements, 0.5f));
+  const Checkpoint current = NextDeltaBenchState(base, rng);
+  const std::vector<uint8_t> hint(kDeltaChunks, 1);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(BuildDeltaCheckpoint(base, current, kDeltaChunkElements, &hint));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(current.payload.size_bytes()));
+}
+BENCHMARK(BM_BuildDeltaCheckpoint);
+
+// Replays an 8-link chain, the read path's (and compaction's) fold.
+void BM_RedoLogMaterialize(benchmark::State& state) {
+  Rng rng(12);
+  Checkpoint head =
+      DeltaBenchCheckpoint(0, std::vector<float>(kDeltaChunks * kDeltaChunkElements, 0.5f));
+  RedoLog log(RedoLogConfig{/*max_chain_length=*/8, /*max_chain_bytes=*/0});
+  log.Reset(head);
+  for (int link = 0; link < 8; ++link) {
+    const Checkpoint next = NextDeltaBenchState(head, rng);
+    if (!log.Append(*BuildDeltaCheckpoint(head, next, kDeltaChunkElements)).ok()) {
+      state.SkipWithError("chain append failed");
+      return;
+    }
+    head = next;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(log.Materialize());
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(head.payload.size_bytes()));
+}
+BENCHMARK(BM_RedoLogMaterialize);
 
 void BM_SimulatorScheduleRun(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));

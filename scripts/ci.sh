@@ -45,10 +45,11 @@ echo "==> release pass: ctest"
 (cd build-release && ctest --output-on-failure -j"$(nproc)")
 
 # Keeps the event engine's micro cases (distinct timestamps, and the control
-# plane's same-period timer storm) building and running. Not a speed gate.
-echo "==> release pass: simulator micro-benchmarks (smoke)"
-./build-release/bench/bench_micro_algorithms --benchmark_filter=Simulator \
-  --benchmark_min_time=0.01
+# plane's same-period timer storm) and the delta write path's (building a
+# delta, replaying an 8-link redo log) building and running. Not a speed gate.
+echo "==> release pass: simulator and delta-path micro-benchmarks (smoke)"
+./build-release/bench/bench_micro_algorithms \
+  --benchmark_filter='Simulator|RedoLog|DeltaCheckpoint' --benchmark_min_time=0.01
 
 echo "==> sanitizer pass: configure + build (address,undefined)"
 cmake -B build-asan -S . -DGEMINI_SANITIZE=address,undefined >/dev/null

@@ -58,6 +58,82 @@ const SlicingTables& Tables() {
   return tables;
 }
 
+// v(x)·x mod P in the reflected domain (bit 31 is x^0). Branch-free: the
+// low bit of a CRC is random, so a branch on it mispredicts half the time.
+constexpr uint32_t MultXModP(uint32_t v) { return (v >> 1) ^ (kPolynomial & (0u - (v & 1u))); }
+
+// a(x)·b(x) mod P in the reflected domain; stops after a's highest power,
+// so it is cheapest when `a` is a low power of x.
+constexpr uint32_t MultModP(uint32_t a, uint32_t b) {
+  uint32_t product = 0;
+  for (; a != 0; a <<= 1) {
+    product ^= b & (0u - (a >> 31));
+    b = MultXModP(b);
+  }
+  return product;
+}
+
+// kX2nTable[k] = x^(2^k) mod P. The multiplicative order of x mod P divides
+// 2^32 - 1, so the powers cycle with period 32 in k.
+constexpr std::array<uint32_t, 32> BuildX2nTable() {
+  std::array<uint32_t, 32> table{};
+  uint32_t p = 1u << 30;  // x^1
+  for (uint32_t& entry : table) {
+    entry = p;
+    p = MultModP(p, p);
+  }
+  return table;
+}
+
+constexpr std::array<uint32_t, 32> kX2nTable = BuildX2nTable();
+
+// x^(8·bytes) mod P: multiplying a CRC by it appends `bytes` zero bytes.
+constexpr uint32_t XPow8n(size_t bytes) {
+  uint32_t power = 1u << 31;  // x^0
+  for (size_t k = 3; bytes != 0; bytes >>= 1, ++k) {
+    if ((bytes & 1u) != 0) {
+      power = MultModP(power, kX2nTable[k & 31]);
+    }
+  }
+  return power;
+}
+
+// The same "append `bytes` zero bytes" map as a 32×32 GF(2) matrix,
+// tabulated per input nibble: applying it is eight independent lookups
+// instead of MultModP's 32 dependent steps. The 128-entry build pays off
+// when one length is applied to many CRCs (Crc32FromBlocks).
+class ZeroBytesOperator {
+ public:
+  explicit ZeroBytesOperator(size_t bytes) {
+    // Column i is the image of CRC bit i, i.e. of x^(31-i).
+    std::array<uint32_t, 32> column{};
+    uint32_t image = XPow8n(bytes);
+    for (size_t i = 32; i-- > 0;) {
+      column[i] = image;
+      image = MultXModP(image);
+    }
+    for (size_t nibble = 0; nibble < 8; ++nibble) {
+      std::array<uint32_t, 16>& table = table_[nibble];
+      table[0] = 0;
+      for (uint32_t value = 1; value < 16; ++value) {
+        table[value] =
+            table[value & (value - 1)] ^ column[4 * nibble + std::countr_zero(value)];
+      }
+    }
+  }
+
+  uint32_t Apply(uint32_t crc) const {
+    uint32_t out = 0;
+    for (size_t nibble = 0; nibble < 8; ++nibble) {
+      out ^= table_[nibble][(crc >> (4 * nibble)) & 0xFu];
+    }
+    return out;
+  }
+
+ private:
+  std::array<std::array<uint32_t, 16>, 8> table_;
+};
+
 #if defined(GEMINI_CRC32_HW_X86)
 
 // PCLMUL folding for the *IEEE* polynomial (Gopal et al., "Fast CRC
@@ -282,5 +358,25 @@ Crc32UpdateFn Crc32ActiveKernel() { return ActiveCrc32().fn; }
 const char* Crc32ImplementationName() { return ActiveCrc32().name; }
 
 uint32_t Crc32(const void* data, size_t length) { return Crc32Update(0, data, length); }
+
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t length_b) {
+  return MultModP(XPow8n(length_b), crc_a) ^ crc_b;
+}
+
+uint32_t Crc32FromBlocks(const uint32_t* block_crcs, size_t block_bytes, size_t total_bytes) {
+  if (total_bytes == 0) {
+    return 0;
+  }
+  // The last block holds the remainder (a whole block when it divides).
+  const size_t last = (total_bytes - 1) / block_bytes;
+  uint32_t crc = block_crcs[0];
+  if (last > 1) {
+    const ZeroBytesOperator append_block(block_bytes);
+    for (size_t i = 1; i < last; ++i) {
+      crc = append_block.Apply(crc) ^ block_crcs[i];
+    }
+  }
+  return last == 0 ? crc : Crc32Combine(crc, block_crcs[last], total_bytes - last * block_bytes);
+}
 
 }  // namespace gemini

@@ -14,6 +14,16 @@
 //    (the GEMINI_DISABLE_HWCRC environment variable).
 //  * bytewise — the textbook one-byte-per-step table loop, kept as the
 //    reference the tests (and the perf bench) compare everything against.
+//
+// Combining: CRC-32 is linear, so the CRC of a concatenation follows from
+// the parts' CRCs and the second part's length (zlib's crc32_combine):
+// Crc32(a‖b) = x^(8·|b|)·Crc32(a) ⊕ Crc32(b) mod P. Multiplying by
+// x^(8·|b|) mod P — the 32×32 GF(2) "append |b| zero bytes" operator — is
+// built from a compile-time table of x^(2^k) mod P with one 32-step multiply
+// per set bit of |b|, and Crc32FromBlocks tabulates it once per call, so no
+// per-length cache (and no shared mutable state) is needed. Callers that
+// keep per-block CRCs of a buffer derive the whole buffer's CRC from them
+// without reading the unchanged blocks again.
 #ifndef SRC_COMMON_CRC32_H_
 #define SRC_COMMON_CRC32_H_
 
@@ -28,6 +38,15 @@ uint32_t Crc32(const void* data, size_t length);
 // Incremental form: pass the previous return value as `crc` (start with 0).
 // Dispatches to the fastest implementation the CPU supports.
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t length);
+
+// CRC of a‖b from crc_a = Crc32(a), crc_b = Crc32(b) and length_b = |b|.
+uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t length_b);
+
+// CRC of a buffer of `total_bytes` from the CRCs of its consecutive
+// `block_bytes`-sized blocks (the last block holds the remainder, so there
+// are ceil(total_bytes / block_bytes) entries; block_bytes >= 1). Equals
+// Crc32 of the buffer; 0 when total_bytes is 0.
+uint32_t Crc32FromBlocks(const uint32_t* block_crcs, size_t block_bytes, size_t total_bytes);
 
 // Reference implementation: the textbook one-byte-per-step table loop.
 // Bit-identical to Crc32Update for every input; exists so equivalence is

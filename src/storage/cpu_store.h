@@ -103,8 +103,8 @@ class CpuCheckpointStore : public CheckpointStore {
 
   // Fault injection: flips one payload bit of the owner's sealed base (the
   // checkpoint bit-rot the CRC reads exist to catch). With a live chain, a
-  // bit in a chunk no delta rewrote fails the materialized state's CRC; a
-  // bit a delta overwrote is repaired by the replay.
+  // bit in a chunk the first delta rewrites is repaired by the replay; any
+  // other bit fails the first link's full-state CRC.
   Status CorruptLatest(int owner_rank, size_t bit_index) override;
 
   Bytes reserved_bytes() const { return reserved_; }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -20,6 +21,104 @@ Bytes ProrateBytes(Bytes logical_bytes, size_t moved_elements, size_t payload_el
   return static_cast<Bytes>(static_cast<double>(logical_bytes) *
                             (static_cast<double>(moved_elements) /
                              static_cast<double>(payload_elements)));
+}
+
+// Replays `links` on top of `base` with one copy of the base: every link is
+// applied in place and gated exactly like a standalone apply of that link to
+// the previous link's result. The full-state CRC each link is checked
+// against comes from one CRC per block of a fixed grid (the first link's
+// chunk size): a block a link rewrites with an aligned chunk takes that
+// chunk's just-verified CRC, and any other block is checksummed from the
+// state bytes once, when the next full-state CRC needs it.
+StatusOr<Checkpoint> FoldDeltas(const Checkpoint& base, std::span<const DeltaCheckpoint> links) {
+  const size_t elements = base.payload.size();
+  const size_t block = std::max<size_t>(links.front().chunk_elements, 1);
+  const size_t num_blocks = (elements + block - 1) / block;
+  std::vector<float> state(base.payload.begin(), base.payload.end());
+  std::vector<uint32_t> block_crcs(num_blocks);
+  // 1 = block_crcs entry does not describe the state bytes yet.
+  std::vector<uint8_t> stale(num_blocks, 1);
+  auto state_crc = [&] {
+    for (size_t b = 0; b < num_blocks; ++b) {
+      if (stale[b] != 0) {
+        const size_t begin = b * block;
+        block_crcs[b] =
+            Crc32(state.data() + begin, std::min(block, elements - begin) * sizeof(float));
+        stale[b] = 0;
+      }
+    }
+    return Crc32FromBlocks(block_crcs.data(), block * sizeof(float), elements * sizeof(float));
+  };
+
+  // Identity and payload CRC of the state the next link applies on top of.
+  int owner_rank = base.owner_rank;
+  int64_t iteration = base.iteration;
+  Bytes logical_bytes = base.logical_bytes;
+  uint32_t head_crc = base.payload_crc;
+  for (const DeltaCheckpoint& delta : links) {
+    if (owner_rank != delta.owner_rank) {
+      return InvalidArgumentError("delta applied to a different owner's base");
+    }
+    if (iteration != delta.base_iteration) {
+      return FailedPreconditionError(
+          "delta base iteration " + std::to_string(delta.base_iteration) +
+          " does not match checkpoint iteration " + std::to_string(iteration));
+    }
+    if (elements != delta.payload_elements) {
+      return InvalidArgumentError("delta payload geometry does not match the base");
+    }
+    if (head_crc == 0) {
+      head_crc = state_crc();
+    }
+    if (delta.base_crc != 0 && head_crc != delta.base_crc) {
+      return DataLossError("delta base CRC mismatch: base state is not the one the delta sealed");
+    }
+
+    for (const DeltaChunk& chunk : delta.chunks) {
+      const size_t begin = chunk.chunk_index * delta.chunk_elements;
+      const size_t count = chunk.data.size();
+      if (begin + count > elements) {
+        return DataLossError("delta chunk overflows the shard");
+      }
+      // Per-chunk CRC gate: a bit-flipped slice must fail here, before any
+      // byte lands in the materialized state.
+      if (Crc32(chunk.data.data(), chunk.data.size_bytes()) != chunk.crc) {
+        return DataLossError("delta chunk " + std::to_string(chunk.chunk_index) +
+                             " failed its CRC check");
+      }
+      if (count == 0) {
+        continue;
+      }
+      std::copy(chunk.data.begin(), chunk.data.end(), state.begin() + begin);
+      const size_t first = begin / block;
+      if (begin % block == 0 && count == std::min(block, elements - begin)) {
+        block_crcs[first] = chunk.crc;
+        stale[first] = 0;
+      } else {
+        // A chunk off the grid (a hand-built delta) dirties every block it
+        // touches.
+        std::fill(stale.begin() + first, stale.begin() + (begin + count - 1) / block + 1, 1);
+      }
+    }
+
+    owner_rank = delta.owner_rank;
+    iteration = delta.iteration;
+    logical_bytes = delta.logical_bytes;
+    head_crc = state_crc();
+    // End-to-end gate: the materialized state must match the digest recorded
+    // when the delta was built.
+    if (delta.state_crc != 0 && head_crc != delta.state_crc) {
+      return DataLossError("materialized delta state failed its full-state CRC check");
+    }
+  }
+
+  Checkpoint result;
+  result.owner_rank = owner_rank;
+  result.iteration = iteration;
+  result.logical_bytes = logical_bytes;
+  result.payload = std::move(state);
+  result.payload_crc = head_crc;
+  return result;
 }
 
 }  // namespace
@@ -63,66 +162,22 @@ StatusOr<DeltaCheckpoint> BuildDeltaCheckpoint(const Checkpoint& base, const Che
     }
     const size_t begin = chunk * chunk_elements;
     const size_t count = std::min(chunk_elements, elements - begin);
-    const PayloadRef base_slice = base.payload.Slice(begin, count);
     const PayloadRef current_slice = current.payload.Slice(begin, count);
-    const uint32_t current_crc = Crc32(current_slice.data(), current_slice.size_bytes());
     // Content-wise dedupe: a dirty bit whose write was a no-op compares
-    // equal here and ships nothing. Fingerprint first; bytes only on a
-    // fingerprint match, so a CRC collision can never drop a changed chunk.
-    if (Crc32(base_slice.data(), base_slice.size_bytes()) == current_crc &&
-        std::memcmp(base_slice.data(), current_slice.data(), count * sizeof(float)) == 0) {
+    // equal here and ships nothing. Only shipped chunks are checksummed.
+    if (std::memcmp(base.payload.data() + begin, current_slice.data(), count * sizeof(float)) ==
+        0) {
       continue;
     }
-    delta.chunks.push_back(DeltaChunk{chunk, current_slice, current_crc});
+    delta.chunks.push_back(DeltaChunk{
+        chunk, current_slice, Crc32(current_slice.data(), current_slice.size_bytes())});
   }
   delta.delta_bytes = ProrateBytes(delta.logical_bytes, delta.delta_elements(), elements);
   return delta;
 }
 
 StatusOr<Checkpoint> ApplyDeltaCheckpoint(const Checkpoint& base, const DeltaCheckpoint& delta) {
-  if (base.owner_rank != delta.owner_rank) {
-    return InvalidArgumentError("delta applied to a different owner's base");
-  }
-  if (base.iteration != delta.base_iteration) {
-    return FailedPreconditionError(
-        "delta base iteration " + std::to_string(delta.base_iteration) +
-        " does not match checkpoint iteration " + std::to_string(base.iteration));
-  }
-  if (base.payload.size() != delta.payload_elements) {
-    return InvalidArgumentError("delta payload geometry does not match the base");
-  }
-  const uint32_t base_crc = base.payload_crc != 0 ? base.payload_crc : base.ComputePayloadCrc();
-  if (delta.base_crc != 0 && base_crc != delta.base_crc) {
-    return DataLossError("delta base CRC mismatch: base state is not the one the delta sealed");
-  }
-
-  std::vector<float> state(base.payload.begin(), base.payload.end());
-  for (const DeltaChunk& chunk : delta.chunks) {
-    const size_t begin = chunk.chunk_index * delta.chunk_elements;
-    if (begin + chunk.data.size() > state.size()) {
-      return DataLossError("delta chunk overflows the shard");
-    }
-    // Per-chunk CRC gate: a bit-flipped slice must fail here, before any
-    // byte lands in the materialized state.
-    if (Crc32(chunk.data.data(), chunk.data.size_bytes()) != chunk.crc) {
-      return DataLossError("delta chunk " + std::to_string(chunk.chunk_index) +
-                           " failed its CRC check");
-    }
-    std::copy(chunk.data.begin(), chunk.data.end(), state.begin() + begin);
-  }
-
-  Checkpoint result;
-  result.owner_rank = delta.owner_rank;
-  result.iteration = delta.iteration;
-  result.logical_bytes = delta.logical_bytes;
-  result.payload = std::move(state);
-  result.StampPayloadCrc();
-  // End-to-end gate: the materialized state must match the digest recorded
-  // when the delta was built.
-  if (delta.state_crc != 0 && result.payload_crc != delta.state_crc) {
-    return DataLossError("materialized delta state failed its full-state CRC check");
-  }
-  return result;
+  return FoldDeltas(base, std::span<const DeltaCheckpoint>(&delta, 1));
 }
 
 void RedoLog::Reset(Checkpoint base) {
@@ -161,6 +216,14 @@ Status RedoLog::Append(DeltaCheckpoint delta) {
   if (delta.owner_rank != base_.owner_rank) {
     return InvalidArgumentError("delta owner does not match the sealed base");
   }
+  // One chunk grid per chain: every link covers exactly the base's elements
+  // with the first link's chunk size, so Materialize folds on a single grid.
+  if (delta.payload_elements != base_.payload.size()) {
+    return InvalidArgumentError("delta payload geometry does not match the sealed base");
+  }
+  if (!deltas_.empty() && delta.chunk_elements != deltas_.front().chunk_elements) {
+    return InvalidArgumentError("delta chunk geometry does not match the chain");
+  }
   // Epoch sealing: the chain is always a gapless replayable prefix — each
   // delta must extend the current head exactly.
   if (delta.base_iteration != latest_iteration()) {
@@ -192,11 +255,10 @@ StatusOr<Checkpoint> RedoLog::Materialize() const {
   if (!base_.valid()) {
     return NotFoundError("redo log has no sealed base");
   }
-  Checkpoint state = base_;
-  for (const DeltaCheckpoint& delta : deltas_) {
-    GEMINI_ASSIGN_OR_RETURN(state, ApplyDeltaCheckpoint(state, delta));
+  if (deltas_.empty()) {
+    return base_;
   }
-  return state;
+  return FoldDeltas(base_, deltas_);
 }
 
 Status RedoLog::Compact() {

@@ -3,20 +3,23 @@
 // A DeltaCheckpoint encodes the difference between two full checkpoints of
 // the same shard as a list of (chunk index, PayloadRef slice) pairs, one per
 // changed fixed-size chunk. Chunks are selected by content, not just by the
-// trainer's dirty bits: each candidate chunk's CRC32 fingerprint (and, on a
-// fingerprint match, its bytes) is compared against the base, so a dirty bit
-// that turned out to be a no-op write is deduplicated away. Every chunk
-// carries its own CRC32 and the delta carries the full-state CRC of the
-// post-apply shard, so application is verifiable at both granularities —
-// recovery must never silently materialize a corrupted state.
+// trainer's dirty bits: each candidate chunk's bytes are compared against the
+// base, so a dirty bit that turned out to be a no-op write is deduplicated
+// away, and only shipped chunks are checksummed. Every chunk carries its own
+// CRC32 and the delta carries the full-state CRC of the post-apply shard, so
+// application is verifiable at both granularities — recovery must never
+// silently materialize a corrupted state.
 //
 // A RedoLog is the epoch-sealed append-only chain a checkpoint store keeps
 // per hosted owner: one sealed full base plus deltas in strictly increasing
 // epoch order (each delta's base_iteration must equal the chain's current
 // head iteration — out-of-order or gapped appends are rejected, which is
-// what "epoch-sealed" buys: the chain is always a replayable prefix).
-// Materialize() replays the chain in epoch order, CRC-gating every link;
-// Compact() folds the chain into a new base once the configured chain
+// what "epoch-sealed" buys: the chain is always a replayable prefix), and
+// with the chain's one chunk geometry. Materialize() replays the chain in
+// epoch order, CRC-gating every link, as one fold: the base is copied once,
+// every link is applied in place, and each link's full-state CRC is combined
+// from per-chunk CRCs (src/common/crc32.h), so no link re-reads the whole
+// state. Compact() folds the chain into a new base once the configured chain
 // length / bytes caps are exceeded, bounding recovery replay work.
 //
 // Sizing model: like Checkpoint, a delta carries both real floats (the
@@ -79,7 +82,7 @@ struct DeltaCheckpoint {
 // size, current.iteration > base.iteration). `dirty_hint`, when non-null,
 // is a per-chunk changed-bit vector (chunk i possibly changed when
 // dirty_hint[i] != 0) and must be a *superset* of the truly changed chunks;
-// hinted chunks are still CRC/byte-compared (content dedupe), unhinted
+// hinted chunks are still byte-compared (content dedupe), unhinted
 // chunks are skipped as known-clean. A null hint compares every chunk.
 StatusOr<DeltaCheckpoint> BuildDeltaCheckpoint(const Checkpoint& base, const Checkpoint& current,
                                                size_t chunk_elements,
@@ -89,7 +92,7 @@ StatusOr<DeltaCheckpoint> BuildDeltaCheckpoint(const Checkpoint& base, const Che
 // (iteration + base payload CRC), (2) every chunk's CRC against its bytes,
 // and (3) the materialized full state against `state_crc`. Any mismatch is
 // a DataLossError — a corrupted link must fail loudly, never restore
-// silently.
+// silently. The one-link case of RedoLog::Materialize's fold.
 StatusOr<Checkpoint> ApplyDeltaCheckpoint(const Checkpoint& base, const DeltaCheckpoint& delta);
 
 // Compaction caps for a redo log chain. `max_chain_length` caps the number
@@ -118,6 +121,8 @@ class RedoLog {
   // Appends one delta. Epoch sealing: the delta must extend the current
   // head exactly (delta.base_iteration == latest_iteration()) and carry a
   // base CRC matching the head state's digest; anything else is rejected.
+  // Geometry: the delta must cover the base's payload_elements and use the
+  // chain's chunk_elements (the first link's), else kInvalidArgument.
   Status Append(DeltaCheckpoint delta);
 
   bool has_base() const { return base_.valid(); }
@@ -133,7 +138,8 @@ class RedoLog {
 
   // Replays base + deltas in epoch order, CRC-gating every link; the result
   // is the full checkpoint at latest_iteration(). Fails on any corrupt or
-  // inconsistent link.
+  // inconsistent link, at that link, exactly as applying the links one by
+  // one with ApplyDeltaCheckpoint would.
   StatusOr<Checkpoint> Materialize() const;
 
   // Folds the chain into a new sealed base (Materialize + Reset). On
@@ -143,7 +149,9 @@ class RedoLog {
 
   // Fault injection: flips one payload bit of the sealed base (copy-on-write,
   // like CorruptDelta). The base keeps its capture-time CRC, so the flip
-  // fails the read path's CRC gate unless a later delta rewrites that chunk.
+  // fails the read path's CRC gate unless the first delta rewrites that
+  // chunk: a chunk only a later delta rewrites still fails link 1's
+  // full-state CRC.
   Status CorruptBase(size_t bit_index);
 
   // Fault injection: flips one payload bit inside the chain's

@@ -4,6 +4,7 @@
 #include <cassert>
 #include <cstring>
 
+#include "src/common/crc32.h"
 #include "src/obs/metrics.h"
 #include "src/obs/run_tracer.h"
 #include "src/training/update_kernel.h"
@@ -41,6 +42,7 @@ ShardedTrainer::ShardedTrainer(const ModelConfig& model, int num_machines, int p
     ApplyUpdate(seed_, /*iteration=*/-1, rank, 0, shard.live->size(), shard.live->data(),
                 shard.live->data());
   }
+  ResetCrcTables();
 }
 
 void ShardedTrainer::set_metrics(MetricsRegistry* metrics) {
@@ -57,6 +59,8 @@ void ShardedTrainer::SetSparseUpdates(double fraction, size_t chunk_elements) {
   assert(chunk_elements >= 1);
   sparse_fraction_ = fraction;
   sparse_chunk_elements_ = chunk_elements;
+  // The CRC block grid follows the update mode.
+  ResetCrcTables();
 }
 
 void ShardedTrainer::EnableDirtyTracking(size_t chunk_elements) {
@@ -109,6 +113,17 @@ std::shared_ptr<std::vector<float>> ShardedTrainer::WriteBuffer(Shard& shard) {
   return shard.pool.Acquire(shard.live->size());
 }
 
+size_t ShardedTrainer::CrcBlockElements() const {
+  return sparse_fraction_ >= 1.0 ? shards_.front().live->size() : sparse_chunk_elements_;
+}
+
+void ShardedTrainer::ResetCrcTables() {
+  const size_t block = CrcBlockElements();
+  crc_blocks_per_rank_ = (shards_.front().live->size() + block - 1) / block;
+  block_crcs_.assign(shards_.size() * crc_blocks_per_rank_, 0);
+  stale_blocks_.assign(shards_.size() * crc_blocks_per_rank_, 1);
+}
+
 void ShardedTrainer::UpdateShardsAtCurrentIteration() {
   for (int rank = 0; rank < num_machines_; ++rank) {
     Shard& shard = shards_[static_cast<size_t>(rank)];
@@ -118,12 +133,14 @@ void ShardedTrainer::UpdateShardsAtCurrentIteration() {
     if (sparse_fraction_ >= 1.0) {
       ApplyUpdate(seed_, iteration_, rank, 0, elements, in, out->data());
       shard.live = std::move(out);
+      stale_blocks_[static_cast<size_t>(rank)] = 1;  // One block per rank when dense.
       MarkAllDirty(rank);
       continue;
     }
     // Sparse mode: only touched chunks see the update (and its decay) this
     // iteration — the MoE-style workload where most expert shards are
-    // frozen per step. Written out of place, untouched chunks are copied.
+    // frozen per step. Written out of place, untouched chunks are copied;
+    // either way their CRC table entries still hold.
     const size_t num_chunks = (elements + sparse_chunk_elements_ - 1) / sparse_chunk_elements_;
     for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
       const size_t begin = chunk * sparse_chunk_elements_;
@@ -135,6 +152,8 @@ void ShardedTrainer::UpdateShardsAtCurrentIteration() {
         continue;
       }
       ApplyUpdate(seed_, iteration_, rank, begin, end - begin, in + begin, out->data() + begin);
+      // The next capture checksums it; a step does no CRC work.
+      stale_blocks_[static_cast<size_t>(rank) * crc_blocks_per_rank_ + chunk] = 1;
       if (dirty_tracking_enabled()) {
         if (dirty_chunk_elements_ == sparse_chunk_elements_) {
           MarkChunkDirty(rank, chunk);
@@ -179,7 +198,20 @@ Checkpoint ShardedTrainer::MakeCheckpoint(int rank) const {
   checkpoint.logical_bytes = checkpoint_bytes_per_machine();
   const Shard& shard = shards_.at(static_cast<size_t>(rank));
   checkpoint.payload = PayloadRef(std::shared_ptr<const std::vector<float>>(shard.live));
-  checkpoint.StampPayloadCrc();
+  const size_t block = CrcBlockElements();
+  const size_t elements = shard.live->size();
+  uint32_t* crcs = block_crcs_.data() + static_cast<size_t>(rank) * crc_blocks_per_rank_;
+  uint8_t* stale = stale_blocks_.data() + static_cast<size_t>(rank) * crc_blocks_per_rank_;
+  // Only the blocks written since the previous capture are read.
+  for (size_t b = 0; b < crc_blocks_per_rank_; ++b) {
+    if (stale[b] != 0) {
+      const size_t begin = b * block;
+      crcs[b] =
+          Crc32(shard.live->data() + begin, std::min(block, elements - begin) * sizeof(float));
+      stale[b] = 0;
+    }
+  }
+  checkpoint.payload_crc = Crc32FromBlocks(crcs, block * sizeof(float), elements * sizeof(float));
   return checkpoint;
 }
 
@@ -196,6 +228,8 @@ Status ShardedTrainer::RestoreShard(const Checkpoint& checkpoint) {
   std::shared_ptr<std::vector<float>> out = WriteBuffer(shard);
   std::copy(checkpoint.payload.begin(), checkpoint.payload.end(), out->begin());
   shard.live = std::move(out);
+  const size_t first_block = static_cast<size_t>(checkpoint.owner_rank) * crc_blocks_per_rank_;
+  std::fill_n(stale_blocks_.begin() + first_block, crc_blocks_per_rank_, 1);
   // A restore can land arbitrarily far from any delta base; every chunk is
   // potentially changed until the next full snapshot seals a new base.
   MarkAllDirty(checkpoint.owner_rank);

@@ -77,6 +77,9 @@ class ShardedTrainer {
   // Snapshot of `rank`'s model states at the current iteration. Copy-free:
   // the checkpoint shares the live shard buffer (copy-on-write — the next
   // write to this rank goes to a recycled buffer while any capture holds it).
+  // Its payload_crc is combined from the shard's block CRCs; only the blocks
+  // written since the previous capture are checksummed again, so a sparse
+  // step's untouched chunks are not re-read.
   Checkpoint MakeCheckpoint(int rank) const;
 
   // Buffers allocated across the per-rank pools: live shards plus captures
@@ -114,6 +117,11 @@ class ShardedTrainer {
   // The buffer `shard`'s next states go to: the live one when no capture
   // holds it (in place), else a free pool buffer with unspecified contents.
   static std::shared_ptr<std::vector<float>> WriteBuffer(Shard& shard);
+  // Block size of the shards' CRC tables: the sparse chunk, else the whole
+  // shard.
+  size_t CrcBlockElements() const;
+  // Sizes the CRC tables for the current update mode, all stale.
+  void ResetCrcTables();
   void MarkAllDirty(int rank);
   void MarkChunkDirty(int rank, size_t chunk);
 
@@ -136,6 +144,16 @@ class ShardedTrainer {
   Counter* replayed_iterations_counter_ = nullptr;
   // One pool per rank keeps each pool's linear Acquire scan short.
   std::vector<Shard> shards_;
+  // CRC tables of every rank's live buffer, rank-major: entry
+  // rank * crc_blocks_per_rank_ + b is the CRC of block b (blocks of
+  // CrcBlockElements()) unless its stale bit is set. A step sets the bit of
+  // each block it writes, a restore sets the rank's bits, and the next
+  // capture checksums the stale blocks and clears their bits, so CRC work
+  // follows captures, not steps. One table for all ranks keeps the
+  // constructor at two allocations however many ranks there are.
+  size_t crc_blocks_per_rank_ = 0;
+  mutable std::vector<uint32_t> block_crcs_;
+  mutable std::vector<uint8_t> stale_blocks_;
 };
 
 }  // namespace gemini

@@ -1,9 +1,11 @@
 // Tests for src/common: status, units, rng, stats, crc32, table printer.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <vector>
 
 #include "src/common/crc32.h"
 #include "src/common/rng.h"
@@ -443,6 +445,68 @@ TEST(Crc32Test, DispatchedKernelChainsAcrossArbitrarySplits) {
     uint32_t crc = active(0, data.data(), split);
     crc = active(crc, data.data() + split, data.size() - split);
     EXPECT_EQ(crc, reference) << "split at " << split;
+  }
+}
+
+// Combining is kernel-independent arithmetic, so it must agree with every
+// kernel's CRC of the concatenation: the dispatched one (the slicing-by-8
+// fallback when GEMINI_DISABLE_HWCRC is set) and the bytewise reference.
+TEST(Crc32Test, CombineMatchesConcatenation) {
+  Rng rng(0xC0B1);
+  std::vector<uint8_t> data(600);
+  for (auto& byte : data) {
+    byte = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  }
+  for (size_t length_a = 0; length_a <= 300; ++length_a) {
+    for (size_t length_b = 0; length_b <= 300; ++length_b) {
+      const uint32_t crc_a = Crc32(data.data(), length_a);
+      const uint32_t crc_b = Crc32(data.data() + length_a, length_b);
+      const uint32_t whole = Crc32(data.data(), length_a + length_b);
+      ASSERT_EQ(Crc32Combine(crc_a, crc_b, length_b), whole)
+          << "length_a " << length_a << " length_b " << length_b;
+    }
+  }
+  EXPECT_EQ(Crc32Combine(Crc32UpdateBytewise(0, data.data(), 17),
+                         Crc32UpdateBytewise(0, data.data() + 17, 583), 583),
+            Crc32UpdateBytewise(0, data.data(), data.size()));
+  // Large lengths exercise the high operator powers.
+  std::vector<uint8_t> big(3 << 20);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<uint8_t>(i * 2654435761u >> 24);
+  }
+  const size_t split = 12345;
+  EXPECT_EQ(Crc32Combine(Crc32(big.data(), split), Crc32(big.data() + split, big.size() - split),
+                         big.size() - split),
+            Crc32(big.data(), big.size()));
+}
+
+TEST(Crc32Test, FromBlocksHandlesTailShapes) {
+  Rng rng(0xB10C);
+  std::vector<uint8_t> data(4096 * 3 + 100);
+  for (auto& byte : data) {
+    byte = static_cast<uint8_t>(rng.UniformInt(0, 255));
+  }
+  auto block_crcs = [&](size_t block_bytes, size_t total_bytes) {
+    std::vector<uint32_t> crcs;
+    for (size_t begin = 0; begin < total_bytes; begin += block_bytes) {
+      crcs.push_back(Crc32(data.data() + begin, std::min(block_bytes, total_bytes - begin)));
+    }
+    return crcs;
+  };
+  struct Shape {
+    size_t block_bytes;
+    size_t total_bytes;
+  };
+  for (const Shape shape : {Shape{4096, 4096},        // one whole block
+                            Shape{4096, 1000},        // one short block
+                            Shape{4096, 3 * 4096},    // an exact multiple
+                            Shape{4096, data.size()}, // a short tail
+                            Shape{28, data.size()},   // many small blocks
+                            Shape{1, 33}, Shape{7, 0}}) {
+    const std::vector<uint32_t> crcs = block_crcs(shape.block_bytes, shape.total_bytes);
+    EXPECT_EQ(Crc32FromBlocks(crcs.data(), shape.block_bytes, shape.total_bytes),
+              Crc32(data.data(), shape.total_bytes))
+        << "block " << shape.block_bytes << " total " << shape.total_bytes;
   }
 }
 

@@ -1,6 +1,7 @@
 // Incremental checkpoint suite (ctest label "delta"): the delta format's
-// build/apply round-trips and CRC-keyed content dedupe, the epoch-sealed
-// redo log (sealing, compaction, corruption), the CPU and persistent
+// build/apply round-trips and content dedupe, the epoch-sealed
+// redo log (sealing, geometry, compaction, corruption, and its one-pass fold
+// against a per-link replay reference), the CPU and persistent
 // stores' chain paths, delta streaming through the replicator, PayloadRef
 // slice edge cases, config validation of the incremental
 // knobs, and the acceptance property: delta-chain recovery is bit-exact
@@ -9,9 +10,13 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <optional>
+#include <string>
 #include <vector>
 
+#include "src/common/crc32.h"
+#include "src/common/rng.h"
 #include "src/gemini/gemini_system.h"
 #include "src/gemini/replicator.h"
 #include "src/obs/metrics.h"
@@ -83,7 +88,7 @@ TEST(DeltaBuildTest, DirtyHintIsPrunedByContentDedupe) {
   const Checkpoint base = MakeCheckpoint(0, 3, 64);
   const Checkpoint next = MutateChunks(base, 4, /*chunk_elements=*/8, {5});
   // The trainer's conservative bits flag 1, 2, and 5 dirty; 1 and 2 turn out
-  // to be no-op writes and must be deduplicated away by the CRC+byte compare.
+  // to be no-op writes and must be deduplicated away by the byte compare.
   std::vector<uint8_t> hint(8, 0);
   hint[1] = hint[2] = hint[5] = 1;
   const auto delta = BuildDeltaCheckpoint(base, next, 8, &hint);
@@ -224,6 +229,275 @@ TEST(RedoLogTest, CorruptLinkFailsMaterializeAndLeavesChainForDiagnosis) {
   EXPECT_EQ(log.chain_length(), 2u);
   EXPECT_EQ(log.base(), c0);
   EXPECT_EQ(log.CorruptDelta(/*chain_index=*/9, 0).code(), StatusCode::kNotFound);
+}
+
+TEST(RedoLogTest, AppendRejectsGeometryDrift) {
+  const Checkpoint c0 = MakeCheckpoint(0, 0, 64);
+  const Checkpoint c1 = MutateChunks(c0, 1, 8, {1});
+  const Checkpoint c2 = MutateChunks(c1, 2, 8, {3});
+  RedoLog log;
+  log.Reset(c0);
+  // A delta over a different payload size, at the right epoch and owner.
+  const Checkpoint small0 = MakeCheckpoint(0, 0, 32);
+  const Checkpoint small1 = MutateChunks(small0, 1, 8, {1});
+  DeltaCheckpoint wrong_size = *BuildDeltaCheckpoint(small0, small1, 8);
+  wrong_size.base_crc = c0.payload_crc;
+  EXPECT_EQ(log.Append(wrong_size).code(), StatusCode::kInvalidArgument);
+  // The first link may pick any chunk size; later links must keep it.
+  ASSERT_TRUE(log.Append(*BuildDeltaCheckpoint(c0, c1, 8)).ok());
+  EXPECT_EQ(log.Append(*BuildDeltaCheckpoint(c1, c2, 4)).code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(log.chain_length(), 1u);
+  EXPECT_TRUE(log.Append(*BuildDeltaCheckpoint(c1, c2, 8)).ok());
+  // A new base starts a new grid.
+  log.Reset(c2);
+  const Checkpoint c3 = MutateChunks(c2, 3, 4, {0});
+  EXPECT_TRUE(log.Append(*BuildDeltaCheckpoint(c2, c3, 4)).ok());
+  const auto materialized = log.Materialize();
+  ASSERT_TRUE(materialized.ok()) << materialized.status();
+  EXPECT_EQ(*materialized, c3);
+}
+
+// Every link's full-state CRC gates the replay, not only the last one: a
+// bit flipped in the base is repaired only when the *first* delta rewrites
+// its chunk. If only a later delta rewrites it, link 1's state is corrupt
+// and the replay fails there, although the final state would be clean.
+TEST(RedoLogTest, BaseFlipIsRepairedOnlyByTheFirstDelta) {
+  const Checkpoint c0 = MakeCheckpoint(0, 0, 128);
+  const Checkpoint c1 = MutateChunks(c0, 1, 8, {2});
+  const Checkpoint c2 = MutateChunks(c1, 2, 8, {7});
+  const DeltaCheckpoint d01 = *BuildDeltaCheckpoint(c0, c1, 8);
+  const DeltaCheckpoint d12 = *BuildDeltaCheckpoint(c1, c2, 8);
+  auto chain_with_flipped_element = [&](size_t element) {
+    RedoLog log;
+    log.Reset(c0);
+    EXPECT_TRUE(log.Append(d01).ok());
+    EXPECT_TRUE(log.Append(d12).ok());
+    EXPECT_TRUE(log.CorruptBase(element * 32 + 3).ok());
+    return log.Materialize();
+  };
+
+  const auto repaired = chain_with_flipped_element(2 * 8 + 1);  // chunk 2: delta 1 rewrites it
+  ASSERT_TRUE(repaired.ok()) << repaired.status();
+  EXPECT_EQ(*repaired, c2);
+  EXPECT_EQ(repaired->payload_crc, c2.payload_crc);
+
+  const auto failed = chain_with_flipped_element(7 * 8 + 1);  // chunk 7: only delta 2 does
+  EXPECT_EQ(failed.status().code(), StatusCode::kDataLoss);
+  EXPECT_EQ(failed.status().message(), "materialized delta state failed its full-state CRC check");
+}
+
+// ---- Redo log fold vs. per-link replay -------------------------------------
+
+// The per-link apply the one-pass fold replaced: copy the base, apply the
+// chunks, CRC the whole state. Kept as the reference the fold must match.
+StatusOr<Checkpoint> ReferenceApply(const Checkpoint& base, const DeltaCheckpoint& delta) {
+  if (base.owner_rank != delta.owner_rank) {
+    return InvalidArgumentError("delta applied to a different owner's base");
+  }
+  if (base.iteration != delta.base_iteration) {
+    return FailedPreconditionError(
+        "delta base iteration " + std::to_string(delta.base_iteration) +
+        " does not match checkpoint iteration " + std::to_string(base.iteration));
+  }
+  if (base.payload.size() != delta.payload_elements) {
+    return InvalidArgumentError("delta payload geometry does not match the base");
+  }
+  const uint32_t base_crc = base.payload_crc != 0 ? base.payload_crc : base.ComputePayloadCrc();
+  if (delta.base_crc != 0 && base_crc != delta.base_crc) {
+    return DataLossError("delta base CRC mismatch: base state is not the one the delta sealed");
+  }
+  std::vector<float> state(base.payload.begin(), base.payload.end());
+  for (const DeltaChunk& chunk : delta.chunks) {
+    const size_t begin = chunk.chunk_index * delta.chunk_elements;
+    if (begin + chunk.data.size() > state.size()) {
+      return DataLossError("delta chunk overflows the shard");
+    }
+    if (Crc32(chunk.data.data(), chunk.data.size_bytes()) != chunk.crc) {
+      return DataLossError("delta chunk " + std::to_string(chunk.chunk_index) +
+                           " failed its CRC check");
+    }
+    std::copy(chunk.data.begin(), chunk.data.end(), state.begin() + begin);
+  }
+  Checkpoint result;
+  result.owner_rank = delta.owner_rank;
+  result.iteration = delta.iteration;
+  result.logical_bytes = delta.logical_bytes;
+  result.payload = std::move(state);
+  result.StampPayloadCrc();
+  if (delta.state_crc != 0 && result.payload_crc != delta.state_crc) {
+    return DataLossError("materialized delta state failed its full-state CRC check");
+  }
+  return result;
+}
+
+StatusOr<Checkpoint> ReferenceReplay(const Checkpoint& base,
+                                     const std::vector<DeltaCheckpoint>& deltas) {
+  Checkpoint state = base;
+  for (const DeltaCheckpoint& delta : deltas) {
+    GEMINI_ASSIGN_OR_RETURN(state, ReferenceApply(state, delta));
+  }
+  return state;
+}
+
+void FlipBit(PayloadRef& payload, size_t bit) {
+  auto* bytes = reinterpret_cast<uint8_t*>(payload.MutableData());
+  bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+}
+
+// The same flip RedoLog::CorruptDelta makes: bit `bit_index` (mod the total)
+// of the delta's chunk bytes laid end to end.
+void FlipDeltaBit(DeltaCheckpoint& delta, size_t bit_index) {
+  size_t total_bits = 0;
+  for (const DeltaChunk& chunk : delta.chunks) {
+    total_bits += chunk.data.size_bytes() * 8;
+  }
+  size_t bit = bit_index % total_bits;
+  for (DeltaChunk& chunk : delta.chunks) {
+    if (bit < chunk.data.size_bytes() * 8) {
+      FlipBit(chunk.data, bit);
+      return;
+    }
+    bit -= chunk.data.size_bytes() * 8;
+  }
+}
+
+void ExpectSameResult(const StatusOr<Checkpoint>& got, const StatusOr<Checkpoint>& want,
+                      const std::string& label) {
+  ASSERT_EQ(got.status().code(), want.status().code()) << label << ": " << got.status();
+  ASSERT_EQ(got.status().message(), want.status().message()) << label;
+  if (!want.ok()) {
+    return;
+  }
+  EXPECT_EQ(got->owner_rank, want->owner_rank) << label;
+  EXPECT_EQ(got->iteration, want->iteration) << label;
+  EXPECT_EQ(got->logical_bytes, want->logical_bytes) << label;
+  ASSERT_EQ(got->payload.size(), want->payload.size()) << label;
+  EXPECT_EQ(std::memcmp(got->payload.data(), want->payload.data(), want->payload.size_bytes()), 0)
+      << label;
+  EXPECT_EQ(got->payload_crc, want->payload_crc) << label;
+}
+
+// Seeded random chains (chunk sizes 1-40, short tail chunks, up to 8 links)
+// under base and delta bit flips, forged and zeroed CRCs: RedoLog's one-pass
+// fold must return what the per-link replay returns — the same status code
+// and message (so the same gate at the same link), bytes and payload_crc.
+// Single links with off-grid, overflowing or mis-bound chunks go through
+// ApplyDeltaCheckpoint against the reference apply.
+TEST(RedoLogFoldTest, MatchesPerLinkReplay) {
+  Rng rng(0xF01D);
+  int failures = 0;
+  for (int trial = 0; trial < 1500; ++trial) {
+    const std::string label = "trial " + std::to_string(trial);
+    const size_t elements = static_cast<size_t>(rng.UniformInt(1, 200));
+    const size_t chunk = static_cast<size_t>(rng.UniformInt(1, 40));
+    const size_t num_chunks = (elements + chunk - 1) / chunk;
+    const int links = static_cast<int>(rng.UniformInt(1, 8));
+    Checkpoint base = MakeCheckpoint(1, 10, elements);
+    if (rng.Bernoulli(0.2)) {
+      base.payload_crc = 0;  // A base sealed without a digest.
+    }
+    std::vector<DeltaCheckpoint> deltas;
+    Checkpoint state = base;
+    for (int link = 0; link < links; ++link) {
+      std::vector<size_t> changed;
+      for (size_t c = 0; c < num_chunks; ++c) {
+        if (rng.Bernoulli(0.3)) {
+          changed.push_back(c);
+        }
+      }
+      const Checkpoint next = MutateChunks(state, state.iteration + 1, chunk, changed);
+      deltas.push_back(*BuildDeltaCheckpoint(state, next, chunk));
+      state = next;
+    }
+
+    // Faults, each mirrored on the reference's copies.
+    Checkpoint reference_base = base;
+    std::vector<DeltaCheckpoint> reference_deltas = deltas;
+    std::vector<size_t> delta_flips(deltas.size(), SIZE_MAX);
+    size_t base_flip = SIZE_MAX;
+    if (rng.Bernoulli(0.3)) {
+      base_flip = rng.NextU64Below(1u << 20);
+      FlipBit(reference_base.payload, base_flip % (elements * 32));
+    }
+    for (size_t link = 0; link < deltas.size(); ++link) {
+      if (!deltas[link].chunks.empty() && rng.Bernoulli(0.1)) {
+        delta_flips[link] = rng.NextU64Below(1u << 20);
+        FlipDeltaBit(reference_deltas[link], delta_flips[link]);
+      }
+    }
+    const size_t link = rng.NextU64Below(deltas.size());
+    const uint32_t forged = static_cast<uint32_t>(rng.NextU64()) | 1u;
+    switch (rng.UniformInt(0, 4)) {
+      case 0:  // A forged digest on the last link.
+        deltas.back().state_crc = forged;
+        break;
+      case 1:  // A consistently forged digest mid-chain (the next link binds to it).
+        deltas[link].state_crc = forged;
+        if (link + 1 < deltas.size()) {
+          deltas[link + 1].base_crc = forged;
+        }
+        break;
+      case 2:
+        deltas[link].base_crc = 0;
+        break;
+      case 3:
+        deltas[link].state_crc = 0;
+        break;
+      default:
+        break;
+    }
+    for (size_t i = 0; i < deltas.size(); ++i) {
+      reference_deltas[i].base_crc = deltas[i].base_crc;
+      reference_deltas[i].state_crc = deltas[i].state_crc;
+    }
+
+    RedoLog log;
+    log.Reset(base);
+    for (const DeltaCheckpoint& delta : deltas) {
+      ASSERT_TRUE(log.Append(delta).ok()) << label;
+    }
+    if (base_flip != SIZE_MAX) {
+      ASSERT_TRUE(log.CorruptBase(base_flip).ok()) << label;
+    }
+    for (size_t i = 0; i < delta_flips.size(); ++i) {
+      if (delta_flips[i] != SIZE_MAX) {
+        ASSERT_TRUE(log.CorruptDelta(i, delta_flips[i]).ok()) << label;
+      }
+    }
+    const StatusOr<Checkpoint> want = ReferenceReplay(reference_base, reference_deltas);
+    ExpectSameResult(log.Materialize(), want, label);
+    failures += want.ok() ? 0 : 1;
+
+    // One hand-built link off the builder's grid.
+    DeltaCheckpoint odd = reference_deltas.front();
+    switch (rng.UniformInt(0, 5)) {
+      case 0:  // A chunk spanning two grid blocks, at an unaligned offset.
+        odd.chunk_elements = std::max<size_t>(1, chunk / 2);
+        break;
+      case 1:  // A chunk that runs past the end.
+        if (!odd.chunks.empty()) {
+          odd.chunks.back().chunk_index = num_chunks;
+        }
+        break;
+      case 2:
+        odd.chunk_elements = 0;
+        break;
+      case 3:
+        odd.owner_rank = 2;
+        break;
+      case 4:
+        odd.base_iteration = 3;
+        break;
+      default:
+        odd.payload_elements = elements + 1;
+        break;
+    }
+    ExpectSameResult(ApplyDeltaCheckpoint(reference_base, odd),
+                     ReferenceApply(reference_base, odd), label + " single link");
+  }
+  // Both outcomes must be well represented.
+  EXPECT_GT(failures, 300);
+  EXPECT_LT(failures, 1200);
 }
 
 // ---- CPU store chains -----------------------------------------------------

@@ -401,6 +401,58 @@ TEST(TrainerTest, ShardsMatchParentGoldenCrcs) {
             (std::vector<uint32_t>{0x4f2f5388u, 0xe2ed6891u, 0x6a21213au, 0xb66d53c5u}));
 }
 
+// A capture's payload_crc is combined from the shard's block CRCs; it must
+// equal the CRC of the captured bytes through every path that writes a
+// shard: dense steps, sparse steps at several chunk sizes (with a short tail
+// chunk), out-of-place writes while a capture is held, several steps between
+// captures, repeated captures of one state, a switch of update mode, and
+// RestoreAll followed by ReplayTo.
+TEST(TrainerTest, CaptureCrcMatchesBytes) {
+  // Captures every rank and checks each capture against its bytes.
+  auto capture_all = [](const ShardedTrainer& trainer, const std::string& label) {
+    std::vector<Checkpoint> captures;
+    for (int rank = 0; rank < trainer.num_machines(); ++rank) {
+      captures.push_back(trainer.MakeCheckpoint(rank));
+      EXPECT_EQ(captures.back().payload_crc, captures.back().ComputePayloadCrc())
+          << label << " rank " << rank << " iteration " << trainer.iteration();
+    }
+    return captures;
+  };
+  for (const size_t chunk : {size_t{0}, size_t{7}, size_t{1024}, size_t{4096}}) {
+    const std::string label = chunk == 0 ? "dense" : "sparse chunk " + std::to_string(chunk);
+    ShardedTrainer trainer(Gpt2_10B(), 3, 9000, 11);
+    if (chunk != 0) {
+      trainer.SetSparseUpdates(0.3, chunk);
+    }
+    const std::vector<Checkpoint> base = capture_all(trainer, label + " initial");
+    std::vector<Checkpoint> held = base;
+    for (int i = 0; i < 3; ++i) {
+      trainer.Step();  // Out of place: `held` pins every rank's live buffer.
+      held = capture_all(trainer, label + " held");
+    }
+    held.clear();
+    trainer.Step();  // In place.
+    capture_all(trainer, label + " in place");
+    for (int i = 0; i < 3; ++i) {
+      trainer.Step();
+    }
+    capture_all(trainer, label + " three steps after a capture");
+    capture_all(trainer, label + " captured again without a step");
+    ASSERT_TRUE(trainer.RestoreAll(base).ok());
+    capture_all(trainer, label + " restored");
+    ASSERT_TRUE(trainer.ReplayTo(9).ok());
+    capture_all(trainer, label + " replayed");
+    ASSERT_TRUE(trainer.RestoreAll(base).ok());
+    ASSERT_TRUE(trainer.ReplayTo(2).ok());  // No capture between restore and replay.
+    capture_all(trainer, label + " restored and replayed");
+    trainer.SetSparseUpdates(chunk == 0 ? 0.5 : 1.0, chunk == 0 ? 100 : 1);
+    trainer.Step();
+    capture_all(trainer, label + " after a mode switch");
+    trainer.Step();
+    capture_all(trainer, label + " stepped after a mode switch");
+  }
+}
+
 // The dispatched variant (AVX-512 where the CPU has it) against the portable
 // one at every vector-remainder length and misalignment, in place and out of
 // place. Elements outside [begin, begin + length) must stay untouched.
