@@ -62,7 +62,7 @@ int main() {
               static_cast<long long>(report->iterations_completed));
   std::printf("wall time:            %s\n", FormatDuration(report->wall_time).c_str());
   std::printf("cpu checkpoints:      %lld (one per iteration)\n",
-              static_cast<long long>(report->cpu_checkpoints_committed));
+              static_cast<long long>(system.Snapshot().cpu_checkpoints_committed));
   std::printf("effective ratio:      %.3f\n\n", report->effective_training_ratio());
 
   // ---- Wasted-time comparison ----------------------------------------------

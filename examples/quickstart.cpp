@@ -59,7 +59,7 @@ int main() {
               static_cast<long long>(report->iterations_completed));
   std::printf("wall time:            %s\n", FormatDuration(report->wall_time).c_str());
   std::printf("cpu checkpoints:      %lld\n",
-              static_cast<long long>(report->cpu_checkpoints_committed));
+              static_cast<long long>(system.Snapshot().cpu_checkpoints_committed));
   for (const RecoveryRecord& recovery : report->recoveries) {
     std::printf("recovery:             %s failure of %zu machine(s), source=%s,\n"
                 "                      rolled back to iteration %lld, wasted %s, downtime %s\n",

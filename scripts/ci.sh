@@ -3,7 +3,8 @@
 #
 #   scripts/ci.sh            # plain build + full ctest, then Release (-O2)
 #                            # build + ctest, then ASan+UBSan ctest
-#   scripts/ci.sh --fast     # plain build + full ctest only
+#   scripts/ci.sh --fast     # plain build + full ctest + src/ header reach
+#                            # check only
 #
 # The Release pass builds into a separate tree (build-release/) with
 # -DCMAKE_BUILD_TYPE=Release: the perf-labelled benches gate their speedup
@@ -31,6 +32,11 @@ echo "==> tier-1: ctest"
 
 echo "==> tier-1: ctest -L policy (protection-policy engine)"
 (cd build && ctest --output-on-failure -L policy)
+
+# Code only its own tests reach is dead weight: every src/ header must be
+# included, transitively, from a bench, example or perfbench source.
+echo "==> tier-1: every src/ header reached from bench/, examples/ or perfbench/"
+python3 scripts/check_reached_headers.py
 
 if [[ "$fast" == "1" ]]; then
   echo "==> done (fast mode: Release and sanitizer passes skipped)"

@@ -10,6 +10,14 @@
 #include "src/gemini/replicator.h"
 
 namespace gemini {
+namespace {
+
+// A failed background re-protection pass is retried after this delay, up to
+// this many consecutive attempts.
+constexpr TimeNs kReprotectionRetryDelay = Seconds(5);
+constexpr int kReprotectionMaxAttempts = 3;
+
+}  // namespace
 
 Status GeminiConfig::Validate() const {
   if (num_machines < 1) {
@@ -35,9 +43,6 @@ Status GeminiConfig::Validate() const {
   }
   if (retrieval_max_attempts < 1) {
     return InvalidArgumentError("retrieval_max_attempts must be positive");
-  }
-  if (reprotection_max_attempts < 1) {
-    return InvalidArgumentError("reprotection_max_attempts must be positive");
   }
   if (pipeline_threads != 1) {
     return InvalidArgumentError("pipeline_threads must be 1: host-side threading was removed");
@@ -132,10 +137,9 @@ Status GeminiSystem::Initialize() {
   persistent_bases_.assign(static_cast<size_t>(config_.num_machines), std::nullopt);
   persistent_ = std::make_unique<PersistentStore>(sim_, config_.persistent);
   persistent_->set_metrics(&metrics_);
-  persistent_->ConfigureRedoLog(redo_config);
   for (int rank = 0; rank < config_.num_machines; ++rank) {
-    // The seed seals the persistent tier's first chain base; the first
-    // interval save can already ship a delta against iteration 0.
+    // The seed is the persistent tier's first delta head; the first interval
+    // save can already ship a delta against iteration 0.
     Checkpoint seeded = trainer_->MakeCheckpoint(rank);
     persistent_bases_[static_cast<size_t>(rank)] = seeded;
     persistent_->SeedImmediate(std::move(seeded), config_.num_machines);
@@ -477,35 +481,6 @@ void GeminiSystem::OnCheckpointCommit(int64_t snapshot_iteration) {
     auto& accum = dirty_accum_[static_cast<size_t>(owner)];
     std::fill(accum.begin(), accum.end(), 0);
   }
-  ++report_.cpu_checkpoints_committed;
-  if (config_.publish_checkpoint_watermark) {
-    // All per-rank watermark keys plus the block-level key ride ONE batched
-    // proposal — a single consensus round per checkpoint block rather than
-    // one Raft commit per shard.
-    std::vector<KvPutEntry> watermarks;
-    watermarks.reserve(staged_snapshots_.size() + 1);
-    for (const Checkpoint& snapshot : staged_snapshots_) {
-      watermarks.push_back(KvPutEntry{
-          "ckpt/watermark/rank/" + std::to_string(snapshot.owner_rank),
-          std::to_string(snapshot.iteration)});
-    }
-    watermarks.push_back(
-        KvPutEntry{"ckpt/watermark/block", std::to_string(snapshot_iteration)});
-    if (config_.incremental.enabled) {
-      // Durable-epoch watermark: the newest iteration fully restorable from
-      // the persistent tier — the floor a delta-chain recovery can always
-      // fall back to. Rides the same single consensus round.
-      watermarks.push_back(KvPutEntry{"ckpt/watermark/durable_epoch",
-                                      std::to_string(persistent_->durable_epoch())});
-    }
-    kvstore_->PutBatch(std::move(watermarks), kNoLease, [](Status status) {
-      if (!status.ok()) {
-        // Leaderless windows (mid-election) drop the watermark; the next
-        // block re-publishes strictly newer values, so nothing is retried.
-        GEMINI_LOG(kWarning) << "checkpoint watermark publish failed: " << status;
-      }
-    });
-  }
   metrics_.counter("system.cpu_checkpoint_commits").Increment();
   tracer_.Span("checkpoint_block", "checkpoint", staged_at_, sim_.now(),
                {TraceAttr::Int("iteration", snapshot_iteration)});
@@ -565,7 +540,6 @@ void GeminiSystem::MaybePersistentCheckpoint() {
     persistent_bases_[static_cast<size_t>(rank)] = std::move(full);
   }
   const TimeNs serialize = TransferTime(max_rank_bytes, config_.serialization_bandwidth);
-  ++report_.persistent_checkpoints_committed;
   metrics_.counter("system.persistent_checkpoints").Increment();
   tracer_.Span("persistent_serialize", "checkpoint", sim_.now(), sim_.now() + serialize,
                {TraceAttr::Int("iteration", trainer_->iteration())});
@@ -1177,8 +1151,8 @@ void GeminiSystem::MaybeStartReprotection() {
         reprotection_inflight_ = false;
         if (!outcome.status.ok()) {
           GEMINI_LOG(kWarning) << "re-protection pass failed: " << outcome.status;
-          if (running_ && ++reprotection_attempts_ < config_.reprotection_max_attempts) {
-            sim_.ScheduleAfter(config_.reprotection_retry_delay,
+          if (running_ && ++reprotection_attempts_ < kReprotectionMaxAttempts) {
+            sim_.ScheduleAfter(kReprotectionRetryDelay,
                                [this] { MaybeStartReprotection(); });
           }
           return;
@@ -1242,8 +1216,9 @@ SystemSnapshot GeminiSystem::Snapshot() const {
   snapshot.profile_max_normalized_stddev = profile_.max_normalized_stddev;
   snapshot.profile_mean_iteration_time = profile_.mean_iteration_time;
   snapshot.iterations_completed = trainer_ != nullptr ? trainer_->iteration() : 0;
-  snapshot.cpu_checkpoints_committed = report_.cpu_checkpoints_committed;
-  snapshot.persistent_checkpoints_committed = report_.persistent_checkpoints_committed;
+  snapshot.cpu_checkpoints_committed = metrics_.counter_value("system.cpu_checkpoint_commits");
+  snapshot.persistent_checkpoints_committed =
+      metrics_.counter_value("system.persistent_checkpoints");
   snapshot.recoveries = metrics_.counter_value("system.recoveries");
   snapshot.recoveries_from_local_cpu = metrics_.counter_value("system.recoveries.local_cpu");
   snapshot.recoveries_from_remote_cpu = metrics_.counter_value("system.recoveries.remote_cpu");

@@ -73,9 +73,6 @@ struct GeminiConfig {
   int retrieval_max_attempts = 6;
   TimeNs retrieval_backoff_base = Millis(200);
   TimeNs retrieval_backoff_cap = Seconds(5);
-  // Background re-protection pass retry cadence after a failed attempt.
-  TimeNs reprotection_retry_delay = Seconds(5);
-  int reprotection_max_attempts = 3;
   // Continuous interference auditing (drift detection + adaptive re-profile).
   AuditorConfig audit;
   // Per-iteration multiplicative jitter on the observed idle spans the
@@ -89,25 +86,21 @@ struct GeminiConfig {
   size_t tracer_max_records = 0;
   // Only 1 is valid; kept because perfbench/workloads.cc still assigns it.
   int pipeline_threads = 1;
-  // Publish a per-checkpoint watermark to the KV store at each commit (one
-  // key per staged shard plus a block-level key, all riding a single batched
-  // proposal — one consensus round per checkpoint block). Off by default so
-  // default-config runs generate no extra KV traffic.
-  bool publish_checkpoint_watermark = false;
   // Incremental delta checkpoints (default off: every checkpoint is a full
   // snapshot and the system's outputs are byte-identical to the pre-delta
   // code). When enabled, CPU-tier commits and persistent saves ship only the
   // chunks that changed since the owner's last sealed base — dirty bits from
-  // the trainer pruned further by chunk CRC + content compare — through
-  // per-holder epoch-sealed redo logs that compact back into full bases at
-  // the configured caps.
+  // the trainer pruned further by chunk CRC + content compare. CPU holders
+  // keep per-owner epoch-sealed redo logs that compact back into full bases
+  // at the configured caps; the persistent tier applies each delta at
+  // arrival and keeps only full shards.
   struct IncrementalCheckpointConfig {
     bool enabled = false;
     // Chunk granularity (payload elements) for dirty tracking and delta
     // encoding.
     int chunk_elements = 16;
-    // Compaction caps: fold the chain into a new base once it holds this
-    // many deltas (must be >= 1 — Validate rejects an unbounded chain) or,
+    // CPU-tier compaction caps: fold the chain into a new base once it holds
+    // this many deltas (must be >= 1 — Validate rejects an unbounded chain) or,
     // when > 0, this many accumulated delta bytes.
     int max_chain_length = 8;
     Bytes max_chain_bytes = 0;
@@ -203,8 +196,6 @@ struct TrainingReport {
   int64_t iterations_completed = 0;
   TimeNs wall_time = 0;
   TimeNs iteration_time = 0;
-  int64_t cpu_checkpoints_committed = 0;
-  int64_t persistent_checkpoints_committed = 0;
   std::vector<RecoveryRecord> recoveries;
 
   // Productive fraction: forward progress over wall-clock.

@@ -79,7 +79,7 @@ struct Outcome {
 };
 
 // Tiles `total` bytes into `chunk_bytes`-bounded fabric pieces (one piece
-// when chunk_bytes <= 0). Always at least one piece, so a zero-byte delta
+// when chunk_bytes <= 0). Always at least one piece, so a zero-byte replica
 // still round-trips the data plane and commits.
 std::vector<ChunkAssignment> TileChunks(Bytes total, Bytes chunk_bytes) {
   const Bytes step = std::max<Bytes>(chunk_bytes > 0 ? std::min(chunk_bytes, total) : total, 1);
@@ -97,17 +97,13 @@ std::vector<ChunkAssignment> TileChunks(Bytes total, Bytes chunk_bytes) {
 
 // One source->holder chunk stream with a p-deep send window. Every chunk
 // moves the same way — fabric transfer, auditor note, PCIe staging into the
-// holder's CPU memory. Only the landing differs: a full replica is assembled
-// chunk by chunk into the holder's ongoing buffer and committed
-// (AppendChunk + CommitWrite); a delta is reassembled once all of it has
-// landed, CRC-gated per chunk, and appended to the holder's chain
-// (WriteDelta).
+// holder's CPU memory — and lands the same way: assembled into the holder's
+// ongoing buffer (AppendChunk), then committed as one replica (CommitWrite).
 struct Stream : std::enable_shared_from_this<Stream> {
   Cluster* cluster = nullptr;
   std::shared_ptr<Outcome> outcome;
   CpuCheckpointStore* store = nullptr;
-  Checkpoint snapshot;  // Full replica to land (payload shared, not copied).
-  std::optional<DeltaCheckpoint> delta;  // Set: land this delta instead.
+  Checkpoint snapshot;  // Replica to land (payload shared, not copied).
   int source = -1;      // Fabric endpoint the bytes come from (the owner for
                         // foreground replication, any holder for re-protection).
   int dest = -1;
@@ -118,8 +114,8 @@ struct Stream : std::enable_shared_from_this<Stream> {
   std::vector<ChunkAssignment> chunks;
   size_t next_send = 0;
   size_t landed_chunks = 0;
-  // Full replicas: received-side assembly target, leased from the pool for
-  // this stream's lifetime and frozen into the committed checkpoint.
+  // Received-side assembly target, leased from the pool for this stream's
+  // lifetime and frozen into the committed checkpoint.
   std::shared_ptr<std::vector<float>> assembled;
   // Elements written through SliceFor; must tile the payload exactly.
   size_t assembled_elements = 0;
@@ -202,23 +198,21 @@ struct Stream : std::enable_shared_from_this<Stream> {
     if (outcome->failed) {
       return;
     }
-    if (!delta.has_value()) {
-      const Status appended = store->AppendChunk(snapshot.owner_rank, chunk.bytes);
-      if (!appended.ok()) {
-        EndOnWriteError(appended);
-        return;
-      }
-      const auto [begin, end] = SliceFor(chunk);
-      std::copy(snapshot.payload.begin() + static_cast<std::ptrdiff_t>(begin),
-                snapshot.payload.begin() + static_cast<std::ptrdiff_t>(end),
-                assembled->begin() + static_cast<std::ptrdiff_t>(begin));
-      assembled_elements += end - begin;
+    const Status appended = store->AppendChunk(snapshot.owner_rank, chunk.bytes);
+    if (!appended.ok()) {
+      EndOnWriteError(appended);
+      return;
     }
+    const auto [begin, end] = SliceFor(chunk);
+    std::copy(snapshot.payload.begin() + static_cast<std::ptrdiff_t>(begin),
+              snapshot.payload.begin() + static_cast<std::ptrdiff_t>(end),
+              assembled->begin() + static_cast<std::ptrdiff_t>(begin));
+    assembled_elements += end - begin;
     if (++landed_chunks < chunks.size()) {
       SendNext();  // Replenish the send window.
       return;
     }
-    const Status committed = delta.has_value() ? CommitDelta() : CommitReplica();
+    const Status committed = CommitReplica();
     if (!committed.ok()) {
       EndOnWriteError(committed);
       return;
@@ -247,33 +241,6 @@ struct Stream : std::enable_shared_from_this<Stream> {
     return store->CommitWrite(std::move(received));
   }
 
-  // All delta bytes are in CPU memory: reassemble the chunk payloads into one
-  // fresh buffer (what actually crossed the wire), re-slice it, and CRC-gate
-  // every chunk before the chain append.
-  Status CommitDelta() {
-    std::shared_ptr<std::vector<float>> buffer = AssemblyPool().Acquire(delta->delta_elements());
-    size_t cursor = 0;
-    for (const DeltaChunk& chunk : delta->chunks) {
-      std::copy(chunk.data.begin(), chunk.data.end(),
-                buffer->begin() + static_cast<std::ptrdiff_t>(cursor));
-      cursor += chunk.data.size();
-    }
-    const PayloadRef wire(std::shared_ptr<const std::vector<float>>(std::move(buffer)));
-    DeltaCheckpoint received = *delta;
-    cursor = 0;
-    for (DeltaChunk& chunk : received.chunks) {
-      const size_t count = chunk.data.size();
-      chunk.data = wire.Slice(cursor, count);
-      cursor += count;
-      if (Crc32(chunk.data.data(), chunk.data.size_bytes()) != chunk.crc) {
-        return DataLossError("delta chunk assembled for rank " +
-                             std::to_string(delta->owner_rank) +
-                             " failed its pre-append CRC check");
-      }
-    }
-    return store->WriteDelta(std::move(received));
-  }
-
   void EndOnWriteError(Status status) {
     if (Superseded()) {
       outcome->StreamFinished(cluster->sim().now());
@@ -297,46 +264,34 @@ struct Pass {
     outcome->done = std::move(done);
   }
 
-  std::shared_ptr<Stream>& AddStream(CpuCheckpointStore* store, int source, int dest,
-                                     std::vector<ChunkAssignment> chunks) {
+  // Opens a replica stream into the holder's ongoing buffer.
+  Status AddReplica(CpuCheckpointStore* store, const Checkpoint& snapshot, int source, int dest,
+                    std::vector<ChunkAssignment> chunks, bool tolerate_supersede = false) {
+    GEMINI_RETURN_IF_ERROR(store->BeginWrite(snapshot.owner_rank, snapshot.iteration));
     auto stream = std::make_shared<Stream>();
     stream->cluster = cluster;
     stream->outcome = outcome;
     stream->store = store;
+    stream->snapshot = snapshot;  // Shares the payload buffer.
     stream->source = source;
     stream->dest = dest;
-    stream->chunks = std::move(chunks);
-    streams.push_back(std::move(stream));
-    return streams.back();
-  }
-
-  // Opens a full-replica stream into the holder's ongoing buffer.
-  Status AddReplica(CpuCheckpointStore* store, const Checkpoint& snapshot, int source, int dest,
-                    std::vector<ChunkAssignment> chunks, bool tolerate_supersede = false) {
-    GEMINI_RETURN_IF_ERROR(store->BeginWrite(snapshot.owner_rank, snapshot.iteration));
-    std::shared_ptr<Stream>& stream = AddStream(store, source, dest, std::move(chunks));
-    stream->snapshot = snapshot;  // Shares the payload buffer.
     stream->tolerate_supersede = tolerate_supersede;
+    stream->chunks = std::move(chunks);
     stream->assembled = AssemblyPool().Acquire(snapshot.payload.size());
+    streams.push_back(std::move(stream));
     return Status::Ok();
-  }
-
-  void AddDelta(CpuCheckpointStore* store, const DeltaCheckpoint& delta, int source, int dest,
-                Bytes chunk_bytes) {
-    AddStream(store, source, dest, TileChunks(delta.delta_bytes, chunk_bytes))->delta =
-        delta;  // Shares the chunk payload buffers.
   }
 
   // The owner's local replica: copies over its *own* GPUs' PCIe links, which
   // the received-replica staging (modeled by the shared per-machine engine)
   // does not use — the paper's "no interference between the local
   // GPU-to-CPU copy of its own checkpoint and other checkpoints".
-  void AddLocalWrite(Bytes bytes, std::function<Status()> write) {
+  void AddLocalWrite(CpuCheckpointStore* store, const Checkpoint& snapshot) {
     ++outcome->pending_streams;
     cluster->sim().ScheduleAfter(
-        TransferTime(bytes, cluster->spec().gpu_cpu_copy_bandwidth),
-        [outcome = outcome, cluster = cluster, write = std::move(write)] {
-          const Status written = write();
+        TransferTime(snapshot.logical_bytes, cluster->spec().gpu_cpu_copy_bandwidth),
+        [outcome = outcome, cluster = cluster, store, snapshot] {
+          const Status written = store->WriteComplete(snapshot);
           if (!written.ok()) {
             outcome->Fail(written);
             return;
@@ -404,64 +359,7 @@ void ReplicateSnapshot(Cluster& cluster, const PlacementPlan& placement,
         return;
       }
     }
-    CpuCheckpointStore* local = stores[static_cast<size_t>(owner)];
-    pass.AddLocalWrite(snapshot.logical_bytes,
-                       [local, snapshot] { return local->WriteComplete(snapshot); });
-  }
-  pass.Start();
-}
-
-void ReplicateDeltaSnapshot(Cluster& cluster, const PlacementPlan& placement,
-                            std::vector<CpuCheckpointStore*> stores,
-                            const std::vector<Checkpoint>& snapshots,
-                            const std::vector<std::optional<DeltaCheckpoint>>& deltas,
-                            Bytes chunk_bytes, const ReplicatorConfig& config,
-                            std::function<void(ReplicationOutcome)> done) {
-  assert(static_cast<int>(stores.size()) == cluster.size());
-  assert(static_cast<int>(snapshots.size()) == cluster.size());
-  assert(static_cast<int>(deltas.size()) == cluster.size());
-
-  Pass pass(cluster, config, std::move(done));
-  int64_t delta_streams = 0;
-  for (int owner = 0; owner < cluster.size(); ++owner) {
-    if (!cluster.machine(owner).alive()) {
-      continue;
-    }
-    const Checkpoint& snapshot = snapshots[static_cast<size_t>(owner)];
-    const std::optional<DeltaCheckpoint>& delta = deltas[static_cast<size_t>(owner)];
-    for (const int dest : placement.RemoteDestinations(owner)) {
-      if (!cluster.machine(dest).alive()) {
-        continue;
-      }
-      CpuCheckpointStore* store = stores[static_cast<size_t>(dest)];
-      if (delta.has_value() && store->ExtendsChainHead(*delta)) {
-        pass.AddDelta(store, *delta, owner, dest, chunk_bytes);
-        ++delta_streams;
-        continue;
-      }
-      // No compatible sealed base on this holder: full snapshot stream.
-      const Status opened = pass.AddReplica(store, snapshot, owner, dest,
-                                            TileChunks(snapshot.logical_bytes, chunk_bytes));
-      if (!opened.ok()) {
-        pass.outcome->Fail(opened);
-        return;
-      }
-    }
-    // Local replica: delta-sized when the local chain head matches, full
-    // otherwise.
-    CpuCheckpointStore* local = stores[static_cast<size_t>(owner)];
-    if (delta.has_value() && local->ExtendsChainHead(*delta)) {
-      pass.AddLocalWrite(delta->delta_bytes, [local, delta = *delta]() mutable {
-        return local->WriteDelta(std::move(delta));
-      });
-    } else {
-      pass.AddLocalWrite(snapshot.logical_bytes,
-                         [local, snapshot] { return local->WriteComplete(snapshot); });
-    }
-  }
-
-  if (config.metrics != nullptr && delta_streams > 0) {
-    config.metrics->counter("replicator.delta_streams").Increment(delta_streams);
+    pass.AddLocalWrite(stores[static_cast<size_t>(owner)], snapshot);
   }
   pass.Start();
 }

@@ -8,20 +8,19 @@
 // (BeginWrite / AppendChunk / CommitWrite), and the local replica is staged
 // through the local PCIe path. Payload bytes are sliced proportionally to
 // chunk sizes so the committed checkpoints are bit-identical to the source.
-// Full replicas and deltas ride the same stream type; only the landing step
-// differs (CommitWrite of the assembled replica vs. WriteDelta of the
-// reassembled, CRC-gated delta).
+// Every stream has one landing step: AppendChunk per received chunk, then
+// CommitWrite of the assembled, CRC-checked replica. Deltas never ride a
+// stream; GeminiSystem lands them with CpuCheckpointStore::WriteDelta.
 //
 // GeminiSystem uses the executor's timing for foreground checkpoints and
 // calls only ReprotectReplicas, to refill replaced machines after recovery.
-// Tests run the other two entry points to confirm that the real event-driven
-// data plane (a) commits exactly the snapshot bytes and (b) finishes in the
-// time the analytic model predicts.
+// Tests run ReplicateSnapshot to confirm that the real event-driven data
+// plane (a) commits exactly the snapshot bytes and (b) finishes in the time
+// the analytic model predicts.
 #ifndef SRC_GEMINI_REPLICATOR_H_
 #define SRC_GEMINI_REPLICATOR_H_
 
 #include <functional>
-#include <optional>
 #include <vector>
 
 #include "src/cluster/cluster.h"
@@ -29,7 +28,6 @@
 #include "src/schedule/partition.h"
 #include "src/storage/checkpoint.h"
 #include "src/storage/cpu_store.h"
-#include "src/storage/delta.h"
 
 namespace gemini {
 
@@ -67,24 +65,6 @@ void ReplicateSnapshot(Cluster& cluster, const PlacementPlan& placement,
                        const std::vector<ChunkAssignment>& chunks,
                        const ReplicatorConfig& config,
                        std::function<void(ReplicationOutcome)> done);
-
-// Replicates one global snapshot shipping only delta bytes wherever
-// possible. For each owner, `deltas[owner]` (when set) is streamed —
-// in `chunk_bytes`-bounded fabric pieces through the same fabric+PCIe data
-// plane — to every holder whose redo-chain head matches the delta's base
-// iteration; the receive side reassembles the delta payload into a fresh
-// buffer, re-verifies every chunk against its capture-time CRC fingerprint,
-// and appends it to the holder's chain (WriteDelta). Holders without a
-// matching sealed base (and owners with no delta) fall back to the full
-// chunked snapshot stream, so the committed state is identical either way —
-// only the bytes moved differ. `snapshots` must hold the full checkpoint for
-// every alive owner regardless.
-void ReplicateDeltaSnapshot(Cluster& cluster, const PlacementPlan& placement,
-                            std::vector<CpuCheckpointStore*> stores,
-                            const std::vector<Checkpoint>& snapshots,
-                            const std::vector<std::optional<DeltaCheckpoint>>& deltas,
-                            Bytes chunk_bytes, const ReplicatorConfig& config,
-                            std::function<void(ReplicationOutcome)> done);
 
 // Re-protection (recovery hardening): streams the latest CRC-verified
 // checkpoints back onto `target_ranks` (machines whose DRAM is fresh after a

@@ -91,25 +91,6 @@ void KvStoreCluster::Put(const std::string& key, const std::string& value, Lease
   leader->Propose(std::move(op), std::move(done));
 }
 
-void KvStoreCluster::PutBatch(std::vector<KvPutEntry> entries, LeaseId lease,
-                              ProposeCallback done) {
-  if (entries.empty()) {
-    done(Status::Ok());  // Nothing to replicate; commit is vacuous.
-    return;
-  }
-  KvNode* leader = Leader();
-  if (leader == nullptr) {
-    done(UnavailableError("kvstore: no leader"));
-    return;
-  }
-  KvOp op;
-  op.type = KvOpType::kPutBatch;
-  op.entries = std::move(entries);
-  op.lease = lease;
-  op.issue_time = sim_.now();
-  leader->Propose(std::move(op), std::move(done));
-}
-
 void KvStoreCluster::PutIfAbsent(const std::string& key, const std::string& value, LeaseId lease,
                                  ProposeCallback done) {
   KvNode* leader = Leader();
@@ -150,22 +131,16 @@ void KvStoreCluster::LeaseGrant(TimeNs ttl, LeaseCallback done) {
   op.type = KvOpType::kLeaseGrant;
   op.ttl = ttl;
   op.issue_time = sim_.now();
-  // The lease id is assigned deterministically at apply time; the leader
-  // records it per log index so the grant callback can report it.
-  KvNode* node = leader;
-  const uint64_t index_hint = node->LastLogIndex() + 1;
-  leader->Propose(std::move(op), [node, index_hint, done = std::move(done)](Status status) {
+  // The lease id is the grant's log index. A deposed leader fails its
+  // pending callbacks (BecomeFollower), so an OK callback always reports the
+  // entry this leader appended.
+  const LeaseId id = leader->LastLogIndex() + 1;
+  leader->Propose(std::move(op), [id, done = std::move(done)](Status status) {
     if (!status.ok()) {
       done(std::move(status));
       return;
     }
-    const std::optional<KvEntry> entry = node->GetApplied("__lease_index/" +
-                                                          std::to_string(index_hint));
-    if (!entry.has_value()) {
-      done(InternalError("lease grant applied but id not recorded"));
-      return;
-    }
-    done(static_cast<LeaseId>(std::stoull(entry->value)));
+    done(id);
   });
 }
 
@@ -264,7 +239,6 @@ void KvNode::ResetAndRestart() {
   pending_proposals_.clear();
   state_.clear();
   leases_.clear();
-  next_lease_id_ = 1;
   if (heartbeat_timer_.valid()) {
     cluster_.sim_.Cancel(heartbeat_timer_);
     heartbeat_timer_ = EventId{};
@@ -567,48 +541,35 @@ void KvNode::ApplyCommitted() {
   }
 }
 
-void KvNode::ApplyPut(const std::string& key, const std::string& value, LeaseId lease_id,
-                      bool if_absent, uint64_t index, std::vector<WatchEvent>& events) {
-  if (if_absent && state_.contains(key)) {
-    return;  // Key exists: the conditional put is a committed no-op.
-  }
-  KvEntry& entry = state_[key];
-  // Re-attaching to a different lease moves the key between leases.
-  if (entry.lease != kNoLease && entry.lease != lease_id) {
-    auto lease = leases_.find(entry.lease);
-    if (lease != leases_.end()) {
-      auto& keys = lease->second.keys;
-      keys.erase(std::remove(keys.begin(), keys.end(), key), keys.end());
-    }
-  }
-  entry.value = value;
-  entry.mod_index = index;
-  entry.lease = lease_id;
-  if (lease_id != kNoLease) {
-    auto lease = leases_.find(lease_id);
-    if (lease != leases_.end()) {
-      auto& keys = lease->second.keys;
-      if (std::find(keys.begin(), keys.end(), key) == keys.end()) {
-        keys.push_back(key);
-      }
-    }
-  }
-  events.push_back(WatchEvent{WatchEventType::kPut, key, value});
-}
-
 std::vector<WatchEvent> KvNode::ApplyOp(const KvOp& op, uint64_t index) {
   std::vector<WatchEvent> events;
   switch (op.type) {
     case KvOpType::kPut: {
-      ApplyPut(op.key, op.value, op.lease, op.if_absent, index, events);
-      break;
-    }
-    case KvOpType::kPutBatch: {
-      // One log entry, N puts: applied in order so later entries win key
-      // collisions deterministically on every replica.
-      for (const KvPutEntry& put : op.entries) {
-        ApplyPut(put.key, put.value, op.lease, /*if_absent=*/false, index, events);
+      if (op.if_absent && state_.contains(op.key)) {
+        break;  // Key exists: the conditional put is a committed no-op.
       }
+      KvEntry& entry = state_[op.key];
+      // Re-attaching to a different lease moves the key between leases.
+      if (entry.lease != kNoLease && entry.lease != op.lease) {
+        auto lease = leases_.find(entry.lease);
+        if (lease != leases_.end()) {
+          auto& keys = lease->second.keys;
+          keys.erase(std::remove(keys.begin(), keys.end(), op.key), keys.end());
+        }
+      }
+      entry.value = op.value;
+      entry.mod_index = index;
+      entry.lease = op.lease;
+      if (op.lease != kNoLease) {
+        auto lease = leases_.find(op.lease);
+        if (lease != leases_.end()) {
+          auto& keys = lease->second.keys;
+          if (std::find(keys.begin(), keys.end(), op.key) == keys.end()) {
+            keys.push_back(op.key);
+          }
+        }
+      }
+      events.push_back(WatchEvent{WatchEventType::kPut, op.key, op.value});
       break;
     }
     case KvOpType::kDelete: {
@@ -620,15 +581,10 @@ std::vector<WatchEvent> KvNode::ApplyOp(const KvOp& op, uint64_t index) {
       break;
     }
     case KvOpType::kLeaseGrant: {
-      const LeaseId id = next_lease_id_++;
       LeaseState lease;
       lease.ttl = op.ttl;
       lease.deadline = op.issue_time + op.ttl;
-      leases_[id] = std::move(lease);
-      // Deterministically expose the id so the granting leader can report it.
-      KvEntry& marker = state_["__lease_index/" + std::to_string(index)];
-      marker.value = std::to_string(id);
-      marker.mod_index = index;
+      leases_[index] = std::move(lease);
       break;
     }
     case KvOpType::kLeaseRevoke: {

@@ -87,11 +87,6 @@ class KvStoreCluster {
   using ProposeCallback = std::function<void(Status)>;
   void Put(const std::string& key, const std::string& value, LeaseId lease,
            ProposeCallback done);
-  // Batched put: all entries ride one log entry / one consensus round and
-  // apply atomically in order (each still emits its own watch event). The
-  // checkpoint hot path uses this to publish per-checkpoint bookkeeping as
-  // one flush instead of one proposal per key.
-  void PutBatch(std::vector<KvPutEntry> entries, LeaseId lease, ProposeCallback done);
   // Election primitive: the put applies only when the key is absent; callers
   // Get() afterwards to learn the winner.
   void PutIfAbsent(const std::string& key, const std::string& value, LeaseId lease,
@@ -99,6 +94,9 @@ class KvStoreCluster {
   void Delete(const std::string& key, ProposeCallback done);
 
   using LeaseCallback = std::function<void(StatusOr<LeaseId>)>;
+  // The granted id is the grant's Raft log index: identical on every replica,
+  // known to the proposing leader before commit, and increasing in apply
+  // order.
   void LeaseGrant(TimeNs ttl, LeaseCallback done);
   // Renews `lease` to now + TTL on the leader alone: no log entry, no message.
   // `done` runs before this returns, with kNotFound when the lease is unknown
@@ -152,6 +150,12 @@ class KvNode {
  public:
   enum class Role { kFollower, kCandidate, kLeader };
 
+  struct LeaseState {
+    TimeNs deadline = 0;
+    TimeNs ttl = 0;
+    std::vector<std::string> keys;
+  };
+
   KvNode(KvStoreCluster& cluster, int index, int rank, uint64_t seed);
 
   void Start();
@@ -169,6 +173,7 @@ class KvNode {
   uint64_t commit_index() const { return commit_index_; }
   uint64_t last_applied() const { return last_applied_; }
   const std::map<std::string, KvEntry>& applied_state() const { return state_; }
+  const std::map<LeaseId, LeaseState>& leases() const { return leases_; }
 
   // Leader-side entry point used by the cluster client API.
   void Propose(KvOp op, std::function<void(Status)> done);
@@ -184,12 +189,6 @@ class KvNode {
   struct LogEntry {
     uint64_t term = 0;
     KvOp op;
-  };
-
-  struct LeaseState {
-    TimeNs deadline = 0;
-    TimeNs ttl = 0;
-    std::vector<std::string> keys;
   };
 
   // -- Message handlers (invoked via fabric control messages). --
@@ -213,10 +212,6 @@ class KvNode {
   void ApplyCommitted();
   // Applies one op to the state machine; returns watch events it produced.
   std::vector<WatchEvent> ApplyOp(const KvOp& op, uint64_t index);
-  // Applies one put (shared by kPut and each kPutBatch entry), appending the
-  // watch event it produced.
-  void ApplyPut(const std::string& key, const std::string& value, LeaseId lease,
-                bool if_absent, uint64_t index, std::vector<WatchEvent>& events);
   // Leader-only: sets the lease's deadline to now + TTL.
   Status RenewLease(LeaseId lease_id);
   // Leader-only: proposes revocations for expired leases.
@@ -252,7 +247,6 @@ class KvNode {
   // Applied state machine.
   std::map<std::string, KvEntry> state_;
   std::map<LeaseId, LeaseState> leases_;
-  LeaseId next_lease_id_ = 1;
 
   EventId election_timer_{};
   EventId heartbeat_timer_{};

@@ -9,7 +9,6 @@
 #include <map>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "src/common/units.h"
 
@@ -20,23 +19,13 @@ inline constexpr LeaseId kNoLease = 0;
 
 enum class KvOpType {
   kPut,
-  // N independent puts carried in one log entry (`entries`), applied
-  // atomically in order under a single Raft proposal/commit — the batched
-  // form the checkpoint hot path uses so per-chunk bookkeeping costs one
-  // consensus round per checkpoint instead of one per key.
-  kPutBatch,
   kDelete,
   // Creates a lease with a TTL; keys attached to it are deleted on expiry.
+  // The lease id is the grant's log index, the same on every replica.
   // (Renewals never enter the log: the leader serves them from its lessor.)
   kLeaseGrant,
   // Revokes a lease (explicitly or on expiry), deleting attached keys.
   kLeaseRevoke,
-};
-
-// One key/value pair of a kPutBatch op.
-struct KvPutEntry {
-  std::string key;
-  std::string value;
 };
 
 // One replicated state-machine command. The leader stamps `issue_time` so all
@@ -51,9 +40,6 @@ struct KvOp {
   // For kPut: only apply when the key does not exist (etcd-style election
   // primitive; losers observe the winner's value afterwards).
   bool if_absent = false;
-  // For kPutBatch: the puts this single log entry carries (key/value unused;
-  // `lease` applies to every entry).
-  std::vector<KvPutEntry> entries;
 };
 
 struct KvEntry {

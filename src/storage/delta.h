@@ -10,8 +10,9 @@
 // application is verifiable at both granularities — recovery must never
 // silently materialize a corrupted state.
 //
-// A RedoLog is the epoch-sealed append-only chain a checkpoint store keeps
-// per hosted owner: one sealed full base plus deltas in strictly increasing
+// A RedoLog is the epoch-sealed append-only chain the CPU checkpoint store
+// keeps per hosted owner (the persistent tier applies each delta on arrival
+// and keeps no chain): one sealed full base plus deltas in strictly increasing
 // epoch order (each delta's base_iteration must equal the chain's current
 // head iteration — out-of-order or gapped appends are rejected, which is
 // what "epoch-sealed" buys: the chain is always a replayable prefix), and

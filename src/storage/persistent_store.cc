@@ -24,8 +24,6 @@ void PersistentStore::set_metrics(MetricsRegistry* metrics) {
     corruptions_counter_ = &metrics->counter("persistent_store.corruptions");
     delta_saves_counter_ = &metrics->counter("persistent.delta_saves");
     delta_bytes_saved_counter_ = &metrics->counter("delta.bytes_saved");
-    compaction_folds_counter_ = &metrics->counter("compaction.folds");
-    compaction_bytes_folded_counter_ = &metrics->counter("compaction.bytes_folded");
   } else {
     saves_counter_ = nullptr;
     bytes_written_counter_ = nullptr;
@@ -35,31 +33,20 @@ void PersistentStore::set_metrics(MetricsRegistry* metrics) {
     corruptions_counter_ = nullptr;
     delta_saves_counter_ = nullptr;
     delta_bytes_saved_counter_ = nullptr;
-    compaction_folds_counter_ = nullptr;
-    compaction_bytes_folded_counter_ = nullptr;
   }
 }
 
-void PersistentStore::ConfigureRedoLog(const RedoLogConfig& config) {
-  log_config_ = config;
-  for (auto& [owner, log] : delta_logs_) {
-    log.set_config(config);
-  }
-}
-
-void PersistentStore::ResetLogForFullSave(const Checkpoint& checkpoint) {
-  auto [it, inserted] = delta_logs_.try_emplace(checkpoint.owner_rank, log_config_);
-  it->second.Reset(checkpoint);
+void PersistentStore::MakeDurable(Checkpoint checkpoint, int expected_world_size) {
+  const int64_t iteration = checkpoint.iteration;
+  const int owner = checkpoint.owner_rank;
+  heads_[owner] = checkpoint;  // Shares the payload buffer, not the handle.
+  shards_[iteration][owner] = std::move(checkpoint);
+  expected_world_[iteration] = expected_world_size;
 }
 
 int64_t PersistentStore::DeltaBaseIteration(int owner_rank) const {
-  const auto it = delta_logs_.find(owner_rank);
-  return it != delta_logs_.end() ? it->second.latest_iteration() : -1;
-}
-
-size_t PersistentStore::ChainLength(int owner_rank) const {
-  const auto it = delta_logs_.find(owner_rank);
-  return it != delta_logs_.end() ? it->second.chain_length() : 0;
+  const auto it = heads_.find(owner_rank);
+  return it != heads_.end() ? it->second.iteration : -1;
 }
 
 std::string PersistentStore::ShardPath(int owner_rank, int64_t iteration) const {
@@ -126,8 +113,7 @@ TimeNs PersistentStore::Save(Checkpoint checkpoint, int expected_world_size, Don
           saves_counter_->Increment();
           bytes_written_counter_->Increment(checkpoint.logical_bytes);
         }
-        const int64_t iteration = checkpoint.iteration;
-        const std::string path = ShardPath(checkpoint.owner_rank, iteration);
+        const std::string path = ShardPath(checkpoint.owner_rank, checkpoint.iteration);
         if (!path.empty()) {
           const Status written = WriteShardFile(path, checkpoint);
           if (!written.ok()) {
@@ -135,9 +121,7 @@ TimeNs PersistentStore::Save(Checkpoint checkpoint, int expected_world_size, Don
             return;
           }
         }
-        ResetLogForFullSave(checkpoint);
-        shards_[iteration][checkpoint.owner_rank] = std::move(checkpoint);
-        expected_world_[iteration] = expected_world_size;
+        MakeDurable(std::move(checkpoint), expected_world_size);
         done(Status::Ok());
       });
 }
@@ -156,46 +140,29 @@ TimeNs PersistentStore::SaveDelta(DeltaCheckpoint delta, int expected_world_size
           bytes_written_counter_->Increment(delta.delta_bytes);
           delta_bytes_saved_counter_->Increment(delta.logical_bytes - delta.delta_bytes);
         }
-        const auto log_it = delta_logs_.find(delta.owner_rank);
-        if (log_it == delta_logs_.end() || !log_it->second.has_base()) {
-          done(FailedPreconditionError("no sealed persistent base for rank " +
+        const auto head = heads_.find(delta.owner_rank);
+        if (head == heads_.end()) {
+          done(FailedPreconditionError("no durable persistent head for rank " +
                                        std::to_string(delta.owner_rank)));
           return;
         }
-        RedoLog& log = log_it->second;
-        const int owner = delta.owner_rank;
-        const int64_t iteration = delta.iteration;
-        const Status appended = log.Append(std::move(delta));
-        if (!appended.ok()) {
-          done(appended);
+        // Applied at arrival (CRC-gated) so the retrieval surface keeps
+        // serving full shards; a real object store would verify the delta
+        // object's digest on PUT the same way.
+        StatusOr<Checkpoint> applied = ApplyDeltaCheckpoint(head->second, delta);
+        if (!applied.ok()) {
+          done(applied.status());
           return;
         }
-        // Materialize at arrival (CRC-gated, epoch order) so the retrieval
-        // surface keeps serving full shards; a real object store would
-        // verify the delta object's digest on PUT the same way. The chain
-        // still bounds what a restart must replay from disk.
-        StatusOr<Checkpoint> materialized = log.Materialize();
-        if (!materialized.ok()) {
-          done(materialized.status());
-          return;
-        }
-        const std::string path = ShardPath(owner, iteration);
+        const std::string path = ShardPath(applied->owner_rank, applied->iteration);
         if (!path.empty()) {
-          const Status written = WriteShardFile(path, *materialized);
+          const Status written = WriteShardFile(path, *applied);
           if (!written.ok()) {
             done(written);
             return;
           }
         }
-        shards_[iteration][owner] = std::move(materialized).value();
-        expected_world_[iteration] = expected_world_size;
-        if (log.NeedsCompaction()) {
-          const Bytes folded = log.chain_bytes();
-          if (log.Compact().ok() && compaction_folds_counter_ != nullptr) {
-            compaction_folds_counter_->Increment();
-            compaction_bytes_folded_counter_->Increment(folded);
-          }
-        }
+        MakeDurable(std::move(applied).value(), expected_world_size);
         done(Status::Ok());
       });
 }
@@ -377,17 +344,14 @@ Status PersistentStore::CorruptLatest(int owner_rank, size_t bit_index) {
 
 void PersistentStore::SeedImmediate(Checkpoint checkpoint, int expected_world_size) {
   assert(checkpoint.valid());
-  const int64_t iteration = checkpoint.iteration;
-  const std::string path = ShardPath(checkpoint.owner_rank, iteration);
+  const std::string path = ShardPath(checkpoint.owner_rank, checkpoint.iteration);
   if (!path.empty()) {
     const Status written = WriteShardFile(path, checkpoint);
     if (!written.ok()) {
       GEMINI_LOG(kError) << "seeding persistent shard failed: " << written;
     }
   }
-  ResetLogForFullSave(checkpoint);
-  shards_[iteration][checkpoint.owner_rank] = std::move(checkpoint);
-  expected_world_[iteration] = expected_world_size;
+  MakeDurable(std::move(checkpoint), expected_world_size);
 }
 
 std::optional<Checkpoint> PersistentStore::Peek(int owner_rank, int64_t iteration) const {

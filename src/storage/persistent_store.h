@@ -11,6 +11,10 @@
 // disk in the serialized (CRC-protected) checkpoint format and read back —
 // with integrity verification — on retrieval, so the persistent tier
 // survives process restarts like the real thing.
+//
+// Incremental saves (SaveDelta) move only a delta's bytes and are applied to
+// the owner's newest durable shard at arrival. The tier keeps no delta
+// chain: every durable shard, in memory and on disk, is a full shard.
 #ifndef SRC_STORAGE_PERSISTENT_STORE_H_
 #define SRC_STORAGE_PERSISTENT_STORE_H_
 
@@ -76,28 +80,21 @@ class PersistentStore : public CheckpointStore {
   // visible (durable) only at completion.
   TimeNs Save(Checkpoint checkpoint, int expected_world_size, DoneCallback done);
 
-  // Every full Save (or SeedImmediate) seals a per-owner redo log base;
-  // SaveDelta then uploads only the delta bytes through the same
-  // shared-bandwidth FIFO. At arrival the delta is appended to the owner's
-  // epoch-sealed chain, materialized (CRC-gated), and the materialized shard
-  // becomes durable — so the retrieval surface (Retrieve / Peek /
-  // LatestCompleteIteration) is unchanged and the chain is invisible to
-  // readers. This sets the caps at which a chain folds into a new base.
-  void ConfigureRedoLog(const RedoLogConfig& config);
-
-  // Uploads one rank's delta on top of the owner's chain head. Deltas must
-  // be scheduled in epoch order on top of the previously scheduled state
-  // (the FIFO preserves arrival order); a seal violation surfaces through
-  // `done`.
+  // Uploads one rank's delta through the same shared-bandwidth FIFO, paying
+  // only the delta bytes. Every durable shard (Save, SeedImmediate or an
+  // applied delta) becomes its owner's head, a handle of its own on the
+  // shard's bytes, so bit-rot injected into the durable copy (CorruptShard)
+  // never reaches the next delta. At arrival the delta is applied to the head
+  // (ApplyDeltaCheckpoint: base binding, per-chunk and full-state CRC gates)
+  // and the full result becomes durable, so readers only ever see full
+  // shards. Deltas must be scheduled in iteration order on top of the
+  // previously scheduled state (the FIFO preserves arrival order); a delta
+  // that does not extend the head fails through `done` and changes nothing.
   TimeNs SaveDelta(DeltaCheckpoint delta, int expected_world_size, DoneCallback done);
 
-  // Chain head iteration a new delta must base on (-1 when no sealed base).
+  // Iteration of the owner's head, the state a new delta must base on (-1
+  // when the owner has no durable shard).
   int64_t DeltaBaseIteration(int owner_rank) const;
-  size_t ChainLength(int owner_rank) const;
-
-  // Durable-epoch watermark: the newest iteration restorable from this tier
-  // (every rank's shard — full or materialized delta — is durable).
-  int64_t durable_epoch() const { return LatestCompleteIteration(); }
 
   // Downloads a shard; `done` receives the checkpoint at the simulated
   // completion time. Transient transfer failures (fault hook) and CRC
@@ -157,15 +154,14 @@ class PersistentStore : public CheckpointStore {
   TimeNs TryRetrieve(int owner_rank, int64_t iteration, int attempt,
                      std::function<void(StatusOr<Checkpoint>)> done);
 
-  // Seals a new chain base for the checkpoint's owner.
-  void ResetLogForFullSave(const Checkpoint& checkpoint);
+  // Makes `checkpoint` durable and its owner's head.
+  void MakeDurable(Checkpoint checkpoint, int expected_world_size);
 
   Simulator& sim_;
   PersistentStoreConfig config_;
   MetricsRegistry* metrics_ = nullptr;
-  RedoLogConfig log_config_;
-  // Per-owner epoch-sealed delta chains, one per owner ever saved.
-  std::map<int, RedoLog> delta_logs_;
+  // Per-owner newest durable shard, the base the next delta applies to.
+  std::map<int, Checkpoint> heads_;
   // Hot-path metric handles (resolved once in set_metrics).
   Counter* saves_counter_ = nullptr;
   Counter* bytes_written_counter_ = nullptr;
@@ -175,8 +171,6 @@ class PersistentStore : public CheckpointStore {
   Counter* corruptions_counter_ = nullptr;
   Counter* delta_saves_counter_ = nullptr;
   Counter* delta_bytes_saved_counter_ = nullptr;
-  Counter* compaction_folds_counter_ = nullptr;
-  Counter* compaction_bytes_folded_counter_ = nullptr;
   RetrievalFaultHook fault_hook_;
   TimeNs busy_until_ = 0;
   Bytes bytes_written_ = 0;

@@ -1,11 +1,10 @@
 // Incremental checkpoint suite (ctest label "delta"): the delta format's
-// build/apply round-trips and content dedupe, the epoch-sealed
-// redo log (sealing, geometry, compaction, corruption, and its one-pass fold
-// against a per-link replay reference), the CPU and persistent
-// stores' chain paths, delta streaming through the replicator, PayloadRef
-// slice edge cases, config validation of the incremental
-// knobs, and the acceptance property: delta-chain recovery is bit-exact
-// against full-snapshot recovery.
+// build/apply round-trips and content dedupe, the epoch-sealed redo log
+// (sealing, geometry, compaction, corruption, and its one-pass fold against
+// a per-link replay reference), the CPU store's chain path, the persistent
+// store's delta head, PayloadRef slice edge cases, config validation of the
+// incremental knobs, and the acceptance property: delta-chain recovery is
+// bit-exact against full-snapshot recovery.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include "src/common/crc32.h"
 #include "src/common/rng.h"
 #include "src/gemini/gemini_system.h"
-#include "src/gemini/replicator.h"
 #include "src/obs/metrics.h"
 #include "src/storage/cpu_store.h"
 #include "src/storage/delta.h"
@@ -593,7 +591,7 @@ TEST_F(CpuStoreDeltaTest, CorruptLatestUnderALiveChainFailsUnlessADeltaRewroteTh
   EXPECT_EQ(metrics_.counter_value("cpu_store.crc_failures"), 1);
 }
 
-// ---- Persistent store chains ----------------------------------------------
+// ---- Persistent store delta head ------------------------------------------
 
 class PersistentDeltaTest : public ::testing::Test {
  protected:
@@ -604,8 +602,7 @@ class PersistentDeltaTest : public ::testing::Test {
   PersistentStore store_;
 };
 
-TEST_F(PersistentDeltaTest, SaveDeltaMaterializesAtArrivalAndAdvancesDurableEpoch) {
-  store_.ConfigureRedoLog(RedoLogConfig{});
+TEST_F(PersistentDeltaTest, SaveDeltaMaterializesAtArrivalAndCompletesTheIteration) {
   const Checkpoint c0 = MakeCheckpoint(0, 0, 64);
   const Checkpoint c1 = MutateChunks(c0, 1, 8, {4});
   store_.SeedImmediate(c0, /*expected_world_size=*/1);
@@ -615,47 +612,66 @@ TEST_F(PersistentDeltaTest, SaveDeltaMaterializesAtArrivalAndAdvancesDurableEpoc
                    [&](Status status) { result = status; });
   sim_.Run();
   ASSERT_TRUE(result.ok()) << result;
-  // The retrieval surface is chain-free: the materialized full shard is what
+  // The retrieval surface only sees full shards: the applied state is what
   // became durable.
-  EXPECT_EQ(store_.durable_epoch(), 1);
+  EXPECT_EQ(store_.LatestCompleteIteration(), 1);
   const auto durable = store_.Peek(0, 1);
   ASSERT_TRUE(durable.has_value());
   EXPECT_EQ(*durable, c1);
   EXPECT_EQ(store_.DeltaBaseIteration(0), 1);
-  EXPECT_EQ(store_.ChainLength(0), 1u);
 }
 
 TEST_F(PersistentDeltaTest, SealViolationSurfacesThroughDone) {
-  store_.ConfigureRedoLog(RedoLogConfig{});
   const Checkpoint c0 = MakeCheckpoint(0, 0, 64);
   const Checkpoint c1 = MutateChunks(c0, 1, 8, {4});
   const Checkpoint c2 = MutateChunks(c1, 2, 8, {5});
   store_.SeedImmediate(c0, 1);
-  // A delta based on iteration 1 cannot seal onto the head at iteration 0.
+  // A delta based on iteration 1 cannot apply to the head at iteration 0.
   Status result = Status::Ok();
   store_.SaveDelta(*BuildDeltaCheckpoint(c1, c2, 8), 1, [&](Status status) { result = status; });
   sim_.Run();
   EXPECT_FALSE(result.ok());
-  EXPECT_EQ(store_.durable_epoch(), 0) << "a rejected delta must not advance the watermark";
+  EXPECT_EQ(store_.LatestCompleteIteration(), 0) << "a rejected delta must not become durable";
+  EXPECT_EQ(store_.DeltaBaseIteration(0), 0);
 }
 
-TEST_F(PersistentDeltaTest, FullSaveResealsTheChainBase) {
-  store_.ConfigureRedoLog(RedoLogConfig{});
+TEST_F(PersistentDeltaTest, FullSaveReplacesTheHead) {
   const Checkpoint c0 = MakeCheckpoint(0, 0, 64);
   const Checkpoint c1 = MutateChunks(c0, 1, 8, {4});
   const Checkpoint c2 = MutateChunks(c1, 2, 8, {6});
+  const Checkpoint c3 = MutateChunks(c2, 3, 8, {1});
   store_.SeedImmediate(c0, 1);
   Status delta_result = InternalError("pending");
   store_.SaveDelta(*BuildDeltaCheckpoint(c0, c1, 8), 1,
                    [&](Status status) { delta_result = status; });
   Status full_result = InternalError("pending");
   store_.Save(c2, 1, [&](Status status) { full_result = status; });
+  // The next delta bases on the full save, not on the delta before it.
+  Status next_result = InternalError("pending");
+  store_.SaveDelta(*BuildDeltaCheckpoint(c2, c3, 8), 1,
+                   [&](Status status) { next_result = status; });
   sim_.Run();
   ASSERT_TRUE(delta_result.ok()) << delta_result;
   ASSERT_TRUE(full_result.ok()) << full_result;
-  EXPECT_EQ(store_.DeltaBaseIteration(0), 2);
-  EXPECT_EQ(store_.ChainLength(0), 0u) << "a full save subsumes the chain";
-  EXPECT_EQ(store_.durable_epoch(), 2);
+  ASSERT_TRUE(next_result.ok()) << next_result;
+  EXPECT_EQ(store_.DeltaBaseIteration(0), 3);
+  EXPECT_EQ(store_.LatestCompleteIteration(), 3);
+  EXPECT_EQ(*store_.Peek(0, 3), c3);
+}
+
+TEST_F(PersistentDeltaTest, CorruptedDurableShardDoesNotPoisonTheNextDelta) {
+  const Checkpoint c0 = MakeCheckpoint(0, 0, 64);
+  const Checkpoint c1 = MutateChunks(c0, 1, 8, {4});
+  store_.SeedImmediate(c0, 1);
+  // Bit-rot in the durable copy of c0, in a chunk the delta does not rewrite.
+  ASSERT_TRUE(store_.CorruptShard(0, 0, /*bit_index=*/5).ok());
+  Status result = InternalError("pending");
+  store_.SaveDelta(*BuildDeltaCheckpoint(c0, c1, 8), 1, [&](Status status) { result = status; });
+  sim_.Run();
+  ASSERT_TRUE(result.ok()) << result;
+  const auto durable = store_.Peek(0, 1);
+  ASSERT_TRUE(durable.has_value());
+  EXPECT_EQ(*durable, c1);
 }
 
 // ---- Trainer dirty tracking -----------------------------------------------
@@ -757,153 +773,6 @@ TEST(IncrementalConfigTest, ValidateRejectsDegenerateKnobs) {
   // With the mode off, the chain knobs are inert and must not reject.
   config.incremental.max_chain_length = 0;
   EXPECT_TRUE(config.Validate().ok());
-}
-
-// ---- Replicator delta streaming -------------------------------------------
-
-class ReplicateDeltaTest : public ::testing::Test {
- protected:
-  static constexpr int kMachines = 4;
-
-  ReplicateDeltaTest() {
-    FabricConfig fabric;
-    fabric.link_bandwidth = P4d24xlarge().network_bandwidth;
-    cluster_ = std::make_unique<Cluster>(sim_, kMachines, P4d24xlarge(), fabric);
-    placement_ = *BuildMixedPlacement(kMachines, 2);
-    trainer_ = std::make_unique<ShardedTrainer>(Gpt2_10B(), kMachines, 64, /*seed=*/5);
-    trainer_->SetSparseUpdates(0.25, /*chunk_elements=*/8);
-    const Bytes replica = Gpt2_10B().CheckpointBytesPerMachine(kMachines);
-    for (int rank = 0; rank < kMachines; ++rank) {
-      stores_.push_back(std::make_unique<CpuCheckpointStore>(cluster_->machine(rank)));
-      stores_.back()->ConfigureRedoLog(RedoLogConfig{});
-      stores_.back()->set_metrics(&metrics_);
-    }
-    for (int owner = 0; owner < kMachines; ++owner) {
-      for (const int holder : placement_.replica_sets[static_cast<size_t>(owner)]) {
-        EXPECT_TRUE(stores_[static_cast<size_t>(holder)]->HostOwner(owner, replica).ok());
-      }
-    }
-    config_.metrics = &metrics_;
-  }
-
-  std::vector<CpuCheckpointStore*> StorePointers() {
-    std::vector<CpuCheckpointStore*> out;
-    for (auto& store : stores_) {
-      out.push_back(store.get());
-    }
-    return out;
-  }
-
-  std::vector<Checkpoint> Snapshots() {
-    std::vector<Checkpoint> snapshots;
-    for (int rank = 0; rank < kMachines; ++rank) {
-      snapshots.push_back(trainer_->MakeCheckpoint(rank));
-    }
-    return snapshots;
-  }
-
-  // Chunks for one remote replica: fixed-size slices of the checkpoint.
-  std::vector<ChunkAssignment> EvenChunks(int count) {
-    const Bytes replica = Gpt2_10B().CheckpointBytesPerMachine(kMachines);
-    std::vector<ChunkAssignment> chunks;
-    Bytes offset = 0;
-    for (int i = 0; i < count; ++i) {
-      const Bytes size = i + 1 == count ? replica - offset : replica / count;
-      chunks.push_back(ChunkAssignment{i, size, 0, offset});
-      offset += size;
-    }
-    return chunks;
-  }
-
-  // Full replication pass to seal every holder's chain base.
-  void SealBasesAt(const std::vector<Checkpoint>& snapshots) {
-    std::optional<ReplicationOutcome> outcome;
-    ReplicateSnapshot(*cluster_, placement_, StorePointers(), snapshots, EvenChunks(16), config_,
-                      [&](ReplicationOutcome result) { outcome = result; });
-    sim_.Run();
-    ASSERT_TRUE(outcome.has_value());
-    ASSERT_TRUE(outcome->status.ok()) << outcome->status;
-  }
-
-  Simulator sim_;
-  MetricsRegistry metrics_;
-  std::unique_ptr<Cluster> cluster_;
-  PlacementPlan placement_;
-  std::unique_ptr<ShardedTrainer> trainer_;
-  std::vector<std::unique_ptr<CpuCheckpointStore>> stores_;
-  ReplicatorConfig config_;
-};
-
-TEST_F(ReplicateDeltaTest, StreamsDeltasAndCommitsBitIdenticalState) {
-  trainer_->Step();
-  const std::vector<Checkpoint> bases = Snapshots();
-  SealBasesAt(bases);
-  trainer_->Step();
-  const std::vector<Checkpoint> snapshots = Snapshots();
-  std::vector<std::optional<DeltaCheckpoint>> deltas;
-  for (int owner = 0; owner < kMachines; ++owner) {
-    const auto delta = BuildDeltaCheckpoint(bases[static_cast<size_t>(owner)],
-                                            snapshots[static_cast<size_t>(owner)], 8);
-    ASSERT_TRUE(delta.ok()) << delta.status();
-    deltas.emplace_back(*delta);
-  }
-  const Bytes chunk_bytes = Gpt2_10B().CheckpointBytesPerMachine(kMachines) / 16;
-  std::optional<ReplicationOutcome> outcome;
-  ReplicateDeltaSnapshot(*cluster_, placement_, StorePointers(), snapshots, deltas, chunk_bytes,
-                         config_, [&](ReplicationOutcome result) { outcome = result; });
-  sim_.Run();
-  ASSERT_TRUE(outcome.has_value());
-  ASSERT_TRUE(outcome->status.ok()) << outcome->status;
-  for (int owner = 0; owner < kMachines; ++owner) {
-    for (const int holder : placement_.replica_sets[static_cast<size_t>(owner)]) {
-      auto& store = *stores_[static_cast<size_t>(holder)];
-      const auto stored = store.LatestVerified(owner);
-      ASSERT_TRUE(stored.has_value()) << "holder " << holder << " missing owner " << owner;
-      EXPECT_EQ(*stored, snapshots[static_cast<size_t>(owner)])
-          << "holder " << holder << " owner " << owner << " bytes diverged";
-      EXPECT_EQ(store.ChainLength(owner), 1u)
-          << "holder " << holder << " took the full-stream path for owner " << owner;
-    }
-  }
-  EXPECT_GE(metrics_.counter_value("replicator.delta_streams"), 1);
-  EXPECT_GT(metrics_.counter_value("delta.bytes_saved"), 0);
-}
-
-TEST_F(ReplicateDeltaTest, HolderWithoutSealedBaseFallsBackToFullStream) {
-  trainer_->Step();
-  const std::vector<Checkpoint> bases = Snapshots();
-  SealBasesAt(bases);
-  // Holder of owner 0's remote replica loses its base (re-hosted slot).
-  const int remote_holder = placement_.replica_sets[0][1];
-  const Bytes replica = Gpt2_10B().CheckpointBytesPerMachine(kMachines);
-  stores_[static_cast<size_t>(remote_holder)]->DropOwner(0);
-  ASSERT_TRUE(stores_[static_cast<size_t>(remote_holder)]->HostOwner(0, replica).ok());
-  trainer_->Step();
-  const std::vector<Checkpoint> snapshots = Snapshots();
-  std::vector<std::optional<DeltaCheckpoint>> deltas(kMachines);
-  deltas[0] = *BuildDeltaCheckpoint(bases[0], snapshots[0], 8);
-  // Owners 1..3 offer no delta at all: they must take the full path too.
-  std::optional<ReplicationOutcome> outcome;
-  ReplicateDeltaSnapshot(*cluster_, placement_, StorePointers(), snapshots, deltas, replica / 16,
-                         config_, [&](ReplicationOutcome result) { outcome = result; });
-  sim_.Run();
-  ASSERT_TRUE(outcome.has_value());
-  ASSERT_TRUE(outcome->status.ok()) << outcome->status;
-  for (int owner = 0; owner < kMachines; ++owner) {
-    for (const int holder : placement_.replica_sets[static_cast<size_t>(owner)]) {
-      auto& store = *stores_[static_cast<size_t>(holder)];
-      const auto stored = store.LatestVerified(owner);
-      ASSERT_TRUE(stored.has_value()) << "holder " << holder << " missing owner " << owner;
-      EXPECT_EQ(*stored, snapshots[static_cast<size_t>(owner)]);
-    }
-  }
-  // The re-hosted holder committed a fresh full base; owner 0's other
-  // holders extended their chains.
-  EXPECT_EQ(stores_[static_cast<size_t>(remote_holder)]->ChainLength(0), 0u);
-  EXPECT_EQ(stores_[static_cast<size_t>(remote_holder)]->ChainHeadIteration(0),
-            snapshots[0].iteration);
-  const int local_holder = placement_.replica_sets[0][0];
-  EXPECT_EQ(stores_[static_cast<size_t>(local_holder)]->ChainLength(0), 1u);
 }
 
 // ---- End-to-end: delta-chain recovery is bit-exact ------------------------

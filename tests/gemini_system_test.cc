@@ -105,7 +105,7 @@ TEST(GeminiSystemTest, FailureFreeTrainingCheckpointsEveryIteration) {
   EXPECT_EQ(report->iterations_completed, 10);
   EXPECT_TRUE(report->recoveries.empty());
   // Optimal checkpoint frequency: one CPU checkpoint per iteration.
-  EXPECT_EQ(report->cpu_checkpoints_committed, 10);
+  EXPECT_EQ(system.Snapshot().cpu_checkpoints_committed, 10);
   // Wall time is just 10 iterations (no overhead from checkpointing).
   EXPECT_EQ(report->wall_time, 10 * report->iteration_time);
   EXPECT_NEAR(report->effective_training_ratio(), 1.0, 1e-9);
@@ -274,7 +274,7 @@ TEST(GeminiSystemTest, PersistentCheckpointsHappenOnSchedule) {
   ASSERT_TRUE(system.Initialize().ok());
   const auto report = system.TrainUntil(10);  // ~11 minutes of training.
   ASSERT_TRUE(report.ok());
-  EXPECT_GE(report->persistent_checkpoints_committed, 1);
+  EXPECT_GE(system.Snapshot().persistent_checkpoints_committed, 1);
   EXPECT_GT(system.persistent_store().LatestCompleteIteration(), 0);
   // Serialization for persistent checkpoints blocks training briefly.
   EXPECT_GT(report->wall_time, 10 * report->iteration_time);
@@ -314,37 +314,6 @@ TEST(GeminiSystemTest, WastedTimeBeatsBaselineByOrderOfMagnitude) {
   const double speedup = static_cast<double>(highfreq.AverageWastedTime()) /
                          static_cast<double>(report->recoveries[0].wasted_time);
   EXPECT_GT(speedup, 13.0);
-}
-
-TEST(GeminiSystemTest, CheckpointWatermarkPublishedAsOneBatchedProposal) {
-  // Identical runs with the watermark off and on: the difference in KV
-  // proposals must be exactly one per checkpoint block (the batched
-  // publish), not one per key — 5 blocks of (8 ranks + 1 block key) would
-  // cost 45 extra proposals unbatched.
-  GeminiConfig config = SmallConfig();
-  GeminiSystem baseline(config);
-  ASSERT_TRUE(baseline.Initialize().ok());
-  ASSERT_TRUE(baseline.TrainUntil(5).ok());
-  const int64_t proposals_off = baseline.metrics().counter_value("kv.proposals");
-
-  config.publish_checkpoint_watermark = true;
-  GeminiSystem system(config);
-  ASSERT_TRUE(system.Initialize().ok());
-  const auto report = system.TrainUntil(5);
-  ASSERT_TRUE(report.ok()) << report.status();
-  ASSERT_EQ(report->cpu_checkpoints_committed, 5);
-  // The per-rank watermarks and the block key are visible...
-  const StatusOr<KvEntry> block = system.kvstore().Get("ckpt/watermark/block");
-  ASSERT_TRUE(block.ok()) << block.status();
-  EXPECT_EQ(block->value, "4");  // Last committed snapshot iteration.
-  const auto ranks = system.kvstore().List("ckpt/watermark/rank/");
-  EXPECT_EQ(static_cast<int>(ranks.size()), config.num_machines);
-  for (const auto& [key, entry] : ranks) {
-    EXPECT_EQ(entry.value, "4") << key;
-  }
-  // ...and cost one consensus round per checkpoint block.
-  const int64_t proposals_on = system.metrics().counter_value("kv.proposals");
-  EXPECT_EQ(proposals_on, proposals_off + 5) << "watermarks were not batched";
 }
 
 TEST(GeminiSystemTest, KvProposalsDoNotGrowWithTrainingLength) {
@@ -517,8 +486,9 @@ TEST(GeminiSystemTest, FrequencyAmortizationKeepsTrainingFree) {
   const auto report = system.TrainUntil(12, /*sim_deadline=*/Hours(4));
   ASSERT_TRUE(report.ok()) << report.status();
   // Fewer commits than iterations (one per k-block).
-  EXPECT_LE(report->cpu_checkpoints_committed, 12 / interval + 1);
-  EXPECT_GE(report->cpu_checkpoints_committed, 12 / interval - 1);
+  const int64_t commits = system.Snapshot().cpu_checkpoints_committed;
+  EXPECT_LE(commits, 12 / interval + 1);
+  EXPECT_GE(commits, 12 / interval - 1);
   ASSERT_GE(report->recoveries.size(), 1u);
   // Rollback distance is bounded by two checkpoint blocks.
   const RecoveryRecord& recovery = report->recoveries[0];

@@ -2,6 +2,10 @@
 // replication, leases/TTL, watches, failover, and catch-up after reset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <vector>
+
 #include "src/cluster/fabric.h"
 #include "src/kvstore/kv_store.h"
 #include "src/obs/metrics.h"
@@ -304,72 +308,6 @@ TEST_F(KvStoreTest, LeaseRevokeDeletesKeysImmediately) {
   EXPECT_EQ(kv_->Get("/b").status().code(), StatusCode::kNotFound);
 }
 
-TEST_F(KvStoreTest, PutBatchCommitsAllEntriesInOneLogEntry) {
-  AwaitLeader();
-  int leader_node = -1;
-  for (int i = 0; i < kv_->num_nodes(); ++i) {
-    if (kv_->node(i).role() == KvNode::Role::kLeader) {
-      leader_node = i;
-    }
-  }
-  ASSERT_GE(leader_node, 0);
-  std::vector<WatchEvent> events;
-  kv_->Watch("/ckpt/", [&](const WatchEvent& event) { events.push_back(event); });
-  const uint64_t committed_before = kv_->node(leader_node).commit_index();
-  Status result = InternalError("pending");
-  kv_->PutBatch({{"/ckpt/rank/0", "7"}, {"/ckpt/rank/1", "7"}, {"/ckpt/block", "7"}},
-                kNoLease, [&](Status status) { result = status; });
-  Settle();
-  ASSERT_TRUE(result.ok()) << result;
-  // The whole batch rode ONE log entry — a single consensus round.
-  EXPECT_EQ(kv_->node(leader_node).commit_index(), committed_before + 1);
-  // Every entry is visible, stamped with the same mod revision.
-  const StatusOr<KvEntry> first = kv_->Get("/ckpt/rank/0");
-  const StatusOr<KvEntry> last = kv_->Get("/ckpt/block");
-  ASSERT_TRUE(first.ok());
-  ASSERT_TRUE(last.ok());
-  EXPECT_EQ(first->value, "7");
-  EXPECT_EQ(last->value, "7");
-  EXPECT_EQ(first->mod_index, last->mod_index);
-  // Each put still produced its own watch event, in batch order.
-  ASSERT_EQ(events.size(), 3u);
-  EXPECT_EQ(events[0].key, "/ckpt/rank/0");
-  EXPECT_EQ(events[1].key, "/ckpt/rank/1");
-  EXPECT_EQ(events[2].key, "/ckpt/block");
-}
-
-TEST_F(KvStoreTest, PutBatchAppliesDuplicateKeysInOrder) {
-  AwaitLeader();
-  Status result = InternalError("pending");
-  kv_->PutBatch({{"/k", "first"}, {"/k", "second"}}, kNoLease,
-                [&](Status status) { result = status; });
-  Settle();
-  ASSERT_TRUE(result.ok());
-  const StatusOr<KvEntry> entry = kv_->Get("/k");
-  ASSERT_TRUE(entry.ok());
-  EXPECT_EQ(entry->value, "second") << "later batch entries must win collisions";
-}
-
-TEST_F(KvStoreTest, EmptyPutBatchSucceedsWithoutProposing) {
-  // Vacuous commit: needs no leader and appends nothing to any log.
-  Status result = InternalError("pending");
-  kv_->PutBatch({}, kNoLease, [&](Status status) { result = status; });
-  EXPECT_TRUE(result.ok());
-}
-
-TEST_F(KvStoreTest, PutBatchReplicatesToFollowers) {
-  AwaitLeader();
-  kv_->PutBatch({{"/a", "1"}, {"/b", "2"}}, kNoLease, [](Status) {});
-  Settle();
-  for (int i = 0; i < kv_->num_nodes(); ++i) {
-    const auto& state = kv_->node(i).applied_state();
-    ASSERT_TRUE(state.contains("/a")) << "node " << i;
-    ASSERT_TRUE(state.contains("/b")) << "node " << i;
-    EXPECT_EQ(state.at("/a").value, "1");
-    EXPECT_EQ(state.at("/b").value, "2");
-  }
-}
-
 TEST_F(KvStoreTest, WatchSeesPutAndDelete) {
   AwaitLeader();
   std::vector<WatchEvent> events;
@@ -467,6 +405,54 @@ TEST_F(KvStoreTest, ResetNodeCatchesUpFromLeader) {
   for (int i = 0; i < 5; ++i) {
     EXPECT_TRUE(kv_->node(follower).GetApplied("/key/" + std::to_string(i)).has_value())
         << "follower missed /key/" << i << " after catch-up";
+  }
+}
+
+TEST_F(KvStoreTest, LeaseGrantsLeaveNoBookkeepingKeys) {
+  AwaitLeader();
+  std::vector<LeaseId> ids;
+  for (int i = 0; i < 3; ++i) {
+    kv_->LeaseGrant(Hours(1), [&](StatusOr<LeaseId> lease) {
+      ASSERT_TRUE(lease.ok()) << lease.status();
+      ids.push_back(*lease);
+    });
+    Settle();
+  }
+  ASSERT_EQ(ids.size(), 3u);
+  EXPECT_TRUE(std::is_sorted(ids.begin(), ids.end()) &&
+              std::adjacent_find(ids.begin(), ids.end()) == ids.end())
+      << "lease ids must increase in grant order";
+  for (size_t i = 0; i < ids.size(); ++i) {
+    kv_->Put("/health/" + std::to_string(i), "ok", ids[i], [](Status) {});
+  }
+  Settle();
+  int follower = -1;
+  for (int i = 0; i < kv_->num_nodes(); ++i) {
+    if (kv_->node(i).role() != KvNode::Role::kLeader) {
+      follower = i;
+      break;
+    }
+  }
+  ASSERT_GE(follower, 0);
+  kv_->node(follower).ResetAndRestart();
+  Settle(Seconds(3));
+
+  // Every replica, the caught-up one included, holds exactly the client keys
+  // and the same leases, each with its own key attached.
+  for (int node = 0; node < kv_->num_nodes(); ++node) {
+    std::vector<std::string> keys;
+    for (const auto& [key, entry] : kv_->node(node).applied_state()) {
+      keys.push_back(key);
+    }
+    EXPECT_EQ(keys, (std::vector<std::string>{"/health/0", "/health/1", "/health/2"}))
+        << "node " << node;
+    const auto& leases = kv_->node(node).leases();
+    ASSERT_EQ(leases.size(), ids.size()) << "node " << node;
+    for (size_t i = 0; i < ids.size(); ++i) {
+      ASSERT_TRUE(leases.contains(ids[i])) << "node " << node << " lease " << ids[i];
+      EXPECT_EQ(leases.at(ids[i]).keys, std::vector<std::string>{"/health/" + std::to_string(i)})
+          << "node " << node;
+    }
   }
 }
 

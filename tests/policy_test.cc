@@ -260,7 +260,7 @@ TEST(TierCheckPolicyTest, RunsPersistentCheckpointsAtTightCadence) {
   ASSERT_TRUE(report.ok()) << report.status();
   // GEMINI's default 3 h cadence would commit zero persistent checkpoints in
   // this window; the tiered policy commits every few minutes.
-  EXPECT_GE(report->persistent_checkpoints_committed, 2);
+  EXPECT_GE(system.Snapshot().persistent_checkpoints_committed, 2);
   // The cadence never violates the serialization-stall budget (CheckFreq's
   // budgeted-frequency rule, shared through the cost model).
   const TimeNs stall =
