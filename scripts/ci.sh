@@ -38,6 +38,16 @@ echo "==> tier-1: ctest -L policy (protection-policy engine)"
 echo "==> tier-1: every src/ header reached from bench/, examples/ or perfbench/"
 python3 scripts/check_reached_headers.py
 
+# A cached metric handle always points at a metric: the registry's, or the
+# discard sink when none is attached (src/obs/metrics.h). No src/ line may
+# compare one with nullptr.
+echo "==> tier-1: no src/ line compares a metric handle with nullptr"
+handle='[A-Za-z0-9_]*(_counter_?|_gauge_|_gauges_(\[[^]]*\])?)'
+if grep -rnE "${handle}[[:space:]]*[!=]=[[:space:]]*nullptr|nullptr[[:space:]]*[!=]=[[:space:]]*${handle}" src/; then
+  echo "FAIL: null-guarded metric handle (point it at DiscardCounter()/DiscardGauge())" >&2
+  exit 1
+fi
+
 if [[ "$fast" == "1" ]]; then
   echo "==> done (fast mode: Release and sanitizer passes skipped)"
   exit 0

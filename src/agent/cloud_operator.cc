@@ -1,7 +1,6 @@
 #include "src/agent/cloud_operator.h"
 
 #include "src/common/logging.h"
-#include "src/obs/metrics.h"
 
 namespace gemini {
 
@@ -14,27 +13,17 @@ CloudOperator::CloudOperator(Simulator& sim, Cluster& cluster, CloudOperatorConf
       standby_available_(config.num_standby) {}
 
 void CloudOperator::set_metrics(MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics != nullptr) {
-    replacements_counter_ = &metrics->counter("cloud.replacements");
-    standby_activations_counter_ = &metrics->counter("cloud.standby_activations");
-  } else {
-    replacements_counter_ = nullptr;
-    standby_activations_counter_ = nullptr;
-  }
+  replacements_counter_ = CounterHandle(metrics, "cloud.replacements");
+  standby_activations_counter_ = CounterHandle(metrics, "cloud.standby_activations");
 }
 
 void CloudOperator::ReplaceMachine(int rank, std::function<void(Machine&)> done) {
   ++total_replacements_;
-  if (replacements_counter_ != nullptr) {
-    replacements_counter_->Increment();
-  }
+  replacements_counter_->Increment();
   TimeNs delay;
   if (standby_available_ > 0) {
     --standby_available_;
-    if (standby_activations_counter_ != nullptr) {
-      standby_activations_counter_->Increment();
-    }
+    standby_activations_counter_->Increment();
     delay = config_.standby_activation_delay;
     // The failed machine is returned and another standby is requested; it
     // arrives after a full provisioning delay.

@@ -13,12 +13,10 @@
 
 #include "src/cluster/cluster.h"
 #include "src/common/rng.h"
+#include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 
 namespace gemini {
-
-class Counter;
-class MetricsRegistry;
 
 struct CloudOperatorConfig {
   TimeNs provision_delay_min = Minutes(4);
@@ -38,11 +36,6 @@ class CloudOperator {
   int standby_available() const { return standby_available_; }
   int total_replacements() const { return total_replacements_; }
 
-  // Expected replacement latency for analysis/benches.
-  TimeNs MeanProvisionDelay() const {
-    return (config_.provision_delay_min + config_.provision_delay_max) / 2;
-  }
-
   // Optional sink for "cloud.*" counters; may stay null. Counter handles are
   // resolved here, once, per the hot-path metric convention
   // (src/obs/metrics.h).
@@ -55,10 +48,9 @@ class CloudOperator {
   Rng rng_;
   int standby_available_;
   int total_replacements_ = 0;
-  MetricsRegistry* metrics_ = nullptr;
   // Metric handles (resolved once in set_metrics).
-  Counter* replacements_counter_ = nullptr;
-  Counter* standby_activations_counter_ = nullptr;
+  Counter* replacements_counter_ = DiscardCounter();
+  Counter* standby_activations_counter_ = DiscardCounter();
 };
 
 }  // namespace gemini

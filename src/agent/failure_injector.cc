@@ -1,7 +1,6 @@
 #include "src/agent/failure_injector.h"
 
 #include "src/common/logging.h"
-#include "src/obs/metrics.h"
 
 namespace gemini {
 
@@ -19,16 +18,9 @@ FailureInjector::FailureInjector(Simulator& sim, Cluster& cluster, uint64_t seed
     : sim_(sim), cluster_(cluster), rng_(seed) {}
 
 void FailureInjector::set_metrics(MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics != nullptr) {
-    trigger_fires_counter_ = &metrics->counter("injector.trigger_fires");
-    corruptions_counter_ = &metrics->counter("injector.corruptions_injected");
-    failures_counter_ = &metrics->counter("injector.failures_injected");
-  } else {
-    trigger_fires_counter_ = nullptr;
-    corruptions_counter_ = nullptr;
-    failures_counter_ = nullptr;
-  }
+  trigger_fires_counter_ = CounterHandle(metrics, "injector.trigger_fires");
+  corruptions_counter_ = CounterHandle(metrics, "injector.corruptions_injected");
+  failures_counter_ = CounterHandle(metrics, "injector.failures_injected");
 }
 
 void FailureInjector::InjectAt(TimeNs when, FailureType type, std::vector<int> ranks) {
@@ -61,13 +53,6 @@ void FailureInjector::ArmOnTrigger(std::string trigger, FailureType type, std::v
   armed_[std::move(trigger)].push_back(std::move(armed));
 }
 
-void FailureInjector::InjectCorruptionAt(TimeNs when, int holder_rank, int owner_rank,
-                                         size_t bit_index) {
-  sim_.ScheduleAt(when, [this, holder_rank, owner_rank, bit_index] {
-    ApplyCorruption(holder_rank, owner_rank, bit_index);
-  });
-}
-
 void FailureInjector::ArmCorruptionOnTrigger(std::string trigger, int holder_rank, int owner_rank,
                                              size_t bit_index, TimeNs delay) {
   ArmedEvent armed;
@@ -77,13 +62,6 @@ void FailureInjector::ArmCorruptionOnTrigger(std::string trigger, int holder_ran
   armed.bit_index = bit_index;
   armed.delay = delay;
   armed_[std::move(trigger)].push_back(std::move(armed));
-}
-
-void FailureInjector::InjectDeltaCorruptionAt(TimeNs when, int holder_rank, int owner_rank,
-                                              size_t chain_index, size_t bit_index) {
-  sim_.ScheduleAt(when, [this, holder_rank, owner_rank, chain_index, bit_index] {
-    ApplyDeltaCorruption(holder_rank, owner_rank, chain_index, bit_index);
-  });
 }
 
 void FailureInjector::ArmDeltaCorruptionOnTrigger(std::string trigger, int holder_rank,
@@ -106,9 +84,7 @@ void FailureInjector::Fire(std::string_view trigger) {
   }
   std::vector<ArmedEvent> events = std::move(it->second);
   armed_.erase(it);
-  if (trigger_fires_counter_ != nullptr) {
-    trigger_fires_counter_->Increment();
-  }
+  trigger_fires_counter_->Increment();
   for (ArmedEvent& armed : events) {
     if (armed.delta_corruption) {
       const int holder = armed.holder_rank;
@@ -152,9 +128,7 @@ void FailureInjector::ApplyCorruption(int holder_rank, int owner_rank, size_t bi
   GEMINI_LOG(kInfo) << "failure injector: flipped bit " << bit_index << " of owner "
                     << owner_rank << "'s replica on rank " << holder_rank << " at "
                     << FormatDuration(sim_.now());
-  if (corruptions_counter_ != nullptr) {
-    corruptions_counter_->Increment();
-  }
+  corruptions_counter_->Increment();
 }
 
 void FailureInjector::ApplyDeltaCorruption(int holder_rank, int owner_rank, size_t chain_index,
@@ -173,9 +147,7 @@ void FailureInjector::ApplyDeltaCorruption(int holder_rank, int owner_rank, size
   GEMINI_LOG(kInfo) << "failure injector: flipped bit " << bit_index << " of owner " << owner_rank
                     << "'s chain link " << chain_index << " on rank " << holder_rank << " at "
                     << FormatDuration(sim_.now());
-  if (corruptions_counter_ != nullptr) {
-    corruptions_counter_->Increment();
-  }
+  corruptions_counter_->Increment();
 }
 
 void FailureInjector::Apply(const FailureEvent& event) {
@@ -190,9 +162,7 @@ void FailureInjector::Apply(const FailureEvent& event) {
                       << machine.DebugName() << " at " << FormatDuration(sim_.now());
   }
   ++injected_;
-  if (failures_counter_ != nullptr) {
-    failures_counter_->Increment();
-  }
+  failures_counter_->Increment();
   if (observer_) {
     observer_(event);
   }

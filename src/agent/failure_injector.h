@@ -28,12 +28,10 @@
 #include "src/cluster/cluster.h"
 #include "src/common/rng.h"
 #include "src/common/status.h"
+#include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 
 namespace gemini {
-
-class Counter;
-class MetricsRegistry;
 
 enum class FailureType {
   // Training process crash; hardware (and CPU memory contents) survive.
@@ -77,17 +75,14 @@ class FailureInjector {
   void ArmOnTrigger(std::string trigger, FailureType type, std::vector<int> ranks,
                     TimeNs delay = 0);
 
-  // Schedules / arms a checkpoint bit flip on `holder_rank`'s completed
-  // replica of `owner_rank` (needs the corruption hook installed).
-  void InjectCorruptionAt(TimeNs when, int holder_rank, int owner_rank, size_t bit_index);
+  // Arms a checkpoint bit flip on `holder_rank`'s completed replica of
+  // `owner_rank` (needs the corruption hook installed).
   void ArmCorruptionOnTrigger(std::string trigger, int holder_rank, int owner_rank,
                               size_t bit_index, TimeNs delay = 0);
 
   // Same, but flips a bit inside link `chain_index` of the holder's redo-log
   // delta chain for `owner_rank` (incremental checkpoint mode; needs the
   // delta corruption hook installed).
-  void InjectDeltaCorruptionAt(TimeNs when, int holder_rank, int owner_rank,
-                               size_t chain_index, size_t bit_index);
   void ArmDeltaCorruptionOnTrigger(std::string trigger, int holder_rank, int owner_rank,
                                    size_t chain_index, size_t bit_index, TimeNs delay = 0);
 
@@ -154,11 +149,10 @@ class FailureInjector {
       delta_corruption_hook_;
   std::map<std::string, std::vector<ArmedEvent>> armed_;
   int64_t injected_ = 0;
-  MetricsRegistry* metrics_ = nullptr;
   // Metric handles (resolved once in set_metrics).
-  Counter* trigger_fires_counter_ = nullptr;
-  Counter* corruptions_counter_ = nullptr;
-  Counter* failures_counter_ = nullptr;
+  Counter* trigger_fires_counter_ = DiscardCounter();
+  Counter* corruptions_counter_ = DiscardCounter();
+  Counter* failures_counter_ = DiscardCounter();
 };
 
 }  // namespace gemini

@@ -1,7 +1,6 @@
 #include "src/agent/root_agent.h"
 
 #include "src/common/logging.h"
-#include "src/obs/metrics.h"
 
 namespace gemini {
 
@@ -20,16 +19,9 @@ RootAgent::RootAgent(Simulator& sim, Cluster& cluster, KvStoreCluster& kv, int r
 RootAgent::~RootAgent() = default;
 
 void RootAgent::set_metrics(MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics != nullptr) {
-    root_scans_counter_ = &metrics->counter("agent.root_scans");
-    heartbeat_misses_counter_ = &metrics->counter("agent.heartbeat_misses");
-    failures_reported_counter_ = &metrics->counter("agent.failures_reported");
-  } else {
-    root_scans_counter_ = nullptr;
-    heartbeat_misses_counter_ = nullptr;
-    failures_reported_counter_ = nullptr;
-  }
+  root_scans_counter_ = CounterHandle(metrics, "agent.root_scans");
+  heartbeat_misses_counter_ = CounterHandle(metrics, "agent.heartbeat_misses");
+  failures_reported_counter_ = CounterHandle(metrics, "agent.failures_reported");
 }
 
 void RootAgent::Start() {
@@ -52,10 +44,6 @@ void RootAgent::ClearHandled(const std::vector<int>& ranks) {
   }
 }
 
-void RootAgent::ClaimLeadership(LeaseId lease) {
-  kv_.PutIfAbsent(kRootKey, std::to_string(rank_), lease, [](Status) {});
-}
-
 void RootAgent::OnScanTick() {
   // A dead root machine stops scanning; workers will notice the root key
   // expire and promote a replacement.
@@ -74,9 +62,7 @@ void RootAgent::OnScanTick() {
     return;
   }
 
-  if (root_scans_counter_ != nullptr) {
-    root_scans_counter_->Increment();
-  }
+  root_scans_counter_->Increment();
   const std::map<std::string, KvEntry> health = kv_.List(kHealthKeyPrefix);
   std::vector<int> hardware_failed;
   std::vector<int> software_failed;
@@ -87,9 +73,7 @@ void RootAgent::OnScanTick() {
     const auto it = health.find(kHealthKeyPrefix + std::to_string(rank));
     if (it == health.end()) {
       // Lease expired: the machine stopped heartbeating => hardware failure.
-      if (heartbeat_misses_counter_ != nullptr) {
-        heartbeat_misses_counter_->Increment();
-      }
+      heartbeat_misses_counter_->Increment();
       hardware_failed.push_back(rank);
     } else if (it->second.value == kStatusProcessDown) {
       software_failed.push_back(rank);
@@ -108,9 +92,7 @@ void RootAgent::OnScanTick() {
     report.detected_at = sim_.now();
     GEMINI_LOG(kInfo) << "root agent: detected hardware failure on " << hardware_failed.size()
                       << " machine(s) at " << FormatDuration(sim_.now());
-    if (failures_reported_counter_ != nullptr) {
-      failures_reported_counter_->Increment();
-    }
+    failures_reported_counter_->Increment();
     on_failure_(report);
     return;
   }
@@ -124,9 +106,7 @@ void RootAgent::OnScanTick() {
     report.detected_at = sim_.now();
     GEMINI_LOG(kInfo) << "root agent: detected software failure on " << software_failed.size()
                       << " machine(s) at " << FormatDuration(sim_.now());
-    if (failures_reported_counter_ != nullptr) {
-      failures_reported_counter_->Increment();
-    }
+    failures_reported_counter_->Increment();
     on_failure_(report);
   }
 }

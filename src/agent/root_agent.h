@@ -20,6 +20,7 @@
 #include "src/agent/worker_agent.h"
 #include "src/cluster/cluster.h"
 #include "src/kvstore/kv_store.h"
+#include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 #include "src/sim/timer.h"
 
@@ -54,9 +55,6 @@ class RootAgent {
   // window so freshly-published healthy statuses have time to commit.
   void SetPaused(bool paused);
 
-  // Claims the root-leadership key (called at startup and after promotion).
-  void ClaimLeadership(LeaseId lease);
-
   // Optional sink for "agent.*" counters; may stay null. Counter handles are
   // resolved here, once, per the hot-path metric convention
   // (src/obs/metrics.h) — the scan counter fires every scan period.
@@ -72,11 +70,10 @@ class RootAgent {
   AgentConfig config_;
   std::function<void(const FailureReport&)> on_failure_;
   std::unique_ptr<RepeatingTimer> scan_timer_;
-  MetricsRegistry* metrics_ = nullptr;
   // Hot-path metric handles (resolved once in set_metrics).
-  Counter* root_scans_counter_ = nullptr;
-  Counter* heartbeat_misses_counter_ = nullptr;
-  Counter* failures_reported_counter_ = nullptr;
+  Counter* root_scans_counter_ = DiscardCounter();
+  Counter* heartbeat_misses_counter_ = DiscardCounter();
+  Counter* failures_reported_counter_ = DiscardCounter();
   std::set<int> handled_;
   bool paused_ = false;
   TimeNs grace_until_ = 0;

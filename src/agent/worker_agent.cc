@@ -1,7 +1,6 @@
 #include "src/agent/worker_agent.h"
 
 #include "src/common/logging.h"
-#include "src/obs/metrics.h"
 #include "src/obs/run_tracer.h"
 
 namespace gemini {
@@ -18,22 +17,12 @@ WorkerAgent::WorkerAgent(Simulator& sim, Cluster& cluster, KvStoreCluster& kv, i
 WorkerAgent::~WorkerAgent() = default;
 
 void WorkerAgent::set_metrics(MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics != nullptr) {
-    lease_acquired_counter_ = &metrics->counter("agent.lease_acquired");
-    publish_failures_counter_ = &metrics->counter("agent.publish_failures");
-    publish_retries_counter_ = &metrics->counter("agent.publish_retries");
-    process_down_counter_ = &metrics->counter("agent.process_down_reports");
-    keepalives_counter_ = &metrics->counter("agent.keepalives");
-    root_campaigns_counter_ = &metrics->counter("agent.root_campaigns");
-  } else {
-    lease_acquired_counter_ = nullptr;
-    publish_failures_counter_ = nullptr;
-    publish_retries_counter_ = nullptr;
-    process_down_counter_ = nullptr;
-    keepalives_counter_ = nullptr;
-    root_campaigns_counter_ = nullptr;
-  }
+  lease_acquired_counter_ = CounterHandle(metrics, "agent.lease_acquired");
+  publish_failures_counter_ = CounterHandle(metrics, "agent.publish_failures");
+  publish_retries_counter_ = CounterHandle(metrics, "agent.publish_retries");
+  process_down_counter_ = CounterHandle(metrics, "agent.process_down_reports");
+  keepalives_counter_ = CounterHandle(metrics, "agent.keepalives");
+  root_campaigns_counter_ = CounterHandle(metrics, "agent.root_campaigns");
 }
 
 void WorkerAgent::Start() {
@@ -67,27 +56,25 @@ void WorkerAgent::AcquireLeaseAndPublish() {
       return;
     }
     lease_ = *lease;
-    if (lease_acquired_counter_ != nullptr) {
-      lease_acquired_counter_->Increment();
-    }
+    lease_acquired_counter_->Increment();
     PublishStatus(last_status_);
   });
 }
 
 void WorkerAgent::PublishStatus(const std::string& status) {
+  // Recorded even without a lease: the next grant publishes it, so a status
+  // reported before the first lease (or in a lease gap) is not lost.
+  last_status_ = status;
   if (!machine_ok() || lease_ == kNoLease) {
     return;
   }
-  last_status_ = status;
   kv_.Put(health_key(), status, lease_, [this, status](Status put_status) {
     if (!put_status.ok()) {
       // A dropped publish must not go unnoticed: a process_down status that
       // never lands means the root agent never starts recovery. Count it and
       // retry on the next keepalive tick.
       publish_retry_pending_ = true;
-      if (publish_failures_counter_ != nullptr) {
-        publish_failures_counter_->Increment();
-      }
+      publish_failures_counter_->Increment();
       if (tracer_ != nullptr) {
         tracer_->Event("agent_publish_failed", "agent",
                        {TraceAttr::Int("rank", rank_), TraceAttr::Text("status", status)});
@@ -101,9 +88,7 @@ void WorkerAgent::PublishStatus(const std::string& status) {
 }
 
 void WorkerAgent::ReportProcessDown() {
-  if (process_down_counter_ != nullptr) {
-    process_down_counter_->Increment();
-  }
+  process_down_counter_->Increment();
   PublishStatus(kStatusProcessDown);
 }
 
@@ -119,9 +104,7 @@ void WorkerAgent::OnKeepAliveTick() {
     AcquireLeaseAndPublish();
     return;
   }
-  if (keepalives_counter_ != nullptr) {
-    keepalives_counter_->Increment();
-  }
+  keepalives_counter_->Increment();
   kv_.LeaseKeepAlive(lease_, [this](Status status) {
     if (!status.ok() && started_ && machine_ok()) {
       // Lease may have expired during a KV leader change; reacquire.
@@ -129,9 +112,7 @@ void WorkerAgent::OnKeepAliveTick() {
       return;
     }
     if (publish_retry_pending_ && started_ && machine_ok()) {
-      if (publish_retries_counter_ != nullptr) {
-        publish_retries_counter_->Increment();
-      }
+      publish_retries_counter_->Increment();
       if (tracer_ != nullptr) {
         tracer_->Event("agent_publish_retry", "agent", {TraceAttr::Int("rank", rank_)});
       }
@@ -153,9 +134,7 @@ void WorkerAgent::OnRootWatchTick() {
   }
   // Root key expired: campaign. The key is attached to our health lease so a
   // root that later dies is detected the same way.
-  if (root_campaigns_counter_ != nullptr) {
-    root_campaigns_counter_->Increment();
-  }
+  root_campaigns_counter_->Increment();
   kv_.PutIfAbsent(kRootKey, std::to_string(rank_), lease_, [this](Status status) {
     if (!status.ok()) {
       return;

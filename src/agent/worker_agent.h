@@ -16,13 +16,12 @@
 
 #include "src/cluster/cluster.h"
 #include "src/kvstore/kv_store.h"
+#include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 #include "src/sim/timer.h"
 
 namespace gemini {
 
-class Counter;
-class MetricsRegistry;
 class RunTracer;
 
 inline constexpr char kHealthKeyPrefix[] = "/gemini/health/";
@@ -93,15 +92,14 @@ class WorkerAgent {
   std::unique_ptr<RepeatingTimer> keepalive_timer_;
   std::unique_ptr<RepeatingTimer> root_watch_timer_;
   std::function<void()> on_promoted_;
-  MetricsRegistry* metrics_ = nullptr;
   RunTracer* tracer_ = nullptr;
   // Hot-path metric handles (resolved once in set_metrics).
-  Counter* lease_acquired_counter_ = nullptr;
-  Counter* publish_failures_counter_ = nullptr;
-  Counter* publish_retries_counter_ = nullptr;
-  Counter* process_down_counter_ = nullptr;
-  Counter* keepalives_counter_ = nullptr;
-  Counter* root_campaigns_counter_ = nullptr;
+  Counter* lease_acquired_counter_ = DiscardCounter();
+  Counter* publish_failures_counter_ = DiscardCounter();
+  Counter* publish_retries_counter_ = DiscardCounter();
+  Counter* process_down_counter_ = DiscardCounter();
+  Counter* keepalives_counter_ = DiscardCounter();
+  Counter* root_campaigns_counter_ = DiscardCounter();
 };
 
 }  // namespace gemini

@@ -35,10 +35,6 @@ TimeNs RingCostModel::BroadcastTime(Bytes bytes, int group_size) const {
   return (group_size - 1) * (alpha + TransferTime(bytes, effective_bandwidth()));
 }
 
-TimeNs RingCostModel::SendTime(Bytes bytes) const {
-  return alpha + TransferTime(bytes, effective_bandwidth());
-}
-
 // ---------------------------------------------------------------------------
 // Data-plane collectives
 // ---------------------------------------------------------------------------

@@ -44,8 +44,6 @@ struct RingCostModel {
   TimeNs AllReduceTime(Bytes total_bytes, int world) const;
   // Pipelined chain broadcast of `bytes` from one root to group_size-1 peers.
   TimeNs BroadcastTime(Bytes bytes, int group_size) const;
-  // Point-to-point send of `bytes`.
-  TimeNs SendTime(Bytes bytes) const;
 };
 
 // ---------------------------------------------------------------------------

@@ -24,43 +24,17 @@ PayloadPool& AssemblyPool() {
 // Shared completion state across all streams of one snapshot.
 struct Outcome {
   ReplicationOutcome result;
-  MetricsRegistry* metrics = nullptr;
   InterferenceAuditor* auditor = nullptr;
   // Hot-path metric handles, resolved once per replication pass — chunk
   // completions must not pay a string-keyed map lookup each.
-  Counter* chunks_transferred_counter = nullptr;
-  Counter* bytes_replicated_counter = nullptr;
-  Counter* commits_counter = nullptr;
-  // Per-chunk counter updates are accumulated here and flushed as one
-  // Increment(n) per counter when a stream finishes (or the pass fails) —
-  // one batched update per checkpoint replica instead of one per chunk.
-  // Final totals match the per-chunk form exactly.
-  int64_t unflushed_chunks = 0;
-  int64_t unflushed_bytes = 0;
+  Counter* chunks_transferred_counter = DiscardCounter();
+  Counter* bytes_replicated_counter = DiscardCounter();
+  Counter* commits_counter = DiscardCounter();
   int pending_streams = 0;
   bool failed = false;
   std::function<void(ReplicationOutcome)> done;
 
-  void ResolveMetricHandles() {
-    if (metrics == nullptr) {
-      return;
-    }
-    chunks_transferred_counter = &metrics->counter("replicator.chunks_transferred");
-    bytes_replicated_counter = &metrics->counter("replicator.bytes_replicated");
-    commits_counter = &metrics->counter("replicator.commits");
-  }
-
-  void FlushMetricBatch() {
-    if (chunks_transferred_counter != nullptr && unflushed_chunks > 0) {
-      chunks_transferred_counter->Increment(unflushed_chunks);
-      bytes_replicated_counter->Increment(unflushed_bytes);
-    }
-    unflushed_chunks = 0;
-    unflushed_bytes = 0;
-  }
-
   void StreamFinished(TimeNs at) {
-    FlushMetricBatch();
     result.committed_at = std::max(result.committed_at, at);
     if (--pending_streams == 0 && !failed) {
       result.status = Status::Ok();
@@ -68,7 +42,6 @@ struct Outcome {
     }
   }
   void Fail(Status status) {
-    FlushMetricBatch();
     if (failed) {
       return;
     }
@@ -168,14 +141,8 @@ struct Stream : std::enable_shared_from_this<Stream> {
             return;
           }
           ++self->outcome->result.chunks_transferred;
-          self->outcome->unflushed_chunks += 1;
-          self->outcome->unflushed_bytes += chunk.bytes;
-          if (self->outcome->failed) {
-            // In-flight transfers that land after the pass already failed
-            // still count (they did move bytes); no StreamFinished will run
-            // for them, so flush immediately.
-            self->outcome->FlushMetricBatch();
-          }
+          self->outcome->chunks_transferred_counter->Increment();
+          self->outcome->bytes_replicated_counter->Increment(chunk.bytes);
           if (self->outcome->auditor != nullptr) {
             self->outcome->auditor->NoteBackgroundTransfer(chunk.span_index, chunk.bytes,
                                                            sent_at,
@@ -217,9 +184,7 @@ struct Stream : std::enable_shared_from_this<Stream> {
       EndOnWriteError(committed);
       return;
     }
-    if (outcome->commits_counter != nullptr) {
-      outcome->commits_counter->Increment();
-    }
+    outcome->commits_counter->Increment();
     outcome->StreamFinished(cluster->sim().now());
   }
 
@@ -258,9 +223,11 @@ struct Pass {
       : cluster(&cluster),
         window(std::max(1, config.num_buffers)),
         outcome(std::make_shared<Outcome>()) {
-    outcome->metrics = config.metrics;
     outcome->auditor = config.auditor;
-    outcome->ResolveMetricHandles();
+    outcome->chunks_transferred_counter =
+        CounterHandle(config.metrics, "replicator.chunks_transferred");
+    outcome->bytes_replicated_counter = CounterHandle(config.metrics, "replicator.bytes_replicated");
+    outcome->commits_counter = CounterHandle(config.metrics, "replicator.commits");
     outcome->done = std::move(done);
   }
 
@@ -415,9 +382,9 @@ void ReprotectReplicas(Cluster& cluster, const PlacementPlan& placement,
     }
   }
 
-  if (config.metrics != nullptr && !pass.streams.empty()) {
-    config.metrics->counter("replicator.reprotected_replicas")
-        .Increment(static_cast<int64_t>(pass.streams.size()));
+  if (!pass.streams.empty()) {
+    CounterHandle(config.metrics, "replicator.reprotected_replicas")
+        ->Increment(static_cast<int64_t>(pass.streams.size()));
   }
   pass.Start();
 }

@@ -37,9 +37,8 @@ class MetricsRegistry;
 struct ReplicatorConfig {
   // Number of in-flight sub-buffers on the receive path (pipeline depth p).
   int num_buffers = 4;
-  // Optional sink for "replicator.*" counters; may stay null. Per-chunk
-  // increments are batched in the pass and flushed once per stream commit —
-  // final totals are unchanged, but mid-pass reads see coarser granularity.
+  // Optional sink for "replicator.*" counters; may stay null (the pass then
+  // counts into the discard sinks).
   MetricsRegistry* metrics = nullptr;
   // Optional interference auditor notified of every completed chunk transfer
   // (the background traffic it attributes inflation to); may stay null.

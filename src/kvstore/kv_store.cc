@@ -41,17 +41,10 @@ void KvStoreCluster::Start() {
 }
 
 void KvStoreCluster::set_observability(MetricsRegistry* metrics, RunTracer* tracer) {
-  metrics_ = metrics;
   tracer_ = tracer;
-  if (metrics != nullptr) {
-    elections_started_counter_ = &metrics->counter("kv.elections_started");
-    elections_won_counter_ = &metrics->counter("kv.elections_won");
-    proposals_counter_ = &metrics->counter("kv.proposals");
-  } else {
-    elections_started_counter_ = nullptr;
-    elections_won_counter_ = nullptr;
-    proposals_counter_ = nullptr;
-  }
+  elections_started_counter_ = CounterHandle(metrics, "kv.elections_started");
+  elections_won_counter_ = CounterHandle(metrics, "kv.elections_won");
+  proposals_counter_ = CounterHandle(metrics, "kv.proposals");
 }
 
 KvNode* KvStoreCluster::Leader() const {
@@ -276,9 +269,7 @@ void KvNode::OnElectionTimeout() {
 void KvNode::StartElection() {
   role_ = Role::kCandidate;
   ++term_;
-  if (cluster_.elections_started_counter_ != nullptr) {
-    cluster_.elections_started_counter_->Increment();
-  }
+  cluster_.elections_started_counter_->Increment();
   voted_for_ = index_;
   votes_received_ = 1;
   leader_index_.reset();
@@ -368,9 +359,7 @@ void KvNode::BecomeFollower(uint64_t term) {
 
 void KvNode::BecomeLeader() {
   GEMINI_LOG(kDebug) << "kv node " << index_ << " becomes leader for term " << term_;
-  if (cluster_.elections_won_counter_ != nullptr) {
-    cluster_.elections_won_counter_->Increment();
-  }
+  cluster_.elections_won_counter_->Increment();
   if (cluster_.tracer_ != nullptr) {
     cluster_.tracer_->Event("kv_leader_elected", "kvstore",
                             {TraceAttr::Int("rank", rank_),
@@ -639,9 +628,7 @@ void KvNode::Propose(KvOp op, std::function<void(Status)> done) {
     done(UnavailableError("kvstore: not leader"));
     return;
   }
-  if (cluster_.proposals_counter_ != nullptr) {
-    cluster_.proposals_counter_->Increment();
-  }
+  cluster_.proposals_counter_->Increment();
   log_.push_back(LogEntry{term_, std::move(op)});
   const uint64_t index = LastLogIndex();
   match_index_[static_cast<size_t>(index_)] = index;

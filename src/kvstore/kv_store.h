@@ -34,12 +34,11 @@
 #include "src/common/rng.h"
 #include "src/common/status.h"
 #include "src/kvstore/kv_types.h"
+#include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 
 namespace gemini {
 
-class Counter;
-class MetricsRegistry;
 class RunTracer;
 
 struct KvStoreConfig {
@@ -129,13 +128,12 @@ class KvStoreCluster {
   std::vector<int> server_ranks_;
   std::function<bool(int)> alive_;
   KvStoreConfig config_;
-  MetricsRegistry* metrics_ = nullptr;
   RunTracer* tracer_ = nullptr;
   // Hot-path metric handles (resolved once in set_observability), shared by
   // every node of the cluster.
-  Counter* elections_started_counter_ = nullptr;
-  Counter* elections_won_counter_ = nullptr;
-  Counter* proposals_counter_ = nullptr;
+  Counter* elections_started_counter_ = DiscardCounter();
+  Counter* elections_won_counter_ = DiscardCounter();
+  Counter* proposals_counter_ = DiscardCounter();
   std::vector<std::unique_ptr<KvNode>> nodes_;
   uint64_t next_watch_id_ = 1;
   struct WatchReg {

@@ -24,17 +24,16 @@ SpanAttribution AttributeSpan(TimeNs observed_length, const std::vector<TimeNs>&
 
 InterferenceAuditor::InterferenceAuditor(AuditorConfig config, MetricsRegistry* metrics,
                                          RunTracer* tracer)
-    : config_(config), metrics_(metrics), tracer_(tracer) {
-  if (metrics_ != nullptr) {
-    audits_counter_ = &metrics_->counter("obs.audits");
-    interference_events_counter_ = &metrics_->counter("obs.interference.events");
-    interference_inflation_counter_ = &metrics_->counter("obs.interference.inflation_ns");
-    reprofiles_counter_ = &metrics_->counter("obs.reprofiles");
-    background_chunks_counter_ = &metrics_->counter("obs.background.chunks");
-    background_bytes_counter_ = &metrics_->counter("obs.background.bytes");
-    max_abs_drift_gauge_ = &metrics_->gauge("obs.drift.max_abs_ewma");
-  }
-}
+    : config_(config),
+      metrics_(metrics),
+      tracer_(tracer),
+      audits_counter_(CounterHandle(metrics, "obs.audits")),
+      interference_events_counter_(CounterHandle(metrics, "obs.interference.events")),
+      interference_inflation_counter_(CounterHandle(metrics, "obs.interference.inflation_ns")),
+      reprofiles_counter_(CounterHandle(metrics, "obs.reprofiles")),
+      background_chunks_counter_(CounterHandle(metrics, "obs.background.chunks")),
+      background_bytes_counter_(CounterHandle(metrics, "obs.background.bytes")),
+      max_abs_drift_gauge_(GaugeHandle(metrics, "obs.drift.max_abs_ewma")) {}
 
 void InterferenceAuditor::Rebaseline(const std::vector<IdleSpan>& profiled_spans,
                                      const PartitionResult& plan,
@@ -45,11 +44,8 @@ void InterferenceAuditor::Rebaseline(const std::vector<IdleSpan>& profiled_spans
   // "obs.drift.span_<i>" key there would put a string concatenation plus a
   // map lookup on the per-iteration path.
   span_drift_gauges_.clear();
-  if (metrics_ != nullptr) {
-    span_drift_gauges_.reserve(profiled_spans.size());
-    for (size_t i = 0; i < profiled_spans.size(); ++i) {
-      span_drift_gauges_.push_back(&metrics_->gauge("obs.drift.span_" + std::to_string(i)));
-    }
+  for (size_t i = 0; i < profiled_spans.size(); ++i) {
+    span_drift_gauges_.push_back(GaugeHandle(metrics_, "obs.drift.span_" + std::to_string(i)));
   }
   span_chunk_costs_.assign(profiled_spans.size(), {});
   for (const ChunkAssignment& chunk : plan.chunks) {
@@ -72,9 +68,7 @@ AuditReport InterferenceAuditor::AuditIteration(int64_t iteration,
     return report;
   }
   ++audits_;
-  if (audits_counter_ != nullptr) {
-    audits_counter_->Increment();
-  }
+  audits_counter_->Increment();
 
   for (size_t i = 0; i < profiled_spans_.size(); ++i) {
     const TimeNs profiled = profiled_spans_[i].length;
@@ -110,16 +104,12 @@ AuditReport InterferenceAuditor::AuditIteration(int64_t iteration,
   total_interference_events_ += report.interference_events;
   total_inflation_ += report.inflation;
 
-  if (metrics_ != nullptr) {
-    for (size_t i = 0; i < drift_ewma_.size() && i < span_drift_gauges_.size(); ++i) {
-      span_drift_gauges_[i]->Set(drift_ewma_[i]);
-    }
-    max_abs_drift_gauge_->Set(report.max_abs_drift);
-    if (report.interference_events > 0) {
-      interference_events_counter_->Increment(report.interference_events);
-      interference_inflation_counter_->Increment(report.inflation);
-    }
+  for (size_t i = 0; i < drift_ewma_.size(); ++i) {
+    span_drift_gauges_[i]->Set(drift_ewma_[i]);
   }
+  max_abs_drift_gauge_->Set(report.max_abs_drift);
+  interference_events_counter_->Increment(report.interference_events);
+  interference_inflation_counter_->Increment(report.inflation);
 
   // Trigger: the worst span's |EWMA| above threshold for K consecutive
   // audits. The hook re-profiles and re-partitions, then calls Rebaseline
@@ -133,9 +123,7 @@ AuditReport InterferenceAuditor::AuditIteration(int64_t iteration,
       reprofiles_ < config_.max_reprofiles && on_drift_) {
     ++reprofiles_;
     report.reprofile_triggered = true;
-    if (reprofiles_counter_ != nullptr) {
-      reprofiles_counter_->Increment();
-    }
+    reprofiles_counter_->Increment();
     on_drift_(iteration);
     consecutive_drifted_ = 0;
   }
@@ -147,10 +135,8 @@ void InterferenceAuditor::NoteBackgroundTransfer(int span_index, Bytes bytes, Ti
   (void)span_index;
   (void)start;
   (void)end;
-  if (background_chunks_counter_ != nullptr) {
-    background_chunks_counter_->Increment();
-    background_bytes_counter_->Increment(bytes);
-  }
+  background_chunks_counter_->Increment();
+  background_bytes_counter_->Increment(bytes);
 }
 
 void InterferenceAuditor::NoteFailure(TimeNs now) { failure_times_.push_back(now); }

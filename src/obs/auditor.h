@@ -34,14 +34,12 @@
 #include <vector>
 
 #include "src/common/units.h"
+#include "src/obs/metrics.h"
 #include "src/schedule/partition.h"
 #include "src/training/timeline.h"
 
 namespace gemini {
 
-class Counter;
-class Gauge;
-class MetricsRegistry;
 class RunTracer;
 
 struct AuditorConfig {
@@ -141,16 +139,16 @@ class InterferenceAuditor {
   AuditorConfig config_;
   MetricsRegistry* metrics_ = nullptr;
   RunTracer* tracer_ = nullptr;
-  // Hot-path metric handles (resolved once at construction). The drift
-  // gauges are per span, so their handles live in `span_drift_gauges_`,
-  // refreshed on every Rebaseline.
-  Counter* audits_counter_ = nullptr;
-  Counter* interference_events_counter_ = nullptr;
-  Counter* interference_inflation_counter_ = nullptr;
-  Counter* reprofiles_counter_ = nullptr;
-  Counter* background_chunks_counter_ = nullptr;
-  Counter* background_bytes_counter_ = nullptr;
-  Gauge* max_abs_drift_gauge_ = nullptr;
+  // Hot-path metric handles (resolved once at construction; the discard
+  // sinks without a registry). The drift gauges are per span, so their
+  // handles live in `span_drift_gauges_`, refreshed on every Rebaseline.
+  Counter* audits_counter_;
+  Counter* interference_events_counter_;
+  Counter* interference_inflation_counter_;
+  Counter* reprofiles_counter_;
+  Counter* background_chunks_counter_;
+  Counter* background_bytes_counter_;
+  Gauge* max_abs_drift_gauge_;
   std::vector<Gauge*> span_drift_gauges_;
   std::function<void(int64_t iteration)> on_drift_;
 

@@ -59,8 +59,4 @@ void FlightRecorder::Dump(std::string_view reason, TimeNs now, const MetricsRegi
   }
 }
 
-Status FlightRecorder::WriteDumps(const std::string& path) const {
-  return WriteTextFile(path, dump_log_);
-}
-
 }  // namespace gemini

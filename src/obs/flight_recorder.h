@@ -22,7 +22,6 @@
 #include <string>
 #include <string_view>
 
-#include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/obs/run_tracer.h"
 
@@ -56,7 +55,6 @@ class FlightRecorder {
   // Every dump so far, concatenated (each dump is a self-delimiting JSONL
   // block). Byte-identical across same-seed runs.
   const std::string& dump_log() const { return dump_log_; }
-  Status WriteDumps(const std::string& path) const;
 
   int64_t dump_count() const { return dump_count_; }
   int64_t records_seen() const { return records_seen_; }

@@ -20,6 +20,14 @@ auto& FetchOrCreate(Map& map, std::string_view name) {
 
 }  // namespace
 
+Counter* CounterHandle(MetricsRegistry* metrics, std::string_view name) {
+  return metrics != nullptr ? &metrics->counter(name) : DiscardCounter();
+}
+
+Gauge* GaugeHandle(MetricsRegistry* metrics, std::string_view name) {
+  return metrics != nullptr ? &metrics->gauge(name) : DiscardGauge();
+}
+
 Counter& MetricsRegistry::counter(std::string_view name) {
   assert(!gauges_.contains(name) && !histograms_.contains(name));
   return FetchOrCreate(counters_, name);

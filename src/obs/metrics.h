@@ -4,9 +4,9 @@
 // GeminiSystem owns one registry and threads it into the trainer, the
 // replicator, the CPU/persistent checkpoint stores, the KV store, the agents
 // and the recovery paths; every heartbeat miss, checkpoint commit, replica
-// fetch, rollback and election increments a metric. Components hold a
-// nullable `MetricsRegistry*` so all of them also run metric-free (unit
-// tests, analytic benches).
+// fetch, rollback and election increments a metric. A component with no
+// registry attached (unit tests, analytic benches) counts into the discard
+// sinks below instead, through the same code path.
 //
 // Naming convention: lowercase dotted hierarchy, "<component>.<event>"
 // (e.g. "cpu_store.commits", "kv.elections_won"). The JSON export walks
@@ -19,8 +19,9 @@
 // constructor / Rebaseline — and increment through the cached handle on the
 // per-chunk / per-attempt / per-iteration path, instead of paying a
 // string-keyed map lookup (and possibly a std::string construction) per
-// event. Null handle means "no registry attached"; guard each use with a
-// null check, exactly as the old `metrics_ != nullptr` guards did.
+// event. A handle is never null: with no registry attached it points at the
+// shared DiscardCounter() / DiscardGauge() sink, so the rule is increment
+// through the handle and never check it.
 #ifndef SRC_OBS_METRICS_H_
 #define SRC_OBS_METRICS_H_
 
@@ -72,6 +73,24 @@ class Histogram {
   RunningStat stat_;
   QuantileSketch sketch_;
 };
+
+// Write-only sinks every cached handle points at while no registry is
+// attached. Nothing reads them.
+inline Counter* DiscardCounter() {
+  static Counter sink;
+  return &sink;
+}
+inline Gauge* DiscardGauge() {
+  static Gauge sink;
+  return &sink;
+}
+
+class MetricsRegistry;
+
+// The handle for metric `name`: the registry's metric, or the discard sink
+// when `metrics` is null. For set_metrics-style (re)binding.
+Counter* CounterHandle(MetricsRegistry* metrics, std::string_view name);
+Gauge* GaugeHandle(MetricsRegistry* metrics, std::string_view name);
 
 class MetricsRegistry {
  public:

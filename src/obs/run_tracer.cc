@@ -8,9 +8,7 @@
 namespace gemini {
 
 void RunTracer::set_metrics(MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  dropped_records_counter_ =
-      metrics != nullptr ? &metrics->counter("tracer.dropped_records") : nullptr;
+  dropped_records_counter_ = CounterHandle(metrics, "tracer.dropped_records");
 }
 
 TraceAttr TraceAttr::Text(std::string key, std::string value) {
@@ -90,9 +88,7 @@ void RunTracer::Emit(TraceRecord record) {
   }
   if (max_records_ > 0 && records_.size() >= max_records_) {
     ++dropped_records_;
-    if (dropped_records_counter_ != nullptr) {
-      dropped_records_counter_->Increment();
-    }
+    dropped_records_counter_->Increment();
     return;
   }
   records_.push_back(std::move(record));
@@ -200,10 +196,6 @@ std::string RunTracer::ToJsonl() const {
 
 Status RunTracer::WriteChromeTrace(const std::string& path) const {
   return WriteTextFile(path, ToChromeTraceJson());
-}
-
-Status RunTracer::WriteJsonl(const std::string& path) const {
-  return WriteTextFile(path, ToJsonl());
 }
 
 }  // namespace gemini

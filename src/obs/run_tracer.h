@@ -22,12 +22,10 @@
 
 #include "src/common/status.h"
 #include "src/common/units.h"
+#include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 
 namespace gemini {
-
-class Counter;
-class MetricsRegistry;
 
 // One attribute on a trace record. Numeric attributes keep their type so
 // exporters emit JSON numbers, not quoted strings.
@@ -114,7 +112,6 @@ class RunTracer {
   std::string ToJsonl() const;
 
   Status WriteChromeTrace(const std::string& path) const;
-  Status WriteJsonl(const std::string& path) const;
 
  private:
   // Runs the sink and stores the record unless disabled/capped.
@@ -124,9 +121,8 @@ class RunTracer {
   bool enabled_ = true;
   size_t max_records_ = 0;
   int64_t dropped_records_ = 0;
-  MetricsRegistry* metrics_ = nullptr;
   // Metric handle (resolved once in set_metrics).
-  Counter* dropped_records_counter_ = nullptr;
+  Counter* dropped_records_counter_ = DiscardCounter();
   std::function<void(const TraceRecord&)> record_sink_;
   std::vector<TraceRecord> records_;
 };

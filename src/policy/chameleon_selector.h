@@ -77,8 +77,8 @@ class ChameleonSelector : public ProtectionPolicy {
   double degraded_seen_ = 0.0;
   TimeNs inflation_seen_ = 0;
   // Metric handles (resolved on Activate).
-  Counter* switches_counter_ = nullptr;
-  Gauge* active_kind_gauge_ = nullptr;
+  Counter* switches_counter_ = DiscardCounter();
+  Gauge* active_kind_gauge_ = DiscardGauge();
 };
 
 }  // namespace gemini

@@ -35,8 +35,8 @@ class CheckmatePolicy : public ProtectionPolicy {
  private:
   CheckmateOptions options_;
   // Hot-path metric handles (resolved on Activate, per src/obs/metrics.h).
-  Counter* gradient_bytes_counter_ = nullptr;
-  Counter* logged_iterations_counter_ = nullptr;
+  Counter* gradient_bytes_counter_ = DiscardCounter();
+  Counter* logged_iterations_counter_ = DiscardCounter();
 };
 
 }  // namespace gemini

@@ -1,35 +1,20 @@
 #include "src/storage/cpu_store.h"
 
 #include "src/common/logging.h"
-#include "src/obs/metrics.h"
 
 namespace gemini {
 
 void CpuCheckpointStore::set_metrics(MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics != nullptr) {
-    commits_counter_ = &metrics->counter("cpu_store.commits");
-    bytes_committed_counter_ = &metrics->counter("cpu_store.bytes_committed");
-    aborts_counter_ = &metrics->counter("cpu_store.aborts");
-    crc_failures_counter_ = &metrics->counter("cpu_store.crc_failures");
-    corruptions_counter_ = &metrics->counter("cpu_store.corruptions");
-    delta_commits_counter_ = &metrics->counter("cpu_store.delta_commits");
-    delta_bytes_saved_counter_ = &metrics->counter("delta.bytes_saved");
-    compaction_folds_counter_ = &metrics->counter("compaction.folds");
-    compaction_bytes_folded_counter_ = &metrics->counter("compaction.bytes_folded");
-    chain_length_gauge_ = &metrics->gauge("delta.chain_length");
-  } else {
-    commits_counter_ = nullptr;
-    bytes_committed_counter_ = nullptr;
-    aborts_counter_ = nullptr;
-    crc_failures_counter_ = nullptr;
-    corruptions_counter_ = nullptr;
-    delta_commits_counter_ = nullptr;
-    delta_bytes_saved_counter_ = nullptr;
-    compaction_folds_counter_ = nullptr;
-    compaction_bytes_folded_counter_ = nullptr;
-    chain_length_gauge_ = nullptr;
-  }
+  commits_counter_ = CounterHandle(metrics, "cpu_store.commits");
+  bytes_committed_counter_ = CounterHandle(metrics, "cpu_store.bytes_committed");
+  aborts_counter_ = CounterHandle(metrics, "cpu_store.aborts");
+  crc_failures_counter_ = CounterHandle(metrics, "cpu_store.crc_failures");
+  corruptions_counter_ = CounterHandle(metrics, "cpu_store.corruptions");
+  delta_commits_counter_ = CounterHandle(metrics, "cpu_store.delta_commits");
+  delta_bytes_saved_counter_ = CounterHandle(metrics, "delta.bytes_saved");
+  compaction_folds_counter_ = CounterHandle(metrics, "compaction.folds");
+  compaction_bytes_folded_counter_ = CounterHandle(metrics, "compaction.bytes_folded");
+  chain_length_gauge_ = GaugeHandle(metrics, "delta.chain_length");
 }
 
 void CpuCheckpointStore::ConfigureRedoLog(const RedoLogConfig& config) {
@@ -127,10 +112,8 @@ Status CpuCheckpointStore::CommitWrite(Checkpoint checkpoint) {
   slot.writing = false;
   slot.writing_iteration = -1;
   slot.received = 0;
-  if (commits_counter_ != nullptr) {
-    commits_counter_->Increment();
-    bytes_committed_counter_->Increment(committed_bytes);
-  }
+  commits_counter_->Increment();
+  bytes_committed_counter_->Increment(committed_bytes);
   return Status::Ok();
 }
 
@@ -143,15 +126,13 @@ Status CpuCheckpointStore::WriteDelta(DeltaCheckpoint delta) {
   const Bytes delta_bytes = delta.delta_bytes;
   const Bytes full_bytes = delta.logical_bytes;
   GEMINI_RETURN_IF_ERROR(log.Append(std::move(delta)));
-  if (delta_commits_counter_ != nullptr) {
-    delta_commits_counter_->Increment();
-    bytes_committed_counter_->Increment(delta_bytes);
-    delta_bytes_saved_counter_->Increment(full_bytes - delta_bytes);
-    chain_length_gauge_->Set(static_cast<double>(log.chain_length()));
-  }
+  delta_commits_counter_->Increment();
+  bytes_committed_counter_->Increment(delta_bytes);
+  delta_bytes_saved_counter_->Increment(full_bytes - delta_bytes);
+  chain_length_gauge_->Set(static_cast<double>(log.chain_length()));
   if (log.NeedsCompaction()) {
     const Bytes folded = log.chain_bytes();
-    if (log.Compact().ok() && compaction_folds_counter_ != nullptr) {
+    if (log.Compact().ok()) {
       compaction_folds_counter_->Increment();
       compaction_bytes_folded_counter_->Increment(folded);
     }
@@ -178,9 +159,7 @@ Status CpuCheckpointStore::CorruptChainDelta(int owner_rank, size_t chain_index,
     return NotFoundError("no redo log chain to corrupt");
   }
   GEMINI_RETURN_IF_ERROR(it->second.log.CorruptDelta(chain_index, bit_index));
-  if (corruptions_counter_ != nullptr) {
-    corruptions_counter_->Increment();
-  }
+  corruptions_counter_->Increment();
   return Status::Ok();
 }
 
@@ -189,7 +168,7 @@ void CpuCheckpointStore::AbortWrite(int owner_rank) {
   if (it == slots_.end()) {
     return;
   }
-  if (it->second.writing && aborts_counter_ != nullptr) {
+  if (it->second.writing) {
     aborts_counter_->Increment();
   }
   it->second.writing = false;
@@ -217,9 +196,7 @@ std::optional<Checkpoint> CpuCheckpointStore::LatestImpl(int owner_rank,
   StatusOr<Checkpoint> materialized = it->second.log.Materialize();
   if (!materialized.ok()) {
     if (count_failures) {
-      if (crc_failures_counter_ != nullptr) {
-        crc_failures_counter_->Increment();
-      }
+      crc_failures_counter_->Increment();
       GEMINI_LOG(kWarning) << "cpu store on " << machine_->DebugName()
                            << ": delta chain for owner " << owner_rank
                            << " failed to materialize (" << materialized.status()
@@ -240,9 +217,7 @@ std::optional<Checkpoint> CpuCheckpointStore::LatestVerified(int owner_rank) con
     return std::nullopt;
   }
   if (!latest->IntegrityOk()) {
-    if (crc_failures_counter_ != nullptr) {
-      crc_failures_counter_->Increment();
-    }
+    crc_failures_counter_->Increment();
     GEMINI_LOG(kWarning) << "cpu store on " << machine_->DebugName()
                          << ": replica for owner " << owner_rank
                          << " failed its CRC check; treating as lost";
@@ -261,9 +236,7 @@ Status CpuCheckpointStore::CorruptLatest(int owner_rank, size_t bit_index) {
     return NotFoundError("no completed replica to corrupt");
   }
   GEMINI_RETURN_IF_ERROR(it->second.log.CorruptBase(bit_index));
-  if (corruptions_counter_ != nullptr) {
-    corruptions_counter_->Increment();
-  }
+  corruptions_counter_->Increment();
   return Status::Ok();
 }
 

@@ -17,26 +17,20 @@
 
 #include "src/cluster/machine.h"
 #include "src/common/status.h"
+#include "src/obs/metrics.h"
 #include "src/storage/checkpoint.h"
-#include "src/storage/checkpoint_store.h"
 #include "src/storage/delta.h"
 
 namespace gemini {
 
-class Counter;
-class Gauge;
-class MetricsRegistry;
-
-class CpuCheckpointStore : public CheckpointStore {
+class CpuCheckpointStore {
  public:
   explicit CpuCheckpointStore(Machine& machine) : machine_(&machine) {}
-
-  std::string_view tier_name() const override { return "cpu_memory"; }
 
   // Optional observability sink ("cpu_store.*" counters); survives
   // ResetForMachine (the registry outlives machine incarnations). Counter
   // handles are resolved here, once, per the hot-path metric convention
-  // (src/obs/metrics.h).
+  // (src/obs/metrics.h); null rebinds them to the discard sinks.
   void set_metrics(MetricsRegistry* metrics);
 
   // Called when the machine is swapped for a new incarnation: all contents
@@ -97,15 +91,15 @@ class CpuCheckpointStore : public CheckpointStore {
   // treated as absent (and counted under "cpu_store.crc_failures"). Every
   // recovery read goes through this so a torn or bit-flipped replica can
   // never be restored silently.
-  std::optional<Checkpoint> LatestVerified(int owner_rank) const override;
+  std::optional<Checkpoint> LatestVerified(int owner_rank) const;
   // Iteration of the latest completed checkpoint, or -1.
-  int64_t LatestIteration(int owner_rank) const override;
+  int64_t LatestIteration(int owner_rank) const;
 
   // Fault injection: flips one payload bit of the owner's sealed base (the
   // checkpoint bit-rot the CRC reads exist to catch). With a live chain, a
   // bit in a chunk the first delta rewrites is repaired by the replay; any
   // other bit fails the first link's full-state CRC.
-  Status CorruptLatest(int owner_rank, size_t bit_index) override;
+  Status CorruptLatest(int owner_rank, size_t bit_index);
 
   Bytes reserved_bytes() const { return reserved_; }
 
@@ -126,19 +120,18 @@ class CpuCheckpointStore : public CheckpointStore {
   std::optional<Checkpoint> LatestImpl(int owner_rank, bool count_failures) const;
 
   Machine* machine_;
-  MetricsRegistry* metrics_ = nullptr;
   RedoLogConfig log_config_;
   // Hot-path metric handles (resolved once in set_metrics).
-  Counter* commits_counter_ = nullptr;
-  Counter* bytes_committed_counter_ = nullptr;
-  Counter* aborts_counter_ = nullptr;
-  Counter* crc_failures_counter_ = nullptr;
-  Counter* corruptions_counter_ = nullptr;
-  Counter* delta_commits_counter_ = nullptr;
-  Counter* delta_bytes_saved_counter_ = nullptr;
-  Counter* compaction_folds_counter_ = nullptr;
-  Counter* compaction_bytes_folded_counter_ = nullptr;
-  Gauge* chain_length_gauge_ = nullptr;
+  Counter* commits_counter_ = DiscardCounter();
+  Counter* bytes_committed_counter_ = DiscardCounter();
+  Counter* aborts_counter_ = DiscardCounter();
+  Counter* crc_failures_counter_ = DiscardCounter();
+  Counter* corruptions_counter_ = DiscardCounter();
+  Counter* delta_commits_counter_ = DiscardCounter();
+  Counter* delta_bytes_saved_counter_ = DiscardCounter();
+  Counter* compaction_folds_counter_ = DiscardCounter();
+  Counter* compaction_bytes_folded_counter_ = DiscardCounter();
+  Gauge* chain_length_gauge_ = DiscardGauge();
   std::map<int, Slot> slots_;
   Bytes reserved_ = 0;
 };

@@ -8,32 +8,19 @@
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/obs/metrics.h"
 #include "src/storage/serializer.h"
 
 namespace gemini {
 
 void PersistentStore::set_metrics(MetricsRegistry* metrics) {
-  metrics_ = metrics;
-  if (metrics != nullptr) {
-    saves_counter_ = &metrics->counter("persistent.saves");
-    bytes_written_counter_ = &metrics->counter("persistent.bytes_written");
-    retrievals_counter_ = &metrics->counter("persistent.retrievals");
-    retries_counter_ = &metrics->counter("persistent_store.retries");
-    crc_failures_counter_ = &metrics->counter("persistent_store.crc_failures");
-    corruptions_counter_ = &metrics->counter("persistent_store.corruptions");
-    delta_saves_counter_ = &metrics->counter("persistent.delta_saves");
-    delta_bytes_saved_counter_ = &metrics->counter("delta.bytes_saved");
-  } else {
-    saves_counter_ = nullptr;
-    bytes_written_counter_ = nullptr;
-    retrievals_counter_ = nullptr;
-    retries_counter_ = nullptr;
-    crc_failures_counter_ = nullptr;
-    corruptions_counter_ = nullptr;
-    delta_saves_counter_ = nullptr;
-    delta_bytes_saved_counter_ = nullptr;
-  }
+  saves_counter_ = CounterHandle(metrics, "persistent.saves");
+  bytes_written_counter_ = CounterHandle(metrics, "persistent.bytes_written");
+  retrievals_counter_ = CounterHandle(metrics, "persistent.retrievals");
+  retries_counter_ = CounterHandle(metrics, "persistent_store.retries");
+  crc_failures_counter_ = CounterHandle(metrics, "persistent_store.crc_failures");
+  corruptions_counter_ = CounterHandle(metrics, "persistent_store.corruptions");
+  delta_saves_counter_ = CounterHandle(metrics, "persistent.delta_saves");
+  delta_bytes_saved_counter_ = CounterHandle(metrics, "delta.bytes_saved");
 }
 
 void PersistentStore::MakeDurable(Checkpoint checkpoint, int expected_world_size) {
@@ -109,10 +96,8 @@ TimeNs PersistentStore::Save(Checkpoint checkpoint, int expected_world_size, Don
       bytes, [this, checkpoint = std::move(checkpoint), expected_world_size,
               done = std::move(done)]() mutable {
         bytes_written_ += checkpoint.logical_bytes;
-        if (saves_counter_ != nullptr) {
-          saves_counter_->Increment();
-          bytes_written_counter_->Increment(checkpoint.logical_bytes);
-        }
+        saves_counter_->Increment();
+        bytes_written_counter_->Increment(checkpoint.logical_bytes);
         const std::string path = ShardPath(checkpoint.owner_rank, checkpoint.iteration);
         if (!path.empty()) {
           const Status written = WriteShardFile(path, checkpoint);
@@ -135,11 +120,9 @@ TimeNs PersistentStore::SaveDelta(DeltaCheckpoint delta, int expected_world_size
       bytes, [this, delta = std::move(delta), expected_world_size,
               done = std::move(done)]() mutable {
         bytes_written_ += delta.delta_bytes;
-        if (delta_saves_counter_ != nullptr) {
-          delta_saves_counter_->Increment();
-          bytes_written_counter_->Increment(delta.delta_bytes);
-          delta_bytes_saved_counter_->Increment(delta.logical_bytes - delta.delta_bytes);
-        }
+        delta_saves_counter_->Increment();
+        bytes_written_counter_->Increment(delta.delta_bytes);
+        delta_bytes_saved_counter_->Increment(delta.logical_bytes - delta.delta_bytes);
         const auto head = heads_.find(delta.owner_rank);
         if (head == heads_.end()) {
           done(FailedPreconditionError("no durable persistent head for rank " +
@@ -169,9 +152,7 @@ TimeNs PersistentStore::SaveDelta(DeltaCheckpoint delta, int expected_world_size
 
 TimeNs PersistentStore::Retrieve(int owner_rank, int64_t iteration,
                                  std::function<void(StatusOr<Checkpoint>)> done) {
-  if (retrievals_counter_ != nullptr) {
-    retrievals_counter_->Increment();
-  }
+  retrievals_counter_->Increment();
   return TryRetrieve(owner_rank, iteration, /*attempt=*/0, std::move(done));
 }
 
@@ -201,9 +182,7 @@ TimeNs PersistentStore::TryRetrieve(int owner_rank, int64_t iteration, int attem
             done(why);
             return;
           }
-          if (retries_counter_ != nullptr) {
-            retries_counter_->Increment();
-          }
+          retries_counter_->Increment();
           GEMINI_LOG(kWarning) << "persistent retrieval attempt " << attempt + 1 << " for rank "
                                << owner_rank << " at iteration " << iteration << " failed ("
                                << why << "); retrying";
@@ -226,8 +205,7 @@ TimeNs PersistentStore::TryRetrieve(int owner_rank, int64_t iteration, int attem
           // bytes actually restored.
           result = ReadShardFile(path);
           if (!result.ok()) {
-            if (crc_failures_counter_ != nullptr &&
-                result.status().code() == StatusCode::kDataLoss) {
+            if (result.status().code() == StatusCode::kDataLoss) {
               crc_failures_counter_->Increment();
             }
             retry(result.status());
@@ -235,9 +213,7 @@ TimeNs PersistentStore::TryRetrieve(int owner_rank, int64_t iteration, int attem
           }
         }
         if (!result->IntegrityOk()) {
-          if (crc_failures_counter_ != nullptr) {
-            crc_failures_counter_->Increment();
-          }
+          crc_failures_counter_->Increment();
           retry(DataLossError("persistent shard for rank " + std::to_string(owner_rank) +
                               " failed its CRC check"));
           return;
@@ -290,9 +266,7 @@ Status PersistentStore::CorruptShard(int owner_rank, int64_t iteration, size_t b
       return DataLossError("shard file corruption write failed: " + path);
     }
   }
-  if (corruptions_counter_ != nullptr) {
-    corruptions_counter_->Increment();
-  }
+  corruptions_counter_->Increment();
   return Status::Ok();
 }
 
@@ -305,41 +279,6 @@ int64_t PersistentStore::LatestCompleteIteration() const {
     }
   }
   return -1;
-}
-
-std::optional<Checkpoint> PersistentStore::LatestVerified(int owner_rank) const {
-  const int64_t iteration = LatestIteration(owner_rank);
-  if (iteration < 0) {
-    return std::nullopt;
-  }
-  std::optional<Checkpoint> shard = Peek(owner_rank, iteration);
-  if (!shard.has_value()) {
-    return std::nullopt;
-  }
-  if (!shard->IntegrityOk()) {
-    if (crc_failures_counter_ != nullptr) {
-      crc_failures_counter_->Increment();
-    }
-    return std::nullopt;
-  }
-  return shard;
-}
-
-int64_t PersistentStore::LatestIteration(int owner_rank) const {
-  const int64_t iteration = LatestCompleteIteration();
-  if (iteration < 0 || !Peek(owner_rank, iteration).has_value()) {
-    return -1;
-  }
-  return iteration;
-}
-
-Status PersistentStore::CorruptLatest(int owner_rank, size_t bit_index) {
-  const int64_t iteration = LatestIteration(owner_rank);
-  if (iteration < 0) {
-    return NotFoundError("no durable shard for rank " + std::to_string(owner_rank) +
-                         " in any complete checkpoint");
-  }
-  return CorruptShard(owner_rank, iteration, bit_index);
 }
 
 void PersistentStore::SeedImmediate(Checkpoint checkpoint, int expected_world_size) {

@@ -25,10 +25,11 @@
 
 #include "src/common/status.h"
 #include "src/common/units.h"
+#include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
 #include "src/storage/checkpoint.h"
-#include "src/storage/checkpoint_store.h"
 #include "src/storage/delta.h"
+#include "src/storage/retry_policy.h"
 
 namespace gemini {
 
@@ -50,27 +51,22 @@ struct PersistentStoreConfig {
   TimeNs retrieval_backoff_base = Millis(100);
   TimeNs retrieval_backoff_cap = Seconds(2);
 
-  // The shared schedule the cascade follows (src/storage/checkpoint_store.h).
+  // The shared schedule the cascade follows (src/storage/retry_policy.h).
   RetryPolicy retry_policy() const {
     return RetryPolicy{retrieval_max_attempts, retrieval_backoff_base, retrieval_backoff_cap};
   }
 };
 
-class Counter;
-class MetricsRegistry;
-
-class PersistentStore : public CheckpointStore {
+class PersistentStore {
  public:
   PersistentStore(Simulator& sim, PersistentStoreConfig config)
       : sim_(sim), config_(config) {}
 
   const PersistentStoreConfig& config() const { return config_; }
 
-  std::string_view tier_name() const override { return "persistent"; }
-
   // Optional observability sink ("persistent.*" counters). Counter handles
   // are resolved here, once, per the hot-path metric convention
-  // (src/obs/metrics.h).
+  // (src/obs/metrics.h); null rebinds them to the discard sinks.
   void set_metrics(MetricsRegistry* metrics);
 
   using DoneCallback = std::function<void(Status)>;
@@ -117,17 +113,6 @@ class PersistentStore : public CheckpointStore {
   // none.
   int64_t LatestCompleteIteration() const;
 
-  // CheckpointStore read-for-recovery surface. `LatestVerified` serves the
-  // rank's shard of the latest *complete* global checkpoint — but only if its
-  // payload still matches the capture-time CRC (a rejected shard counts under
-  // "persistent_store.crc_failures", like the retrieval cascade). These are
-  // immediate (zero-time) reads; timed recovery fetches still go through
-  // Retrieve() and the shared-bandwidth FIFO.
-  std::optional<Checkpoint> LatestVerified(int owner_rank) const override;
-  int64_t LatestIteration(int owner_rank) const override;
-  // Flips a bit in the rank's shard of the latest complete checkpoint.
-  Status CorruptLatest(int owner_rank, size_t bit_index) override;
-
   // Immediate (zero-time) lookup used by analysis code and tests.
   std::optional<Checkpoint> Peek(int owner_rank, int64_t iteration) const;
 
@@ -159,18 +144,17 @@ class PersistentStore : public CheckpointStore {
 
   Simulator& sim_;
   PersistentStoreConfig config_;
-  MetricsRegistry* metrics_ = nullptr;
   // Per-owner newest durable shard, the base the next delta applies to.
   std::map<int, Checkpoint> heads_;
   // Hot-path metric handles (resolved once in set_metrics).
-  Counter* saves_counter_ = nullptr;
-  Counter* bytes_written_counter_ = nullptr;
-  Counter* retrievals_counter_ = nullptr;
-  Counter* retries_counter_ = nullptr;
-  Counter* crc_failures_counter_ = nullptr;
-  Counter* corruptions_counter_ = nullptr;
-  Counter* delta_saves_counter_ = nullptr;
-  Counter* delta_bytes_saved_counter_ = nullptr;
+  Counter* saves_counter_ = DiscardCounter();
+  Counter* bytes_written_counter_ = DiscardCounter();
+  Counter* retrievals_counter_ = DiscardCounter();
+  Counter* retries_counter_ = DiscardCounter();
+  Counter* crc_failures_counter_ = DiscardCounter();
+  Counter* corruptions_counter_ = DiscardCounter();
+  Counter* delta_saves_counter_ = DiscardCounter();
+  Counter* delta_bytes_saved_counter_ = DiscardCounter();
   RetrievalFaultHook fault_hook_;
   TimeNs busy_until_ = 0;
   Bytes bytes_written_ = 0;

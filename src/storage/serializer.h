@@ -29,10 +29,6 @@ struct SerializationModel {
   BytesPerSecond bandwidth = 0.93e9;
 
   TimeNs SerializeTime(Bytes logical_bytes) const { return TransferTime(logical_bytes, bandwidth); }
-  // Loading is symmetric at this fidelity.
-  TimeNs DeserializeTime(Bytes logical_bytes) const {
-    return TransferTime(logical_bytes, bandwidth);
-  }
 };
 
 }  // namespace gemini

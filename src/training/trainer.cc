@@ -46,12 +46,10 @@ ShardedTrainer::ShardedTrainer(const ModelConfig& model, int num_machines, int p
 }
 
 void ShardedTrainer::set_metrics(MetricsRegistry* metrics) {
-  steps_counter_ = metrics != nullptr ? &metrics->counter("trainer.steps") : nullptr;
-  restores_counter_ = metrics != nullptr ? &metrics->counter("trainer.restores") : nullptr;
-  rollback_iterations_counter_ =
-      metrics != nullptr ? &metrics->counter("trainer.rollback_iterations") : nullptr;
-  replayed_iterations_counter_ =
-      metrics != nullptr ? &metrics->counter("trainer.replayed_iterations") : nullptr;
+  steps_counter_ = CounterHandle(metrics, "trainer.steps");
+  restores_counter_ = CounterHandle(metrics, "trainer.restores");
+  rollback_iterations_counter_ = CounterHandle(metrics, "trainer.rollback_iterations");
+  replayed_iterations_counter_ = CounterHandle(metrics, "trainer.replayed_iterations");
 }
 
 void ShardedTrainer::SetSparseUpdates(double fraction, size_t chunk_elements) {
@@ -174,9 +172,7 @@ void ShardedTrainer::UpdateShardsAtCurrentIteration() {
 void ShardedTrainer::Step() {
   UpdateShardsAtCurrentIteration();
   ++iteration_;
-  if (steps_counter_ != nullptr) {
-    steps_counter_->Increment();
-  }
+  steps_counter_->Increment();
 }
 
 const std::vector<float>& ShardedTrainer::shard(int rank) const {
@@ -255,11 +251,9 @@ Status ShardedTrainer::RestoreAll(const std::vector<Checkpoint>& checkpoints) {
   for (const Checkpoint& checkpoint : checkpoints) {
     GEMINI_RETURN_IF_ERROR(RestoreShard(checkpoint));
   }
-  if (restores_counter_ != nullptr) {
-    restores_counter_->Increment();
-    if (iteration < iteration_) {
-      rollback_iterations_counter_->Increment(iteration_ - iteration);
-    }
+  restores_counter_->Increment();
+  if (iteration < iteration_) {
+    rollback_iterations_counter_->Increment(iteration_ - iteration);
   }
   if (tracer_ != nullptr) {
     tracer_->Event("trainer_restore", "training",
@@ -280,9 +274,7 @@ Status ShardedTrainer::ReplayTo(int64_t target_iteration) {
     ++iteration_;
   }
   if (replayed > 0) {
-    if (replayed_iterations_counter_ != nullptr) {
-      replayed_iterations_counter_->Increment(replayed);
-    }
+    replayed_iterations_counter_->Increment(replayed);
     if (tracer_ != nullptr) {
       tracer_->Event("trainer_replay", "training",
                      {TraceAttr::Int("to_iteration", iteration_),

@@ -16,13 +16,12 @@
 #include <vector>
 
 #include "src/common/status.h"
+#include "src/obs/metrics.h"
 #include "src/storage/checkpoint.h"
 #include "src/training/model_config.h"
 
 namespace gemini {
 
-class Counter;
-class MetricsRegistry;
 class RunTracer;
 
 class ShardedTrainer {
@@ -138,10 +137,10 @@ class ShardedTrainer {
   std::vector<std::vector<uint8_t>> dirty_;
   RunTracer* tracer_ = nullptr;
   // Hot-path metric handles (resolved once in set_metrics).
-  Counter* steps_counter_ = nullptr;
-  Counter* restores_counter_ = nullptr;
-  Counter* rollback_iterations_counter_ = nullptr;
-  Counter* replayed_iterations_counter_ = nullptr;
+  Counter* steps_counter_ = DiscardCounter();
+  Counter* restores_counter_ = DiscardCounter();
+  Counter* rollback_iterations_counter_ = DiscardCounter();
+  Counter* replayed_iterations_counter_ = DiscardCounter();
   // One pool per rank keeps each pool's linear Acquire scan short.
   std::vector<Shard> shards_;
   // CRC tables of every rank's live buffer, rank-major: entry

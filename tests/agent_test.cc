@@ -84,6 +84,17 @@ TEST_F(AgentTest, ProcessDownIsPublishedNotExpired) {
   EXPECT_EQ(kv_->Get(std::string(kHealthKeyPrefix) + "2")->value, kStatusHealthy);
 }
 
+TEST_F(AgentTest, ProcessDownReportedBeforeFirstLeaseIsPublished) {
+  StartWorkers();
+  // No KV leader yet, so the worker's first lease grant has not landed.
+  ASSERT_FALSE(kv_->LeaderRank().has_value());
+  workers_[2]->ReportProcessDown();
+  Settle(Seconds(15));
+  const auto entry = kv_->Get(std::string(kHealthKeyPrefix) + "2");
+  ASSERT_TRUE(entry.ok());
+  EXPECT_EQ(entry->value, kStatusProcessDown);
+}
+
 TEST_F(AgentTest, ExactlyOneWorkerWinsRootElection) {
   std::vector<int> promoted;
   for (int rank = 0; rank < 4; ++rank) {

@@ -176,6 +176,25 @@ TEST(GeminiSystemTest, SoftwareFailureRecoversFromLocalCpuMemory) {
   ExpectStateMatchesReference(system, config, 8);
 }
 
+TEST(GeminiSystemTest, SoftwareFailureBeforeFirstLeaseIsRecovered) {
+  // At t = 1 s no KV leader exists yet, so the worker holds no health lease
+  // when its process crashes. The process_down status must still reach the
+  // store once the first lease is granted.
+  GeminiConfig config = SmallConfig();
+  config.seed = 7;
+  GeminiSystem system(config);
+  ASSERT_TRUE(system.Initialize().ok());
+  system.failure_injector().InjectAt(Seconds(1), FailureType::kSoftware, {3});
+  const auto report = system.TrainUntil(3, Hours(3));
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  EXPECT_EQ(report->iterations_completed, 3);
+  ASSERT_EQ(report->recoveries.size(), 1u);
+  EXPECT_EQ(report->recoveries[0].type, FailureType::kSoftware);
+  EXPECT_EQ(report->recoveries[0].failed_ranks, (std::vector<int>{3}));
+  ExpectStateMatchesReference(system, config, 3);
+}
+
 TEST(GeminiSystemTest, HardwareFailureRecoversFromGroupPeer) {
   GeminiConfig config = SmallConfig();
   GeminiSystem system(config);

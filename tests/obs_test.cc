@@ -7,11 +7,14 @@
 #include <string>
 #include <vector>
 
+#include "src/cluster/machine.h"
 #include "src/common/json_writer.h"
 #include "src/gemini/gemini_system.h"
 #include "src/obs/metrics.h"
 #include "src/obs/run_tracer.h"
 #include "src/sim/simulator.h"
+#include "src/storage/cpu_store.h"
+#include "src/training/trainer.h"
 
 namespace gemini {
 namespace {
@@ -99,6 +102,38 @@ TEST(MetricsTest, ToJsonWalksNamesInSortedOrder) {
   EXPECT_EQ(json,
             R"({"counters":{"a.first":1,"z.last":2},"gauges":{"m.level":1.5},)"
             R"("histograms":{}})");
+}
+
+TEST(MetricsTest, HandlesRebindOnSetMetrics) {
+  // A component counts into the registry only while one is attached: before
+  // set_metrics and after set_metrics(nullptr) its handles hit the discard
+  // sinks.
+  Machine machine(0, 0, P4d24xlarge());
+  CpuCheckpointStore store(machine);
+  ASSERT_TRUE(store.HostOwner(0, 1000).ok());
+  ShardedTrainer trainer(Gpt2_100B(), /*num_machines=*/1, /*payload_elements=*/8, /*seed=*/1);
+  auto step_and_commit = [&] {
+    trainer.Step();
+    Checkpoint checkpoint = trainer.MakeCheckpoint(0);
+    checkpoint.logical_bytes = 1000;
+    ASSERT_TRUE(store.WriteComplete(std::move(checkpoint)).ok());
+  };
+  MetricsRegistry metrics;
+
+  step_and_commit();
+  store.set_metrics(&metrics);
+  trainer.set_metrics(&metrics);
+  step_and_commit();
+  step_and_commit();
+  store.set_metrics(nullptr);
+  trainer.set_metrics(nullptr);
+  step_and_commit();
+
+  EXPECT_EQ(metrics.counter_value("trainer.steps"), 2);
+  EXPECT_EQ(metrics.counter_value("cpu_store.commits"), 2);
+  EXPECT_EQ(metrics.counter_value("cpu_store.bytes_committed"), 2 * 1000);
+  EXPECT_EQ(trainer.iteration(), 4);
+  EXPECT_EQ(store.LatestIteration(0), 4);
 }
 
 // ---------------------------------------------------------------------------

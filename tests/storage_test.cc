@@ -202,6 +202,22 @@ TEST_F(CpuStoreTest, LatestIterationForUnknownOwnerIsMinusOne) {
   EXPECT_EQ(store_.LatestIteration(4), -1);
 }
 
+TEST_F(CpuStoreTest, VerifiedReadServesUntilCorrupted) {
+  ASSERT_TRUE(store_.HostOwner(1, 1000).ok());
+  Checkpoint snapshot = MakeCheckpoint(1, 9, 1000);
+  snapshot.StampPayloadCrc();
+  ASSERT_TRUE(store_.WriteComplete(snapshot).ok());
+  EXPECT_EQ(store_.LatestIteration(1), 9);
+  EXPECT_EQ(store_.LatestIteration(5), -1);
+  const std::optional<Checkpoint> verified = store_.LatestVerified(1);
+  ASSERT_TRUE(verified.has_value());
+  EXPECT_EQ(verified->payload, snapshot.payload);
+  // Bit-rot through the corruption door makes the store refuse the replica.
+  ASSERT_TRUE(store_.CorruptLatest(1, /*bit_index=*/21).ok());
+  EXPECT_EQ(store_.LatestVerified(1), std::nullopt);
+  EXPECT_EQ(store_.CorruptLatest(5, 0).code(), StatusCode::kNotFound);
+}
+
 TEST_F(CpuStoreTest, MultipleOwnersAreIndependent) {
   ASSERT_TRUE(store_.HostOwner(0, 1000).ok());
   ASSERT_TRUE(store_.HostOwner(1, 1000).ok());
@@ -566,7 +582,7 @@ TEST_F(DiskBackedPersistentStoreTest, CorruptShardRewritesDiskAndRetriesExhaust)
 }
 
 // ---------------------------------------------------------------------------
-// Shared checkpoint-tier surface (CheckpointStore + RetryPolicy)
+// RetryPolicy
 // ---------------------------------------------------------------------------
 
 TEST(RetryPolicyTest, BackoffDoublesUpToCap) {
@@ -585,40 +601,6 @@ TEST(RetryPolicyTest, ExhaustionCountsAttemptsMade) {
   EXPECT_FALSE(policy.Exhausted(2));
   EXPECT_TRUE(policy.Exhausted(3));
   EXPECT_TRUE(policy.Exhausted(4));
-}
-
-TEST(CheckpointStoreInterfaceTest, BothTiersServeTheSharedReadSurface) {
-  // A recovery path holding only CheckpointStore* must get identical
-  // verified-read and corruption-detection semantics from either tier.
-  Simulator sim;
-  Machine machine(0, 0, P4d24xlarge());
-  CpuCheckpointStore cpu(machine);
-  ASSERT_TRUE(cpu.HostOwner(1, 1000).ok());
-  PersistentStoreConfig config;
-  config.aggregate_bandwidth = 1e9;
-  PersistentStore persistent(sim, config);
-
-  Checkpoint snapshot = MakeCheckpoint(1, 9, 1000);
-  snapshot.StampPayloadCrc();
-  ASSERT_TRUE(cpu.WriteComplete(snapshot).ok());
-  persistent.SeedImmediate(snapshot, 1);
-
-  CheckpointStore* const tiers[] = {&cpu, &persistent};
-  EXPECT_EQ(tiers[0]->tier_name(), "cpu_memory");
-  EXPECT_EQ(tiers[1]->tier_name(), "persistent");
-  for (CheckpointStore* tier : tiers) {
-    EXPECT_EQ(tier->LatestIteration(1), 9) << tier->tier_name();
-    EXPECT_EQ(tier->LatestIteration(5), -1) << tier->tier_name();
-    const std::optional<Checkpoint> verified = tier->LatestVerified(1);
-    ASSERT_TRUE(verified.has_value()) << tier->tier_name();
-    EXPECT_EQ(verified->payload, snapshot.payload) << tier->tier_name();
-    // Bit-rot through the shared corruption door must make the tier refuse
-    // to serve the replica.
-    ASSERT_TRUE(tier->CorruptLatest(1, /*bit_index=*/21).ok()) << tier->tier_name();
-    EXPECT_EQ(tier->LatestVerified(1), std::nullopt) << tier->tier_name();
-    EXPECT_EQ(tier->CorruptLatest(5, 0).code(), StatusCode::kNotFound)
-        << tier->tier_name();
-  }
 }
 
 TEST_F(PersistentStoreTest, TransferCostMatchesMtNlgSanityCheck) {
