@@ -2,15 +2,20 @@
 // placement construction, recovery-probability evaluation, Algorithm 2
 // partitioning, the timeline generator, checkpoint serialization, the event
 // queue (distinct timestamps, and the control plane's timer storm), the
-// delta write path (building a delta, replaying a redo log), and the ring
-// collectives' cost evaluation.
+// KV store's liveness work per heartbeat (lease expiry check and the root's
+// health scan), the delta write path (building a delta, replaying a redo
+// log), and the ring collectives' cost evaluation.
 #include <benchmark/benchmark.h>
 
 #include <functional>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "src/agent/worker_agent.h"
+#include "src/cluster/fabric.h"
 #include "src/common/rng.h"
+#include "src/kvstore/kv_store.h"
 #include "src/placement/placement.h"
 #include "src/placement/probability.h"
 #include "src/schedule/executor.h"
@@ -243,6 +248,42 @@ void BM_SimulatorTimerStorm(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(events), benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_SimulatorTimerStorm)->Arg(256)->Arg(1024);
+
+// The KV store's liveness work with N machines' health keys, each under its
+// own lease: each benchmark iteration runs a 3-node store for one heartbeat
+// period (the leader's expiry check and replication heartbeats), then reads
+// every health key in place, as the root agent's scan does.
+void BM_KvControlPlane(benchmark::State& state) {
+  const int keys = static_cast<int>(state.range(0));
+  Simulator sim;
+  Fabric fabric(sim, 3, FabricConfig{});
+  const KvStoreConfig config;
+  KvStoreCluster kv(sim, fabric, {0, 1, 2}, [](int) { return true; }, config, /*seed=*/13);
+  kv.Start();
+  sim.RunUntil(Seconds(2));
+  for (int rank = 0; rank < keys; ++rank) {
+    kv.LeaseGrant(Hours(24), [&kv, rank](StatusOr<LeaseId> lease) {
+      if (lease.ok()) {
+        kv.Put(kHealthKeyPrefix + std::to_string(rank), kStatusHealthy, *lease, [](Status) {});
+      }
+    });
+  }
+  sim.RunUntil(sim.now() + Seconds(1));
+  if (kv.List(kHealthKeyPrefix).size() != static_cast<size_t>(keys)) {
+    state.SkipWithError("health keys did not commit");
+    return;
+  }
+  for (auto _ : state) {
+    sim.RunUntil(sim.now() + config.heartbeat_interval);
+    int healthy = 0;
+    kv.VisitPrefix(kHealthKeyPrefix, [&healthy](const std::string&, const KvEntry& entry) {
+      healthy += entry.value == kStatusHealthy ? 1 : 0;
+    });
+    benchmark::DoNotOptimize(healthy);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * keys);
+}
+BENCHMARK(BM_KvControlPlane)->Arg(256)->Arg(1024);
 
 }  // namespace
 }  // namespace gemini

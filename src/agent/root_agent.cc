@@ -1,8 +1,19 @@
 #include "src/agent/root_agent.h"
 
+#include <charconv>
+#include <cstdint>
+#include <string>
+#include <vector>
+
 #include "src/common/logging.h"
 
 namespace gemini {
+namespace {
+
+// What one scan read from a rank's health key.
+enum class Health : uint8_t { kMissing, kHealthy, kProcessDown };
+
+}  // namespace
 
 RootAgent::RootAgent(Simulator& sim, Cluster& cluster, KvStoreCluster& kv, int rank,
                      AgentConfig config, std::function<void(const FailureReport&)> on_failure)
@@ -55,27 +66,39 @@ void RootAgent::OnScanTick() {
   if (sim_.now() < started_at_ + config_.health_lease_ttl + config_.root_scan_interval) {
     return;
   }
+  std::vector<Health> health(static_cast<size_t>(cluster_.size()), Health::kMissing);
+  const bool read = kv_.VisitPrefix(
+      kHealthKeyPrefix, [&health](const std::string& key, const KvEntry& entry) {
+        constexpr size_t kPrefixLength = sizeof(kHealthKeyPrefix) - 1;
+        const char* last = key.data() + key.size();
+        int rank = -1;
+        const auto [end, error] = std::from_chars(key.data() + kPrefixLength, last, rank);
+        if (error != std::errc{} || end != last || rank < 0 ||
+            static_cast<size_t>(rank) >= health.size()) {
+          return;  // Not a health key of this cluster.
+        }
+        health[static_cast<size_t>(rank)] =
+            entry.value == kStatusProcessDown ? Health::kProcessDown : Health::kHealthy;
+      });
   // While the KV store has no leader (e.g. its leader's machine just died)
-  // nothing can be read, and an empty listing would make every rank look
+  // nothing can be read, and an empty scan would make every rank look
   // failed. Scan again on the next tick.
-  if (!kv_.LeaderRank().has_value()) {
+  if (!read) {
     return;
   }
-
   root_scans_counter_->Increment();
-  const std::map<std::string, KvEntry> health = kv_.List(kHealthKeyPrefix);
   std::vector<int> hardware_failed;
   std::vector<int> software_failed;
   for (int rank = 0; rank < cluster_.size(); ++rank) {
     if (handled_.contains(rank)) {
       continue;
     }
-    const auto it = health.find(kHealthKeyPrefix + std::to_string(rank));
-    if (it == health.end()) {
+    const Health status = health[static_cast<size_t>(rank)];
+    if (status == Health::kMissing) {
       // Lease expired: the machine stopped heartbeating => hardware failure.
       heartbeat_misses_counter_->Increment();
       hardware_failed.push_back(rank);
-    } else if (it->second.value == kStatusProcessDown) {
+    } else if (status == Health::kProcessDown) {
       software_failed.push_back(rank);
     }
   }

@@ -1,13 +1,15 @@
 // GEMINI root agent (paper Section 3.2 and 6).
 //
 // Runs on one training machine (the root machine) alongside its worker
-// agent. Periodically scans the health keys in the distributed KV store,
-// classifies failures (missing key after its lease expired => hardware;
-// value "process_down" => software), and reports them to the recovery
+// agent. Every scan period it reads the health keys in the distributed KV
+// store in place, records each rank's status by rank, and classifies failures
+// (missing key after its lease expired => hardware; value "process_down" =>
+// software). It reports them, in ascending rank order, to the recovery
 // coordinator (the GeminiSystem), which interacts with the cloud operator
-// and directs checkpoint retrieval. The root holds the root-leadership key
-// under its own lease so workers can detect root death and promote one of
-// themselves.
+// and directs checkpoint retrieval. A scan costs one pass over the keys and
+// one over the ranks, and copies no key or value. The root holds the
+// root-leadership key under its own lease, so workers watching that key
+// detect root death and promote one of themselves.
 #ifndef SRC_AGENT_ROOT_AGENT_H_
 #define SRC_AGENT_ROOT_AGENT_H_
 

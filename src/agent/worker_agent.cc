@@ -10,11 +10,11 @@ WorkerAgent::WorkerAgent(Simulator& sim, Cluster& cluster, KvStoreCluster& kv, i
     : sim_(sim), cluster_(cluster), kv_(kv), rank_(rank), config_(config) {
   keepalive_timer_ = std::make_unique<RepeatingTimer>(sim_, config_.keepalive_interval,
                                                       [this] { OnKeepAliveTick(); });
-  root_watch_timer_ = std::make_unique<RepeatingTimer>(sim_, config_.root_scan_interval,
-                                                       [this] { OnRootWatchTick(); });
+  root_poll_timer_ = std::make_unique<RepeatingTimer>(sim_, config_.root_scan_interval,
+                                                      [this] { OnRootPollTick(); });
 }
 
-WorkerAgent::~WorkerAgent() = default;
+WorkerAgent::~WorkerAgent() { Stop(); }
 
 void WorkerAgent::set_metrics(MetricsRegistry* metrics) {
   lease_acquired_counter_ = CounterHandle(metrics, "agent.lease_acquired");
@@ -33,14 +33,18 @@ void WorkerAgent::Start() {
   last_status_ = kStatusHealthy;
   AcquireLeaseAndPublish();
   keepalive_timer_->Start();
-  root_watch_timer_->Start();
+  root_poll_timer_->Start();
 }
 
 void WorkerAgent::Stop() {
   started_ = false;
   lease_ = kNoLease;
   keepalive_timer_->Stop();
-  root_watch_timer_->Stop();
+  root_poll_timer_->Stop();
+  if (root_watch_ != 0) {
+    kv_.CancelWatch(root_watch_);
+    root_watch_ = 0;
+  }
 }
 
 void WorkerAgent::AcquireLeaseAndPublish() {
@@ -121,13 +125,19 @@ void WorkerAgent::OnKeepAliveTick() {
   });
 }
 
-void WorkerAgent::OnRootWatchTick() {
+void WorkerAgent::OnRootPollTick() {
   if (!machine_ok() || lease_ == kNoLease) {
     return;
   }
   const StatusOr<KvEntry> root = kv_.Get(kRootKey);
   if (root.ok()) {
-    return;  // Root alive.
+    // Root alive: stop polling and wait for the key's deletion instead.
+    root_poll_timer_->Stop();
+    if (root_watch_ == 0) {
+      root_watch_ =
+          kv_.Watch(kRootKey, [this](const WatchEvent& event) { OnRootKeyEvent(event); });
+    }
+    return;
   }
   if (root.status().code() != StatusCode::kNotFound) {
     return;  // KV unavailable; try next tick.
@@ -147,6 +157,15 @@ void WorkerAgent::OnRootWatchTick() {
       }
     }
   });
+}
+
+void WorkerAgent::OnRootKeyEvent(const WatchEvent& event) {
+  if (event.type == WatchEventType::kPut || event.key != kRootKey) {
+    return;
+  }
+  // The root key was deleted or its lease expired: poll now, which
+  // campaigns, and keep polling until some campaign wins.
+  root_poll_timer_->Start(/*fire_now=*/true);
 }
 
 }  // namespace gemini

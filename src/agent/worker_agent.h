@@ -5,8 +5,12 @@
 // silences the keepalive, the lease expires, and the key disappears — which
 // is exactly how the root agent detects dead machines. Software failures
 // (training process crash, agent alive) are reported explicitly in the key's
-// value. Worker agents also watch the root agent's leadership key; when it
-// expires they campaign to promote one of themselves to root.
+// value. Worker agents also track the root agent's leadership key, and when it
+// disappears they campaign to promote one of themselves to root. A worker
+// polls the key only while it knows of no live root: from start-up, and after
+// the key's deletion until a campaign wins. On first seeing a live root it
+// stops polling and watches the key; the watch's delete or expiry event
+// restarts the poll at once, which campaigns.
 #ifndef SRC_AGENT_WORKER_AGENT_H_
 #define SRC_AGENT_WORKER_AGENT_H_
 
@@ -48,6 +52,8 @@ class WorkerAgent {
 
   int rank() const { return rank_; }
   bool started() const { return started_; }
+  // True while the agent polls the root key: it knows of no live root.
+  bool polling_root() const { return root_poll_timer_->running(); }
 
   // Called when the local training process crashes (software failure): the
   // agent survives and flips the published status.
@@ -76,7 +82,8 @@ class WorkerAgent {
   void AcquireLeaseAndPublish();
   void PublishStatus(const std::string& status);
   void OnKeepAliveTick();
-  void OnRootWatchTick();
+  void OnRootPollTick();
+  void OnRootKeyEvent(const WatchEvent& event);
 
   Simulator& sim_;
   Cluster& cluster_;
@@ -90,7 +97,11 @@ class WorkerAgent {
   // keepalive tick republishes so the root never acts on a stale status.
   bool publish_retry_pending_ = false;
   std::unique_ptr<RepeatingTimer> keepalive_timer_;
-  std::unique_ptr<RepeatingTimer> root_watch_timer_;
+  // Runs only while no live root is known.
+  std::unique_ptr<RepeatingTimer> root_poll_timer_;
+  // The watch on kRootKey, registered when a live root is first seen (not in
+  // Start(): registering one per machine at set-up is measurable); 0 = none.
+  uint64_t root_watch_ = 0;
   std::function<void()> on_promoted_;
   RunTracer* tracer_ = nullptr;
   // Hot-path metric handles (resolved once in set_metrics).

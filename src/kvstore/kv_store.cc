@@ -179,6 +179,15 @@ std::map<std::string, KvEntry> KvStoreCluster::List(const std::string& prefix) c
   return leader->ListApplied(prefix);
 }
 
+bool KvStoreCluster::VisitPrefix(const std::string& prefix, const KvVisitor& visit) const {
+  const KvNode* leader = Leader();
+  if (leader == nullptr) {
+    return false;
+  }
+  leader->VisitApplied(prefix, visit);
+  return true;
+}
+
 uint64_t KvStoreCluster::Watch(const std::string& prefix, WatchCallback callback) {
   const uint64_t id = next_watch_id_++;
   watches_[id] = WatchReg{prefix, std::move(callback)};
@@ -188,21 +197,31 @@ uint64_t KvStoreCluster::Watch(const std::string& prefix, WatchCallback callback
 void KvStoreCluster::CancelWatch(uint64_t watch_id) { watches_.erase(watch_id); }
 
 void KvStoreCluster::EmitWatchEvents(const std::vector<WatchEvent>& events) {
-  if (events.empty() || watches_.empty()) {
+  if (watches_.empty()) {
     return;
   }
   for (const WatchEvent& event : events) {
     for (const auto& [id, reg] : watches_) {
-      if (event.key.rfind(reg.prefix, 0) == 0) {
+      if (event.key.starts_with(reg.prefix)) {
         // Deliver asynchronously with control-plane latency so watchers never
-        // observe state "before" it was committed.
-        WatchCallback cb = reg.callback;
-        WatchEvent copy = event;
+        // observe state "before" it was committed. The delivery carries the
+        // watch id, not the callback: a watch cancelled in between never
+        // fires.
         sim_.ScheduleAfter(fabric_.config().control_delay,
-                           [cb = std::move(cb), copy = std::move(copy)] { cb(copy); });
+                           [this, watch_id = id, event] { DeliverWatchEvent(watch_id, event); });
       }
     }
   }
+}
+
+void KvStoreCluster::DeliverWatchEvent(uint64_t watch_id, const WatchEvent& event) {
+  const auto it = watches_.find(watch_id);
+  if (it == watches_.end()) {
+    return;
+  }
+  // Called through a copy, so the callback may cancel its own watch.
+  const WatchCallback callback = it->second.callback;
+  callback(event);
 }
 
 // ---------------------------------------------------------------------------
@@ -232,6 +251,7 @@ void KvNode::ResetAndRestart() {
   pending_proposals_.clear();
   state_.clear();
   leases_.clear();
+  lease_deadline_bound_ = kNoLeaseDeadline;
   if (heartbeat_timer_.valid()) {
     cluster_.sim_.Cancel(heartbeat_timer_);
     heartbeat_timer_ = EventId{};
@@ -375,8 +395,10 @@ void KvNode::BecomeLeader() {
   // are stale: give every lease a full TTL from now (etcd's Lessor::Promote)
   // before the first expiry scan.
   const TimeNs now = cluster_.sim_.now();
+  lease_deadline_bound_ = kNoLeaseDeadline;
   for (auto& [id, lease] : leases_) {
     lease.deadline = std::max(lease.deadline, now + lease.ttl);
+    lease_deadline_bound_ = std::min(lease_deadline_bound_, lease.deadline);
   }
   OnHeartbeatTick();
 }
@@ -511,12 +533,10 @@ void KvNode::AdvanceCommit() {
 }
 
 void KvNode::ApplyCommitted() {
-  std::vector<WatchEvent> all_events;
+  std::vector<WatchEvent> events;
   while (last_applied_ < commit_index_) {
     ++last_applied_;
-    const KvOp& op = log_[last_applied_ - 1].op;
-    std::vector<WatchEvent> events = ApplyOp(op, last_applied_);
-    all_events.insert(all_events.end(), events.begin(), events.end());
+    ApplyOp(log_[last_applied_ - 1].op, last_applied_, events);
     auto pending = pending_proposals_.find(last_applied_);
     if (pending != pending_proposals_.end()) {
       pending->second(Status::Ok());
@@ -525,13 +545,12 @@ void KvNode::ApplyCommitted() {
   }
   // Watch events are emitted by the leader only, so the cluster sees each
   // commit once per stable leadership.
-  if (role_ == Role::kLeader && !all_events.empty()) {
-    cluster_.EmitWatchEvents(all_events);
+  if (role_ == Role::kLeader && !events.empty()) {
+    cluster_.EmitWatchEvents(events);
   }
 }
 
-std::vector<WatchEvent> KvNode::ApplyOp(const KvOp& op, uint64_t index) {
-  std::vector<WatchEvent> events;
+void KvNode::ApplyOp(const KvOp& op, uint64_t index, std::vector<WatchEvent>& events) {
   switch (op.type) {
     case KvOpType::kPut: {
       if (op.if_absent && state_.contains(op.key)) {
@@ -573,6 +592,7 @@ std::vector<WatchEvent> KvNode::ApplyOp(const KvOp& op, uint64_t index) {
       LeaseState lease;
       lease.ttl = op.ttl;
       lease.deadline = op.issue_time + op.ttl;
+      lease_deadline_bound_ = std::min(lease_deadline_bound_, lease.deadline);
       leases_[index] = std::move(lease);
       break;
     }
@@ -591,7 +611,6 @@ std::vector<WatchEvent> KvNode::ApplyOp(const KvOp& op, uint64_t index) {
       break;
     }
   }
-  return events;
 }
 
 Status KvNode::RenewLease(LeaseId lease_id) {
@@ -605,6 +624,11 @@ Status KvNode::RenewLease(LeaseId lease_id) {
 
 void KvNode::ExpireLeases() {
   const TimeNs now = cluster_.sim_.now();
+  if (now <= lease_deadline_bound_) {
+    return;  // Every deadline is at or after the bound: none has passed.
+  }
+  ++lease_table_walks_;
+  TimeNs earliest = kNoLeaseDeadline;
   for (const auto& [id, lease] : leases_) {
     if (lease.deadline < now) {
       KvOp op;
@@ -612,11 +636,13 @@ void KvNode::ExpireLeases() {
       op.lease = id;
       op.issue_time = now;
       // Duplicate revocations are harmless: the second apply finds no lease.
+      // The bound stays below `now`, so the next tick walks again.
       Propose(std::move(op), [](Status) {});
-      // Propose mutates the log; restart scanning next tick.
-      break;
+      return;
     }
+    earliest = std::min(earliest, lease.deadline);
   }
+  lease_deadline_bound_ = earliest;
 }
 
 void KvNode::Propose(KvOp op, std::function<void(Status)> done) {
@@ -652,13 +678,17 @@ std::optional<KvEntry> KvNode::GetApplied(const std::string& key) const {
 
 std::map<std::string, KvEntry> KvNode::ListApplied(const std::string& prefix) const {
   std::map<std::string, KvEntry> out;
-  for (auto it = state_.lower_bound(prefix); it != state_.end(); ++it) {
-    if (it->first.rfind(prefix, 0) != 0) {
-      break;
-    }
-    out.emplace(it->first, it->second);
-  }
+  VisitApplied(prefix, [&out](const std::string& key, const KvEntry& entry) {
+    out.emplace_hint(out.end(), key, entry);
+  });
   return out;
+}
+
+void KvNode::VisitApplied(const std::string& prefix, const KvVisitor& visit) const {
+  for (auto it = state_.lower_bound(prefix); it != state_.end() && it->first.starts_with(prefix);
+       ++it) {
+    visit(it->first, it->second);
+  }
 }
 
 }  // namespace gemini

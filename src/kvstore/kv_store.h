@@ -20,6 +20,13 @@
 // election before its first expiry scan. The log therefore grows only with
 // grants, revokes, puts and deletes, never with renewals. It is not compacted:
 // a multi-hour run keeps every one of those entries.
+//
+// Expiry costs nothing while no lease can have lapsed. Each node keeps a lower
+// bound on its earliest lease deadline. Renewals and promotion only raise
+// deadlines, so only a grant lowers the bound. The leader's heartbeat skips
+// the lease table while the bound has not passed. Once it has, one walk
+// revokes the lowest expired lease id (one revoke per tick) or, finding none,
+// raises the bound to the true earliest deadline.
 #ifndef SRC_KVSTORE_KV_STORE_H_
 #define SRC_KVSTORE_KV_STORE_H_
 
@@ -107,10 +114,17 @@ class KvStoreCluster {
   StatusOr<KvEntry> Get(const std::string& key) const;
   // All applied entries whose key starts with `prefix`.
   std::map<std::string, KvEntry> List(const std::string& prefix) const;
+  // Calls `visit` on each of the leader's applied entries under `prefix`, in
+  // key order and in place: nothing is copied. Returns false, visiting
+  // nothing, when no leader exists. `visit` must not write to the store.
+  bool VisitPrefix(const std::string& prefix, const KvVisitor& visit) const;
 
-  // Registers a watch on a key prefix. Events are emitted when ops commit.
-  // Delivery is at-least-once across leader changes. Returns a watch id.
+  // Registers a watch on a key prefix. Events are emitted when ops commit
+  // and delivered control_delay later. Delivery is at-least-once across
+  // leader changes. Returns a watch id.
   uint64_t Watch(const std::string& prefix, WatchCallback callback);
+  // After this returns the callback never runs again, not even for events
+  // committed before the cancel whose delivery is still in flight.
   void CancelWatch(uint64_t watch_id);
 
   // ---- Introspection (tests) --------------------------------------------
@@ -122,6 +136,8 @@ class KvStoreCluster {
 
   KvNode* Leader() const;
   void EmitWatchEvents(const std::vector<WatchEvent>& events);
+  // Runs watch `watch_id`'s callback on `event`, if the watch still exists.
+  void DeliverWatchEvent(uint64_t watch_id, const WatchEvent& event);
 
   Simulator& sim_;
   Fabric& fabric_;
@@ -172,6 +188,12 @@ class KvNode {
   uint64_t last_applied() const { return last_applied_; }
   const std::map<std::string, KvEntry>& applied_state() const { return state_; }
   const std::map<LeaseId, LeaseState>& leases() const { return leases_; }
+  // A lower bound on every lease's deadline (kNoLeaseDeadline with no
+  // leases): the expiry check walks the lease table only once `now` passes
+  // it.
+  TimeNs lease_deadline_bound() const { return lease_deadline_bound_; }
+  // Walks of the lease table by the expiry check, since construction.
+  int64_t lease_table_walks() const { return lease_table_walks_; }
 
   // Leader-side entry point used by the cluster client API.
   void Propose(KvOp op, std::function<void(Status)> done);
@@ -180,6 +202,7 @@ class KvNode {
   // leader's).
   std::optional<KvEntry> GetApplied(const std::string& key) const;
   std::map<std::string, KvEntry> ListApplied(const std::string& prefix) const;
+  void VisitApplied(const std::string& prefix, const KvVisitor& visit) const;
 
  private:
   friend class KvStoreCluster;
@@ -208,11 +231,13 @@ class KvNode {
   void ReplicateTo(int peer_index);
   void AdvanceCommit();
   void ApplyCommitted();
-  // Applies one op to the state machine; returns watch events it produced.
-  std::vector<WatchEvent> ApplyOp(const KvOp& op, uint64_t index);
+  // Applies one op to the state machine, appending the watch events it
+  // produces to `events`.
+  void ApplyOp(const KvOp& op, uint64_t index, std::vector<WatchEvent>& events);
   // Leader-only: sets the lease's deadline to now + TTL.
   Status RenewLease(LeaseId lease_id);
-  // Leader-only: proposes revocations for expired leases.
+  // Leader-only: proposes the revocation of the lowest expired lease id, if
+  // the deadline bound says one may have expired.
   void ExpireLeases();
 
   void Send(int peer_index, EventCallback handler);
@@ -245,6 +270,8 @@ class KvNode {
   // Applied state machine.
   std::map<std::string, KvEntry> state_;
   std::map<LeaseId, LeaseState> leases_;
+  TimeNs lease_deadline_bound_ = kNoLeaseDeadline;
+  int64_t lease_table_walks_ = 0;
 
   EventId election_timer_{};
   EventId heartbeat_timer_{};

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <map>
 #include <optional>
 #include <string>
@@ -16,6 +17,8 @@ namespace gemini {
 
 using LeaseId = uint64_t;
 inline constexpr LeaseId kNoLease = 0;
+// The lease-deadline bound of a node that holds no lease.
+inline constexpr TimeNs kNoLeaseDeadline = std::numeric_limits<TimeNs>::max();
 
 enum class KvOpType {
   kPut,
@@ -58,6 +61,8 @@ struct WatchEvent {
 };
 
 using WatchCallback = std::function<void(const WatchEvent&)>;
+// Visits one applied entry in place (KvStoreCluster::VisitPrefix).
+using KvVisitor = std::function<void(const std::string& key, const KvEntry& entry)>;
 
 }  // namespace gemini
 

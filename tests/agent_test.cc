@@ -3,6 +3,10 @@
 // the failure injector.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "src/agent/cloud_operator.h"
 #include "src/agent/failure_injector.h"
 #include "src/agent/root_agent.h"
@@ -128,6 +132,100 @@ TEST_F(AgentTest, RootFailoverPromotesAnotherWorker) {
   EXPECT_EQ(kv_->Get(kRootKey)->value, std::to_string(promoted[1]));
 }
 
+TEST_F(AgentTest, WorkersStopPollingOnceTheyKnowALiveRoot) {
+  StartWorkers();
+  Settle(Seconds(30));
+  ASSERT_TRUE(kv_->Get(kRootKey).ok());
+  for (const auto& worker : workers_) {
+    EXPECT_FALSE(worker->polling_root()) << "worker " << worker->rank();
+  }
+}
+
+TEST_F(AgentTest, RootFailoverPromotesWithinAHeartbeatOfTheRootKeysRevoke) {
+  std::vector<std::pair<int, TimeNs>> promoted;
+  for (int rank = 0; rank < 4; ++rank) {
+    workers_[static_cast<size_t>(rank)]->set_on_promoted_to_root(
+        [this, &promoted, rank] { promoted.emplace_back(rank, sim_.now()); });
+  }
+  StartWorkers();
+  Settle(Seconds(30));
+  ASSERT_EQ(promoted.size(), 1u);
+  const int first_root = promoted[0].first;
+  // Delivered at the same instant as the workers' own watch events.
+  TimeNs revoked_at = -1;
+  kv_->Watch(kRootKey, [&](const WatchEvent& event) {
+    if (event.type == WatchEventType::kExpired && revoked_at < 0) {
+      revoked_at = sim_.now();
+    }
+  });
+  cluster_->machine(first_root).set_health(MachineHealth::kDead);
+  Settle(Minutes(1));
+  ASSERT_EQ(promoted.size(), 2u) << "no replacement root was promoted";
+  ASSERT_GE(revoked_at, 0);
+  EXPECT_NE(promoted[1].first, first_root);
+  EXPECT_GE(promoted[1].second, revoked_at);
+  EXPECT_LE(promoted[1].second - revoked_at,
+            KvStoreConfig{}.heartbeat_interval + FabricConfig{}.control_delay)
+      << "promotion waited for a poll instead of the watch";
+  for (const auto& worker : workers_) {
+    if (worker->rank() != first_root) {
+      EXPECT_FALSE(worker->polling_root()) << "worker " << worker->rank();
+    }
+  }
+}
+
+TEST_F(AgentTest, CampaignWithoutKvLeaderIsRetried) {
+  std::vector<int> promoted;
+  for (int rank = 0; rank < 4; ++rank) {
+    workers_[static_cast<size_t>(rank)]->set_on_promoted_to_root(
+        [&promoted, rank] { promoted.push_back(rank); });
+  }
+  StartWorkers();
+  Settle(Seconds(30));
+  ASSERT_EQ(promoted.size(), 1u);
+  const int kv_leader = *kv_->LeaderRank();
+  ASSERT_NE(kv_leader, promoted[0]);
+  // The KV leader's machine dies as the root key's deletion commits, so the
+  // watch events arrive while the KV has no leader: the campaign they start
+  // cannot reach the store and must be retried once a new leader exists.
+  kv_->Delete(kRootKey, [&](Status status) {
+    ASSERT_TRUE(status.ok());
+    cluster_->machine(kv_leader).set_health(MachineHealth::kDead);
+  });
+  Settle(2 * FabricConfig{}.control_delay);
+  ASSERT_EQ(kv_->Get(kRootKey).status().code(), StatusCode::kUnavailable);
+  EXPECT_EQ(promoted.size(), 1u);
+  Settle(Seconds(30));
+  ASSERT_EQ(promoted.size(), 2u) << "the failed campaign was never retried";
+  const StatusOr<KvEntry> root = kv_->Get(kRootKey);
+  ASSERT_TRUE(root.ok());
+  EXPECT_EQ(root->value, std::to_string(promoted[1]));
+  EXPECT_NE(promoted[1], kv_leader);
+}
+
+TEST_F(AgentTest, WorkerDestroyedWhileItsWatchEventIsInFlightIsNeverCalled) {
+  std::vector<int> promoted;
+  for (int rank = 0; rank < 4; ++rank) {
+    workers_[static_cast<size_t>(rank)]->set_on_promoted_to_root(
+        [&promoted, rank] { promoted.push_back(rank); });
+  }
+  StartWorkers();
+  Settle(Seconds(30));
+  ASSERT_EQ(promoted.size(), 1u);
+  bool committed = false;
+  kv_->Delete(kRootKey, [&](Status status) { committed = status.ok(); });
+  while (!committed) {
+    Settle(Micros(1));
+  }
+  // The deletion's watch events are scheduled; destroy one watcher, as
+  // GeminiSystem::RestartAgentsForRank does, before they arrive.
+  const size_t destroyed = promoted[0] == 3 ? 2 : 3;
+  workers_[destroyed].reset();
+  Settle(Seconds(30));
+  ASSERT_EQ(promoted.size(), 2u);
+  EXPECT_NE(promoted[1], static_cast<int>(destroyed));
+}
+
 TEST_F(AgentTest, RootAgentDetectsHardwareFailure) {
   StartWorkers();
   std::vector<FailureReport> reports;
@@ -236,6 +334,80 @@ TEST_F(AgentTest, LiveAgentRegrantsRevokedLease) {
   ASSERT_TRUE(after.ok()) << "live agent never recovered its health key";
   EXPECT_EQ(after->value, kStatusHealthy);
   EXPECT_NE(after->lease, before->lease);
+}
+
+// A root agent on 12 machines: health keys with one- and two-digit ranks
+// ("/10" sorts before "/2").
+class RootAgentScanTest : public ::testing::Test {
+ protected:
+  static constexpr int kMachines = 12;
+  static constexpr int kRootRank = 5;
+
+  RootAgentScanTest() {
+    cluster_ = std::make_unique<Cluster>(sim_, kMachines, P4d24xlarge(), FabricConfig{});
+    kv_ = std::make_unique<KvStoreCluster>(
+        sim_, cluster_->fabric(), std::vector<int>{0, 1, 2},
+        [this](int rank) { return cluster_->machine(rank).alive(); }, KvStoreConfig{},
+        /*seed=*/78);
+    kv_->Start();
+    for (int rank = 0; rank < kMachines; ++rank) {
+      workers_.push_back(
+          std::make_unique<WorkerAgent>(sim_, *cluster_, *kv_, rank, AgentConfig{}));
+      workers_.back()->Start();
+    }
+    root_ = std::make_unique<RootAgent>(
+        sim_, *cluster_, *kv_, kRootRank, AgentConfig{},
+        [this](const FailureReport& report) { reports_.push_back(report); });
+    root_->set_metrics(&metrics_);
+    root_->Start();
+  }
+
+  void Settle(TimeNs duration) { sim_.RunUntil(sim_.now() + duration); }
+
+  Simulator sim_;
+  MetricsRegistry metrics_;
+  std::unique_ptr<Cluster> cluster_;
+  std::unique_ptr<KvStoreCluster> kv_;
+  std::vector<std::unique_ptr<WorkerAgent>> workers_;
+  std::unique_ptr<RootAgent> root_;
+  std::vector<FailureReport> reports_;
+};
+
+TEST_F(RootAgentScanTest, ClassifiesMultiDigitRanksInAscendingOrder) {
+  Settle(Seconds(30));
+  ASSERT_TRUE(reports_.empty());
+  // Report nothing while the failures land, then scan once they all have.
+  root_->SetPaused(true);
+  workers_[11]->ReportProcessDown();
+  workers_[3]->ReportProcessDown();
+  cluster_->machine(10).set_health(MachineHealth::kDead);
+  cluster_->machine(7).set_health(MachineHealth::kDead);
+  Settle(Seconds(30));
+  root_->SetPaused(false);
+  Settle(Seconds(20));
+  // Hardware failures subsume the software ones in the same scan; the next
+  // scan reports those.
+  ASSERT_EQ(reports_.size(), 2u);
+  EXPECT_EQ(reports_[0].type, FailureType::kHardware);
+  EXPECT_EQ(reports_[0].ranks, (std::vector<int>{7, 10}));
+  EXPECT_EQ(reports_[1].type, FailureType::kSoftware);
+  EXPECT_EQ(reports_[1].ranks, (std::vector<int>{3, 11}));
+}
+
+TEST_F(RootAgentScanTest, SendsNothingWhileKvHasNoLeader) {
+  Settle(Seconds(30));
+  const int64_t scans = metrics_.counter_value("agent.root_scans");
+  ASSERT_GT(scans, 0);
+  // Kill the KV leader and one more KV server: the last one cannot win an
+  // election, and nothing is readable.
+  const int kv_leader = *kv_->LeaderRank();
+  ASSERT_NE(kv_leader, kRootRank);
+  cluster_->machine(kv_leader).set_health(MachineHealth::kDead);
+  cluster_->machine(kv_leader == 0 ? 1 : 0).set_health(MachineHealth::kDead);
+  Settle(Minutes(1));
+  EXPECT_FALSE(kv_->LeaderRank().has_value());
+  EXPECT_TRUE(reports_.empty());
+  EXPECT_EQ(metrics_.counter_value("agent.root_scans"), scans);
 }
 
 // ---------------------------------------------------------------------------

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/cluster/fabric.h"
@@ -348,6 +349,162 @@ TEST_F(KvStoreTest, CancelledWatchStopsDelivering) {
   kv_->Put("/k", "2", kNoLease, [](Status) {});
   Settle();
   EXPECT_EQ(count, 1);
+}
+
+TEST_F(KvStoreTest, WatchCancelledBeforeDeliveryNeverFires) {
+  AwaitLeader();
+  int count = 0;
+  const uint64_t id = kv_->Watch("/k", [&](const WatchEvent&) { ++count; });
+  bool committed = false;
+  kv_->Put("/k", "1", kNoLease, [&](Status status) { committed = status.ok(); });
+  // Stop at the commit: the event is scheduled, its delivery control_delay
+  // away.
+  const TimeNs step = Micros(1);
+  while (!committed) {
+    sim_.RunUntil(sim_.now() + step);
+  }
+  kv_->CancelWatch(id);
+  Settle();
+  EXPECT_EQ(count, 0);
+}
+
+// Grants `ttl` leases one after another and returns their ids.
+std::vector<LeaseId> GrantLeases(KvStoreCluster& kv, Simulator& sim, TimeNs ttl, int count) {
+  std::vector<LeaseId> ids;
+  for (int i = 0; i < count; ++i) {
+    kv.LeaseGrant(ttl, [&ids](StatusOr<LeaseId> lease) {
+      if (lease.ok()) {
+        ids.push_back(*lease);
+      }
+    });
+  }
+  sim.RunUntil(sim.now() + Millis(10));
+  return ids;
+}
+
+TEST_F(KvStoreTest, ShortLeaseGrantedAfterLongOnesExpiresOnItsOwnTick) {
+  AwaitLeader();
+  ASSERT_EQ(GrantLeases(*kv_, sim_, Hours(1), 8).size(), 8u);
+  Settle();
+  const KvNode& leader = kv_->node(*kv_->LeaderRank());
+  ASSERT_GT(leader.lease_deadline_bound(), sim_.now() + Minutes(59));
+
+  // The short grant lowers the bound to its own deadline.
+  const TimeNs ttl = Seconds(1);
+  const TimeNs granted_at = sim_.now();
+  const std::vector<LeaseId> short_lease = GrantLeases(*kv_, sim_, ttl, 1);
+  ASSERT_EQ(short_lease.size(), 1u);
+  const TimeNs deadline = leader.leases().at(short_lease[0]).deadline;
+  EXPECT_EQ(deadline, granted_at + ttl);
+  EXPECT_EQ(leader.lease_deadline_bound(), deadline);
+  kv_->Put("/short", "v", short_lease[0], [](Status) {});
+  TimeNs expired_at = -1;
+  kv_->Watch("/short", [&](const WatchEvent& event) {
+    if (event.type == WatchEventType::kExpired) {
+      expired_at = sim_.now();
+    }
+  });
+
+  // Up to the deadline no heartbeat walks the lease table.
+  Settle(Millis(10));
+  const int64_t walks = leader.lease_table_walks();
+  sim_.RunUntil(deadline);
+  EXPECT_EQ(leader.lease_table_walks(), walks);
+  EXPECT_TRUE(kv_->Get("/short").ok());
+
+  // The first tick past the deadline revokes it: one round trip to commit,
+  // one control delay to deliver.
+  const KvStoreConfig config;
+  const TimeNs control_delay = FabricConfig{}.control_delay;
+  Settle(config.heartbeat_interval + 3 * control_delay);
+  EXPECT_GT(expired_at, deadline);
+  EXPECT_LE(expired_at, deadline + config.heartbeat_interval + 3 * control_delay);
+  EXPECT_EQ(leader.leases().size(), 8u);
+  // With the short lease gone the bound is back at the long leases' deadline.
+  Settle(config.heartbeat_interval);
+  EXPECT_GT(leader.lease_deadline_bound(), sim_.now() + Minutes(58));
+}
+
+TEST_F(KvStoreTest, LeasesExpiringInOneTickAreRevokedOnConsecutiveTicksLowestIdFirst) {
+  AwaitLeader();
+  const std::vector<LeaseId> ids = GrantLeases(*kv_, sim_, Seconds(1), 2);
+  ASSERT_EQ(ids.size(), 2u);
+  ASSERT_LT(ids[0], ids[1]);
+  const KvNode& leader = kv_->node(*kv_->LeaderRank());
+  ASSERT_EQ(leader.leases().at(ids[0]).deadline, leader.leases().at(ids[1]).deadline);
+  // Keys in the opposite order to lease ids: revocation follows the ids.
+  kv_->Put("/z", "v", ids[0], [](Status) {});
+  kv_->Put("/a", "v", ids[1], [](Status) {});
+  std::vector<std::pair<TimeNs, std::string>> expired;
+  kv_->Watch("/", [&](const WatchEvent& event) {
+    if (event.type == WatchEventType::kExpired) {
+      expired.emplace_back(sim_.now(), event.key);
+    }
+  });
+  Settle(Seconds(3));
+  ASSERT_EQ(expired.size(), 2u);
+  EXPECT_EQ(expired[0].second, "/z");
+  EXPECT_EQ(expired[1].second, "/a");
+  EXPECT_EQ(expired[1].first - expired[0].first, KvStoreConfig{}.heartbeat_interval);
+  EXPECT_TRUE(leader.leases().empty());
+  EXPECT_EQ(leader.lease_deadline_bound(), kNoLeaseDeadline);
+}
+
+TEST_F(KvStoreTest, ExpiryAfterFailoverWaitsForPromotionReextension) {
+  AwaitLeader();
+  const TimeNs ttl = Seconds(2);
+  const std::vector<LeaseId> ids = GrantLeases(*kv_, sim_, ttl, 1);
+  ASSERT_EQ(ids.size(), 1u);
+  kv_->Put("/health/9", "ok", ids[0], [](Status) {});
+  // Renewed on the leader alone, well past the TTL: the followers' bound is
+  // still the grant's deadline, long passed.
+  for (int i = 0; i < 8; ++i) {
+    kv_->LeaseKeepAlive(ids[0], [](Status) {});
+    Settle(Millis(500));
+  }
+  const int old_leader = *kv_->LeaderRank();
+  for (int i = 0; i < kv_->num_nodes(); ++i) {
+    if (i != old_leader) {
+      EXPECT_LT(kv_->node(i).lease_deadline_bound(), sim_.now());
+    }
+  }
+  // The leader dies and the holder stops renewing at the same moment.
+  alive_[static_cast<size_t>(old_leader)] = false;
+  while (!kv_->LeaderRank().has_value()) {
+    Settle(Millis(1));
+  }
+  const KvNode& leader = kv_->node(*kv_->LeaderRank());
+  const TimeNs deadline = leader.lease_deadline_bound();
+  EXPECT_EQ(deadline, leader.leases().at(ids[0]).deadline);
+  EXPECT_GT(deadline, sim_.now() + ttl - Millis(1));
+  sim_.RunUntil(deadline);
+  EXPECT_TRUE(kv_->Get("/health/9").ok()) << "expired before the promotion's full TTL";
+  const TimeNs control_delay = FabricConfig{}.control_delay;
+  Settle(KvStoreConfig{}.heartbeat_interval + 2 * control_delay);
+  EXPECT_EQ(kv_->Get("/health/9").status().code(), StatusCode::kNotFound);
+}
+
+TEST_F(KvStoreTest, ResetAndRestartClearsLeaseDeadlineBound) {
+  AwaitLeader();
+  const std::vector<LeaseId> ids = GrantLeases(*kv_, sim_, Hours(1), 1);
+  ASSERT_EQ(ids.size(), 1u);
+  Settle();
+  int follower = -1;
+  for (int i = 0; i < kv_->num_nodes(); ++i) {
+    if (kv_->node(i).role() != KvNode::Role::kLeader) {
+      follower = i;
+      break;
+    }
+  }
+  ASSERT_GE(follower, 0);
+  KvNode& node = kv_->node(follower);
+  const TimeNs deadline = node.leases().at(ids[0]).deadline;
+  EXPECT_EQ(node.lease_deadline_bound(), deadline);
+  node.ResetAndRestart();
+  EXPECT_EQ(node.lease_deadline_bound(), kNoLeaseDeadline);
+  // Catching up re-applies the grant, which lowers the bound again.
+  Settle(Seconds(3));
+  EXPECT_EQ(node.lease_deadline_bound(), deadline);
 }
 
 TEST_F(KvStoreTest, LeaderFailoverElectsNewLeaderAndKeepsData) {
