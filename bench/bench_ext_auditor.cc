@@ -14,6 +14,7 @@
 #include <string>
 
 #include "bench/bench_util.h"
+#include "src/common/calibration.h"
 #include "src/gemini/gemini_system.h"
 
 using namespace gemini;
@@ -87,7 +88,7 @@ StatusOr<ShiftRun> RunShift() {
     const int64_t inflation = system.metrics().counter_value("obs.interference.inflation_ns");
     run.drift.Observe(drift);
     run.inflation_ms.Observe(static_cast<double>(inflation - last_inflation) / 1e6);
-    run.drift_exceeded_threshold |= drift > config.audit.drift_threshold;
+    run.drift_exceeded_threshold |= drift > kAuditDriftThreshold;
     if (cured) {
       run.inflation_after_reprofile += inflation - last_inflation;
     }

@@ -7,7 +7,9 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
+#include "src/common/calibration.h"
 #include "src/gemini/gemini_system.h"
+#include "src/policy/cost_model.h"
 
 using namespace gemini;
 
@@ -60,12 +62,11 @@ int main() {
       "Figure 14: failure recovery timeline (GPT-2 100B, 16x p4d)",
       "paper Figure 14 and Section 7.3 'Overheads incurred by failures'");
 
-  const SerializationModel serializer;
   const Bytes replica = Gpt2_100B().CheckpointBytesPerMachine(16);
   std::cout << "Phase model (per failure):\n"
             << "  failure detection        ~15 s   (heartbeat lease TTL + root scan)\n"
             << "  checkpoint serialization "
-            << FormatDuration(2 * serializer.SerializeTime(replica))
+            << FormatDuration(2 * SerializationStall(replica, kSerializationBandwidth))
             << " (torch.save of 2 replicas; paper: 162 s)\n"
             << "  machine replacement      4-7 min via ASG, ~10 s with standby\n"
             << "  restart warm-up          ~4.3 min\n\n";

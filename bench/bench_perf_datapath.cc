@@ -162,8 +162,9 @@ struct DatapathFixture {
   std::vector<std::unique_ptr<CpuCheckpointStore>> stores;
 };
 
-// End-to-end serialize+CRC throughput: the bytes a disk-backed shard write
-// pushes through SerializeCheckpoint per wall-clock second.
+// End-to-end serialize+CRC throughput: the bytes a software-failure restore,
+// which loads through the serialized form, pushes through SerializeCheckpoint
+// per wall-clock second.
 double SerializeThroughputMbPerSec() {
   constexpr size_t kPayloadFloats = 4 << 20;  // 16 MiB payload per blob.
   Checkpoint checkpoint;

@@ -48,6 +48,15 @@ if grep -rnE "${handle}[[:space:]]*[!=]=[[:space:]]*nullptr|nullptr[[:space:]]*[
   exit 1
 fi
 
+# Each calibrated number (src/common/calibration.h) is defined once: no other
+# src/ line may spell one of the paper's anchors as a literal.
+echo "==> tier-1: calibrated literals appear only in src/common/calibration.h"
+calibrated='0\.93e9|Seconds\(260\)|GbpsToBytesPerSecond\(20\)|Minutes\(5\.5\)|(^|[^0-9.])0\.035([^0-9]|$)'
+if grep -rnE "$calibrated" src/ | grep -v '^src/common/calibration\.h:'; then
+  echo "FAIL: calibrated literal outside src/common/calibration.h (use its named constant)" >&2
+  exit 1
+fi
+
 if [[ "$fast" == "1" ]]; then
   echo "==> done (fast mode: Release and sanitizer passes skipped)"
   exit 0
@@ -134,31 +143,19 @@ fi
 echo "==> bench smoke: bench_perf_datapath (Release)"
 ./build-release/bench/bench_perf_datapath
 
-# Forced-fallback leg: build with the hardware CRC kernels compiled out
-# (-DGEMINI_DISABLE_HWCRC=ON) and re-run the CRC/serialization-sensitive
-# suites, so the portable slicing-by-8 path stays bit-identical and green on
-# machines without PCLMUL/ARMv8-CRC. The bench must report the fallback as
-# the active implementation under this build.
-echo "==> forced-fallback pass: configure + build (-DGEMINI_DISABLE_HWCRC=ON)"
-cmake -B build-nohwcrc -S . -DCMAKE_BUILD_TYPE=Release -DGEMINI_DISABLE_HWCRC=ON >/dev/null
-cmake --build build-nohwcrc -j --target common_test storage_test replicator_test \
-  bench_perf_datapath
-
-echo "==> forced-fallback pass: CRC/serializer/replicator suites"
-./build-nohwcrc/tests/common_test --gtest_filter='Crc32*'
-./build-nohwcrc/tests/storage_test
-./build-nohwcrc/tests/replicator_test
-nohw_out="$(./build-nohwcrc/bench/bench_perf_datapath)"
+# Forced-fallback leg: the GEMINI_DISABLE_HWCRC environment variable makes
+# the Release binaries skip the hardware (PCLMUL / ARMv8-CRC) kernels at
+# dispatch, and the CRC/serialization-sensitive suites re-run on the portable
+# slicing-by-8 path, so it stays bit-identical and green on machines without
+# those instructions. The bench must report the fallback as the active
+# implementation.
+echo "==> forced-fallback pass: CRC/serializer/replicator suites (GEMINI_DISABLE_HWCRC=1)"
+GEMINI_DISABLE_HWCRC=1 ./build-release/tests/common_test --gtest_filter='Crc32*'
+GEMINI_DISABLE_HWCRC=1 ./build-release/tests/storage_test
+GEMINI_DISABLE_HWCRC=1 ./build-release/tests/replicator_test
+nohw_out="$(GEMINI_DISABLE_HWCRC=1 ./build-release/bench/bench_perf_datapath)"
 echo "$nohw_out"
 if ! grep -q 'active CRC implementation: slicing-by-8' <<<"$nohw_out"; then
-  echo "FAIL: GEMINI_DISABLE_HWCRC build still dispatched a hardware CRC kernel" >&2
-  exit 1
-fi
-
-# The same switch must also work at runtime, on the hardware-enabled build.
-echo "==> forced-fallback pass: GEMINI_DISABLE_HWCRC=1 env override"
-env_out="$(GEMINI_DISABLE_HWCRC=1 ./build-release/bench/bench_perf_datapath)"
-if ! grep -q 'active CRC implementation: slicing-by-8' <<<"$env_out"; then
   echo "FAIL: GEMINI_DISABLE_HWCRC=1 did not force the portable CRC path" >&2
   exit 1
 fi

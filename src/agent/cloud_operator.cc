@@ -1,5 +1,6 @@
 #include "src/agent/cloud_operator.h"
 
+#include "src/common/calibration.h"
 #include "src/common/logging.h"
 
 namespace gemini {
@@ -8,7 +9,6 @@ CloudOperator::CloudOperator(Simulator& sim, Cluster& cluster, CloudOperatorConf
                              uint64_t seed)
     : sim_(sim),
       cluster_(cluster),
-      config_(config),
       rng_(seed),
       standby_available_(config.num_standby) {}
 
@@ -24,16 +24,15 @@ void CloudOperator::ReplaceMachine(int rank, std::function<void(Machine&)> done)
   if (standby_available_ > 0) {
     --standby_available_;
     standby_activations_counter_->Increment();
-    delay = config_.standby_activation_delay;
+    delay = kStandbyActivationDelay;
     // The failed machine is returned and another standby is requested; it
     // arrives after a full provisioning delay.
-    const TimeNs replenish = static_cast<TimeNs>(rng_.UniformInt(
-        config_.provision_delay_min, config_.provision_delay_max));
+    const TimeNs replenish =
+        static_cast<TimeNs>(rng_.UniformInt(kProvisionDelayMin, kProvisionDelayMax));
     sim_.ScheduleAfter(replenish, [this] { ++standby_available_; });
     GEMINI_LOG(kInfo) << "cloud operator: activating standby for rank " << rank;
   } else {
-    delay = static_cast<TimeNs>(
-        rng_.UniformInt(config_.provision_delay_min, config_.provision_delay_max));
+    delay = static_cast<TimeNs>(rng_.UniformInt(kProvisionDelayMin, kProvisionDelayMax));
     GEMINI_LOG(kInfo) << "cloud operator: provisioning replacement for rank " << rank << " ("
                       << FormatDuration(delay) << ")";
   }

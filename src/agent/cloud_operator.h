@@ -2,10 +2,10 @@
 //
 // When the root agent reports a hardware failure, the operator provisions a
 // healthy machine for the failed rank. Provisioning from the cloud pool
-// takes a non-deterministic 4-7 minutes (the paper's measured ASG latency);
-// a pre-allocated standby machine activates in seconds instead, and the
-// operator replenishes the standby pool in the background (Section 6.2
-// "Standby machines").
+// takes a non-deterministic 4-7 minutes (the paper's measured ASG latency,
+// kProvisionDelay{Min,Max}); a pre-allocated standby machine activates in
+// seconds instead (kStandbyActivationDelay), and the operator replenishes the
+// standby pool in the background (Section 6.2 "Standby machines").
 #ifndef SRC_AGENT_CLOUD_OPERATOR_H_
 #define SRC_AGENT_CLOUD_OPERATOR_H_
 
@@ -19,10 +19,7 @@
 namespace gemini {
 
 struct CloudOperatorConfig {
-  TimeNs provision_delay_min = Minutes(4);
-  TimeNs provision_delay_max = Minutes(7);
   int num_standby = 0;
-  TimeNs standby_activation_delay = Seconds(10);
 };
 
 class CloudOperator {
@@ -44,7 +41,6 @@ class CloudOperator {
  private:
   Simulator& sim_;
   Cluster& cluster_;
-  CloudOperatorConfig config_;
   Rng rng_;
   int standby_available_;
   int total_replacements_ = 0;

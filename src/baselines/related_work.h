@@ -16,7 +16,8 @@
 //
 // All three improve on Strawman/HighFreq along one axis while keeping the
 // remote store on the recovery path — which is why none approaches GEMINI's
-// wasted time.
+// wasted time. Their parameters are single points from each paper, defined
+// in src/common/calibration.h.
 #ifndef SRC_BASELINES_RELATED_WORK_H_
 #define SRC_BASELINES_RELATED_WORK_H_
 
@@ -24,31 +25,9 @@
 
 namespace gemini {
 
-struct DeepFreezeOptions {
-  // Fraction of the serialization that still stalls training (pipelined
-  // copy-out; near zero by design).
-  double blocking_fraction = 0.05;
-};
-SystemModel BuildDeepFreeze(const CheckpointWorkload& workload,
-                            const DeepFreezeOptions& options = {});
-
-struct CheckFreqOptions {
-  // Maximum fraction of training time spent checkpointing.
-  double overhead_budget = 0.035;
-  // GPU-side snapshot bandwidth (device memory copy of the model states).
-  BytesPerSecond snapshot_bandwidth = 100e9;
-};
-SystemModel BuildCheckFreq(const CheckpointWorkload& workload,
-                           const CheckFreqOptions& options = {});
-
-struct CheckNRunOptions {
-  // Lossy compression factor on the persisted bytes.
-  double compression_ratio = 4.0;
-  // Compression throughput (stalls training like serialization does).
-  BytesPerSecond compression_bandwidth = 2e9;
-};
-SystemModel BuildCheckNRun(const CheckpointWorkload& workload,
-                           const CheckNRunOptions& options = {});
+SystemModel BuildDeepFreeze(const CheckpointWorkload& workload);
+SystemModel BuildCheckFreq(const CheckpointWorkload& workload);
+SystemModel BuildCheckNRun(const CheckpointWorkload& workload);
 
 }  // namespace gemini
 

@@ -1,7 +1,8 @@
 #include "src/baselines/system_model.h"
 
 #include <algorithm>
-#include <cmath>
+
+#include "src/policy/cost_model.h"
 
 namespace gemini {
 namespace {
@@ -9,15 +10,8 @@ namespace {
 // Serialization happens per machine in parallel; transfer shares the store's
 // aggregate bandwidth.
 TimeNs PersistentCheckpointTime(const CheckpointWorkload& workload) {
-  const TimeNs serialize =
-      TransferTime(workload.checkpoint_bytes_per_machine, workload.serialization_bandwidth);
-  const TimeNs transfer =
-      TransferTime(workload.total_checkpoint_bytes(), workload.persistent_bandwidth);
-  return serialize + transfer;
-}
-
-TimeNs PersistentRetrievalTime(const CheckpointWorkload& workload) {
-  return TransferTime(workload.total_checkpoint_bytes(), workload.persistent_bandwidth);
+  return SerializationStall(workload.checkpoint_bytes_per_machine, kSerializationBandwidth) +
+         PersistentUploadTime(workload.total_checkpoint_bytes());
 }
 
 RecoveryOverheads BaselineOverheads() {
@@ -50,8 +44,8 @@ SystemModel BuildStrawman(const CheckpointWorkload& workload) {
   model.checkpoint_time = PersistentCheckpointTime(workload);
   model.checkpoint_interval = Hours(3);  // BLOOM's schedule.
   model.training_block_per_checkpoint =
-      TransferTime(workload.checkpoint_bytes_per_machine, workload.serialization_bandwidth);
-  model.retrieval_time = PersistentRetrievalTime(workload);
+      SerializationStall(workload.checkpoint_bytes_per_machine, kSerializationBandwidth);
+  model.retrieval_time = PersistentUploadTime(workload.total_checkpoint_bytes());
   model.overheads = BaselineOverheads();
   return model;
 }
@@ -61,12 +55,11 @@ SystemModel BuildHighFreq(const CheckpointWorkload& workload) {
   model.name = "HighFreq";
   model.checkpoint_time = PersistentCheckpointTime(workload);
   // Constraint (2): one checkpoint at a time, aligned to iterations.
-  const int64_t interval_iterations = std::max<int64_t>(
-      1, (model.checkpoint_time + workload.iteration_time - 1) / workload.iteration_time);
-  model.checkpoint_interval = interval_iterations * workload.iteration_time;
+  model.checkpoint_interval =
+      AlignUpToIterations(model.checkpoint_time, workload.iteration_time);
   model.training_block_per_checkpoint =
-      TransferTime(workload.checkpoint_bytes_per_machine, workload.serialization_bandwidth);
-  model.retrieval_time = PersistentRetrievalTime(workload);
+      SerializationStall(workload.checkpoint_bytes_per_machine, kSerializationBandwidth);
+  model.retrieval_time = PersistentUploadTime(workload.total_checkpoint_bytes());
   model.overheads = BaselineOverheads();
   return model;
 }
@@ -103,10 +96,11 @@ SystemModel BuildGemini(const CheckpointWorkload& workload, int replaced_machine
         TransferTime(workload.checkpoint_bytes_per_machine, workload.nic_bandwidth);
   }
   model.overheads.checkpoint_serialization =
-      workload.num_replicas *
-      TransferTime(workload.checkpoint_bytes_per_machine, workload.serialization_bandwidth);
+      RecoverySerializationStall(workload.num_replicas, workload.checkpoint_bytes_per_machine);
   if (replaced_machines > 0) {
-    model.overheads.machine_replacement = standby_machines ? Seconds(10) : Minutes(5.5);
+    model.overheads.machine_replacement = standby_machines
+                                              ? kStandbyActivationDelay
+                                              : (kProvisionDelayMin + kProvisionDelayMax) / 2;
   }
   return model;
 }

@@ -16,18 +16,19 @@
 
 #include <string>
 
+#include "src/common/calibration.h"
 #include "src/common/units.h"
 
 namespace gemini {
 
-// Everything the models need to know about the training job and storage.
+// Everything the models need to know about the training job. Serialization
+// and persistent storage run at the calibrated kSerializationBandwidth and
+// kPersistentBandwidth, the same constants the full system uses.
 struct CheckpointWorkload {
   TimeNs iteration_time = 0;
   Bytes checkpoint_bytes_per_machine = 0;
   int num_machines = 0;
   int num_replicas = 2;  // GEMINI's m.
-  BytesPerSecond persistent_bandwidth = GbpsToBytesPerSecond(20);
-  BytesPerSecond serialization_bandwidth = 0.93e9;
   BytesPerSecond nic_bandwidth = GbpsToBytesPerSecond(400);
   TimeNs comm_alpha = Micros(100);
 
@@ -42,9 +43,10 @@ struct RecoveryOverheads {
   // Serializing checkpoints with torch.save at recovery (GEMINI: two
   // replicas, 162 s for GPT-2 100B).
   TimeNs checkpoint_serialization = 0;
-  // ASG replacement (0 for software failures or with standby machines).
+  // Machine replacement: 0 for software failures; the mean of the cloud
+  // operator's ASG delay range, or its standby activation delay.
   TimeNs machine_replacement = 0;
-  TimeNs restart_warmup = Seconds(260);
+  TimeNs restart_warmup = kRestartWarmup;
 
   TimeNs total() const {
     return failure_detection + checkpoint_serialization + machine_replacement + restart_warmup;

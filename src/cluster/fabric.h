@@ -38,7 +38,7 @@ class Fabric {
     // Fraction of line rate this transfer achieves. Training collectives are
     // synchronization-bound and achieve well below line rate; checkpoint
     // point-to-point streams run at full rate. Calibrated in
-    // src/training/calibration.h.
+    // src/common/calibration.h.
     double bandwidth_efficiency = 1.0;
   };
 

@@ -7,7 +7,7 @@ std::vector<InstanceSpec> BuildCatalog() {
   // Memory columns reproduce paper Table 1. Bandwidths are the published
   // figures for each instance family; effective FLOP/s are calibrated so the
   // simulated iteration times of the Table 2 workloads land near the paper's
-  // measurements (see src/training/calibration.h).
+  // measurements (see src/common/calibration.h).
   std::vector<InstanceSpec> catalog;
   catalog.push_back(InstanceSpec{
       .name = "p3dn.24xlarge",

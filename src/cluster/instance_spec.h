@@ -26,11 +26,11 @@ struct InstanceSpec {
   BytesPerSecond gpu_cpu_copy_bandwidth = 0;
   // Calibrated effective training throughput per GPU (FLOP/s), i.e. peak
   // times achieved MFU for ZeRO-3 at the paper's scale. See
-  // src/training/calibration.h for how the values were fit.
+  // src/common/calibration.h for how the values were fit.
   double effective_flops_per_gpu = 0;
   // Fraction of NIC line rate that synchronization-bound training collectives
   // achieve (checkpoint point-to-point streams run at full rate). Calibrated
-  // per instance family; see src/training/calibration.h.
+  // per instance family; see src/common/calibration.h.
   double collective_efficiency = 0.3;
 
   Bytes total_gpu_memory() const { return gpu_memory_per_gpu * num_gpus; }

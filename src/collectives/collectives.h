@@ -3,8 +3,8 @@
 // Provides (a) analytic ring-algorithm cost functions, used by the training
 // timeline generator to place communication segments, and (b) real
 // event-driven collectives that move actual float data through Fabric
-// transfers, used by tests and the data-parallel example to validate the
-// substrate end to end.
+// transfers (`Communicator`), which only tests/collectives_test.cc constructs,
+// to validate the substrate end to end.
 //
 // All collectives here operate at machine granularity: intra-machine GPUs
 // are connected by NVSwitch, which is an order of magnitude faster than the

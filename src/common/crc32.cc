@@ -5,11 +5,11 @@
 #include <cstdlib>
 #include <cstring>
 
-// Hardware kernels are compiled only where the ISA extension exists and the
-// build has not forced the portable path (-DGEMINI_DISABLE_HWCRC=ON). The
-// *runtime* choice additionally checks CPUID/HWCAP and the
-// GEMINI_DISABLE_HWCRC environment variable, once, at first use.
-#if !defined(GEMINI_DISABLE_HWCRC) && defined(__GNUC__)
+// Hardware kernels are compiled only where the ISA extension exists; other
+// hosts compile slicing-by-8 alone. The *runtime* choice additionally checks
+// CPUID/HWCAP and the GEMINI_DISABLE_HWCRC environment variable, once, at
+// first use.
+#if defined(__GNUC__)
 #if defined(__x86_64__)
 #define GEMINI_CRC32_HW_X86 1
 #include <immintrin.h>

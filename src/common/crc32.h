@@ -10,8 +10,8 @@
 //    do use the IEEE polynomial). Gated on CPUID / HWCAP at startup.
 //  * slicing-by-8 — the portable production path (eight 256-entry tables,
 //    eight input bytes folded per step); the fallback everywhere hardware is
-//    absent, compiled out (GEMINI_DISABLE_HWCRC), or disabled at runtime
-//    (the GEMINI_DISABLE_HWCRC environment variable).
+//    absent or disabled at runtime (the GEMINI_DISABLE_HWCRC environment
+//    variable).
 //  * bytewise — the textbook one-byte-per-step table loop, kept as the
 //    reference the tests (and the perf bench) compare everything against.
 //

@@ -6,8 +6,10 @@
 #include <memory>
 #include <utility>
 
+#include "src/common/calibration.h"
 #include "src/common/logging.h"
 #include "src/gemini/replicator.h"
+#include "src/policy/cost_model.h"
 
 namespace gemini {
 namespace {
@@ -38,8 +40,8 @@ Status GeminiConfig::Validate() const {
   if (gamma <= 0.0 || gamma > 1.0) {
     return InvalidArgumentError("gamma must be in (0, 1]");
   }
-  if (serialization_bandwidth <= 0) {
-    return InvalidArgumentError("serialization_bandwidth must be positive");
+  if (kv_server_count < 1) {
+    return InvalidArgumentError("kv_server_count must be positive");
   }
   if (retrieval_max_attempts < 1) {
     return InvalidArgumentError("retrieval_max_attempts must be positive");
@@ -135,7 +137,7 @@ Status GeminiSystem::Initialize() {
   dirty_accum_.assign(static_cast<size_t>(config_.num_machines),
                       std::vector<uint8_t>(trainer_->dirty_chunk_count(), 0));
   persistent_bases_.assign(static_cast<size_t>(config_.num_machines), std::nullopt);
-  persistent_ = std::make_unique<PersistentStore>(sim_, config_.persistent);
+  persistent_ = std::make_unique<PersistentStore>(sim_);
   persistent_->set_metrics(&metrics_);
   for (int rank = 0; rank < config_.num_machines; ++rank) {
     // The seed is the persistent tier's first delta head; the first interval
@@ -539,7 +541,7 @@ void GeminiSystem::MaybePersistentCheckpoint() {
     }
     persistent_bases_[static_cast<size_t>(rank)] = std::move(full);
   }
-  const TimeNs serialize = TransferTime(max_rank_bytes, config_.serialization_bandwidth);
+  const TimeNs serialize = SerializationStall(max_rank_bytes, kSerializationBandwidth);
   metrics_.counter("system.persistent_checkpoints").Increment();
   tracer_.Span("persistent_serialize", "checkpoint", sim_.now(), sim_.now() + serialize,
                {TraceAttr::Int("iteration", trainer_->iteration())});
@@ -692,7 +694,7 @@ void GeminiSystem::StartRecoveryAttempt() {
     // retrieval traffic.
     const TimeNs serialize_wait =
         std::max<TimeNs>(0, recovery_case.serialize_done_at - sim_.now());
-    sim_.ScheduleAfter(serialize_wait + config_.restart_warmup,
+    sim_.ScheduleAfter(serialize_wait + kRestartWarmup,
                        InEpoch([this] { RunRecoveryPlan(); }));
     return;
   }
@@ -1026,7 +1028,7 @@ void GeminiSystem::FinishStep(TimeNs stall) {
     ResumeTraining();
     return;
   }
-  sim_.ScheduleAfter(stall + config_.restart_warmup, InEpoch([this] { ResumeTraining(); }));
+  sim_.ScheduleAfter(stall + kRestartWarmup, InEpoch([this] { ResumeTraining(); }));
 }
 
 void GeminiSystem::ResumeTraining() {

@@ -64,8 +64,6 @@ struct GeminiConfig {
   // Real floats per machine shard (the data plane payload).
   int payload_elements = 64;
   int kv_server_count = 3;
-  TimeNs restart_warmup = Seconds(260);
-  BytesPerSecond serialization_bandwidth = 0.93e9;
   // Peer-retrieval retry cascade (recovery hardening): per-rank attempt cap
   // across all alive replica holders, with capped exponential backoff between
   // attempts. Only after the cap is exhausted does recovery fall back to the
@@ -112,18 +110,19 @@ struct GeminiConfig {
   };
   IncrementalCheckpointConfig incremental;
   // Protection-policy engine: which strategy guards training (GEMINI
-  // in-memory checkpoints by default) plus the per-policy knobs and the
-  // online Chameleon selector's switch rules.
+  // in-memory checkpoints by default), and the Chameleon selector's starting
+  // policy.
   PolicyConfig policy;
   AgentConfig agent;
   CloudOperatorConfig cloud;
   KvStoreConfig kvstore;
-  PersistentStoreConfig persistent;
   uint64_t seed = 42;
 
-  // Knob sanity for the whole config (machine/replica counts, positive
-  // bandwidths and intervals, policy knobs). Initialize() and Create() both
-  // reject invalid configs through this one gate.
+  // Knob sanity for the whole config (machine/replica/KV-server counts,
+  // fractions, retry and chain caps, the selector's starting policy).
+  // Initialize() and Create() both reject invalid configs through this one
+  // gate. The fixed costs (serialization and persistent bandwidth, restart
+  // warm-up, machine replacement) are constants in src/common/calibration.h.
   Status Validate() const;
 };
 
@@ -294,13 +293,6 @@ class GeminiSystem : public PolicyHost {
   }
   TimeNs default_persistent_interval() const override {
     return config_.persistent_checkpoint_interval;
-  }
-  BytesPerSecond serialization_bandwidth() const override {
-    return config_.serialization_bandwidth;
-  }
-  TimeNs restart_warmup() const override { return config_.restart_warmup; }
-  BytesPerSecond persistent_bandwidth() const override {
-    return config_.persistent.aggregate_bandwidth;
   }
   BytesPerSecond network_bandwidth() const override {
     return config_.instance.network_bandwidth;

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <string>
 
+#include "src/common/calibration.h"
 #include "src/obs/metrics.h"
 #include "src/obs/run_tracer.h"
 
@@ -80,7 +81,7 @@ AuditReport InterferenceAuditor::AuditIteration(int64_t iteration,
     if (profiled > 0) {
       const double drift =
           static_cast<double>(observed - profiled) / static_cast<double>(profiled);
-      drift_ewma_[i] = config_.ewma_alpha * drift + (1.0 - config_.ewma_alpha) * drift_ewma_[i];
+      drift_ewma_[i] = kAuditEwmaAlpha * drift + (1.0 - kAuditEwmaAlpha) * drift_ewma_[i];
     }
     report.max_abs_drift = std::max(report.max_abs_drift, std::fabs(drift_ewma_[i]));
 
@@ -114,13 +115,13 @@ AuditReport InterferenceAuditor::AuditIteration(int64_t iteration,
   // Trigger: the worst span's |EWMA| above threshold for K consecutive
   // audits. The hook re-profiles and re-partitions, then calls Rebaseline
   // (resetting the EWMAs), so one sustained shift fires exactly once.
-  if (report.max_abs_drift > config_.drift_threshold) {
+  if (report.max_abs_drift > kAuditDriftThreshold) {
     ++consecutive_drifted_;
   } else {
     consecutive_drifted_ = 0;
   }
-  if (consecutive_drifted_ >= config_.consecutive_iterations &&
-      reprofiles_ < config_.max_reprofiles && on_drift_) {
+  if (consecutive_drifted_ >= kAuditConsecutiveIterations && reprofiles_ < kAuditMaxReprofiles &&
+      on_drift_) {
     ++reprofiles_;
     report.reprofile_triggered = true;
     reprofiles_counter_->Increment();
@@ -142,10 +143,7 @@ void InterferenceAuditor::NoteBackgroundTransfer(int span_index, Bytes bytes, Ti
 void InterferenceAuditor::NoteFailure(TimeNs now) { failure_times_.push_back(now); }
 
 double InterferenceAuditor::ObservedFailureRatePerHour(TimeNs now) const {
-  if (config_.failure_rate_window <= 0) {
-    return 0.0;
-  }
-  const TimeNs window_start = now - config_.failure_rate_window;
+  const TimeNs window_start = now - kFailureRateWindow;
   int64_t in_window = 0;
   for (auto it = failure_times_.rbegin(); it != failure_times_.rend(); ++it) {
     if (*it < window_start) {
@@ -154,7 +152,7 @@ double InterferenceAuditor::ObservedFailureRatePerHour(TimeNs now) const {
     ++in_window;
   }
   const double window_hours =
-      static_cast<double>(config_.failure_rate_window) / static_cast<double>(kHour);
+      static_cast<double>(kFailureRateWindow) / static_cast<double>(kHour);
   return static_cast<double>(in_window) / window_hours;
 }
 

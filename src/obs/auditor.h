@@ -17,11 +17,11 @@
 //    ("obs.interference.{events,inflation_ns}" counters plus an
 //    "interference" trace span per affected idle span), and the inflation is
 //    the amount by which the iteration is prolonged;
-//  * when the worst-span |EWMA| stays above a threshold for K consecutive
-//    iterations, the auditor fires its drift hook ("obs.reprofiles" counter);
-//    GeminiSystem wires the hook to an online re-profile + Algorithm-2
-//    re-partition, then calls Rebaseline so one sustained shift triggers
-//    exactly one re-profile.
+//  * when the worst-span |EWMA| stays above kAuditDriftThreshold for
+//    kAuditConsecutiveIterations consecutive iterations, the auditor fires
+//    its drift hook ("obs.reprofiles" counter); GeminiSystem wires the hook
+//    to an online re-profile + Algorithm-2 re-partition, then calls
+//    Rebaseline so one sustained shift triggers exactly one re-profile.
 //
 // All inputs come from simulated time and a deterministic RNG, so the
 // auditor adds no nondeterminism: same-seed runs produce byte-identical
@@ -42,21 +42,11 @@ namespace gemini {
 
 class RunTracer;
 
+// The smoothing factor, drift threshold, trigger streak, re-profile cap and
+// failure-rate window are constants (kAudit*, kFailureRateWindow in
+// src/common/calibration.h).
 struct AuditorConfig {
   bool enabled = true;
-  // EWMA smoothing factor for per-span drift (higher = reacts faster).
-  double ewma_alpha = 0.4;
-  // Normalized drift magnitude above which a span counts as drifted.
-  double drift_threshold = 0.10;
-  // Consecutive drifted iterations required before the drift hook fires
-  // (debounces one-off stragglers; the paper's profiler already tolerates
-  // ~5% jitter).
-  int consecutive_iterations = 3;
-  // Upper bound on hook firings per run; guards against oscillation.
-  int max_reprofiles = 4;
-  // Sliding window over which NoteFailure events are converted into the
-  // observed failure rate (the Chameleon selector's primary signal).
-  TimeNs failure_rate_window = Hours(1);
 };
 
 // Interference attribution for one idle span: walk the chunks planned into
@@ -117,17 +107,16 @@ class InterferenceAuditor {
   void NoteBackgroundTransfer(int span_index, Bytes bytes, TimeNs start, TimeNs end);
 
   // Failure-rate observation: the system reports each detected failure, and
-  // the rate is the count inside the trailing `failure_rate_window` scaled to
+  // the rate is the count inside the trailing kFailureRateWindow scaled to
   // per-hour. Purely simulated-time arithmetic — deterministic.
   void NoteFailure(TimeNs now);
   double ObservedFailureRatePerHour(TimeNs now) const;
   int64_t failures_noted() const { return static_cast<int64_t>(failure_times_.size()); }
 
   // Hook fired when drift persists; GeminiSystem points this at its online
-  // re-profile + re-partition path. Fired at most `max_reprofiles` times.
+  // re-profile + re-partition path. Fired at most kAuditMaxReprofiles times.
   void set_on_drift(std::function<void(int64_t iteration)> hook) { on_drift_ = std::move(hook); }
 
-  const AuditorConfig& config() const { return config_; }
   const std::vector<double>& drift_ewma() const { return drift_ewma_; }
   int consecutive_drifted() const { return consecutive_drifted_; }
   int64_t audits() const { return audits_; }

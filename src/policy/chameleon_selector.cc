@@ -2,6 +2,7 @@
 
 #include <string>
 
+#include "src/common/calibration.h"
 #include "src/common/logging.h"
 #include "src/policy/checkmate_policy.h"
 #include "src/policy/gemini_policy.h"
@@ -10,13 +11,12 @@
 
 namespace gemini {
 
-ChameleonSelector::ChameleonSelector(const PolicyConfig& config)
-    : options_(config.chameleon) {
+ChameleonSelector::ChameleonSelector(ChameleonOptions options) {
   policies_[0] = std::make_unique<GeminiPolicy>();
-  policies_[1] = std::make_unique<TierCheckPolicy>(config.tiercheck);
-  policies_[2] = std::make_unique<CheckmatePolicy>(config.checkmate);
-  policies_[3] = std::make_unique<RecomputePolicy>(config.recompute);
-  active_ = &policy_for(options_.initial);
+  policies_[1] = std::make_unique<TierCheckPolicy>();
+  policies_[2] = std::make_unique<CheckmatePolicy>();
+  policies_[3] = std::make_unique<RecomputePolicy>();
+  active_ = &policy_for(options.initial);
 }
 
 ProtectionPolicy& ChameleonSelector::policy_for(PolicyKind kind) {
@@ -74,11 +74,11 @@ PolicyCostReport ChameleonSelector::CostReport(const PolicyHost& host) const {
 }
 
 void ChameleonSelector::MaybeSwitch(PolicyHost& host, int64_t iteration) {
-  if (iteration % options_.decision_interval_iterations != 0) {
+  if (iteration % kChameleonDecisionIntervalIterations != 0) {
     return;
   }
   if (switched_yet_ &&
-      iteration - last_switch_iteration_ < options_.min_iterations_between_switches) {
+      iteration - last_switch_iteration_ < kChameleonMinIterationsBetweenSwitches) {
     return;
   }
   const double rate = host.observed_failure_rate_per_hour();
@@ -91,16 +91,16 @@ void ChameleonSelector::MaybeSwitch(PolicyHost& host, int64_t iteration) {
 
   PolicyKind want = active_->kind();
   std::string_view reason;
-  if (rate >= options_.high_failure_rate_per_hour) {
+  if (rate >= kChameleonHighFailureRatePerHour) {
     want = PolicyKind::kGemini;
     reason = "failure_rate_high";
-  } else if (degraded_delta >= options_.degraded_seconds_threshold) {
+  } else if (degraded_delta >= kChameleonDegradedSecondsThreshold) {
     want = PolicyKind::kTierCheck;
     reason = "redundancy_degrading";
-  } else if (inflation_delta >= options_.interference_inflation_threshold) {
+  } else if (inflation_delta >= kChameleonInterferenceInflationThreshold) {
     want = PolicyKind::kCheckmate;
     reason = "checkpoint_interference";
-  } else if (rate <= options_.low_failure_rate_per_hour) {
+  } else if (rate <= kChameleonLowFailureRatePerHour) {
     want = PolicyKind::kCheckmate;
     reason = "failure_rate_low";
   }

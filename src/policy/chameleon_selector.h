@@ -13,8 +13,10 @@
 //  * growth of auditor-attributed interference inflation — when checkpoint
 //    traffic is colliding with training, Checkmate removes the traffic.
 //
-// Rules are evaluated in that priority order, with hysteresis (a minimum
-// iteration gap between switches). All inputs are simulated-time
+// Rules are evaluated in that priority order every
+// kChameleonDecisionIntervalIterations, with hysteresis (a minimum iteration
+// gap between switches); the thresholds are the kChameleon* constants in
+// src/common/calibration.h. All inputs are simulated-time
 // deterministic, so same-seed runs switch at identical iterations.
 #ifndef SRC_POLICY_CHAMELEON_SELECTOR_H_
 #define SRC_POLICY_CHAMELEON_SELECTOR_H_
@@ -38,7 +40,7 @@ struct PolicySwitchEvent {
 
 class ChameleonSelector : public ProtectionPolicy {
  public:
-  explicit ChameleonSelector(const PolicyConfig& config);
+  explicit ChameleonSelector(ChameleonOptions options);
 
   PolicyKind kind() const override { return PolicyKind::kChameleon; }
   std::string_view name() const override { return "chameleon"; }
@@ -57,7 +59,6 @@ class ChameleonSelector : public ProtectionPolicy {
 
   const ProtectionPolicy& active_policy() const { return *active_; }
   const std::vector<PolicySwitchEvent>& switches() const { return switches_; }
-  const ChameleonOptions& options() const { return options_; }
 
  private:
   // Evaluates the switch rules at a decision boundary; swaps the active
@@ -67,7 +68,6 @@ class ChameleonSelector : public ProtectionPolicy {
                 int64_t iteration);
   ProtectionPolicy& policy_for(PolicyKind kind);
 
-  ChameleonOptions options_;
   std::array<std::unique_ptr<ProtectionPolicy>, 4> policies_;
   ProtectionPolicy* active_ = nullptr;
   std::vector<PolicySwitchEvent> switches_;

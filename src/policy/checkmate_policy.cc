@@ -1,5 +1,8 @@
 #include "src/policy/checkmate_policy.h"
 
+#include "src/common/calibration.h"
+#include "src/policy/cost_model.h"
+
 namespace gemini {
 
 void CheckmatePolicy::Activate(PolicyHost& host) {
@@ -18,9 +21,9 @@ IterationPlan CheckmatePolicy::PlanIteration(PolicyHost& host, int64_t iteration
   IterationPlan plan;
   plan.iteration_duration = host.execution().baseline_iteration_time;
   plan.added_stall = static_cast<TimeNs>(
-      options_.stall_fraction * static_cast<double>(plan.iteration_duration));
+      kCheckmateStallFraction * static_cast<double>(plan.iteration_duration));
   const Bytes gradient_bytes = static_cast<Bytes>(
-      options_.gradient_bytes_fraction * static_cast<double>(host.replica_bytes()));
+      kCheckmateGradientBytesFraction * static_cast<double>(host.replica_bytes()));
   gradient_bytes_counter_->Increment(gradient_bytes);
   logged_iterations_counter_->Increment();
   return plan;
@@ -47,7 +50,7 @@ RecoveryPlan CheckmatePolicy::BuildRecoveryPlan(const PolicyHost& host,
   RecoveryPlan plan;
   RecoveryStep replay;
   replay.source = RecoverySource::kGradientReplay;
-  replay.replay_cost_fraction = options_.replay_cost_fraction;
+  replay.replay_cost_fraction = kCheckmateReplayCostFraction;
   plan.steps.push_back(replay);
   plan.steps.push_back({RecoverySource::kPersistentStorage});
   return plan;
@@ -55,11 +58,11 @@ RecoveryPlan CheckmatePolicy::BuildRecoveryPlan(const PolicyHost& host,
 
 PolicyCostReport CheckmatePolicy::CostReport(const PolicyHost& host) const {
   PolicyCostReport report;
-  report.steady_state_overhead_fraction = options_.stall_fraction;
+  report.steady_state_overhead_fraction = kCheckmateStallFraction;
   // Typical recovery fetches one persistent base shard set, then replays;
   // the fetch dominates the data movement.
-  report.expected_recovery_fetch_time = TransferTime(
-      host.replica_bytes() * host.num_machines(), host.persistent_bandwidth());
+  report.expected_recovery_fetch_time =
+      PersistentUploadTime(host.replica_bytes() * host.num_machines());
   // Replay lands exactly at the failure iteration: zero lost progress.
   report.expected_rollback_iterations = 0.0;
   return report;

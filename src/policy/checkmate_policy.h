@@ -15,8 +15,6 @@ namespace gemini {
 
 class CheckmatePolicy : public ProtectionPolicy {
  public:
-  explicit CheckmatePolicy(CheckmateOptions options) : options_(options) {}
-
   PolicyKind kind() const override { return PolicyKind::kCheckmate; }
   std::string_view name() const override { return "checkmate"; }
   bool uses_cpu_checkpoints() const override { return false; }
@@ -30,10 +28,7 @@ class CheckmatePolicy : public ProtectionPolicy {
                                  const RecoverySituation& situation) const override;
   PolicyCostReport CostReport(const PolicyHost& host) const override;
 
-  const CheckmateOptions& options() const { return options_; }
-
  private:
-  CheckmateOptions options_;
   // Hot-path metric handles (resolved on Activate, per src/obs/metrics.h).
   Counter* gradient_bytes_counter_ = DiscardCounter();
   Counter* logged_iterations_counter_ = DiscardCounter();

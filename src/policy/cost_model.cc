@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 
+#include "src/common/calibration.h"
+
 namespace gemini {
 
 TimeNs AlignUpToIterations(TimeNs interval, TimeNs iteration_time) {
@@ -15,8 +17,12 @@ TimeNs SerializationStall(Bytes bytes_per_machine, BytesPerSecond serialization_
   return TransferTime(bytes_per_machine, serialization_bandwidth);
 }
 
-TimeNs PersistentUploadTime(Bytes total_bytes, BytesPerSecond persistent_bandwidth) {
-  return TransferTime(total_bytes, persistent_bandwidth);
+TimeNs PersistentUploadTime(Bytes total_bytes) {
+  return TransferTime(total_bytes, kPersistentBandwidth);
+}
+
+TimeNs RecoverySerializationStall(int num_replicas, Bytes replica_bytes) {
+  return num_replicas * SerializationStall(replica_bytes, kSerializationBandwidth);
 }
 
 TimeNs BudgetedInterval(TimeNs stall_per_checkpoint, double overhead_budget,

@@ -1,10 +1,11 @@
 // Shared checkpoint-cost arithmetic.
 //
-// The related-work models (src/baselines/related_work.cc) and the protection
-// policies price the same primitives — serialization stalls, persistent
-// uploads, budget-capped checkpoint frequency. One copy here keeps baseline
-// numbers and policy numbers from drifting apart (they used to be
-// re-derived independently on each side).
+// The analytic models (src/baselines/) and the protection policies price the
+// same primitives — serialization stalls, persistent transfers, the recovery
+// serialization bill, budget-capped checkpoint frequency. One copy here, fed
+// by the constants in src/common/calibration.h, keeps baseline numbers and
+// policy numbers from drifting apart (they used to be re-derived
+// independently on each side).
 #ifndef SRC_POLICY_COST_MODEL_H_
 #define SRC_POLICY_COST_MODEL_H_
 
@@ -19,9 +20,15 @@ TimeNs AlignUpToIterations(TimeNs interval, TimeNs iteration_time);
 // torch.save-style blocking serialization of one machine's shard.
 TimeNs SerializationStall(Bytes bytes_per_machine, BytesPerSecond serialization_bandwidth);
 
-// Time to push `total_bytes` through a shared persistent store (excluding
-// queueing behind other writers).
-TimeNs PersistentUploadTime(Bytes total_bytes, BytesPerSecond persistent_bandwidth);
+// Time to move `total_bytes` through the shared persistent store at its
+// calibrated aggregate bandwidth, in either direction (excluding queueing
+// behind other transfers and the per-request latency).
+TimeNs PersistentUploadTime(Bytes total_bytes);
+
+// The torch.save bill paid before recovery proceeds: each machine serializes
+// the `num_replicas` in-memory replicas it holds (Figure 14's 162 s for two
+// GPT-2 100B replicas on 16 machines).
+TimeNs RecoverySerializationStall(int num_replicas, Bytes replica_bytes);
 
 // CheckFreq-style budgeted frequency: the shortest interval that keeps
 // `stall_per_checkpoint / interval <= overhead_budget`, but never shorter

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/policy/cost_model.h"
+
 namespace gemini {
 
 IterationPlan GeminiPolicy::PlanIteration(PolicyHost& host, int64_t iteration,
@@ -25,10 +27,7 @@ TimeNs GeminiPolicy::PersistentInterval(const PolicyHost& host) const {
 }
 
 TimeNs GeminiPolicy::RecoverySerializationTime(const PolicyHost& host) const {
-  // Each machine serializes the m replicas it holds with torch.save before
-  // recovery proceeds (Figure 14's 162 s).
-  return host.num_replicas() *
-         TransferTime(host.replica_bytes(), host.serialization_bandwidth());
+  return RecoverySerializationStall(host.num_replicas(), host.replica_bytes());
 }
 
 RecoveryPlan GeminiPolicy::BuildRecoveryPlan(const PolicyHost& host,

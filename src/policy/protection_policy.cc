@@ -62,37 +62,8 @@ void ProtectionPolicy::OnCheckpointCommitted(PolicyHost& host, int64_t iteration
 }
 
 Status PolicyConfig::Validate() const {
-  if (tiercheck.persistent_interval <= 0) {
-    return InvalidArgumentError("tiercheck.persistent_interval must be positive");
-  }
-  if (tiercheck.overhead_budget <= 0.0 || tiercheck.overhead_budget >= 1.0) {
-    return InvalidArgumentError("tiercheck.overhead_budget must be in (0, 1)");
-  }
-  if (checkmate.gradient_bytes_fraction <= 0.0 || checkmate.gradient_bytes_fraction > 1.0) {
-    return InvalidArgumentError("checkmate.gradient_bytes_fraction must be in (0, 1]");
-  }
-  if (checkmate.stall_fraction < 0.0 || checkmate.stall_fraction >= 1.0) {
-    return InvalidArgumentError("checkmate.stall_fraction must be in [0, 1)");
-  }
-  if (checkmate.replay_cost_fraction < 0.0 || checkmate.replay_cost_fraction > 1.0) {
-    return InvalidArgumentError("checkmate.replay_cost_fraction must be in [0, 1]");
-  }
-  if (recompute.recompute_iterations < 0.0) {
-    return InvalidArgumentError("recompute.recompute_iterations must be non-negative");
-  }
   if (chameleon.initial == PolicyKind::kChameleon) {
     return InvalidArgumentError("chameleon.initial must name a concrete policy");
-  }
-  if (chameleon.decision_interval_iterations < 1) {
-    return InvalidArgumentError("chameleon.decision_interval_iterations must be >= 1");
-  }
-  if (chameleon.min_iterations_between_switches < 0) {
-    return InvalidArgumentError("chameleon.min_iterations_between_switches must be >= 0");
-  }
-  if (chameleon.low_failure_rate_per_hour < 0.0 ||
-      chameleon.high_failure_rate_per_hour <= chameleon.low_failure_rate_per_hour) {
-    return InvalidArgumentError(
-        "chameleon failure-rate band must satisfy 0 <= low < high");
   }
   return Status::Ok();
 }
@@ -102,13 +73,13 @@ std::unique_ptr<ProtectionPolicy> MakeProtectionPolicy(const PolicyConfig& confi
     case PolicyKind::kGemini:
       return std::make_unique<GeminiPolicy>();
     case PolicyKind::kTierCheck:
-      return std::make_unique<TierCheckPolicy>(config.tiercheck);
+      return std::make_unique<TierCheckPolicy>();
     case PolicyKind::kCheckmate:
-      return std::make_unique<CheckmatePolicy>(config.checkmate);
+      return std::make_unique<CheckmatePolicy>();
     case PolicyKind::kRecompute:
-      return std::make_unique<RecomputePolicy>(config.recompute);
+      return std::make_unique<RecomputePolicy>();
     case PolicyKind::kChameleon:
-      return std::make_unique<ChameleonSelector>(config);
+      return std::make_unique<ChameleonSelector>(config.chameleon);
   }
   return std::make_unique<GeminiPolicy>();
 }

@@ -138,11 +138,10 @@ class PolicyHost {
   virtual Bytes replica_bytes() const = 0;
   virtual int64_t current_iteration() const = 0;
 
-  // Config-derived knobs policies price their decisions with.
+  // Config-derived knobs policies price their decisions with (the fixed
+  // costs — serialization, persistent bandwidth — are the constants in
+  // src/common/calibration.h).
   virtual TimeNs default_persistent_interval() const = 0;
-  virtual BytesPerSecond serialization_bandwidth() const = 0;
-  virtual TimeNs restart_warmup() const = 0;
-  virtual BytesPerSecond persistent_bandwidth() const = 0;
   virtual BytesPerSecond network_bandwidth() const = 0;
 
   // Online signals (auditor + redundancy gauge) the Chameleon selector keys
@@ -202,61 +201,19 @@ class ProtectionPolicy {
 
 // ---- Policy configuration ---------------------------------------------------
 
-struct TierCheckOptions {
-  // Persistent cadence (vs. GEMINI's hours-scale default): pay the
-  // serialization stall often, bound the worst-case rollback tightly.
-  TimeNs persistent_interval = Minutes(30);
-  // Cap on the persistent serialization stall as a fraction of training
-  // time; the policy stretches the interval to stay under it (CheckFreq's
-  // budgeted-frequency idea, shared via cost_model.h).
-  double overhead_budget = 0.035;
-};
-
-struct CheckmateOptions {
-  // Gradient bytes per iteration relative to the full model-state shard
-  // (gradients are one of the six mixed-precision state copies).
-  double gradient_bytes_fraction = 1.0 / 6.0;
-  // Per-iteration training stall of logging gradients to peers (they ride
-  // the backward pass's existing all-reduce; near-zero by design).
-  double stall_fraction = 0.002;
-  // Cost of replaying one logged iteration relative to executing it.
-  double replay_cost_fraction = 0.5;
-};
-
-struct RecomputeOptions {
-  // Iterations-worth of recompute work to rebuild a lost shard from peer
-  // activations/redundancy ("All is Not Lost" layer-level recompute).
-  double recompute_iterations = 2.0;
-};
-
+// Policy knobs (TierCheck's cadence and budget, Checkmate's and Recompute's
+// costs, the Chameleon switch rules) are constants in
+// src/common/calibration.h; only the policy choice itself is configured.
 struct ChameleonOptions {
+  // The policy the selector starts on.
   PolicyKind initial = PolicyKind::kGemini;
-  // Switch rules are evaluated every `decision_interval_iterations`, with at
-  // least `min_iterations_between_switches` between switches (hysteresis).
-  int64_t decision_interval_iterations = 16;
-  int64_t min_iterations_between_switches = 32;
-  // Failure-rate band (failures/hour, auditor-observed): above the high
-  // water mark buy the fastest recovery (GEMINI); below the low water mark
-  // shed checkpoint overhead (Checkmate).
-  double high_failure_rate_per_hour = 1.0;
-  double low_failure_rate_per_hour = 0.05;
-  // Redundancy-degradation growth per decision window (seconds of
-  // `system.redundancy.degraded_seconds`) that tips toward TierCheck's
-  // tighter persistent cadence.
-  double degraded_seconds_threshold = 60.0;
-  // Interference-inflation growth per decision window that tips toward
-  // Checkmate (checkpoint traffic is colliding with training).
-  TimeNs interference_inflation_threshold = Seconds(2);
 };
 
 struct PolicyConfig {
   PolicyKind kind = PolicyKind::kGemini;
-  TierCheckOptions tiercheck;
-  CheckmateOptions checkmate;
-  RecomputeOptions recompute;
   ChameleonOptions chameleon;
 
-  // Knob sanity (fractions in range, intervals positive where required).
+  // Rejects a selector configured to start as itself.
   Status Validate() const;
 };
 

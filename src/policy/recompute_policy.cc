@@ -1,5 +1,7 @@
 #include "src/policy/recompute_policy.h"
 
+#include "src/common/calibration.h"
+
 namespace gemini {
 
 IterationPlan RecomputePolicy::PlanIteration(PolicyHost& host, int64_t iteration,
@@ -32,7 +34,7 @@ RecoveryPlan RecomputePolicy::BuildRecoveryPlan(const PolicyHost& host,
   if (situation.peer_recoverable) {
     RecoveryStep recompute;
     recompute.source = RecoverySource::kPeerRecompute;
-    recompute.recompute_iterations = options_.recompute_iterations;
+    recompute.recompute_iterations = kRecomputeIterations;
     plan.steps.push_back(recompute);
   }
   plan.steps.push_back({RecoverySource::kPersistentStorage});
@@ -44,8 +46,7 @@ PolicyCostReport RecomputePolicy::CostReport(const PolicyHost& host) const {
   report.steady_state_overhead_fraction = 0.0;
   // Recompute moves no checkpoint bytes; its recovery bill is compute time.
   report.expected_recovery_fetch_time = static_cast<TimeNs>(
-      options_.recompute_iterations *
-      static_cast<double>(host.execution().baseline_iteration_time));
+      kRecomputeIterations * static_cast<double>(host.execution().baseline_iteration_time));
   report.expected_rollback_iterations = 0.0;
   return report;
 }

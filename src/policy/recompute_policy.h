@@ -16,8 +16,6 @@ namespace gemini {
 
 class RecomputePolicy : public ProtectionPolicy {
  public:
-  explicit RecomputePolicy(RecomputeOptions options) : options_(options) {}
-
   PolicyKind kind() const override { return PolicyKind::kRecompute; }
   std::string_view name() const override { return "recompute"; }
   bool uses_cpu_checkpoints() const override { return false; }
@@ -29,11 +27,6 @@ class RecomputePolicy : public ProtectionPolicy {
   RecoveryPlan BuildRecoveryPlan(const PolicyHost& host,
                                  const RecoverySituation& situation) const override;
   PolicyCostReport CostReport(const PolicyHost& host) const override;
-
-  const RecomputeOptions& options() const { return options_; }
-
- private:
-  RecomputeOptions options_;
 };
 
 }  // namespace gemini

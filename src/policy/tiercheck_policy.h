@@ -1,39 +1,26 @@
 // TierCheck: tiered CPU + persistent checkpointing with a frequency split.
 //
 // Keeps GEMINI's per-interval CPU-memory checkpoints (fast common-case
-// recovery) but runs the persistent tier on a minutes-scale cadence instead
-// of hours, so the worst-case rollback after a group loss is bounded by the
-// tight persistent interval rather than by Figure 1's multi-hour gap. The
-// price is paying the blocking serialization stall far more often; the
-// cadence is stretched just enough to keep that stall under the configured
-// overhead budget (the CheckFreq idea, priced through cost_model.h).
+// recovery) and its recovery chains, but runs the persistent tier on a
+// minutes-scale cadence instead of hours, so the worst-case rollback after a
+// group loss is bounded by the tight persistent interval rather than by
+// Figure 1's multi-hour gap. The price is paying the blocking serialization
+// stall far more often; the cadence is stretched just enough to keep that
+// stall under CheckFreq's overhead budget (priced through cost_model.h).
 #ifndef SRC_POLICY_TIERCHECK_POLICY_H_
 #define SRC_POLICY_TIERCHECK_POLICY_H_
 
-#include "src/policy/protection_policy.h"
+#include "src/policy/gemini_policy.h"
 
 namespace gemini {
 
-class TierCheckPolicy : public ProtectionPolicy {
+class TierCheckPolicy : public GeminiPolicy {
  public:
-  explicit TierCheckPolicy(TierCheckOptions options) : options_(options) {}
-
   PolicyKind kind() const override { return PolicyKind::kTierCheck; }
   std::string_view name() const override { return "tiercheck"; }
-  bool uses_cpu_checkpoints() const override { return true; }
 
-  IterationPlan PlanIteration(PolicyHost& host, int64_t iteration,
-                              bool has_staged_block) override;
   TimeNs PersistentInterval(const PolicyHost& host) const override;
-  TimeNs RecoverySerializationTime(const PolicyHost& host) const override;
-  RecoveryPlan BuildRecoveryPlan(const PolicyHost& host,
-                                 const RecoverySituation& situation) const override;
   PolicyCostReport CostReport(const PolicyHost& host) const override;
-
-  const TierCheckOptions& options() const { return options_; }
-
- private:
-  TierCheckOptions options_;
 };
 
 }  // namespace gemini

@@ -2,15 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <string>
 #include <utility>
 
 #include "src/common/logging.h"
-#include "src/storage/serializer.h"
 
 namespace gemini {
+namespace {
+
+constexpr RetryPolicy kRetrievalRetry{kPersistentRetrievalMaxAttempts,
+                                      kPersistentRetrievalBackoffBase,
+                                      kPersistentRetrievalBackoffCap};
+
+}  // namespace
 
 void PersistentStore::set_metrics(MetricsRegistry* metrics) {
   saves_counter_ = CounterHandle(metrics, "persistent.saves");
@@ -36,53 +40,9 @@ int64_t PersistentStore::DeltaBaseIteration(int owner_rank) const {
   return it != heads_.end() ? it->second.iteration : -1;
 }
 
-std::string PersistentStore::ShardPath(int owner_rank, int64_t iteration) const {
-  if (config_.disk_dir.empty()) {
-    return "";
-  }
-  return config_.disk_dir + "/ckpt_" + std::to_string(iteration) + "_" +
-         std::to_string(owner_rank) + ".gmck";
-}
-
-namespace {
-
-Status WriteShardFile(const std::string& path, const Checkpoint& checkpoint) {
-  std::error_code ec;
-  std::filesystem::create_directories(std::filesystem::path(path).parent_path(), ec);
-  const std::vector<uint8_t> blob = SerializeCheckpoint(checkpoint);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) {
-    return UnavailableError("cannot open shard file for writing: " + path);
-  }
-  out.write(reinterpret_cast<const char*>(blob.data()),
-            static_cast<std::streamsize>(blob.size()));
-  if (!out) {
-    return DataLossError("short write to shard file: " + path);
-  }
-  return Status::Ok();
-}
-
-StatusOr<Checkpoint> ReadShardFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) {
-    return NotFoundError("shard file missing: " + path);
-  }
-  const std::streamsize size = in.tellg();
-  in.seekg(0);
-  std::vector<uint8_t> blob(static_cast<size_t>(size));
-  in.read(reinterpret_cast<char*>(blob.data()), size);
-  if (!in) {
-    return DataLossError("short read from shard file: " + path);
-  }
-  return DeserializeCheckpoint(blob);
-}
-
-}  // namespace
-
 TimeNs PersistentStore::ScheduleTransfer(Bytes bytes, std::function<void()> at_completion) {
   const TimeNs start = std::max(sim_.now(), busy_until_);
-  const TimeNs end =
-      start + config_.request_latency + TransferTime(bytes, config_.aggregate_bandwidth);
+  const TimeNs end = start + TransferCost(bytes);
   busy_until_ = end;
   sim_.ScheduleAt(end, std::move(at_completion));
   return end;
@@ -98,14 +58,6 @@ TimeNs PersistentStore::Save(Checkpoint checkpoint, int expected_world_size, Don
         bytes_written_ += checkpoint.logical_bytes;
         saves_counter_->Increment();
         bytes_written_counter_->Increment(checkpoint.logical_bytes);
-        const std::string path = ShardPath(checkpoint.owner_rank, checkpoint.iteration);
-        if (!path.empty()) {
-          const Status written = WriteShardFile(path, checkpoint);
-          if (!written.ok()) {
-            done(written);
-            return;
-          }
-        }
         MakeDurable(std::move(checkpoint), expected_world_size);
         done(Status::Ok());
       });
@@ -137,14 +89,6 @@ TimeNs PersistentStore::SaveDelta(DeltaCheckpoint delta, int expected_world_size
           done(applied.status());
           return;
         }
-        const std::string path = ShardPath(applied->owner_rank, applied->iteration);
-        if (!path.empty()) {
-          const Status written = WriteShardFile(path, *applied);
-          if (!written.ok()) {
-            done(written);
-            return;
-          }
-        }
         MakeDurable(std::move(applied).value(), expected_world_size);
         done(Status::Ok());
       });
@@ -162,7 +106,7 @@ TimeNs PersistentStore::TryRetrieve(int owner_rank, int64_t iteration, int attem
   if (!shard.has_value()) {
     // A missing shard is permanent — retrying cannot make it appear. The
     // lookup miss costs only the request latency.
-    const TimeNs end = sim_.now() + config_.request_latency;
+    const TimeNs end = sim_.now() + kPersistentRequestLatency;
     sim_.ScheduleAt(end, [owner_rank, iteration, done = std::move(done)] {
       done(NotFoundError("persistent store has no shard for rank " + std::to_string(owner_rank) +
                          " at iteration " + std::to_string(iteration)));
@@ -177,8 +121,7 @@ TimeNs PersistentStore::TryRetrieve(int owner_rank, int64_t iteration, int attem
         // cap; only then does the error surface to the caller.
         auto retry = [this, owner_rank, iteration, attempt,
                       &done](const Status& why) mutable {
-          const RetryPolicy schedule = config_.retry_policy();
-          if (schedule.Exhausted(attempt + 1)) {
+          if (kRetrievalRetry.Exhausted(attempt + 1)) {
             done(why);
             return;
           }
@@ -186,7 +129,7 @@ TimeNs PersistentStore::TryRetrieve(int owner_rank, int64_t iteration, int attem
           GEMINI_LOG(kWarning) << "persistent retrieval attempt " << attempt + 1 << " for rank "
                                << owner_rank << " at iteration " << iteration << " failed ("
                                << why << "); retrying";
-          sim_.ScheduleAfter(schedule.BackoffBefore(attempt + 1),
+          sim_.ScheduleAfter(kRetrievalRetry.BackoffBefore(attempt + 1),
                              [this, owner_rank, iteration, attempt, done = std::move(done)] {
                                TryRetrieve(owner_rank, iteration, attempt + 1, std::move(done));
                              });
@@ -198,27 +141,13 @@ TimeNs PersistentStore::TryRetrieve(int owner_rank, int64_t iteration, int attem
             return;
           }
         }
-        StatusOr<Checkpoint> result = std::move(shard);
-        const std::string path = ShardPath(owner_rank, iteration);
-        if (!path.empty()) {
-          // Read back through the serialized form so the CRC guards the
-          // bytes actually restored.
-          result = ReadShardFile(path);
-          if (!result.ok()) {
-            if (result.status().code() == StatusCode::kDataLoss) {
-              crc_failures_counter_->Increment();
-            }
-            retry(result.status());
-            return;
-          }
-        }
-        if (!result->IntegrityOk()) {
+        if (!shard.IntegrityOk()) {
           crc_failures_counter_->Increment();
           retry(DataLossError("persistent shard for rank " + std::to_string(owner_rank) +
                               " failed its CRC check"));
           return;
         }
-        done(std::move(result));
+        done(std::move(shard));
       });
 }
 
@@ -242,30 +171,6 @@ Status PersistentStore::CorruptShard(int owner_rank, int64_t iteration, size_t b
   // private copy so the injected bit-rot stays local to the persistent tier.
   auto* bytes = reinterpret_cast<uint8_t*>(checkpoint.payload.MutableData());
   bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
-  const std::string path = ShardPath(owner_rank, iteration);
-  if (!path.empty()) {
-    // Flip the same bit inside the on-disk blob *in place* (the payload is
-    // the last section before the trailing stream CRC), so the file carries
-    // the corruption under its now-stale CRC instead of a clean re-serialize.
-    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out | std::ios::ate);
-    if (!file) {
-      return UnavailableError("cannot open shard file for corruption: " + path);
-    }
-    const auto file_size = static_cast<size_t>(file.tellg());
-    if (file_size < payload_bytes + sizeof(uint32_t)) {
-      return DataLossError("shard file too small to hold its payload: " + path);
-    }
-    const size_t offset = file_size - sizeof(uint32_t) - payload_bytes + bit / 8;
-    file.seekg(static_cast<std::streamoff>(offset));
-    char byte = 0;
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ static_cast<char>(1u << (bit % 8)));
-    file.seekp(static_cast<std::streamoff>(offset));
-    file.write(&byte, 1);
-    if (!file) {
-      return DataLossError("shard file corruption write failed: " + path);
-    }
-  }
   corruptions_counter_->Increment();
   return Status::Ok();
 }
@@ -283,13 +188,6 @@ int64_t PersistentStore::LatestCompleteIteration() const {
 
 void PersistentStore::SeedImmediate(Checkpoint checkpoint, int expected_world_size) {
   assert(checkpoint.valid());
-  const std::string path = ShardPath(checkpoint.owner_rank, checkpoint.iteration);
-  if (!path.empty()) {
-    const Status written = WriteShardFile(path, checkpoint);
-    if (!written.ok()) {
-      GEMINI_LOG(kError) << "seeding persistent shard failed: " << written;
-    }
-  }
   MakeDurable(std::move(checkpoint), expected_world_size);
 }
 

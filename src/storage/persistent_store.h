@@ -7,22 +7,20 @@
 // shard for that iteration has finished uploading — exactly why a failure
 // mid-upload falls back to the previous complete checkpoint (paper Fig. 1).
 //
-// With `config.disk_dir` set, every durable shard is additionally written to
-// disk in the serialized (CRC-protected) checkpoint format and read back —
-// with integrity verification — on retrieval, so the persistent tier
-// survives process restarts like the real thing.
-//
 // Incremental saves (SaveDelta) move only a delta's bytes and are applied to
 // the owner's newest durable shard at arrival. The tier keeps no delta
-// chain: every durable shard, in memory and on disk, is a full shard.
+// chain: every durable shard is a full shard.
+//
+// Bandwidth, request latency and the retrieval retry schedule are the
+// calibrated constants in src/common/calibration.h.
 #ifndef SRC_STORAGE_PERSISTENT_STORE_H_
 #define SRC_STORAGE_PERSISTENT_STORE_H_
 
 #include <functional>
-#include <string>
 #include <map>
 #include <optional>
 
+#include "src/common/calibration.h"
 #include "src/common/status.h"
 #include "src/common/units.h"
 #include "src/obs/metrics.h"
@@ -33,36 +31,9 @@
 
 namespace gemini {
 
-struct PersistentStoreConfig {
-  // Aggregate bandwidth across all concurrent readers/writers.
-  BytesPerSecond aggregate_bandwidth = GbpsToBytesPerSecond(20);
-  // Per-request overhead.
-  TimeNs request_latency = Millis(10);
-  // When non-empty, shards are persisted as files under this directory
-  // ("ckpt_<iteration>_<rank>.gmck") and retrieval re-reads and CRC-checks
-  // them.
-  std::string disk_dir;
-  // Retrieval retry cascade, mirroring the CPU-memory peer-retrieval path:
-  // per-shard attempt cap with capped exponential backoff between attempts,
-  // every attempt CRC-verifying the bytes it produced. Retries are counted in
-  // "persistent_store.retries", CRC rejections in
-  // "persistent_store.crc_failures".
-  int retrieval_max_attempts = 4;
-  TimeNs retrieval_backoff_base = Millis(100);
-  TimeNs retrieval_backoff_cap = Seconds(2);
-
-  // The shared schedule the cascade follows (src/storage/retry_policy.h).
-  RetryPolicy retry_policy() const {
-    return RetryPolicy{retrieval_max_attempts, retrieval_backoff_base, retrieval_backoff_cap};
-  }
-};
-
 class PersistentStore {
  public:
-  PersistentStore(Simulator& sim, PersistentStoreConfig config)
-      : sim_(sim), config_(config) {}
-
-  const PersistentStoreConfig& config() const { return config_; }
+  explicit PersistentStore(Simulator& sim) : sim_(sim) {}
 
   // Optional observability sink ("persistent.*" counters). Counter handles
   // are resolved here, once, per the hot-path metric convention
@@ -94,8 +65,10 @@ class PersistentStore {
 
   // Downloads a shard; `done` receives the checkpoint at the simulated
   // completion time. Transient transfer failures (fault hook) and CRC
-  // rejections are retried internally up to `retrieval_max_attempts` with
-  // capped exponential backoff; `done` fires once, with the final outcome.
+  // rejections are retried internally up to kPersistentRetrievalMaxAttempts
+  // with capped exponential backoff; `done` fires once, with the final
+  // outcome. Retries are counted in "persistent_store.retries", CRC
+  // rejections in "persistent_store.crc_failures".
   // Returns the completion time of the first attempt.
   TimeNs Retrieve(int owner_rank, int64_t iteration,
                   std::function<void(StatusOr<Checkpoint>)> done);
@@ -105,8 +78,8 @@ class PersistentStore {
   using RetrievalFaultHook = std::function<Status(int owner_rank, int64_t iteration, int attempt)>;
   void set_fault_hook(RetrievalFaultHook hook) { fault_hook_ = std::move(hook); }
 
-  // Flips one payload bit of a durable shard — in memory and, when disk
-  // backing is on, in its file — so tests can exercise the CRC cascade.
+  // Flips one payload bit of a durable shard so tests can exercise the CRC
+  // cascade.
   Status CorruptShard(int owner_rank, int64_t iteration, size_t bit_index);
 
   // Latest iteration for which all `world_size` shards are durable; -1 if
@@ -122,20 +95,17 @@ class PersistentStore {
 
   // Analytic time to move `bytes` through the store (excluding queueing).
   TimeNs TransferCost(Bytes bytes) const {
-    return config_.request_latency + TransferTime(bytes, config_.aggregate_bandwidth);
+    return kPersistentRequestLatency + TransferTime(bytes, kPersistentBandwidth);
   }
 
   // Total bytes ever written (for reporting).
   Bytes bytes_written() const { return bytes_written_; }
 
-  // Path a shard file would live at (empty when disk backing is off).
-  std::string ShardPath(int owner_rank, int64_t iteration) const;
-
  private:
   // Shared-bandwidth FIFO: a transfer starts when the previous one finishes.
   TimeNs ScheduleTransfer(Bytes bytes, std::function<void()> at_completion);
   // One attempt of the retrieval cascade (backoff comes from the shared
-  // RetryPolicy built off the config knobs).
+  // RetryPolicy).
   TimeNs TryRetrieve(int owner_rank, int64_t iteration, int attempt,
                      std::function<void(StatusOr<Checkpoint>)> done);
 
@@ -143,7 +113,6 @@ class PersistentStore {
   void MakeDurable(Checkpoint checkpoint, int expected_world_size);
 
   Simulator& sim_;
-  PersistentStoreConfig config_;
   // Per-owner newest durable shard, the base the next delta applies to.
   std::map<int, Checkpoint> heads_;
   // Hot-path metric handles (resolved once in set_metrics).

@@ -1,9 +1,10 @@
 // Shared retry schedule for checkpoint retrieval cascades.
 //
-// The CPU-memory peer-retrieval pass in GeminiSystem and the persistent
-// tier's retrieval cascade each construct one `RetryPolicy` from their config
-// knobs, so the capped-exponential-backoff curve cannot drift between them
-// (attempt 0 is immediate; attempt n waits base * 2^(n-1), capped).
+// The CPU-memory peer-retrieval pass in GeminiSystem (from its config knobs)
+// and the persistent tier's retrieval cascade (from the constants in
+// src/common/calibration.h) each construct one `RetryPolicy`, so the
+// capped-exponential-backoff curve cannot drift between them (attempt 0 is
+// immediate; attempt n waits base * 2^(n-1), capped).
 #ifndef SRC_STORAGE_RETRY_POLICY_H_
 #define SRC_STORAGE_RETRY_POLICY_H_
 
@@ -14,9 +15,9 @@
 namespace gemini {
 
 struct RetryPolicy {
-  int max_attempts = 4;
-  TimeNs backoff_base = Millis(100);
-  TimeNs backoff_cap = Seconds(2);
+  int max_attempts = 0;
+  TimeNs backoff_base = 0;
+  TimeNs backoff_cap = 0;
 
   // Delay before (1-based) `attempt`: 0 for attempt <= 0, then the base
   // doubling per attempt until the cap.

@@ -21,16 +21,6 @@ std::vector<uint8_t> SerializeCheckpoint(const Checkpoint& checkpoint);
 
 StatusOr<Checkpoint> DeserializeCheckpoint(const std::vector<uint8_t>& bytes);
 
-// Timing model for serialization. torch.save is CPU-bound: the paper
-// measures 81 s per HighFreq checkpoint and 162 s to serialize two replicas
-// at recovery (GPT-2 100B, 75 GiB per machine replica), i.e. ~1 GiB/s.
-struct SerializationModel {
-  // Calibrated: the paper measures 81 s per 75 GB machine replica.
-  BytesPerSecond bandwidth = 0.93e9;
-
-  TimeNs SerializeTime(Bytes logical_bytes) const { return TransferTime(logical_bytes, bandwidth); }
-};
-
 }  // namespace gemini
 
 #endif  // SRC_STORAGE_SERIALIZER_H_

@@ -4,7 +4,7 @@
 #include <cassert>
 
 #include "src/collectives/collectives.h"
-#include "src/training/calibration.h"
+#include "src/common/calibration.h"
 
 namespace gemini {
 

@@ -7,8 +7,10 @@
 // exports, with or without the stored-record cap.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
+#include "src/common/calibration.h"
 #include "src/gemini/gemini_system.h"
 #include "src/obs/auditor.h"
 #include "src/obs/flight_recorder.h"
@@ -72,12 +74,11 @@ class AuditorUnitTest : public ::testing::Test {
 };
 
 TEST_F(AuditorUnitTest, EwmaFollowsClosedForm) {
-  AuditorConfig config;
-  config.ewma_alpha = 0.4;
-  InterferenceAuditor auditor(config, nullptr, nullptr);
+  InterferenceAuditor auditor(AuditorConfig{}, nullptr, nullptr);
   Rebaseline(auditor);
 
   // Constant -20% drift: ewma_n = 0.4*d + 0.6*ewma_{n-1}, ewma_0 = 0.
+  ASSERT_EQ(kAuditEwmaAlpha, 0.4);
   const TimeNs observed = static_cast<TimeNs>(0.8 * Millis(1));
   double expected = 0.0;
   for (int i = 0; i < 5; ++i) {
@@ -101,11 +102,10 @@ TEST_F(AuditorUnitTest, MissingObservationsMatchTheProfile) {
 }
 
 TEST_F(AuditorUnitTest, TriggerNeedsConsecutiveDriftedIterations) {
-  AuditorConfig config;
-  config.ewma_alpha = 0.4;
-  config.drift_threshold = 0.10;
-  config.consecutive_iterations = 3;
-  InterferenceAuditor auditor(config, nullptr, nullptr);
+  ASSERT_EQ(kAuditEwmaAlpha, 0.4);
+  ASSERT_EQ(kAuditDriftThreshold, 0.10);
+  ASSERT_EQ(kAuditConsecutiveIterations, 3);
+  InterferenceAuditor auditor(AuditorConfig{}, nullptr, nullptr);
   Rebaseline(auditor);
   int fired = 0;
   auditor.set_on_drift([&](int64_t) { ++fired; });
@@ -126,9 +126,8 @@ TEST_F(AuditorUnitTest, TriggerNeedsConsecutiveDriftedIterations) {
 }
 
 TEST_F(AuditorUnitTest, OneOffStragglerDoesNotTrigger) {
-  AuditorConfig config;
-  config.consecutive_iterations = 3;
-  InterferenceAuditor auditor(config, nullptr, nullptr);
+  ASSERT_EQ(kAuditConsecutiveIterations, 3);
+  InterferenceAuditor auditor(AuditorConfig{}, nullptr, nullptr);
   Rebaseline(auditor);
   int fired = 0;
   auditor.set_on_drift([&](int64_t) { ++fired; });
@@ -146,9 +145,7 @@ TEST_F(AuditorUnitTest, OneOffStragglerDoesNotTrigger) {
 }
 
 TEST_F(AuditorUnitTest, RebaselineResetsDriftState) {
-  AuditorConfig config;
-  config.consecutive_iterations = 3;
-  InterferenceAuditor auditor(config, nullptr, nullptr);
+  InterferenceAuditor auditor(AuditorConfig{}, nullptr, nullptr);
   Rebaseline(auditor);
   const TimeNs observed = static_cast<TimeNs>(0.8 * Millis(1));
   auditor.AuditIteration(0, {observed}, 0);
@@ -162,21 +159,22 @@ TEST_F(AuditorUnitTest, RebaselineResetsDriftState) {
 }
 
 TEST_F(AuditorUnitTest, HookFiresAtMostMaxReprofilesTimes) {
-  AuditorConfig config;
-  config.consecutive_iterations = 1;
-  config.max_reprofiles = 2;
-  InterferenceAuditor auditor(config, nullptr, nullptr);
+  InterferenceAuditor auditor(AuditorConfig{}, nullptr, nullptr);
   Rebaseline(auditor);
   int fired = 0;
-  // Deliberately no Rebaseline in the hook: the shift keeps re-triggering,
-  // and the cap must bound the firings.
+  // Deliberately no Rebaseline in the hook: the shift keeps re-triggering
+  // (every kAuditConsecutiveIterations audits, since a -50% shift drifts past
+  // the threshold from the first audit on), and the cap must bound the
+  // firings. The loop runs long enough to reach the cap twice over.
   auditor.set_on_drift([&](int64_t) { ++fired; });
   const TimeNs observed = static_cast<TimeNs>(0.5 * Millis(1));
-  for (int i = 0; i < 10; ++i) {
+  for (int i = 0; i < 2 * kAuditConsecutiveIterations * kAuditMaxReprofiles; ++i) {
     auditor.AuditIteration(i, {observed}, 0);
+    EXPECT_EQ(fired, std::min((i + 1) / kAuditConsecutiveIterations, kAuditMaxReprofiles))
+        << "after audit " << i;
   }
-  EXPECT_EQ(fired, 2);
-  EXPECT_EQ(auditor.reprofiles(), 2);
+  EXPECT_EQ(fired, kAuditMaxReprofiles);
+  EXPECT_EQ(auditor.reprofiles(), kAuditMaxReprofiles);
 }
 
 TEST_F(AuditorUnitTest, DisabledAuditorDoesNothing) {

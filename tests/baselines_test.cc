@@ -4,6 +4,9 @@
 
 #include "src/baselines/related_work.h"
 #include "src/baselines/system_model.h"
+#include "src/common/calibration.h"
+#include "src/gemini/gemini_system.h"
+#include "src/policy/cost_model.h"
 #include "src/training/model_config.h"
 
 namespace gemini {
@@ -90,6 +93,35 @@ TEST(SystemModelTest, GeminiRecoveryOverheadsMatchFigure14) {
   // Standby machines mostly remove the replacement wait.
   const SystemModel standby = BuildGemini(workload, 1, 0, /*standby_machines=*/true);
   EXPECT_LT(standby.overheads.total(), hardware.overheads.total() - Minutes(4));
+}
+
+TEST(SystemModelTest, SharesCalibrationWithTheFullSystem) {
+  // The analytic models and GeminiSystem price the same anchors through the
+  // same constants and cost functions, on the same GPT-2 100B x 16 shape.
+  const CheckpointWorkload workload = PaperWorkload();
+  GeminiConfig config;
+  config.model = Gpt2_100B();
+  config.instance = P4d24xlarge();
+  config.num_machines = workload.num_machines;
+  config.num_replicas = workload.num_replicas;
+  config.payload_elements = 16;
+  GeminiSystem system(config);
+  ASSERT_TRUE(system.Initialize().ok());
+  ASSERT_EQ(system.replica_bytes(), workload.checkpoint_bytes_per_machine);
+
+  // Recovery serialization: m replicas per machine through torch.save.
+  const SystemModel standby = BuildGemini(workload, 1, 0, /*standby_machines=*/true);
+  EXPECT_EQ(standby.overheads.checkpoint_serialization,
+            system.policy().RecoverySerializationTime(system));
+  // The baselines' per-checkpoint stall is one replica at the same rate.
+  EXPECT_EQ(BuildStrawman(workload).training_block_per_checkpoint,
+            SerializationStall(workload.checkpoint_bytes_per_machine, kSerializationBandwidth));
+  // Machine replacement: the mean of the cloud operator's ASG delay range,
+  // or its standby activation delay.
+  EXPECT_EQ(BuildGemini(workload, 1).overheads.machine_replacement,
+            (kProvisionDelayMin + kProvisionDelayMax) / 2);
+  EXPECT_EQ(BuildGemini(workload, 1).overheads.machine_replacement, Minutes(5.5));
+  EXPECT_EQ(standby.overheads.machine_replacement, kStandbyActivationDelay);
 }
 
 TEST(SystemModelTest, GeminiFallbackDegradesToStrawman) {
@@ -220,12 +252,10 @@ TEST(RelatedWorkTest, DeepFreezeRemovesTheStallButNotTheBottleneck) {
 
 TEST(RelatedWorkTest, CheckFreqRespectsOverheadBudget) {
   const CheckpointWorkload workload = PaperWorkload();
-  CheckFreqOptions options;
-  options.overhead_budget = 0.035;
-  const SystemModel model = BuildCheckFreq(workload, options);
+  const SystemModel model = BuildCheckFreq(workload);
   const double overhead = static_cast<double>(model.training_block_per_checkpoint) /
                           static_cast<double>(model.checkpoint_interval);
-  EXPECT_LE(overhead, options.overhead_budget + 0.001);
+  EXPECT_LE(overhead, kCheckFreqOverheadBudget + 0.001);
   // Its frequency still cannot beat the store's drain rate.
   EXPECT_GE(model.checkpoint_interval, model.checkpoint_time - workload.iteration_time);
 }

@@ -595,7 +595,7 @@ TEST_F(CpuStoreDeltaTest, CorruptLatestUnderALiveChainFailsUnlessADeltaRewroteTh
 
 class PersistentDeltaTest : public ::testing::Test {
  protected:
-  PersistentDeltaTest() : store_(sim_, PersistentStoreConfig{}) { store_.set_metrics(&metrics_); }
+  PersistentDeltaTest() : store_(sim_) { store_.set_metrics(&metrics_); }
 
   Simulator sim_;
   MetricsRegistry metrics_;

@@ -6,6 +6,7 @@
 // recovery paths were held to.
 #include <gtest/gtest.h>
 
+#include "src/common/calibration.h"
 #include "src/gemini/gemini_system.h"
 #include "src/policy/chameleon_selector.h"
 #include "src/policy/cost_model.h"
@@ -59,27 +60,9 @@ TEST(PolicyConfigTest, DefaultsValidate) {
 }
 
 TEST(PolicyConfigTest, RejectsBadKnobs) {
-  PolicyConfig config;
-  config.checkmate.stall_fraction = -0.1;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-
-  config = PolicyConfig{};
-  config.tiercheck.overhead_budget = 0.0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-
-  config = PolicyConfig{};
-  config.recompute.recompute_iterations = -1.0;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-
   // A selector cannot start as itself.
-  config = PolicyConfig{};
+  PolicyConfig config;
   config.chameleon.initial = PolicyKind::kChameleon;
-  EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
-
-  // The failure-rate band must be a band.
-  config = PolicyConfig{};
-  config.chameleon.low_failure_rate_per_hour = 2.0;
-  config.chameleon.high_failure_rate_per_hour = 1.0;
   EXPECT_EQ(config.Validate().code(), StatusCode::kInvalidArgument);
 }
 
@@ -93,8 +76,18 @@ TEST(PolicyConfigTest, CreateRejectsBadConfigsUniformly) {
   EXPECT_FALSE(GeminiSystem::Create(config).ok());
 
   config = SmallConfig();
-  config.policy.checkmate.replay_cost_fraction = -0.5;
+  config.policy.kind = PolicyKind::kChameleon;
+  config.policy.chameleon.initial = PolicyKind::kChameleon;
   EXPECT_FALSE(GeminiSystem::Create(config).ok());
+
+  // Without a KV server the store has no members: no leader, no leases, and
+  // a failure that is never detected.
+  config = SmallConfig();
+  config.kv_server_count = 0;
+  const auto no_kv = GeminiSystem::Create(config);
+  ASSERT_FALSE(no_kv.ok());
+  EXPECT_EQ(no_kv.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(no_kv.status().message(), "kv_server_count must be positive");
 
   for (const int threads : {0, 4}) {
     config = SmallConfig();
@@ -141,8 +134,6 @@ TEST(PolicyFactoryTest, BuildsEveryKind) {
 
 TEST(RecoveryPlanTest, EveryPolicyBuildsItsDocumentedChains) {
   GeminiConfig config = SmallConfig();
-  config.policy.checkmate.replay_cost_fraction = 0.25;
-  config.policy.recompute.recompute_iterations = 3.0;
   GeminiSystem host(config);
   ASSERT_TRUE(host.Initialize().ok());
 
@@ -183,10 +174,12 @@ TEST(RecoveryPlanTest, EveryPolicyBuildsItsDocumentedChains) {
       Chain sources;
       for (const RecoveryStep& step : plan.steps) {
         sources.push_back(step.source);
-        // Only the step that prices itself carries a knob.
-        EXPECT_EQ(step.replay_cost_fraction, step.source == kReplay ? 0.25 : 0.0)
+        // Only the step that prices itself carries a cost.
+        EXPECT_EQ(step.replay_cost_fraction,
+                  step.source == kReplay ? kCheckmateReplayCostFraction : 0.0)
             << policy->name();
-        EXPECT_EQ(step.recompute_iterations, step.source == kRecompute ? 3.0 : 0.0)
+        EXPECT_EQ(step.recompute_iterations,
+                  step.source == kRecompute ? kRecomputeIterations : 0.0)
             << policy->name();
       }
       EXPECT_EQ(sources, *chain) << policy->name() << " / "
@@ -249,26 +242,26 @@ TEST(GeminiPolicyTest, PlanMatchesScheduledIteration) {
 TEST(TierCheckPolicyTest, RunsPersistentCheckpointsAtTightCadence) {
   GeminiConfig config = SmallConfig();
   config.policy.kind = PolicyKind::kTierCheck;
-  config.policy.tiercheck.persistent_interval = Minutes(2);
-  // A loose budget so the 100B shard's ~minutes-scale serialization stall
-  // still permits a minutes-scale cadence (the default 3.5% budget would
-  // stretch it past an hour for this model).
-  config.policy.tiercheck.overhead_budget = 0.5;
   GeminiSystem system(config);
   ASSERT_TRUE(system.Initialize().ok());
-  const StatusOr<TrainingReport> report = system.TrainUntil(80, Hours(4));
-  ASSERT_TRUE(report.ok()) << report.status();
-  // GEMINI's default 3 h cadence would commit zero persistent checkpoints in
-  // this window; the tiered policy commits every few minutes.
-  EXPECT_GE(system.Snapshot().persistent_checkpoints_committed, 2);
+  // The 100B shard's ~161 s serialization stall under the 3.5% budget
+  // stretches the 30 min cadence to about 77 min.
+  const TimeNs stall = SerializationStall(system.replica_bytes(), kSerializationBandwidth);
+  const TimeNs interval = system.policy().PersistentInterval(system);
+  EXPECT_GT(interval, kTierCheckPersistentInterval);
+  EXPECT_LT(interval, Hours(3));
   // The cadence never violates the serialization-stall budget (CheckFreq's
   // budgeted-frequency rule, shared through the cost model).
-  const TimeNs stall =
-      SerializationStall(system.replica_bytes(), config.serialization_bandwidth);
-  const TimeNs interval = system.policy().PersistentInterval(system);
-  EXPECT_GE(interval, Minutes(2));
   EXPECT_LE(static_cast<double>(stall) / static_cast<double>(interval),
-            config.policy.tiercheck.overhead_budget + 1e-9);
+            kCheckFreqOverheadBudget + 1e-9);
+  // 200 iterations of ~65 s plus the stalls span about 3.7 h: two intervals.
+  const StatusOr<TrainingReport> report = system.TrainUntil(200, Hours(4));
+  ASSERT_TRUE(report.ok()) << report.status();
+  EXPECT_EQ(report->iterations_completed, 200);
+  // GEMINI's default 3 h cadence would commit one persistent checkpoint in
+  // this window; the tiered policy commits one every interval.
+  EXPECT_EQ(system.config().persistent_checkpoint_interval, Hours(3));
+  EXPECT_GE(system.Snapshot().persistent_checkpoints_committed, 2);
 }
 
 // ---------------------------------------------------------------------------
@@ -306,7 +299,7 @@ TEST(CheckmatePolicyTest, FailedReplayFallsThroughToPersistentStep) {
   ASSERT_TRUE(system.Initialize().ok());
   int rank0_failures = 0;
   system.persistent_store().set_fault_hook([&](int owner_rank, int64_t, int) {
-    if (owner_rank == 0 && rank0_failures < config.persistent.retrieval_max_attempts) {
+    if (owner_rank == 0 && rank0_failures < kPersistentRetrievalMaxAttempts) {
       ++rank0_failures;
       return UnavailableError("injected persistent fetch failure");
     }
@@ -315,7 +308,7 @@ TEST(CheckmatePolicyTest, FailedReplayFallsThroughToPersistentStep) {
   system.failure_injector().InjectAt(Minutes(4), FailureType::kSoftware, {3});
   const StatusOr<TrainingReport> report = system.TrainUntil(60);
   ASSERT_TRUE(report.ok()) << report.status();
-  EXPECT_EQ(rank0_failures, config.persistent.retrieval_max_attempts);
+  EXPECT_EQ(rank0_failures, kPersistentRetrievalMaxAttempts);
   ASSERT_EQ(report->recoveries.size(), 1u);
   EXPECT_EQ(report->recoveries[0].source, RecoverySource::kPersistentStorage);
   EXPECT_EQ(report->iterations_completed, 60);
@@ -392,10 +385,9 @@ TEST(ChameleonSelectorTest, SwitchesOnFailureRateShift) {
   EXPECT_EQ(switches[1].to, PolicyKind::kGemini);
   EXPECT_EQ(switches[1].reason, "failure_rate_high");
   // Hysteresis: successive switches respect the minimum iteration gap.
-  const ChameleonOptions defaults;
   for (size_t i = 1; i < switches.size(); ++i) {
     EXPECT_GE(switches[i].iteration - switches[i - 1].iteration,
-              defaults.min_iterations_between_switches);
+              kChameleonMinIterationsBetweenSwitches);
   }
 }
 

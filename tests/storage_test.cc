@@ -4,15 +4,13 @@
 
 #include "src/cluster/instance_spec.h"
 #include "src/cluster/machine.h"
+#include "src/common/calibration.h"
 #include "src/common/rng.h"
 #include "src/obs/metrics.h"
+#include "src/policy/cost_model.h"
 #include "src/storage/cpu_store.h"
 #include "src/storage/persistent_store.h"
 #include "src/storage/serializer.h"
-
-#include <filesystem>
-#include <fstream>
-#include <iterator>
 
 namespace gemini {
 namespace {
@@ -81,13 +79,12 @@ TEST_P(SerializerCorruptionTest, DetectsByteCorruption) {
 
 INSTANTIATE_TEST_SUITE_P(BytePositions, SerializerCorruptionTest, ::testing::Range(0, 17));
 
-TEST(SerializationModelTest, MatchesPaperMeasurements) {
-  // 75 GiB replica at ~1 GB/s is ~81 s (HighFreq's per-checkpoint
+TEST(SerializationCalibrationTest, MatchesPaperMeasurements) {
+  // 75 GB replica at ~1 GB/s is ~81 s (HighFreq's per-checkpoint
   // serialization); two replicas at recovery are ~162 s (Figure 14).
-  SerializationModel model;
   const Bytes replica = 75'000'000'000;  // GPT-2 100B / 16 machines.
-  EXPECT_NEAR(ToSeconds(model.SerializeTime(replica)), 81.0, 1.0);
-  EXPECT_NEAR(ToSeconds(2 * model.SerializeTime(replica)), 162.0, 2.0);
+  EXPECT_NEAR(ToSeconds(SerializationStall(replica, kSerializationBandwidth)), 81.0, 1.0);
+  EXPECT_NEAR(ToSeconds(RecoverySerializationStall(2, replica)), 162.0, 2.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -318,14 +315,11 @@ TEST_F(CpuStoreTest, CorruptionOnOneHolderNeverLeaksToSiblings) {
 // PersistentStore
 // ---------------------------------------------------------------------------
 
+// The store runs at the calibrated FSx numbers: 20 Gb/s (2.5 GB/s)
+// aggregate, 10 ms per request.
 class PersistentStoreTest : public ::testing::Test {
  protected:
-  PersistentStoreTest() {
-    PersistentStoreConfig config;
-    config.aggregate_bandwidth = 1e9;  // 1 GB/s.
-    config.request_latency = Millis(1);
-    store_ = std::make_unique<PersistentStore>(sim_, config);
-  }
+  PersistentStoreTest() : store_(std::make_unique<PersistentStore>(sim_)) {}
 
   Simulator sim_;
   std::unique_ptr<PersistentStore> store_;
@@ -338,20 +332,20 @@ TEST_F(PersistentStoreTest, SaveTakesBandwidthLimitedTime) {
     done_at = sim_.now();
   });
   sim_.Run();
-  EXPECT_EQ(done_at, Seconds(2) + Millis(1));
+  EXPECT_EQ(done_at, Millis(800) + Millis(10));
   EXPECT_EQ(store_->bytes_written(), 2'000'000'000);
 }
 
 TEST_F(PersistentStoreTest, ConcurrentSavesShareAggregateBandwidth) {
   std::vector<TimeNs> completions;
   for (int rank = 0; rank < 3; ++rank) {
-    store_->Save(MakeCheckpoint(rank, 1, 1'000'000'000), 3,
+    store_->Save(MakeCheckpoint(rank, 1, 2'500'000'000), 3,
                  [&](Status) { completions.push_back(sim_.now()); });
   }
   sim_.Run();
   ASSERT_EQ(completions.size(), 3u);
   // FIFO through the shared pipe: 1 s apart each (the 20 Gb/s FSx effect).
-  EXPECT_EQ(completions[2], Seconds(3) + Millis(3));
+  EXPECT_EQ(completions[2], Seconds(3) + Millis(30));
 }
 
 TEST_F(PersistentStoreTest, CompleteIterationRequiresAllShards) {
@@ -375,7 +369,7 @@ TEST_F(PersistentStoreTest, LatestCompletePrefersNewest) {
 }
 
 TEST_F(PersistentStoreTest, RetrieveReturnsStoredShard) {
-  const Checkpoint original = MakeCheckpoint(1, 7, 1'000'000'000);
+  const Checkpoint original = MakeCheckpoint(1, 7, 2'500'000'000);
   store_->SeedImmediate(original, 2);
   std::optional<Checkpoint> fetched;
   TimeNs done_at = -1;
@@ -387,7 +381,7 @@ TEST_F(PersistentStoreTest, RetrieveReturnsStoredShard) {
   sim_.Run();
   ASSERT_TRUE(fetched.has_value());
   EXPECT_EQ(*fetched, original);
-  EXPECT_EQ(done_at, Seconds(1) + Millis(1));  // Bandwidth-limited read.
+  EXPECT_EQ(done_at, Seconds(1) + Millis(10));  // Bandwidth-limited read.
 }
 
 TEST_F(PersistentStoreTest, RetrieveMissingShardIsNotFound) {
@@ -397,101 +391,15 @@ TEST_F(PersistentStoreTest, RetrieveMissingShardIsNotFound) {
   EXPECT_EQ(result.code(), StatusCode::kNotFound);
 }
 
-class DiskBackedPersistentStoreTest : public ::testing::Test {
- protected:
-  DiskBackedPersistentStoreTest() {
-    dir_ = ::testing::TempDir() + "/gemini_fsx_" +
-           std::to_string(reinterpret_cast<uintptr_t>(this));
-    PersistentStoreConfig config;
-    config.aggregate_bandwidth = 1e9;
-    config.request_latency = Millis(1);
-    config.disk_dir = dir_;
-    store_ = std::make_unique<PersistentStore>(sim_, config);
-  }
-  ~DiskBackedPersistentStoreTest() override {
-    std::error_code ec;
-    std::filesystem::remove_all(dir_, ec);
-  }
-
-  Simulator sim_;
-  std::string dir_;
-  std::unique_ptr<PersistentStore> store_;
-};
-
-TEST_F(DiskBackedPersistentStoreTest, SaveWritesSerializedFile) {
-  const Checkpoint original = MakeCheckpoint(2, 9, 1'000'000, 64);
-  Status saved = InternalError("pending");
-  store_->Save(original, 1, [&](Status status) { saved = status; });
-  sim_.Run();
-  ASSERT_TRUE(saved.ok()) << saved;
-  const std::string path = store_->ShardPath(2, 9);
-  ASSERT_TRUE(std::filesystem::exists(path)) << path;
-  // The file holds exactly the serializer's bytes: header, payload, CRC.
-  std::ifstream file(path, std::ios::binary);
-  const std::vector<uint8_t> on_disk{std::istreambuf_iterator<char>(file),
-                                     std::istreambuf_iterator<char>()};
-  EXPECT_EQ(on_disk, SerializeCheckpoint(original));
-}
-
-TEST_F(DiskBackedPersistentStoreTest, RetrieveRoundTripsThroughDisk) {
-  const Checkpoint original = MakeCheckpoint(3, 12, 2'000'000, 128);
-  store_->Save(original, 1, [](Status) {});
-  sim_.Run();
-  std::optional<Checkpoint> fetched;
-  store_->Retrieve(3, 12, [&](StatusOr<Checkpoint> result) {
-    ASSERT_TRUE(result.ok()) << result.status();
-    fetched = std::move(result).value();
-  });
-  sim_.Run();
-  ASSERT_TRUE(fetched.has_value());
-  EXPECT_EQ(*fetched, original);
-}
-
-TEST_F(DiskBackedPersistentStoreTest, CorruptedFileIsDetectedOnRetrieve) {
-  store_->Save(MakeCheckpoint(0, 5, 1'000'000, 64), 1, [](Status) {});
-  sim_.Run();
-  // Flip a byte in the middle of the on-disk blob.
-  const std::string path = store_->ShardPath(0, 5);
-  {
-    std::fstream file(path, std::ios::binary | std::ios::in | std::ios::out);
-    ASSERT_TRUE(file.is_open());
-    file.seekp(40);
-    char byte = 0;
-    file.read(&byte, 1);
-    byte = static_cast<char>(byte ^ 0x5A);
-    file.seekp(40);
-    file.write(&byte, 1);
-  }
-  Status result = Status::Ok();
-  store_->Retrieve(0, 5, [&](StatusOr<Checkpoint> out) { result = out.status(); });
-  sim_.Run();
-  EXPECT_EQ(result.code(), StatusCode::kDataLoss);
-}
-
-TEST_F(DiskBackedPersistentStoreTest, DeletedFileSurfacesAsNotFound) {
-  store_->Save(MakeCheckpoint(1, 7, 1'000'000, 32), 1, [](Status) {});
-  sim_.Run();
-  std::filesystem::remove(store_->ShardPath(1, 7));
-  Status result = Status::Ok();
-  store_->Retrieve(1, 7, [&](StatusOr<Checkpoint> out) { result = out.status(); });
-  sim_.Run();
-  EXPECT_EQ(result.code(), StatusCode::kNotFound);
-}
-
 // ---------------------------------------------------------------------------
 // PersistentStore retrieval retry cascade
 // ---------------------------------------------------------------------------
 
+// The cascade runs at the calibrated schedule: 4 attempts, 100 ms backoff
+// doubling up to a 2 s cap.
 class PersistentRetryTest : public ::testing::Test {
  protected:
-  PersistentRetryTest() {
-    PersistentStoreConfig config;
-    config.aggregate_bandwidth = 1e9;
-    config.request_latency = Millis(1);
-    config.retrieval_max_attempts = 4;
-    config.retrieval_backoff_base = Millis(100);
-    config.retrieval_backoff_cap = Millis(400);
-    store_ = std::make_unique<PersistentStore>(sim_, config);
+  PersistentRetryTest() : store_(std::make_unique<PersistentStore>(sim_)) {
     store_->set_metrics(&metrics_);
   }
 
@@ -531,8 +439,8 @@ TEST_F(PersistentRetryTest, RetriesBackOffExponentiallyUpToCap) {
   sim_.Run();
   EXPECT_EQ(result.code(), StatusCode::kUnavailable);
   ASSERT_EQ(attempt_times.size(), 4u);  // Attempt cap honoured.
-  // Gaps: backoff (100ms, 200ms, 400ms-capped) plus one re-read each.
-  const TimeNs reread = Millis(1) + Millis(1);  // latency + 1MB at 1 GB/s.
+  // Gaps: backoff (100ms, 200ms, 400ms) plus one re-read each.
+  const TimeNs reread = Millis(10) + Micros(400);  // latency + 1MB at 2.5 GB/s.
   EXPECT_EQ(attempt_times[1] - attempt_times[0], Millis(100) + reread);
   EXPECT_EQ(attempt_times[2] - attempt_times[1], Millis(200) + reread);
   EXPECT_EQ(attempt_times[3] - attempt_times[2], Millis(400) + reread);
@@ -563,24 +471,6 @@ TEST_F(PersistentRetryTest, MissingShardIsPermanentAndNeverRetried) {
   EXPECT_EQ(metrics_.counter_value("persistent_store.retries"), 0);
 }
 
-TEST_F(DiskBackedPersistentStoreTest, CorruptShardRewritesDiskAndRetriesExhaust) {
-  MetricsRegistry metrics;
-  store_->set_metrics(&metrics);
-  Checkpoint stamped = MakeCheckpoint(2, 8, 1'000'000, 64);
-  stamped.StampPayloadCrc();
-  store_->Save(std::move(stamped), 1, [](Status) {});
-  sim_.Run();
-  ASSERT_TRUE(store_->CorruptShard(2, 8, /*bit_index=*/7).ok());
-  Status result = Status::Ok();
-  store_->Retrieve(2, 8, [&](StatusOr<Checkpoint> out) { result = out.status(); });
-  sim_.Run();
-  // The disk file carries the stale CRC stamp over flipped payload bytes, so
-  // the deserialize path rejects it on every attempt.
-  EXPECT_EQ(result.code(), StatusCode::kDataLoss);
-  EXPECT_EQ(metrics.counter_value("persistent_store.crc_failures"), 4);
-  EXPECT_EQ(metrics.counter_value("persistent_store.retries"), 3);
-}
-
 // ---------------------------------------------------------------------------
 // RetryPolicy
 // ---------------------------------------------------------------------------
@@ -606,10 +496,8 @@ TEST(RetryPolicyTest, ExhaustionCountsAttemptsMade) {
 TEST_F(PersistentStoreTest, TransferCostMatchesMtNlgSanityCheck) {
   // Paper Section 2.2: MT-NLG's 530B-parameter model states over a 20 Gb/s
   // store take ~42 minutes.
-  PersistentStoreConfig config;  // Default 20 Gb/s.
-  PersistentStore fsx(sim_, config);
   const Bytes mt_nlg = 530'000'000'000LL * 12;
-  EXPECT_NEAR(ToSeconds(fsx.TransferCost(mt_nlg)) / 60.0, 42.4, 0.5);
+  EXPECT_NEAR(ToSeconds(store_->TransferCost(mt_nlg)) / 60.0, 42.4, 0.5);
 }
 
 }  // namespace

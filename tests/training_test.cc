@@ -108,7 +108,7 @@ TEST(TimelineTest, IdlePlusBusyEqualsIteration) {
 }
 
 TEST(TimelineTest, CalibrationAnchorsP4d) {
-  // Anchor 1 (src/training/calibration.h): GPT-2 100B on 16x p4d lands near
+  // Anchor 1 (src/common/calibration.h): GPT-2 100B on 16x p4d lands near
   // the paper's 62 s iteration and ~12.5 s idle time.
   const IterationTimeline timeline =
       BuildZero3Timeline(Params(Gpt2_100B(), P4d24xlarge(), 16));
