@@ -4,7 +4,9 @@
 // ~162 s, machine replacement 4-7 min (or seconds with standby machines),
 // restart warm-up >4 min; totalling ~7 min for software failures and
 // ~12 min for hardware failures.
+#include <iomanip>
 #include <iostream>
+#include <sstream>
 
 #include "bench/bench_util.h"
 #include "src/common/calibration.h"
@@ -62,14 +64,22 @@ int main() {
       "Figure 14: failure recovery timeline (GPT-2 100B, 16x p4d)",
       "paper Figure 14 and Section 7.3 'Overheads incurred by failures'");
 
+  // Each phase printed from the constant (or default) that defines it.
   const Bytes replica = Gpt2_100B().CheckpointBytesPerMachine(16);
+  const AgentConfig agent;
+  std::ostringstream warmup;
+  warmup << std::fixed << std::setprecision(1) << ToSeconds(kRestartWarmup) / 60.0;
   std::cout << "Phase model (per failure):\n"
-            << "  failure detection        ~15 s   (heartbeat lease TTL + root scan)\n"
+            << "  failure detection        ~"
+            << (agent.health_lease_ttl + agent.root_scan_interval) / kSecond
+            << " s   (heartbeat lease TTL + root scan)\n"
             << "  checkpoint serialization "
             << FormatDuration(2 * SerializationStall(replica, kSerializationBandwidth))
             << " (torch.save of 2 replicas; paper: 162 s)\n"
-            << "  machine replacement      4-7 min via ASG, ~10 s with standby\n"
-            << "  restart warm-up          ~4.3 min\n\n";
+            << "  machine replacement      " << kProvisionDelayMin / kMinute << "-"
+            << kProvisionDelayMax / kMinute << " min via ASG, ~"
+            << kStandbyActivationDelay / kSecond << " s with standby\n"
+            << "  restart warm-up          ~" << warmup.str() << " min\n\n";
 
   TablePrinter table({"Scenario", "Detection (s)", "Downtime (min)", "Wasted time",
                       "Recovery source"});

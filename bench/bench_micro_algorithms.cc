@@ -1,10 +1,10 @@
 // Micro-benchmarks (google-benchmark) of the core algorithms: Algorithm 1
 // placement construction, recovery-probability evaluation, Algorithm 2
-// partitioning, the timeline generator, checkpoint serialization, the event
-// queue (distinct timestamps, and the control plane's timer storm), the
-// KV store's liveness work per heartbeat (lease expiry check and the root's
-// health scan), the delta write path (building a delta, replaying a redo
-// log), and the ring collectives' cost evaluation.
+// partitioning, the timeline generator (which prices its collectives with
+// the ring cost model), checkpoint serialization, the event queue (distinct
+// timestamps, and the control plane's timer storm), the KV store's liveness
+// work per heartbeat (lease expiry check and the root's health scan), and the
+// delta write path (building a delta, replaying a redo log).
 #include <benchmark/benchmark.h>
 
 #include <functional>

@@ -78,7 +78,6 @@ class Machine {
   void FreeOnAllGpus(Bytes bytes);
 
   // CPU (host) memory accounting for checkpoint storage.
-  Bytes cpu_memory_capacity() const { return spec_->cpu_memory; }
   Bytes cpu_memory_used() const { return cpu_used_; }
   Bytes cpu_memory_free() const { return spec_->cpu_memory - cpu_used_; }
   Status AllocateCpuMemory(Bytes bytes);

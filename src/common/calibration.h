@@ -67,6 +67,11 @@ inline constexpr TimeNs kPersistentRequestLatency = Millis(10);
 inline constexpr int kPersistentRetrievalMaxAttempts = 4;
 inline constexpr TimeNs kPersistentRetrievalBackoffBase = Millis(100);
 inline constexpr TimeNs kPersistentRetrievalBackoffCap = Seconds(2);
+// Peer retrieval during a hardware recovery backs off between attempts on
+// the same schedule shape (the attempt cap is GeminiConfig's
+// retrieval_max_attempts).
+inline constexpr TimeNs kPeerRetrievalBackoffBase = Millis(200);
+inline constexpr TimeNs kPeerRetrievalBackoffCap = Seconds(5);
 
 // ---- Failure overheads (anchor 6) -------------------------------------------
 

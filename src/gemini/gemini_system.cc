@@ -163,13 +163,7 @@ Status GeminiSystem::Initialize() {
   // root election becomes the root agent (the same path used at failover).
   workers_.clear();
   for (int rank = 0; rank < config_.num_machines; ++rank) {
-    auto worker =
-        std::make_unique<WorkerAgent>(sim_, *cluster_, *kvstore_, rank, config_.agent);
-    worker->set_on_promoted_to_root([this, rank] { OnWorkerPromotedToRoot(rank); });
-    worker->set_metrics(&metrics_);
-    worker->set_tracer(&tracer_);
-    worker->Start();
-    workers_.push_back(std::move(worker));
+    workers_.push_back(StartWorker(rank));
   }
 
   // ---- Cloud operator and failure injection.
@@ -182,14 +176,7 @@ Status GeminiSystem::Initialize() {
     // Synchronous training hangs the moment any participant fails: the
     // in-flight iteration (and its in-flight checkpoint) never completes.
     if (running_ && !active_case_.has_value()) {
-      if (iteration_end_event_.valid()) {
-        sim_.Cancel(iteration_end_event_);
-        iteration_end_event_ = EventId{};
-      }
-      if (checkpoint_commit_event_.valid()) {
-        sim_.Cancel(checkpoint_commit_event_);
-        checkpoint_commit_event_ = EventId{};
-      }
+      CancelInFlightIteration();
     }
     if (event.type == FailureType::kSoftware) {
       for (const int rank : event.ranks) {
@@ -297,6 +284,10 @@ StatusOr<TrainingReport> GeminiSystem::TrainUntil(int64_t target_iterations,
 
 void GeminiSystem::FinishRun() {
   running_ = false;
+  CancelInFlightIteration();
+}
+
+void GeminiSystem::CancelInFlightIteration() {
   if (iteration_end_event_.valid()) {
     sim_.Cancel(iteration_end_event_);
     iteration_end_event_ = EventId{};
@@ -338,7 +329,7 @@ void GeminiSystem::StartNextIteration() {
   // The policy decides this iteration's capture/commit/stall (after the
   // audit, so it plans against the schedule as it now is). The selector's
   // switch rules also run here, at iteration-start granularity.
-  const IterationPlan plan = policy_->PlanIteration(*this, iteration, staged_iteration_ >= 0);
+  const IterationPlan plan = policy_->PlanIteration(*this, iteration);
   current_iteration_duration_ = plan.iteration_duration;
   if (plan.stage_snapshot) {
     staged_snapshots_.clear();
@@ -488,7 +479,6 @@ void GeminiSystem::OnCheckpointCommit(int64_t snapshot_iteration) {
                {TraceAttr::Int("iteration", snapshot_iteration)});
   tracer_.Event("checkpoint_commit", "checkpoint",
                 {TraceAttr::Int("iteration", snapshot_iteration)});
-  policy_->OnCheckpointCommitted(*this, snapshot_iteration);
 }
 
 void GeminiSystem::OnIterationComplete() {
@@ -762,30 +752,27 @@ void GeminiSystem::RunRecoveryPlan() {
   }
   RecoverySituation situation;
   situation.type = recovery_case.type;
-  situation.replaced_ranks = recovery_case.replaced;
   situation.peer_recoverable = placement_.Recoverable(failed);
-  situation.iteration_at_failure = recovery_case.iteration_at_failure;
   if (!situation.peer_recoverable && policy_->uses_cpu_checkpoints()) {
     GEMINI_LOG(kWarning) << "recovery: an entire placement group was lost; falling back to "
                             "persistent storage";
   }
-  recovery_case.plan = policy_->BuildRecoveryPlan(*this, situation);
+  recovery_case.plan = policy_->BuildRecoveryPlan(situation);
   recovery_case.step = 0;
   RunRecoveryStep();
 }
 
 void GeminiSystem::RunRecoveryStep() {
   ActiveRecoveryCase& recovery_case = *active_case_;
-  if (recovery_case.step >= recovery_case.plan.steps.size()) {
+  if (recovery_case.step >= recovery_case.plan.size()) {
     GEMINI_LOG(kError) << "recovery: the policy's fallback chain is exhausted; "
                           "training cannot resume";
     FinishRun();
     return;
   }
-  const RecoveryStep& step = recovery_case.plan.steps[recovery_case.step];
   recovery_case.step_started_at = sim_.now();
   recovery_case.fetched.clear();
-  switch (step.source) {
+  switch (recovery_case.plan[recovery_case.step]) {
     case RecoverySource::kLocalCpuMemory:
       for (int rank = 0; rank < config_.num_machines; ++rank) {
         const std::optional<Checkpoint> local =
@@ -837,9 +824,9 @@ void GeminiSystem::RunRecoveryStep() {
       // rebuild the lost shard in place at a fixed iterations-worth of
       // recompute. The state never left the GPUs.
       const TimeNs stall = static_cast<TimeNs>(
-          step.recompute_iterations * static_cast<double>(current_iteration_duration_));
+          kRecomputeIterations * static_cast<double>(current_iteration_duration_));
       tracer_.Span("peer_recompute", "recovery", sim_.now(), sim_.now() + stall,
-                   {TraceAttr::Real("recompute_iterations", step.recompute_iterations)});
+                   {TraceAttr::Real("recompute_iterations", kRecomputeIterations)});
       FinishStep(stall);
       return;
     }
@@ -849,7 +836,7 @@ void GeminiSystem::RunRecoveryStep() {
 void GeminiSystem::FallThrough(const Status& why) {
   ActiveRecoveryCase& recovery_case = *active_case_;
   GEMINI_LOG(kWarning) << "recovery: "
-                       << RecoverySourceName(recovery_case.plan.steps[recovery_case.step].source)
+                       << RecoverySourceName(recovery_case.plan[recovery_case.step])
                        << " step failed (" << why << "); falling through to the next step";
   ++recovery_epoch_;  // The abandoned step's in-flight callbacks become no-ops.
   ++recovery_case.step;
@@ -857,8 +844,8 @@ void GeminiSystem::FallThrough(const Status& why) {
 }
 
 RetryPolicy GeminiSystem::RetrievalRetryPolicy() const {
-  return RetryPolicy{config_.retrieval_max_attempts, config_.retrieval_backoff_base,
-                     config_.retrieval_backoff_cap};
+  return RetryPolicy{config_.retrieval_max_attempts, kPeerRetrievalBackoffBase,
+                     kPeerRetrievalBackoffCap};
 }
 
 void GeminiSystem::TryFetchReplica(int rank, int attempt) {
@@ -941,8 +928,8 @@ void GeminiSystem::OnFetched(Checkpoint checkpoint) {
 
 void GeminiSystem::RestoreFetched() {
   ActiveRecoveryCase& recovery_case = *active_case_;
-  const RecoveryStep& step = recovery_case.plan.steps[recovery_case.step];
-  if (step.source == RecoverySource::kRemoteCpuMemory) {
+  const RecoverySource source = recovery_case.plan[recovery_case.step];
+  if (source == RecoverySource::kRemoteCpuMemory) {
     // Install fetched replicas, then restore everyone: survivors from local
     // CPU memory, replacements from the fetched copies (Figure 6c).
     std::vector<bool> have(static_cast<size_t>(config_.num_machines), false);
@@ -970,7 +957,7 @@ void GeminiSystem::RestoreFetched() {
     return;
   }
   TimeNs stall = 0;
-  if (step.source == RecoverySource::kPersistentStorage) {
+  if (source == RecoverySource::kPersistentStorage) {
     // Refill the CPU tier so subsequent failures recover fast again.
     for (const Checkpoint& checkpoint : recovery_case.fetched) {
       for (const int holder :
@@ -981,12 +968,12 @@ void GeminiSystem::RestoreFetched() {
       }
     }
   }
-  if (step.source == RecoverySource::kRemoteCpuMemory ||
-      step.source == RecoverySource::kPersistentStorage) {
+  if (source == RecoverySource::kRemoteCpuMemory ||
+      source == RecoverySource::kPersistentStorage) {
     tracer_.Span("retrieval", "recovery", recovery_case.step_started_at, sim_.now(),
-                 {TraceAttr::Text("source", std::string(RecoverySourceName(step.source)))});
+                 {TraceAttr::Text("source", std::string(RecoverySourceName(source)))});
   }
-  if (step.source == RecoverySource::kGradientReplay) {
+  if (source == RecoverySource::kGradientReplay) {
     // Replay the logged gradient stream forward to the failure iteration: the
     // deterministic update reproduces the pre-failure states bit-exactly, so
     // no progress is lost — only the replay stall (a fraction of an iteration
@@ -999,7 +986,7 @@ void GeminiSystem::RestoreFetched() {
       return;
     }
     stall = static_cast<TimeNs>(static_cast<double>(target - base_iteration) *
-                                step.replay_cost_fraction *
+                                kCheckmateReplayCostFraction *
                                 static_cast<double>(current_iteration_duration_));
     tracer_.Span("gradient_replay", "recovery", recovery_case.step_started_at,
                  sim_.now() + stall,
@@ -1015,7 +1002,7 @@ void GeminiSystem::FinishStep(TimeNs stall) {
   // wasted-time metric). An in-place recompute rolls nothing back, even when
   // an iteration that was in flight at detection completed during recovery
   // and left the trainer past the failure iteration.
-  const RecoverySource source = recovery_case.plan.steps[recovery_case.step].source;
+  const RecoverySource source = recovery_case.plan[recovery_case.step];
   recovery_case.rollback_iteration = trainer_->iteration();
   const int64_t lost_iterations =
       source == RecoverySource::kPeerRecompute
@@ -1023,17 +1010,20 @@ void GeminiSystem::FinishStep(TimeNs stall) {
           : recovery_case.iteration_at_failure - recovery_case.rollback_iteration;
   recovery_case.wasted_time = lost_iterations * execution_.iteration_time +
                               (sim_.now() - recovery_case.step_started_at) + stall;
-  if (source == RecoverySource::kLocalCpuMemory) {
-    // The software restart's warm-up already ran before the chain started.
+  // A software case's restart warm-up already ran before the chain started
+  // (StartRecoveryAttempt); a hardware case warms up its replacements here.
+  const TimeNs wait =
+      stall + (recovery_case.type == FailureType::kSoftware ? 0 : kRestartWarmup);
+  if (wait == 0) {
     ResumeTraining();
     return;
   }
-  sim_.ScheduleAfter(stall + kRestartWarmup, InEpoch([this] { ResumeTraining(); }));
+  sim_.ScheduleAfter(wait, InEpoch([this] { ResumeTraining(); }));
 }
 
 void GeminiSystem::ResumeTraining() {
   const ActiveRecoveryCase& recovery_case = *active_case_;
-  const RecoverySource source = recovery_case.plan.steps[recovery_case.step].source;
+  const RecoverySource source = recovery_case.plan[recovery_case.step];
   const TimeNs resumed_at = sim_.now();
   // Clear the process-down marks: every surviving machine in the case is
   // running its restarted process again (also after a software case fell
@@ -1177,12 +1167,16 @@ void GeminiSystem::MaybeStartReprotection() {
 
 void GeminiSystem::RestartAgentsForRank(int rank) {
   workers_[static_cast<size_t>(rank)]->Stop();
+  workers_[static_cast<size_t>(rank)] = StartWorker(rank);
+}
+
+std::unique_ptr<WorkerAgent> GeminiSystem::StartWorker(int rank) {
   auto worker = std::make_unique<WorkerAgent>(sim_, *cluster_, *kvstore_, rank, config_.agent);
   worker->set_on_promoted_to_root([this, rank] { OnWorkerPromotedToRoot(rank); });
   worker->set_metrics(&metrics_);
   worker->set_tracer(&tracer_);
   worker->Start();
-  workers_[static_cast<size_t>(rank)] = std::move(worker);
+  return worker;
 }
 
 void GeminiSystem::OnWorkerPromotedToRoot(int rank) {

@@ -66,11 +66,9 @@ struct GeminiConfig {
   int kv_server_count = 3;
   // Peer-retrieval retry cascade (recovery hardening): per-rank attempt cap
   // across all alive replica holders, with capped exponential backoff between
-  // attempts. Only after the cap is exhausted does recovery fall back to the
-  // persistent tier.
+  // attempts (kPeerRetrievalBackoff{Base,Cap}). Only after the cap is
+  // exhausted does recovery fall back to the persistent tier.
   int retrieval_max_attempts = 6;
-  TimeNs retrieval_backoff_base = Millis(200);
-  TimeNs retrieval_backoff_cap = Seconds(5);
   // Continuous interference auditing (drift detection + adaptive re-profile).
   AuditorConfig audit;
   // Per-iteration multiplicative jitter on the observed idle spans the
@@ -251,7 +249,6 @@ class GeminiSystem : public PolicyHost {
   // The auditor sees the shift, attributes the resulting interference, and —
   // once drift persists — re-profiles and re-partitions online.
   void InjectTimelineShift(double scale) { timeline_shift_ = scale; }
-  double timeline_shift() const { return timeline_shift_; }
 
   // Coherent one-struct view of placement/schedule/profile/progress.
   SystemSnapshot Snapshot() const;
@@ -279,23 +276,16 @@ class GeminiSystem : public PolicyHost {
   ProtectionPolicy& policy() { return *policy_; }
   const ProtectionPolicy& policy() const { return *policy_; }
   int root_rank() const { return root_rank_; }
-  bool recovering() const { return active_case_.has_value(); }
+  int64_t current_iteration() const { return trainer_ != nullptr ? trainer_->iteration() : 0; }
 
   // ---- PolicyHost (the slice policies program against) --------------------
   const ExecutionResult& execution() const override { return execution_; }
-  int num_machines() const override { return config_.num_machines; }
   int num_replicas() const override { return config_.num_replicas; }
   Bytes replica_bytes() const override {
     return config_.model.CheckpointBytesPerMachine(config_.num_machines);
   }
-  int64_t current_iteration() const override {
-    return trainer_ != nullptr ? trainer_->iteration() : 0;
-  }
   TimeNs default_persistent_interval() const override {
     return config_.persistent_checkpoint_interval;
-  }
-  BytesPerSecond network_bandwidth() const override {
-    return config_.instance.network_bandwidth;
   }
   double observed_failure_rate_per_hour() const override {
     return auditor_.ObservedFailureRatePerHour(sim_.now());
@@ -317,6 +307,8 @@ class GeminiSystem : public PolicyHost {
   void OnIterationComplete();
   void MaybePersistentCheckpoint();
   void FinishRun();
+  // Drops the in-flight iteration's end and its checkpoint commit.
+  void CancelInFlightIteration();
 
   // ---- Incremental checkpoints ----
   // Folds the owner's freshly taken dirty bits into the accumulator covering
@@ -412,12 +404,14 @@ class GeminiSystem : public PolicyHost {
   // Restore phase: load the fetched checkpoints into the trainer (plus the
   // step's own epilogue: refill, replay), then FinishStep.
   void RestoreFetched();
-  // Records rollback and wasted time, then resumes after `stall` plus the
-  // restart warm-up (immediately for kLocalCpuMemory, whose warm-up ran
-  // before the chain started).
+  // Records rollback and wasted time, then resumes after `stall`, plus the
+  // restart warm-up for a hardware case (a software case paid its warm-up
+  // before the chain started); a zero wait resumes at once.
   void FinishStep(TimeNs stall);
   void ResumeTraining();
   void RestartAgentsForRank(int rank);
+  // Builds, wires and starts the worker agent for `rank`.
+  std::unique_ptr<WorkerAgent> StartWorker(int rank);
   void OnWorkerPromotedToRoot(int rank);
 
   // ---- Re-protection (recovery hardening) ----

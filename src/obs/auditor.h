@@ -111,7 +111,6 @@ class InterferenceAuditor {
   // per-hour. Purely simulated-time arithmetic — deterministic.
   void NoteFailure(TimeNs now);
   double ObservedFailureRatePerHour(TimeNs now) const;
-  int64_t failures_noted() const { return static_cast<int64_t>(failure_times_.size()); }
 
   // Hook fired when drift persists; GeminiSystem points this at its online
   // re-profile + re-partition path. Fired at most kAuditMaxReprofiles times.

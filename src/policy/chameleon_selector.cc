@@ -44,16 +44,9 @@ void ChameleonSelector::Activate(PolicyHost& host) {
   active_->Activate(host);
 }
 
-void ChameleonSelector::Deactivate(PolicyHost& host) { active_->Deactivate(host); }
-
-IterationPlan ChameleonSelector::PlanIteration(PolicyHost& host, int64_t iteration,
-                                               bool has_staged_block) {
+IterationPlan ChameleonSelector::PlanIteration(PolicyHost& host, int64_t iteration) {
   MaybeSwitch(host, iteration);
-  return active_->PlanIteration(host, iteration, has_staged_block);
-}
-
-void ChameleonSelector::OnCheckpointCommitted(PolicyHost& host, int64_t iteration) {
-  active_->OnCheckpointCommitted(host, iteration);
+  return active_->PlanIteration(host, iteration);
 }
 
 TimeNs ChameleonSelector::PersistentInterval(const PolicyHost& host) const {
@@ -64,9 +57,8 @@ TimeNs ChameleonSelector::RecoverySerializationTime(const PolicyHost& host) cons
   return active_->RecoverySerializationTime(host);
 }
 
-RecoveryPlan ChameleonSelector::BuildRecoveryPlan(const PolicyHost& host,
-                                                  const RecoverySituation& situation) const {
-  return active_->BuildRecoveryPlan(host, situation);
+RecoveryPlan ChameleonSelector::BuildRecoveryPlan(const RecoverySituation& situation) const {
+  return active_->BuildRecoveryPlan(situation);
 }
 
 PolicyCostReport ChameleonSelector::CostReport(const PolicyHost& host) const {
@@ -113,7 +105,6 @@ void ChameleonSelector::MaybeSwitch(PolicyHost& host, int64_t iteration) {
 void ChameleonSelector::SwitchTo(PolicyHost& host, PolicyKind want, std::string_view reason,
                                  int64_t iteration) {
   const PolicyKind from = active_->kind();
-  active_->Deactivate(host);
   // The staged block (if any) was captured under the old policy's block
   // structure; the new policy starts a fresh block on its own terms.
   host.DiscardStagedBlock();

@@ -47,22 +47,17 @@ class ChameleonSelector : public ProtectionPolicy {
   bool uses_cpu_checkpoints() const override { return active_->uses_cpu_checkpoints(); }
 
   void Activate(PolicyHost& host) override;
-  void Deactivate(PolicyHost& host) override;
-  IterationPlan PlanIteration(PolicyHost& host, int64_t iteration,
-                              bool has_staged_block) override;
-  void OnCheckpointCommitted(PolicyHost& host, int64_t iteration) override;
+  IterationPlan PlanIteration(PolicyHost& host, int64_t iteration) override;
   TimeNs PersistentInterval(const PolicyHost& host) const override;
   TimeNs RecoverySerializationTime(const PolicyHost& host) const override;
-  RecoveryPlan BuildRecoveryPlan(const PolicyHost& host,
-                                 const RecoverySituation& situation) const override;
+  RecoveryPlan BuildRecoveryPlan(const RecoverySituation& situation) const override;
   PolicyCostReport CostReport(const PolicyHost& host) const override;
 
-  const ProtectionPolicy& active_policy() const { return *active_; }
   const std::vector<PolicySwitchEvent>& switches() const { return switches_; }
 
  private:
   // Evaluates the switch rules at a decision boundary; swaps the active
-  // policy (Deactivate -> DiscardStagedBlock -> Activate) when one fires.
+  // policy (DiscardStagedBlock -> Activate) when one fires.
   void MaybeSwitch(PolicyHost& host, int64_t iteration);
   void SwitchTo(PolicyHost& host, PolicyKind want, std::string_view reason,
                 int64_t iteration);

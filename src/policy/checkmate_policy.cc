@@ -1,7 +1,6 @@
 #include "src/policy/checkmate_policy.h"
 
 #include "src/common/calibration.h"
-#include "src/policy/cost_model.h"
 
 namespace gemini {
 
@@ -11,10 +10,8 @@ void CheckmatePolicy::Activate(PolicyHost& host) {
   logged_iterations_counter_ = &host.metrics().counter("policy.checkmate.logged_iterations");
 }
 
-IterationPlan CheckmatePolicy::PlanIteration(PolicyHost& host, int64_t iteration,
-                                             bool has_staged_block) {
+IterationPlan CheckmatePolicy::PlanIteration(PolicyHost& host, int64_t iteration) {
   (void)iteration;
-  (void)has_staged_block;
   // No CPU checkpoints: the iteration runs at the checkpoint-free baseline,
   // plus the small replication stall of shipping this iteration's gradients
   // to peers alongside the backward pass.
@@ -41,28 +38,17 @@ TimeNs CheckmatePolicy::RecoverySerializationTime(const PolicyHost& host) const 
   return 0;
 }
 
-RecoveryPlan CheckmatePolicy::BuildRecoveryPlan(const PolicyHost& host,
-                                                const RecoverySituation& situation) const {
-  (void)host;
+RecoveryPlan CheckmatePolicy::BuildRecoveryPlan(const RecoverySituation& situation) const {
   (void)situation;
   // Replay the logged gradients on top of the persistent base; if the log or
   // base is unusable, degrade to a plain persistent rollback.
-  RecoveryPlan plan;
-  RecoveryStep replay;
-  replay.source = RecoverySource::kGradientReplay;
-  replay.replay_cost_fraction = kCheckmateReplayCostFraction;
-  plan.steps.push_back(replay);
-  plan.steps.push_back({RecoverySource::kPersistentStorage});
-  return plan;
+  return {RecoverySource::kGradientReplay, RecoverySource::kPersistentStorage};
 }
 
 PolicyCostReport CheckmatePolicy::CostReport(const PolicyHost& host) const {
+  (void)host;
   PolicyCostReport report;
   report.steady_state_overhead_fraction = kCheckmateStallFraction;
-  // Typical recovery fetches one persistent base shard set, then replays;
-  // the fetch dominates the data movement.
-  report.expected_recovery_fetch_time =
-      PersistentUploadTime(host.replica_bytes() * host.num_machines());
   // Replay lands exactly at the failure iteration: zero lost progress.
   report.expected_rollback_iterations = 0.0;
   return report;

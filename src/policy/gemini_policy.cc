@@ -6,9 +6,7 @@
 
 namespace gemini {
 
-IterationPlan GeminiPolicy::PlanIteration(PolicyHost& host, int64_t iteration,
-                                          bool has_staged_block) {
-  (void)has_staged_block;
+IterationPlan GeminiPolicy::PlanIteration(PolicyHost& host, int64_t iteration) {
   // Checkpoint block structure (Section 5.3): stage at the start of a
   // k-iteration block, commit during the block's last iteration once the
   // Algorithm-2 transmission time has elapsed (never past iteration end).
@@ -30,19 +28,17 @@ TimeNs GeminiPolicy::RecoverySerializationTime(const PolicyHost& host) const {
   return RecoverySerializationStall(host.num_replicas(), host.replica_bytes());
 }
 
-RecoveryPlan GeminiPolicy::BuildRecoveryPlan(const PolicyHost& host,
-                                             const RecoverySituation& situation) const {
-  (void)host;
+RecoveryPlan GeminiPolicy::BuildRecoveryPlan(const RecoverySituation& situation) const {
   // Section 6.2's cases, as fallback chains: software restores locally,
   // hardware case 1 fetches from group peers, and everything degrades to the
   // persistent tier (case 2, or any exhausted/corrupted chain above it).
   RecoveryPlan plan;
   if (situation.type == FailureType::kSoftware) {
-    plan.steps.push_back({RecoverySource::kLocalCpuMemory});
+    plan.push_back(RecoverySource::kLocalCpuMemory);
   } else if (situation.peer_recoverable) {
-    plan.steps.push_back({RecoverySource::kRemoteCpuMemory});
+    plan.push_back(RecoverySource::kRemoteCpuMemory);
   }
-  plan.steps.push_back({RecoverySource::kPersistentStorage});
+  plan.push_back(RecoverySource::kPersistentStorage);
   return plan;
 }
 
@@ -52,10 +48,6 @@ PolicyCostReport GeminiPolicy::CostReport(const PolicyHost& host) const {
   // observed delta-to-full byte ratio (1.0 when the mode is off).
   report.steady_state_overhead_fraction =
       host.execution().overhead_fraction * host.incremental_delta_fraction();
-  // Typical path: hardware case 1, one replica crossing the network at line
-  // rate (software recovery moves no bytes at all).
-  report.expected_recovery_fetch_time =
-      TransferTime(host.replica_bytes(), host.network_bandwidth());
   // CPU checkpoints land every interval; a uniform failure instant loses
   // half an interval on average.
   report.expected_rollback_iterations =

@@ -18,12 +18,10 @@ class GeminiPolicy : public ProtectionPolicy {
   std::string_view name() const override { return "gemini"; }
   bool uses_cpu_checkpoints() const override { return true; }
 
-  IterationPlan PlanIteration(PolicyHost& host, int64_t iteration,
-                              bool has_staged_block) override;
+  IterationPlan PlanIteration(PolicyHost& host, int64_t iteration) override;
   TimeNs PersistentInterval(const PolicyHost& host) const override;
   TimeNs RecoverySerializationTime(const PolicyHost& host) const override;
-  RecoveryPlan BuildRecoveryPlan(const PolicyHost& host,
-                                 const RecoverySituation& situation) const override;
+  RecoveryPlan BuildRecoveryPlan(const RecoverySituation& situation) const override;
   PolicyCostReport CostReport(const PolicyHost& host) const override;
 };
 

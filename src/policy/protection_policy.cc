@@ -54,13 +54,6 @@ void ProtectionPolicy::Activate(PolicyHost& host) {
       .Set(report.expected_rollback_iterations);
 }
 
-void ProtectionPolicy::Deactivate(PolicyHost& host) { (void)host; }
-
-void ProtectionPolicy::OnCheckpointCommitted(PolicyHost& host, int64_t iteration) {
-  (void)host;
-  (void)iteration;
-}
-
 Status PolicyConfig::Validate() const {
   if (chameleon.initial == PolicyKind::kChameleon) {
     return InvalidArgumentError("chameleon.initial must name a concrete policy");

@@ -8,12 +8,12 @@
 //
 //  * `ProtectionPolicy` decides per-iteration capture/commit, the persistent
 //    cadence, the recovery serialization bill, and — per failure — an ordered
-//    fallback chain of `RecoveryStep`s the host executes. Each step names the
-//    `RecoverySource` it restores from; the host runs it as fetch -> restore
-//    -> resume, and any step that fails (missing or corrupt checkpoint,
-//    exhausted retries, failed restore or replay) falls through to the next.
-//    Only an exhausted chain ends the run. It self-reports its steady-state
-//    cost so selectors and benches compare policies uniformly.
+//    fallback chain of `RecoverySource`s the host executes. The host runs
+//    each source as fetch -> restore -> resume, and any step that fails
+//    (missing or corrupt checkpoint, exhausted retries, failed restore or
+//    replay) falls through to the next. Only an exhausted chain ends the run.
+//    It self-reports its steady-state cost so selectors and benches compare
+//    policies uniformly.
 //  * `PolicyHost` is the narrow view of GeminiSystem a policy programs
 //    against (simulated clock, observability, schedule facts, and the
 //    auditor-derived signals the online selector feeds on). Policies never
@@ -80,31 +80,17 @@ enum class RecoverySource {
 
 std::string_view RecoverySourceName(RecoverySource source);
 
-// One stage of a recovery fallback chain. The host executes stages in order;
-// a stage that cannot produce a restorable state falls through to the next.
-struct RecoveryStep {
-  RecoverySource source = RecoverySource::kPersistentStorage;
-  // kGradientReplay: fraction of an iteration's time each replayed
-  // iteration costs (replay skips the forward pass's data loading / eval).
-  double replay_cost_fraction = 0.0;
-  // kPeerRecompute: iterations-worth of recompute work, independent of how
-  // far back the failure reaches.
-  double recompute_iterations = 0.0;
-};
-
-struct RecoveryPlan {
-  std::vector<RecoveryStep> steps;
-};
+// A recovery fallback chain: the host executes the sources in order, and a
+// source that cannot produce a restorable state falls through to the next.
+// The host prices replay and recompute from src/common/calibration.h.
+using RecoveryPlan = std::vector<RecoverySource>;
 
 // Everything a policy may condition a recovery plan on.
 struct RecoverySituation {
   FailureType type = FailureType::kSoftware;
-  // Freshly replaced (empty-DRAM) ranks; empty for software failures.
-  std::vector<int> replaced_ranks;
   // Whether every replaced rank's checkpoint is servable from surviving
   // group peers (Algorithm 1's Recoverable predicate).
   bool peer_recoverable = true;
-  int64_t iteration_at_failure = 0;
 };
 
 // Self-reported steady-state economics, on the fig09/fig14 cost vocabulary.
@@ -112,9 +98,6 @@ struct PolicyCostReport {
   // Fraction of iteration time spent on protection (checkpoint traffic,
   // replication stall, serialization amortization).
   double steady_state_overhead_fraction = 0.0;
-  // Expected wall-clock from failure detection to resumed training for the
-  // policy's *typical* (first-chain) recovery path, excluding fixed warmup.
-  TimeNs expected_recovery_fetch_time = 0;
   // Expected iterations of progress lost at a random failure instant.
   double expected_rollback_iterations = 0.0;
 };
@@ -133,16 +116,12 @@ class PolicyHost {
   virtual const ExecutionResult& execution() const = 0;
   virtual int checkpoint_interval_iterations() const = 0;
 
-  virtual int num_machines() const = 0;
   virtual int num_replicas() const = 0;
   virtual Bytes replica_bytes() const = 0;
-  virtual int64_t current_iteration() const = 0;
 
-  // Config-derived knobs policies price their decisions with (the fixed
-  // costs — serialization, persistent bandwidth — are the constants in
-  // src/common/calibration.h).
+  // The configured persistent cadence (the fixed costs — serialization,
+  // persistent bandwidth — are the constants in src/common/calibration.h).
   virtual TimeNs default_persistent_interval() const = 0;
-  virtual BytesPerSecond network_bandwidth() const = 0;
 
   // Online signals (auditor + redundancy gauge) the Chameleon selector keys
   // its switch rules on.
@@ -153,7 +132,7 @@ class PolicyHost {
   // Observed delta-to-full byte ratio of CPU-tier commits when the host runs
   // incremental delta checkpoints; 1.0 otherwise. Policies scale their
   // steady-state checkpoint-traffic cost by it.
-  virtual double incremental_delta_fraction() const { return 1.0; }
+  virtual double incremental_delta_fraction() const = 0;
 
   // Drops any half-built checkpoint block (used when a policy switch makes
   // the staged snapshots meaningless).
@@ -167,23 +146,17 @@ class ProtectionPolicy {
   virtual PolicyKind kind() const = 0;
   virtual std::string_view name() const = 0;
 
-  // Called when the policy becomes (or stops being) the active strategy.
-  // Activate resolves metric handles and publishes the policy's overhead
-  // gauge ("policy.<name>.overhead_fraction").
+  // Called when the policy becomes the active strategy. Activate resolves
+  // metric handles and publishes the policy's overhead gauge
+  // ("policy.<name>.overhead_fraction").
   virtual void Activate(PolicyHost& host);
-  virtual void Deactivate(PolicyHost& host);
 
   // Whether the policy maintains CPU-memory replicas (drives re-protection
   // after hardware recovery and the group-loss warning).
   virtual bool uses_cpu_checkpoints() const = 0;
 
-  // Decide this iteration's capture/commit/stall. `has_staged_block` reports
-  // whether a previous iteration's snapshots are still staged.
-  virtual IterationPlan PlanIteration(PolicyHost& host, int64_t iteration,
-                                      bool has_staged_block) = 0;
-
-  // Bookkeeping hook after a staged block lands in the holders' stores.
-  virtual void OnCheckpointCommitted(PolicyHost& host, int64_t iteration);
+  // Decide this iteration's capture/commit/stall.
+  virtual IterationPlan PlanIteration(PolicyHost& host, int64_t iteration) = 0;
 
   // Cadence of the blocking persistent-tier checkpoint; <= 0 disables it.
   virtual TimeNs PersistentInterval(const PolicyHost& host) const = 0;
@@ -193,8 +166,7 @@ class ProtectionPolicy {
   virtual TimeNs RecoverySerializationTime(const PolicyHost& host) const = 0;
 
   // The ordered fallback chain for this failure.
-  virtual RecoveryPlan BuildRecoveryPlan(const PolicyHost& host,
-                                         const RecoverySituation& situation) const = 0;
+  virtual RecoveryPlan BuildRecoveryPlan(const RecoverySituation& situation) const = 0;
 
   virtual PolicyCostReport CostReport(const PolicyHost& host) const = 0;
 };

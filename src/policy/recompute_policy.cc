@@ -1,13 +1,9 @@
 #include "src/policy/recompute_policy.h"
 
-#include "src/common/calibration.h"
-
 namespace gemini {
 
-IterationPlan RecomputePolicy::PlanIteration(PolicyHost& host, int64_t iteration,
-                                             bool has_staged_block) {
+IterationPlan RecomputePolicy::PlanIteration(PolicyHost& host, int64_t iteration) {
   (void)iteration;
-  (void)has_staged_block;
   // Nothing is captured, staged, or committed: pure baseline iterations.
   IterationPlan plan;
   plan.iteration_duration = host.execution().baseline_iteration_time;
@@ -25,28 +21,21 @@ TimeNs RecomputePolicy::RecoverySerializationTime(const PolicyHost& host) const 
   return 0;
 }
 
-RecoveryPlan RecomputePolicy::BuildRecoveryPlan(const PolicyHost& host,
-                                                const RecoverySituation& situation) const {
-  (void)host;
+RecoveryPlan RecomputePolicy::BuildRecoveryPlan(const RecoverySituation& situation) const {
   // Rebuild in place from peer redundancy; only a full-group loss (no peers
   // hold the needed redundancy) degrades to the persistent seed.
   RecoveryPlan plan;
   if (situation.peer_recoverable) {
-    RecoveryStep recompute;
-    recompute.source = RecoverySource::kPeerRecompute;
-    recompute.recompute_iterations = kRecomputeIterations;
-    plan.steps.push_back(recompute);
+    plan.push_back(RecoverySource::kPeerRecompute);
   }
-  plan.steps.push_back({RecoverySource::kPersistentStorage});
+  plan.push_back(RecoverySource::kPersistentStorage);
   return plan;
 }
 
 PolicyCostReport RecomputePolicy::CostReport(const PolicyHost& host) const {
+  (void)host;
   PolicyCostReport report;
   report.steady_state_overhead_fraction = 0.0;
-  // Recompute moves no checkpoint bytes; its recovery bill is compute time.
-  report.expected_recovery_fetch_time = static_cast<TimeNs>(
-      kRecomputeIterations * static_cast<double>(host.execution().baseline_iteration_time));
   report.expected_rollback_iterations = 0.0;
   return report;
 }

@@ -20,12 +20,10 @@ class RecomputePolicy : public ProtectionPolicy {
   std::string_view name() const override { return "recompute"; }
   bool uses_cpu_checkpoints() const override { return false; }
 
-  IterationPlan PlanIteration(PolicyHost& host, int64_t iteration,
-                              bool has_staged_block) override;
+  IterationPlan PlanIteration(PolicyHost& host, int64_t iteration) override;
   TimeNs PersistentInterval(const PolicyHost& host) const override;
   TimeNs RecoverySerializationTime(const PolicyHost& host) const override;
-  RecoveryPlan BuildRecoveryPlan(const PolicyHost& host,
-                                 const RecoverySituation& situation) const override;
+  RecoveryPlan BuildRecoveryPlan(const RecoverySituation& situation) const override;
   PolicyCostReport CostReport(const PolicyHost& host) const override;
 };
 

@@ -25,8 +25,6 @@ PolicyCostReport TierCheckPolicy::CostReport(const PolicyHost& host) const {
   report.steady_state_overhead_fraction =
       host.execution().overhead_fraction +
       static_cast<double>(stall) / static_cast<double>(std::max<TimeNs>(1, interval));
-  report.expected_recovery_fetch_time =
-      TransferTime(host.replica_bytes(), host.network_bandwidth());
   report.expected_rollback_iterations =
       static_cast<double>(host.checkpoint_interval_iterations()) / 2.0;
   return report;

@@ -67,10 +67,6 @@ class Simulator {
   // whose slot the queue has not reached yet.
   size_t pending_events() const { return slots_.size() - free_slots_.size(); }
 
-  // Hard cap on total events per Run*/Step sequence to catch runaway loops in
-  // tests; 0 disables. Exceeding the cap aborts the process.
-  void set_event_limit(int64_t limit) { event_limit_ = limit; }
-
  private:
   static constexpr uint32_t kNone = UINT32_MAX;
 
@@ -106,8 +102,6 @@ class Simulator {
 
   TimeNs now_ = 0;
   uint64_t next_seq_ = 1;
-  int64_t events_run_ = 0;
-  int64_t event_limit_ = 0;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;
   std::vector<Bucket> buckets_;

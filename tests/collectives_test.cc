@@ -1,10 +1,10 @@
-// Tests for the collective communication library (the NCCL stand-in):
-// analytic ring costs and real data-plane correctness.
+// Tests for the analytic ring-collective cost model (the NCCL stand-in),
+// including a cross-check against ring steps driven through the fabric.
 #include <gtest/gtest.h>
 
-#include <numeric>
+#include <functional>
 
-#include "src/cluster/cluster.h"
+#include "src/cluster/fabric.h"
 #include "src/collectives/collectives.h"
 
 namespace gemini {
@@ -27,7 +27,6 @@ TEST(RingCostModelTest, SingleRankIsFree) {
   RingCostModel model;
   model.link_bandwidth = 1e9;
   EXPECT_EQ(model.AllGatherTime(1'000'000, 1), 0);
-  EXPECT_EQ(model.BroadcastTime(1'000'000, 1), 0);
 }
 
 TEST(RingCostModelTest, AllReduceIsTwiceAllGather) {
@@ -44,232 +43,47 @@ TEST(RingCostModelTest, EfficiencyScalesBandwidthOnly) {
   EXPECT_EQ(half.AllGatherTime(8'000'000'000, 8), 2 * full.AllGatherTime(8'000'000'000, 8));
 }
 
-TEST(RingCostModelTest, BroadcastChainScalesWithGroupSize) {
-  RingCostModel model{1e9, Micros(10), 1.0};
-  const TimeNs two = model.BroadcastTime(1'000'000'000, 2);
-  const TimeNs four = model.BroadcastTime(1'000'000'000, 4);
-  EXPECT_EQ(four, 3 * two);
-}
-
 // ---------------------------------------------------------------------------
-// Data-plane collectives
+// Cross-check against the fabric
 // ---------------------------------------------------------------------------
 
-class CommunicatorTest : public ::testing::TestWithParam<int> {
- protected:
-  CommunicatorTest() {
-    FabricConfig config;
-    config.link_bandwidth = 1e12;  // Fast; correctness tests don't need realism.
-    config.alpha = Micros(1);
-    fabric_ = std::make_unique<Fabric>(sim_, 16, config);
-  }
-
-  std::vector<int> Ranks(int n) {
-    std::vector<int> ranks(static_cast<size_t>(n));
-    std::iota(ranks.begin(), ranks.end(), 0);
-    return ranks;
-  }
-
-  Simulator sim_;
-  std::unique_ptr<Fabric> fabric_;
-};
-
-TEST_P(CommunicatorTest, AllGatherConcatenatesShardsInOrder) {
-  const int n = GetParam();
-  Communicator comm(*fabric_, Ranks(n));
-  std::vector<FloatVec> shards;
-  FloatVec expected;
-  for (int i = 0; i < n; ++i) {
-    FloatVec shard = {static_cast<float>(i), static_cast<float>(i) + 0.5f};
-    expected.insert(expected.end(), shard.begin(), shard.end());
-    shards.push_back(std::move(shard));
-  }
-  std::optional<FloatVec> result;
-  comm.AllGather(shards, [&](StatusOr<FloatVec> out) {
-    ASSERT_TRUE(out.ok()) << out.status();
-    result = std::move(out).value();
-  });
-  sim_.Run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(*result, expected);
-}
-
-TEST_P(CommunicatorTest, ReduceScatterSumsChunks) {
-  const int n = GetParam();
-  Communicator comm(*fabric_, Ranks(n));
-  const size_t chunk = 3;
-  std::vector<FloatVec> inputs;
-  for (int r = 0; r < n; ++r) {
-    FloatVec input(static_cast<size_t>(n) * chunk);
-    for (size_t i = 0; i < input.size(); ++i) {
-      input[i] = static_cast<float>(r + 1) * static_cast<float>(i);
-    }
-    inputs.push_back(std::move(input));
-  }
-  // Expected reduced chunk c element e: sum over r of (r+1)*(c*chunk+e).
-  const float rank_sum = static_cast<float>(n * (n + 1)) / 2.0f;
-
-  std::optional<std::vector<FloatVec>> result;
-  comm.ReduceScatter(inputs, [&](StatusOr<std::vector<FloatVec>> out) {
-    ASSERT_TRUE(out.ok()) << out.status();
-    result = std::move(out).value();
-  });
-  sim_.Run();
-  ASSERT_TRUE(result.has_value());
-  ASSERT_EQ(result->size(), static_cast<size_t>(n));
-  for (int c = 0; c < n; ++c) {
-    const FloatVec& reduced = (*result)[static_cast<size_t>(c)];
-    ASSERT_EQ(reduced.size(), chunk);
-    for (size_t e = 0; e < chunk; ++e) {
-      const float expected =
-          rank_sum * static_cast<float>(static_cast<size_t>(c) * chunk + e);
-      EXPECT_FLOAT_EQ(reduced[e], expected) << "chunk " << c << " elem " << e;
-    }
-  }
-}
-
-TEST_P(CommunicatorTest, AllReduceMatchesElementwiseSum) {
-  const int n = GetParam();
-  Communicator comm(*fabric_, Ranks(n));
-  const size_t length = static_cast<size_t>(n) * 2;
-  std::vector<FloatVec> inputs;
-  FloatVec expected(length, 0.0f);
-  for (int r = 0; r < n; ++r) {
-    FloatVec input(length);
-    for (size_t i = 0; i < length; ++i) {
-      input[i] = static_cast<float>(r) + static_cast<float>(i) * 0.25f;
-      expected[i] += input[i];
-    }
-    inputs.push_back(std::move(input));
-  }
-  std::optional<FloatVec> result;
-  comm.AllReduce(inputs, [&](StatusOr<FloatVec> out) {
-    ASSERT_TRUE(out.ok()) << out.status();
-    result = std::move(out).value();
-  });
-  sim_.Run();
-  ASSERT_TRUE(result.has_value());
-  ASSERT_EQ(result->size(), length);
-  for (size_t i = 0; i < length; ++i) {
-    EXPECT_FLOAT_EQ((*result)[i], expected[i]);
-  }
-}
-
-TEST_P(CommunicatorTest, BroadcastDeliversRootData) {
-  const int n = GetParam();
-  Communicator comm(*fabric_, Ranks(n));
-  const FloatVec data = {1.0f, 2.0f, 3.0f};
-  std::optional<FloatVec> result;
-  comm.Broadcast(/*root_index=*/0, data, [&](StatusOr<FloatVec> out) {
-    ASSERT_TRUE(out.ok()) << out.status();
-    result = std::move(out).value();
-  });
-  sim_.Run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(*result, data);
-}
-
-INSTANTIATE_TEST_SUITE_P(GroupSizes, CommunicatorTest, ::testing::Values(1, 2, 3, 4, 7, 8));
-
-TEST(CommunicatorFailureTest, AllGatherFailsWhenMemberDies) {
-  Simulator sim;
-  FabricConfig config;
-  config.link_bandwidth = 4e3;  // Slow link: small real payloads take ~1 s.
-  Fabric fabric(sim, 4, config);
-  bool dead = false;
-  fabric.set_liveness_check([&](int rank) { return rank != 2 || !dead; });
-
-  Communicator comm(fabric, {0, 1, 2, 3});
-  std::vector<FloatVec> shards(4, FloatVec(1000, 1.0f));
-  Status result = Status::Ok();
-  bool called = false;
-  comm.AllGather(shards, [&](StatusOr<FloatVec> out) {
-    called = true;
-    result = out.ok() ? Status::Ok() : out.status();
-  });
-  sim.ScheduleAt(Millis(100), [&] { dead = true; });
-  sim.Run();
-  EXPECT_TRUE(called);
-  EXPECT_EQ(result.code(), StatusCode::kUnavailable);
-}
-
-
-TEST(CommunicatorEdgeTest, BroadcastFromNonZeroRoot) {
-  Simulator sim;
-  FabricConfig config;
-  config.link_bandwidth = 1e9;
-  Fabric fabric(sim, 4, config);
-  Communicator comm(fabric, {0, 1, 2, 3});
-  const FloatVec data = {7.0f, 8.0f};
-  std::optional<FloatVec> result;
-  comm.Broadcast(/*root_index=*/2, data, [&](StatusOr<FloatVec> out) {
-    ASSERT_TRUE(out.ok());
-    result = std::move(out).value();
-  });
-  sim.Run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(*result, data);
-}
-
-TEST(CommunicatorEdgeTest, SequentialOperationsOnOneCommunicator) {
-  Simulator sim;
-  FabricConfig config;
-  config.link_bandwidth = 1e9;
-  Fabric fabric(sim, 3, config);
-  Communicator comm(fabric, {0, 1, 2});
-  std::vector<FloatVec> shards = {{1.0f}, {2.0f}, {3.0f}};
-  std::optional<FloatVec> first;
-  std::optional<FloatVec> second;
-  comm.AllGather(shards, [&](StatusOr<FloatVec> out) {
-    ASSERT_TRUE(out.ok());
-    first = std::move(out).value();
-    // Issue a second collective from inside the first's completion.
-    comm.AllGather({{4.0f}, {5.0f}, {6.0f}}, [&](StatusOr<FloatVec> out2) {
-      ASSERT_TRUE(out2.ok());
-      second = std::move(out2).value();
-    });
-  });
-  sim.Run();
-  EXPECT_EQ(first, (FloatVec{1.0f, 2.0f, 3.0f}));
-  EXPECT_EQ(second, (FloatVec{4.0f, 5.0f, 6.0f}));
-}
-
-TEST(CommunicatorEdgeTest, ReduceScatterHandlesNegativesAndZeros) {
-  Simulator sim;
-  FabricConfig config;
-  config.link_bandwidth = 1e9;
-  Fabric fabric(sim, 2, config);
-  Communicator comm(fabric, {0, 1});
-  std::vector<FloatVec> inputs = {{-1.0f, 0.0f}, {1.0f, -2.5f}};
-  std::optional<std::vector<FloatVec>> result;
-  comm.ReduceScatter(inputs, [&](StatusOr<std::vector<FloatVec>> out) {
-    ASSERT_TRUE(out.ok());
-    result = std::move(out).value();
-  });
-  sim.Run();
-  ASSERT_TRUE(result.has_value());
-  EXPECT_FLOAT_EQ((*result)[0][0], 0.0f);
-  EXPECT_FLOAT_EQ((*result)[1][0], -2.5f);
-}
-
-TEST(CommunicatorTimingTest, AllGatherTimeMatchesCostModel) {
+// Drives a ring all-gather's (world-1) synchronized steps as plain fabric
+// transfers: in each step every member sends one shard to its successor, and
+// the next step starts once all of them have landed.
+TEST(RingFabricTest, AllGatherTimeMatchesCostModel) {
   Simulator sim;
   FabricConfig config;
   config.link_bandwidth = 4e3;
   config.alpha = Micros(10);
-  Fabric fabric(sim, 4, config);
-  Communicator comm(fabric, {0, 1, 2, 3});
+  constexpr int kWorld = 4;
+  Fabric fabric(sim, kWorld, config);
 
   // 4 shards of 4 KB at 4 KB/s: 3 ring steps, 1 s + alpha each.
-  std::vector<FloatVec> shards(4, FloatVec(1000, 1.0f));
+  constexpr Bytes kShardBytes = 4'000;
+  int steps_done = 0;
+  int pending = 0;
   TimeNs done_at = -1;
-  comm.AllGather(shards, [&](StatusOr<FloatVec> out) {
-    ASSERT_TRUE(out.ok());
-    done_at = sim.now();
-  });
+  std::function<void()> run_step = [&] {
+    pending = kWorld;
+    for (int member = 0; member < kWorld; ++member) {
+      fabric.Transfer(member, (member + 1) % kWorld, kShardBytes, {}, [&](Status status) {
+        ASSERT_TRUE(status.ok()) << status;
+        if (--pending > 0) {
+          return;
+        }
+        if (++steps_done < kWorld - 1) {
+          run_step();
+        } else {
+          done_at = sim.now();
+        }
+      });
+    }
+  };
+  run_step();
   sim.Run();
+  ASSERT_EQ(steps_done, kWorld - 1);
   RingCostModel model{config.link_bandwidth, config.alpha, 1.0};
-  EXPECT_EQ(done_at, model.AllGatherTime(16'000, 4));
+  EXPECT_EQ(done_at, model.AllGatherTime(kWorld * kShardBytes, kWorld));
 }
 
 }  // namespace

@@ -133,18 +133,12 @@ TEST(PolicyFactoryTest, BuildsEveryKind) {
 // ---------------------------------------------------------------------------
 
 TEST(RecoveryPlanTest, EveryPolicyBuildsItsDocumentedChains) {
-  GeminiConfig config = SmallConfig();
-  GeminiSystem host(config);
-  ASSERT_TRUE(host.Initialize().ok());
-
   RecoverySituation software;
   software.type = FailureType::kSoftware;
   RecoverySituation hardware;
   hardware.type = FailureType::kHardware;
-  hardware.replaced_ranks = {6};
   RecoverySituation group_loss;
   group_loss.type = FailureType::kHardware;
-  group_loss.replaced_ranks = {4, 5};
   group_loss.peer_recoverable = false;
 
   constexpr RecoverySource kLocal = RecoverySource::kLocalCpuMemory;
@@ -164,27 +158,63 @@ TEST(RecoveryPlanTest, EveryPolicyBuildsItsDocumentedChains) {
       {PolicyKind::kRecompute, {kRecompute, kPersistent}, {kRecompute, kPersistent},
        {kPersistent}},
   };
+  PolicyConfig config;
   for (const auto& want : expected) {
-    config.policy.kind = want.kind;
-    const std::unique_ptr<ProtectionPolicy> policy = MakeProtectionPolicy(config.policy);
+    config.kind = want.kind;
+    const std::unique_ptr<ProtectionPolicy> policy = MakeProtectionPolicy(config);
     const std::pair<const RecoverySituation*, const Chain*> cases[] = {
         {&software, &want.software}, {&hardware, &want.hardware}, {&group_loss, &want.group_loss}};
     for (const auto& [situation, chain] : cases) {
-      const RecoveryPlan plan = policy->BuildRecoveryPlan(host, *situation);
-      Chain sources;
-      for (const RecoveryStep& step : plan.steps) {
-        sources.push_back(step.source);
-        // Only the step that prices itself carries a cost.
-        EXPECT_EQ(step.replay_cost_fraction,
-                  step.source == kReplay ? kCheckmateReplayCostFraction : 0.0)
-            << policy->name();
-        EXPECT_EQ(step.recompute_iterations,
-                  step.source == kRecompute ? kRecomputeIterations : 0.0)
-            << policy->name();
+      EXPECT_EQ(policy->BuildRecoveryPlan(*situation), *chain)
+          << policy->name() << " / " << FailureTypeName(situation->type)
+          << (situation->peer_recoverable ? "" : " (group loss)");
+    }
+  }
+}
+
+// The host prices replay and recompute from the calibrated constants, and a
+// software recovery pays the restart warm-up once: before its chain starts,
+// never again at resume. A hardware recovery warms its replacements up after
+// the step.
+TEST(RecoveryPlanTest, ReplayAndRecomputeStepsPayTheirPriceAndOneWarmup) {
+  const struct {
+    PolicyKind kind;
+    std::string_view span;
+  } policies[] = {{PolicyKind::kCheckmate, "gradient_replay"},
+                  {PolicyKind::kRecompute, "peer_recompute"}};
+  for (const auto& policy : policies) {
+    for (const FailureType type : {FailureType::kSoftware, FailureType::kHardware}) {
+      SCOPED_TRACE(std::string(policy.span) + " / " + std::string(FailureTypeName(type)));
+      GeminiConfig config = SmallConfig();
+      config.policy.kind = policy.kind;
+      GeminiSystem system(config);
+      ASSERT_TRUE(system.Initialize().ok());
+      const double baseline =
+          static_cast<double>(system.iteration_execution().baseline_iteration_time);
+      system.failure_injector().InjectAt(Minutes(4), type, {6});
+      const StatusOr<TrainingReport> report = system.TrainUntil(60);
+      ASSERT_TRUE(report.ok()) << report.status();
+      ASSERT_EQ(report->recoveries.size(), 1u);
+      ExpectStateMatchesReference(system, config, 60);
+
+      const TraceRecord* step = system.tracer().Find(policy.span);
+      ASSERT_NE(step, nullptr);
+      const TimeNs step_end = step->start + step->duration;
+      if (policy.kind == PolicyKind::kCheckmate) {
+        // The replay runs from the persistent base's restore instant.
+        const TraceRecord* restore = system.tracer().Find("trainer_restore");
+        ASSERT_NE(restore, nullptr);
+        const TraceAttr* replayed = step->FindAttr("replayed_iterations");
+        ASSERT_NE(replayed, nullptr);
+        EXPECT_GT(replayed->number, 0);
+        EXPECT_EQ(step_end - restore->start,
+                  static_cast<TimeNs>(static_cast<double>(replayed->number) *
+                                      kCheckmateReplayCostFraction * baseline));
+      } else {
+        EXPECT_EQ(step->duration, static_cast<TimeNs>(kRecomputeIterations * baseline));
       }
-      EXPECT_EQ(sources, *chain) << policy->name() << " / "
-                                 << FailureTypeName(situation->type)
-                                 << (situation->peer_recoverable ? "" : " (group loss)");
+      const TimeNs warmup = type == FailureType::kSoftware ? 0 : kRestartWarmup;
+      EXPECT_EQ(report->recoveries[0].training_resumed_at, step_end + warmup);
     }
   }
 }
@@ -225,8 +255,7 @@ TEST(GeminiPolicyTest, PlanMatchesScheduledIteration) {
   // The extracted policy must reproduce the host's scheduled conditions
   // decision for decision: stage at block start, commit on the block's last
   // iteration at the Algorithm-2 transmission instant.
-  const IterationPlan plan = system.policy().PlanIteration(system, /*iteration=*/0,
-                                                           /*has_staged_block=*/false);
+  const IterationPlan plan = system.policy().PlanIteration(system, /*iteration=*/0);
   EXPECT_TRUE(plan.stage_snapshot);
   EXPECT_EQ(plan.iteration_duration, system.iteration_execution().iteration_time);
   EXPECT_EQ(plan.added_stall, 0);
