@@ -9,14 +9,13 @@
 #include <iostream>
 
 #include "bench/bench_util.h"
-#include "src/schedule/generic_executor.h"
 #include "src/training/parallelism.h"
 
 using namespace gemini;
 
 int main() {
-  bench::PrintHeader(
-      "Extension: checkpoint scheduling across parallelism strategies",
+  bench::BenchReporter reporter(
+      "ext_parallelism", "Extension: checkpoint scheduling across parallelism strategies",
       "paper Section 9 (future work): pipeline/data parallelism and Trainium");
 
   // GPT-2 20B fits a single machine's accelerators, so all three strategies
@@ -33,37 +32,38 @@ int main() {
            {ParallelismStrategy::kPipelineParallel, P4d24xlarge()},
            {ParallelismStrategy::kZero3, Trn1_32xlarge()},
        }) {
-    TimelineParams timeline_params;
-    timeline_params.model = model;
-    timeline_params.instance = instance;
-    timeline_params.num_machines = 16;
-    GenericExecutorParams params;
-    params.timeline = BuildTimelineFor(strategy, timeline_params);
-    params.instance = instance;
-    params.checkpoint_bytes = model.CheckpointBytesPerMachine(16);
-    const GenericExecutionResult result = ExecuteOnTimeline(params);
+    TimelineParams timeline = bench::P4dTimeline(model);
+    timeline.instance = instance;
+    ExecutorParams params = bench::GeminiExecutor(timeline);
+    params.strategy = strategy;
+    const ExecutionResult result = ExecuteIterationWithCheckpoint(params);
     if (!result.status.ok()) {
       std::cerr << ParallelismStrategyName(strategy) << ": " << result.status << "\n";
       return 1;
     }
+    const std::string key = std::string(ParallelismStrategyName(strategy)) + "." +
+                            bench::BenchReporter::MetricKey(instance.name);
+    const TimeNs idle = BuildTimelineFor(strategy, timeline).TotalIdle();
+    bench::ReportExecution(reporter, key, result);
+    reporter.Metric(key + ".idle_ns", idle);
     table.AddRow({std::string(ParallelismStrategyName(strategy)), instance.name,
                   TablePrinter::Fmt(ToSeconds(result.baseline_iteration_time)),
-                  TablePrinter::Fmt(ToSeconds(params.timeline.TotalIdle())),
+                  TablePrinter::Fmt(ToSeconds(idle)),
                   TablePrinter::Fmt(ToSeconds(result.partition.planned_transmission_time)),
                   TablePrinter::Fmt(ToSeconds(result.iteration_time)),
                   TablePrinter::Fmt(result.overhead_fraction * 100.0) + " %",
                   result.partition.fits_within_idle_time ? "yes" : "no"});
     pass &= result.overhead_fraction < 0.01 && result.partition.fits_within_idle_time;
   }
-  table.Print(std::cout);
+  reporter.Table(table);
 
   std::cout << "\nTrainium caveat: trn1.32xlarge has a 1:1 CPU:accelerator memory ratio\n"
                "(512 GB each), so hosting 2x double-buffered replicas bounds the\n"
                "checkpointable model at ~21 GB/machine vs ~288 GB on p4d.24xlarge.\n";
 
-  std::cout << "\nShape check: " << (pass ? "PASS" : "FAIL")
-            << " — Algorithm 2 schedules the checkpoint into each strategy's idle\n"
-               "structure with zero iteration-time overhead, supporting the paper's\n"
-               "claim that the design generalizes beyond ZeRO-3.\n";
-  return pass ? 0 : 1;
+  reporter.ShapeCheck(pass,
+                      "Algorithm 2 schedules the checkpoint into each strategy's idle\n"
+                      "structure with zero iteration-time overhead, supporting the paper's\n"
+                      "claim that the design generalizes beyond ZeRO-3.");
+  return reporter.Finish();
 }

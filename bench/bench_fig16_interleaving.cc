@@ -10,9 +10,9 @@
 using namespace gemini;
 
 int main() {
-  bench::PrintHeader(
-      "Figure 16: interleaving schemes (GPT-2 40B, 16x p3dn.24xlarge)",
-      "paper Figure 16 / Section 7.4");
+  bench::BenchReporter reporter("fig16_interleaving",
+                                "Figure 16: interleaving schemes (GPT-2 40B, 16x p3dn.24xlarge)",
+                                "paper Figure 16 / Section 7.4");
 
   const TimelineParams timeline = bench::P3dnTimeline(Gpt2_40B());
 
@@ -27,6 +27,7 @@ int main() {
     ExecutorParams params = bench::GeminiExecutor(timeline);
     params.scheme = scheme;
     const ExecutionResult result = ExecuteIterationWithCheckpoint(params);
+    bench::ReportExecution(reporter, std::string(InterleaveSchemeName(scheme)), result);
     std::string note;
     std::string iteration = "-";
     std::string overhead = "-";
@@ -56,7 +57,7 @@ int main() {
         break;
     }
   }
-  table.Print(std::cout);
+  reporter.Table(table);
 
   std::cout << "\nAblation: sub-buffer count p (total reserved buffer fixed at 128 MiB/GPU):\n";
   TablePrinter ablation({"p", "Iteration (s)", "Overhead", "Ckpt done (s)"});
@@ -64,21 +65,22 @@ int main() {
     ExecutorParams params = bench::GeminiExecutor(timeline);
     params.num_buffers = p;
     const ExecutionResult result = ExecuteIterationWithCheckpoint(params);
+    bench::ReportExecution(reporter, "p" + std::to_string(p), result);
     ablation.AddRow({TablePrinter::Fmt(static_cast<int64_t>(p)),
                      TablePrinter::Fmt(ToSeconds(result.iteration_time)),
                      TablePrinter::Fmt(result.overhead_fraction * 100.0) + " %",
                      TablePrinter::Fmt(ToSeconds(result.checkpoint_done))});
   }
-  ablation.Print(std::cout);
+  reporter.Table(ablation);
 
   const bool pass = blocking_overhead > 0.06 && blocking_overhead < 0.16 && naive_oom &&
                     no_pipeline_overhead > 0.0 && no_pipeline_overhead < blocking_overhead &&
                     gemini_overhead < 0.005;
-  std::cout << "\nShape check: " << (pass ? "PASS" : "FAIL")
-            << " — ordering matches the paper: GEMINI == Baseline < Interleave-w/o-\n"
-               "pipeline < Blocking (~+10%), and Naive interleave OOMs. (Our no-\n"
-               "pipeline penalty is smaller than the paper's 3.5% because the\n"
-               "simulated idle headroom is slightly larger than the testbed's;\n"
-               "see EXPERIMENTS.md.)\n";
-  return pass ? 0 : 1;
+  reporter.ShapeCheck(pass,
+                      "ordering matches the paper: GEMINI == Baseline < Interleave-w/o-\n"
+                      "pipeline < Blocking (~+10%), and Naive interleave OOMs. (Our no-\n"
+                      "pipeline penalty is smaller than the paper's 3.5% because the\n"
+                      "simulated idle headroom is slightly larger than the testbed's;\n"
+                      "see EXPERIMENTS.md.)");
+  return reporter.Finish();
 }

@@ -173,6 +173,26 @@ class BenchReporter {
   std::map<std::string, std::string> metrics_;
 };
 
+// Registers one executor run under `prefix`: times as integer nanoseconds
+// (exact, so a report moves with any change to the walk), flags as 0/1.
+inline void ReportExecution(BenchReporter& reporter, const std::string& prefix,
+                            const ExecutionResult& result) {
+  reporter.Metric(prefix + ".status_ok", static_cast<int64_t>(result.status.ok()));
+  reporter.Metric(prefix + ".baseline_iteration_ns", result.baseline_iteration_time);
+  reporter.Metric(prefix + ".iteration_ns", result.iteration_time);
+  reporter.Metric(prefix + ".checkpoint_network_done_ns", result.checkpoint_network_done);
+  reporter.Metric(prefix + ".checkpoint_done_ns", result.checkpoint_done);
+  reporter.Metric(prefix + ".checkpoint_within_iteration",
+                  static_cast<int64_t>(result.checkpoint_within_iteration));
+  reporter.Metric(prefix + ".overhead_fraction", result.overhead_fraction);
+  reporter.Metric(prefix + ".required_buffer_per_gpu_bytes", result.required_buffer_per_gpu);
+  reporter.Metric(prefix + ".fits_within_idle_time",
+                  static_cast<int64_t>(result.partition.fits_within_idle_time));
+  reporter.Metric(prefix + ".chunks", static_cast<int64_t>(result.partition.chunks.size()));
+  reporter.Metric(prefix + ".planned_transmission_ns",
+                  result.partition.planned_transmission_time);
+}
+
 }  // namespace bench
 }  // namespace gemini
 

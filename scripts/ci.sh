@@ -107,9 +107,13 @@ export GEMINI_BENCH_OUT_DIR
 # fraction, and dense updates cost nothing extra. bench_ext_policies is the
 # only one that reaches the gradient-replay and recompute recovery steps; its
 # shape check gates the four policies' overhead/recovery ordering.
+# bench_fig16_interleaving (every interleaving scheme and the sub-buffer sweep)
+# and bench_ext_parallelism (every parallelism strategy) report the checkpoint
+# executor's times in integer nanoseconds, so any change to a strategy's
+# iteration walk or to the chunk-contention model shows up here.
 echo "==> bench byte-identity: regenerate and cmp committed BENCH reports"
 for bench in fig07_iteration_time fig09_recovery_probability fig14_recovery_timeline \
-    ext_cascade ext_deltas ext_auditor ext_policies; do
+    fig16_interleaving ext_parallelism ext_cascade ext_deltas ext_auditor ext_policies; do
   "./build/bench/bench_$bench"
   if ! cmp "BENCH_$bench.json" "$GEMINI_BENCH_OUT_DIR/BENCH_$bench.json"; then
     echo "FAIL: BENCH_$bench.json differs from the committed report" >&2

@@ -53,26 +53,10 @@ void FailureInjector::ArmOnTrigger(std::string trigger, FailureType type, std::v
   armed_[std::move(trigger)].push_back(std::move(armed));
 }
 
-void FailureInjector::ArmCorruptionOnTrigger(std::string trigger, int holder_rank, int owner_rank,
-                                             size_t bit_index, TimeNs delay) {
+void FailureInjector::ArmCorruptionOnTrigger(std::string trigger, CorruptionTarget target,
+                                             TimeNs delay) {
   ArmedEvent armed;
-  armed.corruption = true;
-  armed.holder_rank = holder_rank;
-  armed.owner_rank = owner_rank;
-  armed.bit_index = bit_index;
-  armed.delay = delay;
-  armed_[std::move(trigger)].push_back(std::move(armed));
-}
-
-void FailureInjector::ArmDeltaCorruptionOnTrigger(std::string trigger, int holder_rank,
-                                                  int owner_rank, size_t chain_index,
-                                                  size_t bit_index, TimeNs delay) {
-  ArmedEvent armed;
-  armed.delta_corruption = true;
-  armed.holder_rank = holder_rank;
-  armed.owner_rank = owner_rank;
-  armed.chain_index = chain_index;
-  armed.bit_index = bit_index;
+  armed.corruption = target;
   armed.delay = delay;
   armed_[std::move(trigger)].push_back(std::move(armed));
 }
@@ -86,22 +70,9 @@ void FailureInjector::Fire(std::string_view trigger) {
   armed_.erase(it);
   trigger_fires_counter_->Increment();
   for (ArmedEvent& armed : events) {
-    if (armed.delta_corruption) {
-      const int holder = armed.holder_rank;
-      const int owner = armed.owner_rank;
-      const size_t chain = armed.chain_index;
-      const size_t bit = armed.bit_index;
-      sim_.ScheduleAfter(armed.delay, [this, holder, owner, chain, bit] {
-        ApplyDeltaCorruption(holder, owner, chain, bit);
-      });
-      continue;
-    }
-    if (armed.corruption) {
-      const int holder = armed.holder_rank;
-      const int owner = armed.owner_rank;
-      const size_t bit = armed.bit_index;
+    if (armed.corruption.has_value()) {
       sim_.ScheduleAfter(armed.delay,
-                         [this, holder, owner, bit] { ApplyCorruption(holder, owner, bit); });
+                         [this, target = *armed.corruption] { ApplyCorruption(target); });
       continue;
     }
     FailureEvent event;
@@ -114,39 +85,23 @@ void FailureInjector::Fire(std::string_view trigger) {
   }
 }
 
-void FailureInjector::ApplyCorruption(int holder_rank, int owner_rank, size_t bit_index) {
+void FailureInjector::ApplyCorruption(const CorruptionTarget& target) {
   if (!corruption_hook_) {
     GEMINI_LOG(kWarning) << "failure injector: corruption requested but no hook installed";
     return;
   }
-  const Status status = corruption_hook_(holder_rank, owner_rank, bit_index);
+  std::string replica = "owner " + std::to_string(target.owner) + "'s replica";
+  if (target.chain_index.has_value()) {
+    replica += " chain link " + std::to_string(*target.chain_index);
+  }
+  const Status status = corruption_hook_(target);
   if (!status.ok()) {
-    GEMINI_LOG(kWarning) << "failure injector: corruption of owner " << owner_rank
-                         << "'s replica on rank " << holder_rank << " failed: " << status;
+    GEMINI_LOG(kWarning) << "failure injector: corruption of " << replica << " on rank "
+                         << target.holder << " failed: " << status;
     return;
   }
-  GEMINI_LOG(kInfo) << "failure injector: flipped bit " << bit_index << " of owner "
-                    << owner_rank << "'s replica on rank " << holder_rank << " at "
-                    << FormatDuration(sim_.now());
-  corruptions_counter_->Increment();
-}
-
-void FailureInjector::ApplyDeltaCorruption(int holder_rank, int owner_rank, size_t chain_index,
-                                           size_t bit_index) {
-  if (!delta_corruption_hook_) {
-    GEMINI_LOG(kWarning) << "failure injector: delta corruption requested but no hook installed";
-    return;
-  }
-  const Status status = delta_corruption_hook_(holder_rank, owner_rank, chain_index, bit_index);
-  if (!status.ok()) {
-    GEMINI_LOG(kWarning) << "failure injector: delta corruption of owner " << owner_rank
-                         << "'s chain link " << chain_index << " on rank " << holder_rank
-                         << " failed: " << status;
-    return;
-  }
-  GEMINI_LOG(kInfo) << "failure injector: flipped bit " << bit_index << " of owner " << owner_rank
-                    << "'s chain link " << chain_index << " on rank " << holder_rank << " at "
-                    << FormatDuration(sim_.now());
+  GEMINI_LOG(kInfo) << "failure injector: flipped bit " << target.bit << " of " << replica
+                    << " on rank " << target.holder << " at " << FormatDuration(sim_.now());
   corruptions_counter_->Increment();
 }
 

@@ -15,13 +15,14 @@
 //  * correlated bursts — several machines failing a fixed spacing apart
 //    (rack/switch-level incidents from the production traces);
 //  * checkpoint bit-flip corruption — flips one payload bit of a completed
-//    replica through a hook the system installs, driving the CRC-verified
-//    retrieval paths.
+//    replica, or of one link of its delta chain, through a hook the system
+//    installs, driving the CRC-verified retrieval paths.
 #ifndef SRC_AGENT_FAILURE_INJECTOR_H_
 #define SRC_AGENT_FAILURE_INJECTOR_H_
 
 #include <functional>
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -53,6 +54,16 @@ struct FailureEvent {
   std::vector<int> ranks;
 };
 
+// One replica bit to flip: bit `bit` of `holder`'s copy of `owner`'s
+// checkpoint — the completed replica, or, with `chain_index` set, link
+// `chain_index` of the holder's redo-log delta chain (incremental mode).
+struct CorruptionTarget {
+  int holder = -1;
+  int owner = -1;
+  size_t bit = 0;
+  std::optional<size_t> chain_index;
+};
+
 class FailureInjector {
  public:
   // `on_injected` (optional) observes each injected event, after machine
@@ -75,16 +86,8 @@ class FailureInjector {
   void ArmOnTrigger(std::string trigger, FailureType type, std::vector<int> ranks,
                     TimeNs delay = 0);
 
-  // Arms a checkpoint bit flip on `holder_rank`'s completed replica of
-  // `owner_rank` (needs the corruption hook installed).
-  void ArmCorruptionOnTrigger(std::string trigger, int holder_rank, int owner_rank,
-                              size_t bit_index, TimeNs delay = 0);
-
-  // Same, but flips a bit inside link `chain_index` of the holder's redo-log
-  // delta chain for `owner_rank` (incremental checkpoint mode; needs the
-  // delta corruption hook installed).
-  void ArmDeltaCorruptionOnTrigger(std::string trigger, int holder_rank, int owner_rank,
-                                   size_t chain_index, size_t bit_index, TimeNs delay = 0);
+  // Arms a checkpoint bit flip (needs the corruption hook installed).
+  void ArmCorruptionOnTrigger(std::string trigger, CorruptionTarget target, TimeNs delay = 0);
 
   // Crossed trigger points call this (GeminiSystem does); all events armed on
   // `trigger` are released.
@@ -92,12 +95,8 @@ class FailureInjector {
 
   // Installed by the system: performs the actual bit flip on the holder's
   // store. Kept as a hook so the injector does not depend on storage.
-  void set_corruption_hook(std::function<Status(int holder, int owner, size_t bit)> hook) {
+  void set_corruption_hook(std::function<Status(const CorruptionTarget&)> hook) {
     corruption_hook_ = std::move(hook);
-  }
-  void set_delta_corruption_hook(
-      std::function<Status(int holder, int owner, size_t chain_index, size_t bit)> hook) {
-    delta_corruption_hook_ = std::move(hook);
   }
 
   // Starts Poisson failure arrival: `rate_per_machine_day` failures per
@@ -123,30 +122,19 @@ class FailureInjector {
     FailureType type = FailureType::kSoftware;
     std::vector<int> ranks;
     TimeNs delay = 0;
-    // Corruption events target one (holder, owner) replica instead.
-    bool corruption = false;
-    // Delta-chain corruption targets link `chain_index` of the holder's redo
-    // log for the owner.
-    bool delta_corruption = false;
-    int holder_rank = -1;
-    int owner_rank = -1;
-    size_t chain_index = 0;
-    size_t bit_index = 0;
+    // Corruption events flip a replica bit instead of failing `ranks`.
+    std::optional<CorruptionTarget> corruption;
   };
 
   void Apply(const FailureEvent& event);
-  void ApplyCorruption(int holder_rank, int owner_rank, size_t bit_index);
-  void ApplyDeltaCorruption(int holder_rank, int owner_rank, size_t chain_index,
-                            size_t bit_index);
+  void ApplyCorruption(const CorruptionTarget& target);
   void ScheduleNextRandom(double rate_per_machine_day, double software_fraction, TimeNs until);
 
   Simulator& sim_;
   Cluster& cluster_;
   Rng rng_;
   std::function<void(const FailureEvent&)> observer_;
-  std::function<Status(int holder, int owner, size_t bit)> corruption_hook_;
-  std::function<Status(int holder, int owner, size_t chain_index, size_t bit)>
-      delta_corruption_hook_;
+  std::function<Status(const CorruptionTarget&)> corruption_hook_;
   std::map<std::string, std::vector<ArmedEvent>> armed_;
   int64_t injected_ = 0;
   // Metric handles (resolved once in set_metrics).

@@ -184,18 +184,15 @@ Status GeminiSystem::Initialize() {
       }
     }
   });
-  // Chaos hook: bit-flip corruption lands directly in a holder's CPU store,
-  // where the CRC verification on the recovery read path must catch it.
-  injector_->set_corruption_hook([this](int holder_rank, int owner_rank, size_t bit_index) {
-    return cpu_stores_[static_cast<size_t>(holder_rank)]->CorruptLatest(owner_rank, bit_index);
+  // Chaos hook: bit-flip corruption lands directly in a holder's CPU store —
+  // in the completed replica or in one link of its delta chain — where the
+  // CRC verification on the recovery read path must catch it.
+  injector_->set_corruption_hook([this](const CorruptionTarget& target) {
+    CpuCheckpointStore& store = *cpu_stores_[static_cast<size_t>(target.holder)];
+    return target.chain_index.has_value()
+               ? store.CorruptChainDelta(target.owner, *target.chain_index, target.bit)
+               : store.CorruptLatest(target.owner, target.bit);
   });
-  // Incremental-mode chaos hook: bit-rot inside one link of a holder's delta
-  // chain, which the CRC-gated materialization must reject.
-  injector_->set_delta_corruption_hook(
-      [this](int holder_rank, int owner_rank, size_t chain_index, size_t bit_index) {
-        return cpu_stores_[static_cast<size_t>(holder_rank)]->CorruptChainDelta(
-            owner_rank, chain_index, bit_index);
-      });
 
   // ---- Profile the timeline and plan checkpoint traffic (Sections 5.3/5.4).
   TimelineParams timeline_params;
@@ -305,6 +302,13 @@ void GeminiSystem::StartNextIteration() {
   if (trainer_->iteration() >= target_iterations_) {
     FinishRun();
     return;
+  }
+  // Synchronous training hangs while any participant is down: the next
+  // iteration starts when the recovery of that failure resumes training.
+  for (int rank = 0; rank < config_.num_machines; ++rank) {
+    if (!cluster_->machine(rank).process_running()) {
+      return;
+    }
   }
   // Checkpoint block structure: the snapshot is captured (staged) at the
   // start of a k-iteration block and its traffic spreads across the block's
@@ -999,15 +1003,11 @@ void GeminiSystem::RestoreFetched() {
 void GeminiSystem::FinishStep(TimeNs stall) {
   ActiveRecoveryCase& recovery_case = *active_case_;
   // Lost progress, plus the step's own retrieval time and stall (the paper's
-  // wasted-time metric). An in-place recompute rolls nothing back, even when
-  // an iteration that was in flight at detection completed during recovery
-  // and left the trainer past the failure iteration.
-  const RecoverySource source = recovery_case.plan[recovery_case.step];
+  // wasted-time metric). No iteration runs while a participant is down, so
+  // the trainer is never past the failure iteration here.
   recovery_case.rollback_iteration = trainer_->iteration();
   const int64_t lost_iterations =
-      source == RecoverySource::kPeerRecompute
-          ? 0
-          : recovery_case.iteration_at_failure - recovery_case.rollback_iteration;
+      recovery_case.iteration_at_failure - recovery_case.rollback_iteration;
   recovery_case.wasted_time = lost_iterations * execution_.iteration_time +
                               (sim_.now() - recovery_case.step_started_at) + stall;
   // A software case's restart warm-up already ran before the chain started

@@ -172,11 +172,11 @@ StatusOr<KvEntry> KvStoreCluster::Get(const std::string& key) const {
 }
 
 std::map<std::string, KvEntry> KvStoreCluster::List(const std::string& prefix) const {
-  const KvNode* leader = Leader();
-  if (leader == nullptr) {
-    return {};
-  }
-  return leader->ListApplied(prefix);
+  std::map<std::string, KvEntry> out;
+  VisitPrefix(prefix, [&out](const std::string& key, const KvEntry& entry) {
+    out.emplace_hint(out.end(), key, entry);
+  });
+  return out;
 }
 
 bool KvStoreCluster::VisitPrefix(const std::string& prefix, const KvVisitor& visit) const {
@@ -674,14 +674,6 @@ std::optional<KvEntry> KvNode::GetApplied(const std::string& key) const {
     return std::nullopt;
   }
   return it->second;
-}
-
-std::map<std::string, KvEntry> KvNode::ListApplied(const std::string& prefix) const {
-  std::map<std::string, KvEntry> out;
-  VisitApplied(prefix, [&out](const std::string& key, const KvEntry& entry) {
-    out.emplace_hint(out.end(), key, entry);
-  });
-  return out;
 }
 
 void KvNode::VisitApplied(const std::string& prefix, const KvVisitor& visit) const {

@@ -201,7 +201,6 @@ class KvNode {
   // Applied-state lookups (valid on any node; the cluster queries the
   // leader's).
   std::optional<KvEntry> GetApplied(const std::string& key) const;
-  std::map<std::string, KvEntry> ListApplied(const std::string& prefix) const;
   void VisitApplied(const std::string& prefix, const KvVisitor& visit) const;
 
  private:

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 #include <limits>
+#include <utility>
 
 namespace gemini {
 
@@ -24,77 +25,40 @@ std::string_view InterleaveSchemeName(InterleaveScheme scheme) {
 
 namespace {
 
-// Walks the ZeRO-3 iteration structure, optionally interleaving checkpoint
-// chunks, and reports when everything finished.
-class IterationWalk {
+// The machine NIC shared by the strategy's training collectives and the
+// checkpoint chunks, plus the chunks' GPU->CPU copy sub-buffers.
+class IterationWalk final : public IterationNic {
  public:
-  IterationWalk(const ExecutorParams& params, std::vector<ChunkAssignment> chunks,
+  IterationWalk(const InstanceSpec& instance, TimeNs alpha,
+                const std::vector<ChunkAssignment>& chunks,
                 std::vector<TimeNs> chunk_request_times, int pipeline_depth)
-      : params_(params),
-        costs_(ComputeLayerCosts(params.timeline)),
-        chunks_(std::move(chunks)),
+      : chunks_(chunks),
         chunk_request_(std::move(chunk_request_times)),
         pipeline_depth_(pipeline_depth),
-        copy_bandwidth_(params.timeline.instance.gpu_cpu_copy_bandwidth),
-        ckpt_bandwidth_(params.timeline.instance.network_bandwidth),
-        alpha_(params.timeline.comm_alpha) {
-    copy_done_.assign(chunks_.size(), 0);
-  }
+        copy_bandwidth_(instance.gpu_cpu_copy_bandwidth),
+        ckpt_bandwidth_(instance.network_bandwidth),
+        alpha_(alpha),
+        copy_done_(chunks.size(), 0) {}
 
-  // Runs the full iteration (same grouped walk as BuildZero3Timeline).
-  void Run(bool blocking_prologue) {
+  // Runs the strategy's iteration; remaining chunks drain during/after the
+  // optimizer update. Returns the update's end.
+  TimeNs Run(const ExecutorParams& params, bool blocking_prologue) {
     if (blocking_prologue) {
       // Figure 4b: the whole checkpoint transmits before training begins.
       DrainChunks(std::numeric_limits<TimeNs>::max());
-      net_free_ = std::max(net_free_, last_recv_end_);
     }
-
-    std::vector<int> group_sizes;
-    for (int remaining = params_.timeline.model.num_layers; remaining > 0;) {
-      const int size = std::min(remaining, params_.timeline.comm_group_layers);
-      group_sizes.push_back(size);
-      remaining -= size;
-    }
-    const int num_groups = static_cast<int>(group_sizes.size());
-
-    // Forward pass.
-    TimeNs next_issue = 0;
-    for (int group = 0; group < num_groups; ++group) {
-      const int layers = group_sizes[static_cast<size_t>(group)];
-      const TimeNs ag_done = PushTrainingComm(next_issue, costs_.all_gather * layers);
-      const TimeNs compute_start = std::max(compute_free_, ag_done);
-      compute_free_ = compute_start + costs_.forward_compute * layers;
-      next_issue = compute_start;
-    }
-    // Backward pass.
-    TimeNs bwd_ag_issue = compute_free_;
-    TimeNs pending_rs_issue = -1;
-    TimeNs last_rs_end = 0;
-    int pending_rs_group = -1;
-    for (int group = num_groups - 1; group >= 0; --group) {
-      const int layers = group_sizes[static_cast<size_t>(group)];
-      const TimeNs ag_done = PushTrainingComm(bwd_ag_issue, costs_.all_gather * layers);
-      if (pending_rs_group >= 0) {
-        const int rs_layers = group_sizes[static_cast<size_t>(pending_rs_group)];
-        last_rs_end = PushTrainingComm(pending_rs_issue, costs_.reduce_scatter * rs_layers);
-      }
-      const TimeNs compute_start = std::max(compute_free_, ag_done);
-      compute_free_ = compute_start + costs_.backward_compute * layers;
-      bwd_ag_issue = compute_start;
-      pending_rs_issue = compute_free_;
-      pending_rs_group = group;
-    }
-    last_rs_end = PushTrainingComm(
-        pending_rs_issue,
-        costs_.reduce_scatter * group_sizes[static_cast<size_t>(pending_rs_group)]);
-
-    // Optimizer update; remaining chunks drain during/after it.
-    const TimeNs update_start = std::max(compute_free_, last_rs_end);
-    update_end_ = update_start + ComputeUpdateDuration(params_.timeline);
+    const TimeNs update_start = WalkIteration(params.strategy, params.timeline, *this);
     DrainChunks(std::numeric_limits<TimeNs>::max());
+    return update_start + ComputeUpdateDuration(params.timeline);
   }
 
-  TimeNs update_end() const { return update_end_; }
+  TimeNs Push(TimeNs issue, TimeNs duration, CommKind /*kind*/, int /*group*/) override {
+    DrainChunks(issue);
+    const TimeNs start = std::max(net_free_, issue);
+    net_free_ = start + duration;
+    return net_free_;
+  }
+
   TimeNs last_recv_end() const { return last_recv_end_; }
   TimeNs last_copy_end() const { return last_copy_end_; }
 
@@ -131,17 +95,7 @@ class IterationWalk {
     }
   }
 
-  TimeNs PushTrainingComm(TimeNs issue, TimeNs duration) {
-    DrainChunks(issue);
-    const TimeNs start = std::max(net_free_, issue);
-    const TimeNs end = start + duration;
-    net_free_ = end;
-    return end;
-  }
-
-  const ExecutorParams& params_;
-  LayerCosts costs_;
-  std::vector<ChunkAssignment> chunks_;
+  const std::vector<ChunkAssignment>& chunks_;
   std::vector<TimeNs> chunk_request_;
   int pipeline_depth_;
   BytesPerSecond copy_bandwidth_;
@@ -149,11 +103,9 @@ class IterationWalk {
   TimeNs alpha_;
 
   TimeNs net_free_ = 0;
-  TimeNs compute_free_ = 0;
   TimeNs pcie_free_ = 0;
   std::vector<TimeNs> copy_done_;
   size_t next_chunk_ = 0;
-  TimeNs update_end_ = 0;
   TimeNs last_recv_end_ = 0;
   TimeNs last_copy_end_ = 0;
 };
@@ -165,7 +117,7 @@ ExecutionResult ExecuteIterationWithCheckpoint(const ExecutorParams& params) {
   result.status = Status::Ok();
 
   const InstanceSpec& instance = params.timeline.instance;
-  const IterationTimeline nominal = BuildZero3Timeline(params.timeline);
+  const IterationTimeline nominal = BuildTimelineFor(params.strategy, params.timeline);
   result.baseline_iteration_time = nominal.iteration_time;
 
   if (params.scheme == InterleaveScheme::kNone) {
@@ -249,8 +201,9 @@ ExecutionResult ExecuteIterationWithCheckpoint(const ExecutorParams& params) {
     }
   }
 
-  IterationWalk walk(params, result.partition.chunks, std::move(requests), pipeline_depth);
-  walk.Run(params.scheme == InterleaveScheme::kBlocking);
+  IterationWalk walk(instance, params.timeline.comm_alpha, result.partition.chunks,
+                     std::move(requests), pipeline_depth);
+  const TimeNs update_end = walk.Run(params, params.scheme == InterleaveScheme::kBlocking);
 
   result.checkpoint_network_done = walk.last_recv_end();
   // The machine's own local replica copies GPU->CPU on its own PCIe links,
@@ -258,7 +211,7 @@ ExecutionResult ExecuteIterationWithCheckpoint(const ExecutorParams& params) {
   const TimeNs local_copy_time = TransferTime(checkpoint_bytes, instance.gpu_cpu_copy_bandwidth);
   result.checkpoint_done = std::max({walk.last_copy_end(), local_copy_time});
   // Spilled checkpoint traffic prolongs the iteration (Section 5.3).
-  result.iteration_time = std::max(walk.update_end(), result.checkpoint_network_done);
+  result.iteration_time = std::max(update_end, result.checkpoint_network_done);
   result.checkpoint_within_iteration = result.checkpoint_done <= result.iteration_time;
   result.overhead_fraction =
       static_cast<double>(result.iteration_time) /

@@ -1,9 +1,12 @@
 // Iteration execution with interleaved checkpoint traffic.
 //
-// Replays the ZeRO-3 dependency walk of one training iteration on a
-// representative machine while checkpoint chunks contend for the same NIC
-// (FIFO, like the Fabric model) and for GPU->CPU copy sub-buffers. This is
-// where the paper's Figure 5/16 phenomena come from:
+// Runs the iteration walk of the configured parallelism strategy
+// (parallelism.h; ZeRO-3 by default) on a representative machine while
+// checkpoint chunks contend for the same NIC (FIFO, like the Fabric model)
+// and for GPU->CPU copy sub-buffers. Before each training collective queues,
+// the chunks whose request time has come take the NIC first; a delayed
+// collective delays the walk's computation downstream of it. This is where
+// the paper's Figure 5/16 phenomena come from:
 //   * Blocking: the whole checkpoint transmits at iteration start and delays
 //     every training collective behind it;
 //   * Naive interleave: one huge chunk per idle span needs a GPU staging
@@ -25,7 +28,7 @@
 
 #include "src/common/status.h"
 #include "src/schedule/partition.h"
-#include "src/training/timeline.h"
+#include "src/training/parallelism.h"
 
 namespace gemini {
 
@@ -41,6 +44,8 @@ std::string_view InterleaveSchemeName(InterleaveScheme scheme);
 
 struct ExecutorParams {
   TimelineParams timeline;
+  // Whose iteration walk the checkpoint traffic interleaves with.
+  ParallelismStrategy strategy = ParallelismStrategy::kZero3;
   InterleaveScheme scheme = InterleaveScheme::kPipelined;
   // Total replica count m (m-1 remote copies are transmitted).
   int num_replicas = 2;

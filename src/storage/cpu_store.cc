@@ -50,17 +50,6 @@ Status CpuCheckpointStore::HostOwner(int owner_rank, Bytes replica_bytes) {
   return Status::Ok();
 }
 
-void CpuCheckpointStore::DropOwner(int owner_rank) {
-  auto it = slots_.find(owner_rank);
-  if (it == slots_.end()) {
-    return;
-  }
-  const Bytes freed = 2 * it->second.replica_bytes;
-  machine_->FreeCpuMemory(freed);
-  reserved_ -= freed;
-  slots_.erase(it);
-}
-
 Status CpuCheckpointStore::BeginWrite(int owner_rank, int64_t iteration) {
   auto it = slots_.find(owner_rank);
   if (it == slots_.end()) {

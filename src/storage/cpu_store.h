@@ -40,8 +40,6 @@ class CpuCheckpointStore {
   // Reserves the double buffer for checkpoints owned by `owner_rank` of the
   // given size. Idempotent for equal sizes.
   Status HostOwner(int owner_rank, Bytes replica_bytes);
-  // Releases the double buffer (placement change after recovery).
-  void DropOwner(int owner_rank);
   bool Hosts(int owner_rank) const { return slots_.contains(owner_rank); }
 
   // Write path: Begin marks the ongoing buffer as receiving `iteration`;

@@ -35,11 +35,6 @@ void PersistentStore::MakeDurable(Checkpoint checkpoint, int expected_world_size
   expected_world_[iteration] = expected_world_size;
 }
 
-int64_t PersistentStore::DeltaBaseIteration(int owner_rank) const {
-  const auto it = heads_.find(owner_rank);
-  return it != heads_.end() ? it->second.iteration : -1;
-}
-
 TimeNs PersistentStore::ScheduleTransfer(Bytes bytes, std::function<void()> at_completion) {
   const TimeNs start = std::max(sim_.now(), busy_until_);
   const TimeNs end = start + TransferCost(bytes);

@@ -59,10 +59,6 @@ class PersistentStore {
   // that does not extend the head fails through `done` and changes nothing.
   TimeNs SaveDelta(DeltaCheckpoint delta, int expected_world_size, DoneCallback done);
 
-  // Iteration of the owner's head, the state a new delta must base on (-1
-  // when the owner has no durable shard).
-  int64_t DeltaBaseIteration(int owner_rank) const;
-
   // Downloads a shard; `done` receives the checkpoint at the simulated
   // completion time. Transient transfer failures (fault hook) and CRC
   // rejections are retried internally up to kPersistentRetrievalMaxAttempts

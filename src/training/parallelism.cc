@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "src/collectives/collectives.h"
 #include "src/common/calibration.h"
@@ -20,8 +21,10 @@ std::string_view ParallelismStrategyName(ParallelismStrategy strategy) {
   return "unknown";
 }
 
-IterationTimeline BuildDataParallelTimeline(const TimelineParams& params,
-                                            const DataParallelOptions& options) {
+namespace {
+
+TimeNs WalkDataParallelIteration(const TimelineParams& params,
+                                 const DataParallelOptions& options, IterationNic& nic) {
   assert(params.num_machines >= 1);
   assert(options.gradient_buckets >= 1);
   const ModelConfig& model = params.model;
@@ -44,29 +47,20 @@ IterationTimeline BuildDataParallelTimeline(const TimelineParams& params,
       model.nominal_params * ModelConfig::kParamBytesFp16 / buckets;
   const TimeNs bucket_allreduce = ring.AllReduceTime(bucket_bytes, params.num_machines);
 
-  IterationTimeline timeline;
   // Forward: the network is silent. Backward: bucket k's gradients are ready
   // after (k+1)/buckets of the backward pass; all-reduces queue FIFO on the
   // NIC (DDP's overlap structure).
-  TimeNs net_free = 0;
   TimeNs last_allreduce_end = 0;
   for (int bucket = 0; bucket < buckets; ++bucket) {
     const TimeNs ready = forward + backward * (bucket + 1) / buckets;
-    const TimeNs start = std::max(net_free, ready);
-    timeline.comm.push_back(
-        CommSegment{start, bucket_allreduce, CommKind::kGradReduceScatter, bucket});
-    net_free = start + bucket_allreduce;
-    last_allreduce_end = net_free;
+    last_allreduce_end =
+        nic.Push(ready, bucket_allreduce, CommKind::kGradReduceScatter, bucket);
   }
-  timeline.update_start = std::max(forward + backward, last_allreduce_end);
-  timeline.update_duration = ComputeUpdateDuration(params);
-  timeline.iteration_time = timeline.update_start + timeline.update_duration;
-  timeline.idle_spans = ExtractIdleSpans(timeline.comm, timeline.iteration_time);
-  return timeline;
+  return std::max(forward + backward, last_allreduce_end);
 }
 
-IterationTimeline BuildPipelineParallelTimeline(const TimelineParams& params,
-                                                const PipelineParallelOptions& options) {
+TimeNs WalkPipelineParallelIteration(const TimelineParams& params,
+                                     const PipelineParallelOptions& options, IterationNic& nic) {
   assert(params.num_machines >= 1);
   assert(options.num_microbatches >= 1);
   const ModelConfig& model = params.model;
@@ -98,13 +92,11 @@ IterationTimeline BuildPipelineParallelTimeline(const TimelineParams& params,
                                                       instance.network_bandwidth *
                                                           instance.collective_efficiency);
 
-  IterationTimeline timeline;
   // Middle-stage view, serialized GPipe schedule: fill bubble, then per
   // microbatch recv -> compute -> send, for forward then backward.
   TimeNs cursor = (stages - 1) * (micro_forward + hop) / 2;  // Fill bubble (middle stage).
   auto hop_segment = [&](CommKind kind, int index) {
-    timeline.comm.push_back(CommSegment{cursor, hop, kind, index});
-    cursor += hop;
+    cursor = nic.Push(cursor, hop, kind, index);
   };
   for (int m = 0; m < microbatches; ++m) {
     hop_segment(CommKind::kForwardAllGather, m);  // Activation in.
@@ -116,24 +108,42 @@ IterationTimeline BuildPipelineParallelTimeline(const TimelineParams& params,
     cursor += micro_backward;
     hop_segment(CommKind::kGradReduceScatter, m);  // Gradient out.
   }
-  cursor += (stages - 1) * (micro_backward + hop) / 2;  // Drain bubble.
-  timeline.update_start = cursor;
-  timeline.update_duration = ComputeUpdateDuration(params);
-  timeline.iteration_time = timeline.update_start + timeline.update_duration;
-  timeline.idle_spans = ExtractIdleSpans(timeline.comm, timeline.iteration_time);
-  return timeline;
+  return cursor + (stages - 1) * (micro_backward + hop) / 2;  // Drain bubble.
+}
+
+}  // namespace
+
+IterationTimeline BuildDataParallelTimeline(const TimelineParams& params,
+                                            const DataParallelOptions& options) {
+  TimelineRecorder nic;
+  const TimeNs update_start = WalkDataParallelIteration(params, options, nic);
+  return std::move(nic).Finish(params, update_start);
+}
+
+IterationTimeline BuildPipelineParallelTimeline(const TimelineParams& params,
+                                                const PipelineParallelOptions& options) {
+  TimelineRecorder nic;
+  const TimeNs update_start = WalkPipelineParallelIteration(params, options, nic);
+  return std::move(nic).Finish(params, update_start);
+}
+
+TimeNs WalkIteration(ParallelismStrategy strategy, const TimelineParams& params,
+                     IterationNic& nic) {
+  switch (strategy) {
+    case ParallelismStrategy::kZero3:
+      return WalkZero3Iteration(params, nic);
+    case ParallelismStrategy::kDataParallel:
+      return WalkDataParallelIteration(params, {}, nic);
+    case ParallelismStrategy::kPipelineParallel:
+      return WalkPipelineParallelIteration(params, {}, nic);
+  }
+  return WalkZero3Iteration(params, nic);
 }
 
 IterationTimeline BuildTimelineFor(ParallelismStrategy strategy, const TimelineParams& params) {
-  switch (strategy) {
-    case ParallelismStrategy::kZero3:
-      return BuildZero3Timeline(params);
-    case ParallelismStrategy::kDataParallel:
-      return BuildDataParallelTimeline(params);
-    case ParallelismStrategy::kPipelineParallel:
-      return BuildPipelineParallelTimeline(params);
-  }
-  return BuildZero3Timeline(params);
+  TimelineRecorder nic;
+  const TimeNs update_start = WalkIteration(strategy, params, nic);
+  return std::move(nic).Finish(params, update_start);
 }
 
 }  // namespace gemini

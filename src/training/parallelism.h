@@ -3,9 +3,11 @@
 // The paper's conclusion (Section 9) argues GEMINI's design applies to other
 // parallelisms — pipeline, tensor, and data parallelism — and leaves them as
 // future work. This module implements that future work at the timeline
-// level: each strategy produces the busy/idle network structure of one
-// iteration, and Algorithm 2 schedules checkpoint traffic into it unchanged
-// (see ExecuteOnTimeline in src/schedule/generic_executor.h).
+// level: each strategy's iteration is one walk over an IterationNic
+// (timeline.h). Recorded on the nominal NIC it gives the busy/idle network
+// structure Algorithm 2 partitions the checkpoint into; run on the
+// checkpoint executor's NIC (ExecutorParams::strategy in
+// src/schedule/executor.h) it shows what the interleaved chunks cost.
 //
 //  * Data parallelism: every machine holds a full replica; the network is
 //    silent through the forward pass and carries bucketed gradient
@@ -51,7 +53,12 @@ IterationTimeline BuildDataParallelTimeline(const TimelineParams& params,
 IterationTimeline BuildPipelineParallelTimeline(const TimelineParams& params,
                                                 const PipelineParallelOptions& options = {});
 
-// Dispatch helper.
+// Walks one iteration of `strategy` (default options) on `nic`; returns the
+// optimizer-update start.
+TimeNs WalkIteration(ParallelismStrategy strategy, const TimelineParams& params,
+                     IterationNic& nic);
+
+// The nominal timeline of WalkIteration.
 IterationTimeline BuildTimelineFor(ParallelismStrategy strategy, const TimelineParams& params);
 
 }  // namespace gemini

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <utility>
 
 #include "src/collectives/collectives.h"
 #include "src/common/calibration.h"
@@ -23,6 +24,15 @@ TimeNs IterationTimeline::TotalIdle() const {
   }
   return total;
 }
+
+namespace {
+
+struct LayerCosts {
+  TimeNs forward_compute = 0;
+  TimeNs backward_compute = 0;  // Includes activation recomputation.
+  TimeNs all_gather = 0;
+  TimeNs reduce_scatter = 0;
+};
 
 LayerCosts ComputeLayerCosts(const TimelineParams& params) {
   assert(params.num_machines >= 1);
@@ -50,6 +60,8 @@ LayerCosts ComputeLayerCosts(const TimelineParams& params) {
   return costs;
 }
 
+}  // namespace
+
 TimeNs ComputeUpdateDuration(const TimelineParams& params) {
   const int total_gpus = params.num_machines * params.instance.num_gpus;
   const double params_per_gpu =
@@ -74,7 +86,25 @@ std::vector<IdleSpan> ExtractIdleSpans(const std::vector<CommSegment>& comm,
   return spans;
 }
 
-IterationTimeline BuildZero3Timeline(const TimelineParams& params) {
+TimeNs TimelineRecorder::Push(TimeNs issue, TimeNs duration, CommKind kind, int group) {
+  const TimeNs start = std::max(free_, issue);
+  free_ = start + duration;
+  comm_.push_back(CommSegment{start, duration, kind, group});
+  return free_;
+}
+
+IterationTimeline TimelineRecorder::Finish(const TimelineParams& params,
+                                           TimeNs update_start) && {
+  IterationTimeline timeline;
+  timeline.comm = std::move(comm_);
+  timeline.update_start = update_start;
+  timeline.update_duration = ComputeUpdateDuration(params);
+  timeline.iteration_time = timeline.update_start + timeline.update_duration;
+  timeline.idle_spans = ExtractIdleSpans(timeline.comm, timeline.iteration_time);
+  return timeline;
+}
+
+TimeNs WalkZero3Iteration(const TimelineParams& params, IterationNic& nic) {
   const int num_layers = params.model.num_layers;
   assert(num_layers >= 1);
   assert(params.comm_group_layers >= 1);
@@ -83,7 +113,7 @@ IterationTimeline BuildZero3Timeline(const TimelineParams& params) {
   // Layers are processed in communication groups (prefetch buckets): the
   // collectives of a whole group launch as one burst that gates the group's
   // computation, and the next group's burst prefetches while this group
-  // computes. `group_of[g]` is the layer count of group g.
+  // computes. `group_sizes[g]` is the layer count of group g.
   std::vector<int> group_sizes;
   for (int remaining = num_layers; remaining > 0;) {
     const int size = std::min(remaining, params.comm_group_layers);
@@ -91,18 +121,7 @@ IterationTimeline BuildZero3Timeline(const TimelineParams& params) {
     remaining -= size;
   }
   const int num_groups = static_cast<int>(group_sizes.size());
-
-  IterationTimeline timeline;
-  TimeNs net_free = 0;
   TimeNs compute_free = 0;
-
-  auto push_comm = [&](TimeNs issue, TimeNs duration, CommKind kind, int group) -> TimeNs {
-    const TimeNs start = std::max(net_free, issue);
-    const TimeNs end = start + duration;
-    net_free = end;
-    timeline.comm.push_back(CommSegment{start, duration, kind, group});
-    return end;
-  };
 
   // ---- Forward pass: the group's all-gather burst gates its computation;
   // the next group's burst prefetches when this group starts computing.
@@ -110,7 +129,7 @@ IterationTimeline BuildZero3Timeline(const TimelineParams& params) {
   for (int group = 0; group < num_groups; ++group) {
     const int layers = group_sizes[static_cast<size_t>(group)];
     const TimeNs ag_done =
-        push_comm(next_issue, costs.all_gather * layers, CommKind::kForwardAllGather, group);
+        nic.Push(next_issue, costs.all_gather * layers, CommKind::kForwardAllGather, group);
     const TimeNs compute_start = std::max(compute_free, ag_done);
     compute_free = compute_start + costs.forward_compute * layers;
     next_issue = compute_start;
@@ -123,15 +142,14 @@ IterationTimeline BuildZero3Timeline(const TimelineParams& params) {
   TimeNs bwd_ag_issue = compute_free;  // First backward burst waits for forward completion.
   TimeNs pending_rs_issue = -1;
   int pending_rs_group = -1;
-  TimeNs last_rs_end = 0;
   for (int group = num_groups - 1; group >= 0; --group) {
     const int layers = group_sizes[static_cast<size_t>(group)];
     const TimeNs ag_done =
-        push_comm(bwd_ag_issue, costs.all_gather * layers, CommKind::kBackwardAllGather, group);
+        nic.Push(bwd_ag_issue, costs.all_gather * layers, CommKind::kBackwardAllGather, group);
     if (pending_rs_group >= 0) {
       const int rs_layers = group_sizes[static_cast<size_t>(pending_rs_group)];
-      last_rs_end = push_comm(pending_rs_issue, costs.reduce_scatter * rs_layers,
-                              CommKind::kGradReduceScatter, pending_rs_group);
+      nic.Push(pending_rs_issue, costs.reduce_scatter * rs_layers, CommKind::kGradReduceScatter,
+               pending_rs_group);
     }
     const TimeNs compute_start = std::max(compute_free, ag_done);
     compute_free = compute_start + costs.backward_compute * layers;
@@ -139,16 +157,18 @@ IterationTimeline BuildZero3Timeline(const TimelineParams& params) {
     pending_rs_issue = compute_free;
     pending_rs_group = group;
   }
-  last_rs_end = push_comm(pending_rs_issue,
-                          costs.reduce_scatter * group_sizes[static_cast<size_t>(pending_rs_group)],
-                          CommKind::kGradReduceScatter, pending_rs_group);
+  const TimeNs last_rs_end = nic.Push(
+      pending_rs_issue, costs.reduce_scatter * group_sizes[static_cast<size_t>(pending_rs_group)],
+      CommKind::kGradReduceScatter, pending_rs_group);
 
   // ---- Optimizer update: needs every gradient shard and all compute done.
-  timeline.update_start = std::max(compute_free, last_rs_end);
-  timeline.update_duration = ComputeUpdateDuration(params);
-  timeline.iteration_time = timeline.update_start + timeline.update_duration;
-  timeline.idle_spans = ExtractIdleSpans(timeline.comm, timeline.iteration_time);
-  return timeline;
+  return std::max(compute_free, last_rs_end);
+}
+
+IterationTimeline BuildZero3Timeline(const TimelineParams& params) {
+  TimelineRecorder nic;
+  const TimeNs update_start = WalkZero3Iteration(params, nic);
+  return std::move(nic).Finish(params, update_start);
 }
 
 }  // namespace gemini

@@ -9,6 +9,13 @@
 // exactly the alternating busy/idle network structure of paper Figure 4a —
 // the idle spans being the budget GEMINI's checkpoint scheduler packs
 // chunks into.
+//
+// A strategy's iteration is written once, as a walk that issues its
+// collectives on an IterationNic and gates its computation on their ends.
+// TimelineRecorder is the nominal NIC (nothing else on the wire) that turns
+// a walk into an IterationTimeline; the checkpoint executor
+// (src/schedule/executor.h) runs the same walk on a NIC shared with
+// checkpoint chunks. Other strategies' walks live in parallelism.h.
 #ifndef SRC_TRAINING_TIMELINE_H_
 #define SRC_TRAINING_TIMELINE_H_
 
@@ -63,16 +70,36 @@ struct TimelineParams {
   int comm_group_layers = 16;
 };
 
-// Per-layer building blocks (exposed for tests and the executor).
-struct LayerCosts {
-  TimeNs forward_compute = 0;
-  TimeNs backward_compute = 0;  // Includes activation recomputation.
-  TimeNs all_gather = 0;
-  TimeNs reduce_scatter = 0;
-};
-LayerCosts ComputeLayerCosts(const TimelineParams& params);
-
 TimeNs ComputeUpdateDuration(const TimelineParams& params);
+
+// The machine NIC an iteration walk issues its collectives on. Push queues a
+// collective issued at `issue` and returns when it ends; the walk gates its
+// computation on that end, so a NIC that delays one collective delays
+// everything downstream of it.
+class IterationNic {
+ public:
+  virtual TimeNs Push(TimeNs issue, TimeNs duration, CommKind kind, int group) = 0;
+
+ protected:
+  ~IterationNic() = default;
+};
+
+// The nominal NIC: FIFO with nothing else on the wire; records every
+// collective it serves.
+class TimelineRecorder final : public IterationNic {
+ public:
+  TimeNs Push(TimeNs issue, TimeNs duration, CommKind kind, int group) override;
+
+  // The recorded timeline, closed by the optimizer update at `update_start`.
+  IterationTimeline Finish(const TimelineParams& params, TimeNs update_start) &&;
+
+ private:
+  TimeNs free_ = 0;
+  std::vector<CommSegment> comm_;
+};
+
+// Walks one ZeRO-3 iteration on `nic`; returns the optimizer-update start.
+TimeNs WalkZero3Iteration(const TimelineParams& params, IterationNic& nic);
 
 IterationTimeline BuildZero3Timeline(const TimelineParams& params);
 

@@ -131,8 +131,9 @@ TEST(ChaosTest, CorruptedReplicaForcesRetryCascadeToNextHolder) {
   GeminiSystem system(config);
   ASSERT_TRUE(system.Initialize().ok());
   system.failure_injector().InjectAt(Minutes(4), FailureType::kHardware, {8});
-  system.failure_injector().ArmCorruptionOnTrigger(kTriggerRetrievalStart, /*holder_rank=*/6,
-                                                   /*owner_rank=*/8, /*bit_index=*/7);
+  system.failure_injector().ArmCorruptionOnTrigger(
+      kTriggerRetrievalStart,
+      CorruptionTarget{.holder = 6, .owner = 8, .bit = 7, .chain_index = std::nullopt});
   const auto report = system.TrainUntil(8, /*sim_deadline=*/Hours(4));
   ASSERT_TRUE(report.ok()) << report.status();
 
@@ -159,8 +160,9 @@ TEST(ChaosTest, AbandonedPeerFetchDoesNotLeakIntoTheFallbackStep) {
   GeminiSystem system(config);
   ASSERT_TRUE(system.Initialize().ok());
   system.failure_injector().InjectAt(Minutes(4), FailureType::kHardware, {5, 7});
-  system.failure_injector().ArmCorruptionOnTrigger(kTriggerRetrievalStart, /*holder_rank=*/6,
-                                                   /*owner_rank=*/7, /*bit_index=*/7);
+  system.failure_injector().ArmCorruptionOnTrigger(
+      kTriggerRetrievalStart,
+      CorruptionTarget{.holder = 6, .owner = 7, .bit = 7, .chain_index = std::nullopt});
   const auto report = system.TrainUntil(8, /*sim_deadline=*/Hours(4));
   ASSERT_TRUE(report.ok()) << report.status();
 
@@ -189,9 +191,9 @@ TEST(ChaosTest, CorruptedDeltaChainLinkForcesCascadeToIntactHolder) {
   GeminiSystem system(config);
   ASSERT_TRUE(system.Initialize().ok());
   system.failure_injector().InjectAt(Minutes(4), FailureType::kHardware, {8});
-  system.failure_injector().ArmDeltaCorruptionOnTrigger(kTriggerRetrievalStart,
-                                                        /*holder_rank=*/6, /*owner_rank=*/8,
-                                                        /*chain_index=*/0, /*bit_index=*/7);
+  system.failure_injector().ArmCorruptionOnTrigger(
+      kTriggerRetrievalStart,
+      CorruptionTarget{.holder = 6, .owner = 8, .bit = 7, .chain_index = 0});
   const auto report = system.TrainUntil(8, /*sim_deadline=*/Hours(4));
   ASSERT_TRUE(report.ok()) << report.status();
 
@@ -221,9 +223,9 @@ TEST(ChaosTest, SoftwareFailureWithCorruptLocalChainFallsBackToDurableBase) {
   GeminiSystem system(config);
   ASSERT_TRUE(system.Initialize().ok());
   system.failure_injector().InjectAt(Minutes(4), FailureType::kSoftware, {7});
-  system.failure_injector().ArmDeltaCorruptionOnTrigger(kTriggerRecoveryStart,
-                                                        /*holder_rank=*/7, /*owner_rank=*/7,
-                                                        /*chain_index=*/0, /*bit_index=*/11);
+  system.failure_injector().ArmCorruptionOnTrigger(
+      kTriggerRecoveryStart,
+      CorruptionTarget{.holder = 7, .owner = 7, .bit = 11, .chain_index = 0});
   const auto report = system.TrainUntil(8, /*sim_deadline=*/Hours(4));
   ASSERT_TRUE(report.ok()) << report.status();
 
@@ -268,6 +270,45 @@ TEST(ChaosTest, SoftwareFailureDuringReprotectionBothRecover) {
   ExpectNoDroppedReports(system, *report);
   EXPECT_EQ(report->iterations_completed, 10);
   ExpectStateMatchesReference(system, config, 10);
+}
+
+TEST(ChaosTest, NoIterationRunsWhileAParticipantIsDown) {
+  // Rank 5 dies 579 s into rank 2's software recovery, just before training
+  // resumes, and is detected only after the resume. Synchronous training
+  // hangs from the moment a participant is down: no iteration may start with
+  // rank 5 dead, so none may complete (or commit its checkpoint) while the
+  // second recovery runs, and no record may roll back past its failure.
+  GeminiConfig config = SmallConfig();
+  GeminiSystem system(config);
+  ASSERT_TRUE(system.Initialize().ok());
+  system.failure_injector().InjectAt(Minutes(4), FailureType::kSoftware, {2});
+  system.failure_injector().ArmOnTrigger(kTriggerRecoveryStart, FailureType::kHardware, {5},
+                                         Seconds(579));
+  const auto report = system.TrainUntil(12, /*sim_deadline=*/Hours(4));
+  ASSERT_TRUE(report.ok()) << report.status();
+
+  ASSERT_EQ(report->recoveries.size(), 2u);
+  EXPECT_LT(report->recoveries[1].failure_detected_at - report->recoveries[0].training_resumed_at,
+            Seconds(30))
+      << "the scenario needs rank 5 detected shortly after the first resume";
+  for (const RecoveryRecord& recovery : report->recoveries) {
+    EXPECT_LE(recovery.rollback_iteration, recovery.iteration_at_failure);
+    for (const TraceRecord& record : system.tracer().records()) {
+      const bool iteration_end = record.name == "iteration";
+      const bool commit = record.name == "checkpoint_commit";
+      if (!iteration_end && !commit) {
+        continue;
+      }
+      const TimeNs at = record.start + record.duration;
+      EXPECT_FALSE(at >= recovery.failure_detected_at && at <= recovery.training_resumed_at)
+          << record.name << " at " << FormatDuration(at) << " inside the recovery window ["
+          << FormatDuration(recovery.failure_detected_at) << ", "
+          << FormatDuration(recovery.training_resumed_at) << "]";
+    }
+  }
+  ExpectNoDroppedReports(system, *report);
+  EXPECT_EQ(report->iterations_completed, 12);
+  ExpectStateMatchesReference(system, config, 12);
 }
 
 TEST(ChaosTest, CorrelatedBurstAcrossGroupsRecoversFromCpuMemory) {

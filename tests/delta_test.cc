@@ -606,7 +606,6 @@ TEST_F(PersistentDeltaTest, SaveDeltaMaterializesAtArrivalAndCompletesTheIterati
   const Checkpoint c0 = MakeCheckpoint(0, 0, 64);
   const Checkpoint c1 = MutateChunks(c0, 1, 8, {4});
   store_.SeedImmediate(c0, /*expected_world_size=*/1);
-  EXPECT_EQ(store_.DeltaBaseIteration(0), 0);
   Status result = InternalError("done not called");
   store_.SaveDelta(*BuildDeltaCheckpoint(c0, c1, 8), /*expected_world_size=*/1,
                    [&](Status status) { result = status; });
@@ -618,7 +617,13 @@ TEST_F(PersistentDeltaTest, SaveDeltaMaterializesAtArrivalAndCompletesTheIterati
   const auto durable = store_.Peek(0, 1);
   ASSERT_TRUE(durable.has_value());
   EXPECT_EQ(*durable, c1);
-  EXPECT_EQ(store_.DeltaBaseIteration(0), 1);
+  // The applied state is also the head the next delta must base on.
+  const Checkpoint c2 = MutateChunks(c1, 2, 8, {5});
+  Status next = InternalError("done not called");
+  store_.SaveDelta(*BuildDeltaCheckpoint(c1, c2, 8), 1, [&](Status status) { next = status; });
+  sim_.Run();
+  EXPECT_TRUE(next.ok()) << next;
+  EXPECT_EQ(store_.LatestCompleteIteration(), 2);
 }
 
 TEST_F(PersistentDeltaTest, SealViolationSurfacesThroughDone) {
@@ -632,7 +637,11 @@ TEST_F(PersistentDeltaTest, SealViolationSurfacesThroughDone) {
   sim_.Run();
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(store_.LatestCompleteIteration(), 0) << "a rejected delta must not become durable";
-  EXPECT_EQ(store_.DeltaBaseIteration(0), 0);
+  // The head stayed at iteration 0: a delta based on it still applies.
+  Status next = InternalError("done not called");
+  store_.SaveDelta(*BuildDeltaCheckpoint(c0, c1, 8), 1, [&](Status status) { next = status; });
+  sim_.Run();
+  EXPECT_TRUE(next.ok()) << next;
 }
 
 TEST_F(PersistentDeltaTest, FullSaveReplacesTheHead) {
@@ -654,7 +663,6 @@ TEST_F(PersistentDeltaTest, FullSaveReplacesTheHead) {
   ASSERT_TRUE(delta_result.ok()) << delta_result;
   ASSERT_TRUE(full_result.ok()) << full_result;
   ASSERT_TRUE(next_result.ok()) << next_result;
-  EXPECT_EQ(store_.DeltaBaseIteration(0), 3);
   EXPECT_EQ(store_.LatestCompleteIteration(), 3);
   EXPECT_EQ(*store_.Peek(0, 3), c3);
 }

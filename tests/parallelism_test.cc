@@ -1,9 +1,10 @@
 // Tests for the parallelism-generalization extension (paper Section 9
-// future work): data-parallel and pipeline-parallel timelines plus the
-// generic interleaving executor, and the Trainium instance profile.
+// future work): data-parallel and pipeline-parallel timelines, the
+// checkpoint executor running each strategy's walk, and the Trainium
+// instance profile.
 #include <gtest/gtest.h>
 
-#include "src/schedule/generic_executor.h"
+#include "src/schedule/executor.h"
 #include "src/training/parallelism.h"
 
 namespace gemini {
@@ -14,6 +15,13 @@ TimelineParams Gpt20BOnP4d() {
   params.model = Gpt2_20B();
   params.instance = P4d24xlarge();
   params.num_machines = 16;
+  return params;
+}
+
+ExecutorParams GeminiOn(ParallelismStrategy strategy, const TimelineParams& timeline) {
+  ExecutorParams params;
+  params.timeline = timeline;
+  params.strategy = strategy;
   return params;
 }
 
@@ -98,18 +106,15 @@ TEST(PipelineTimelineTest, MoreMicrobatchesShrinkBubbleShare) {
 }
 
 // ---------------------------------------------------------------------------
-// Generic executor across strategies
+// Checkpoint executor across strategies
 // ---------------------------------------------------------------------------
 
 class StrategyExecutorTest : public ::testing::TestWithParam<ParallelismStrategy> {};
 
 TEST_P(StrategyExecutorTest, GeminiCheckpointFitsWithZeroOverhead) {
   const TimelineParams timeline_params = Gpt20BOnP4d();
-  GenericExecutorParams params;
-  params.timeline = BuildTimelineFor(GetParam(), timeline_params);
-  params.instance = timeline_params.instance;
-  params.checkpoint_bytes = timeline_params.model.CheckpointBytesPerMachine(16);
-  const GenericExecutionResult result = ExecuteOnTimeline(params);
+  const ExecutionResult result =
+      ExecuteIterationWithCheckpoint(GeminiOn(GetParam(), timeline_params));
   ASSERT_TRUE(result.status.ok()) << result.status;
   EXPECT_LT(result.overhead_fraction, 0.01) << ParallelismStrategyName(GetParam());
   EXPECT_TRUE(result.partition.fits_within_idle_time);
@@ -119,52 +124,49 @@ TEST_P(StrategyExecutorTest, GeminiCheckpointFitsWithZeroOverhead) {
   for (const ChunkAssignment& chunk : result.partition.chunks) {
     total += chunk.bytes;
   }
-  EXPECT_EQ(total, params.checkpoint_bytes);
+  EXPECT_EQ(total, timeline_params.model.CheckpointBytesPerMachine(16));
+}
+
+TEST_P(StrategyExecutorTest, BaselineIsTheStrategysNominalTimeline) {
+  // The executor's baseline is the strategy's walk on the nominal NIC, and
+  // without checkpointing it returns that baseline unchanged.
+  const TimelineParams timeline_params = Gpt20BOnP4d();
+  ExecutorParams params = GeminiOn(GetParam(), timeline_params);
+  const TimeNs nominal = BuildTimelineFor(GetParam(), timeline_params).iteration_time;
+  const ExecutionResult gemini = ExecuteIterationWithCheckpoint(params);
+  ASSERT_TRUE(gemini.status.ok()) << gemini.status;
+  EXPECT_EQ(gemini.baseline_iteration_time, nominal);
+  params.scheme = InterleaveScheme::kNone;
+  const ExecutionResult none = ExecuteIterationWithCheckpoint(params);
+  ASSERT_TRUE(none.status.ok()) << none.status;
+  EXPECT_EQ(none.baseline_iteration_time, nominal);
+  EXPECT_EQ(none.iteration_time, nominal);
+}
+
+TEST_P(StrategyExecutorTest, OversizedCheckpointProlongsIteration) {
+  const TimelineParams timeline_params = Gpt20BOnP4d();
+  ExecutorParams params = GeminiOn(GetParam(), timeline_params);
+  // An absurd checkpoint (10x the model) cannot fit the idle spans.
+  params.checkpoint_bytes_override = 10 * timeline_params.model.CheckpointBytesTotal();
+  const ExecutionResult result = ExecuteIterationWithCheckpoint(params);
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  EXPECT_FALSE(result.partition.fits_within_idle_time);
+  EXPECT_GT(result.iteration_time, result.baseline_iteration_time);
+}
+
+TEST_P(StrategyExecutorTest, SingleReplicaIsFree) {
+  ExecutorParams params = GeminiOn(GetParam(), Gpt20BOnP4d());
+  params.num_replicas = 1;
+  const ExecutionResult result = ExecuteIterationWithCheckpoint(params);
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  EXPECT_TRUE(result.partition.chunks.empty());
+  EXPECT_EQ(result.iteration_time, result.baseline_iteration_time);
 }
 
 INSTANTIATE_TEST_SUITE_P(Strategies, StrategyExecutorTest,
                          ::testing::Values(ParallelismStrategy::kZero3,
                                            ParallelismStrategy::kDataParallel,
                                            ParallelismStrategy::kPipelineParallel));
-
-TEST(GenericExecutorTest, MatchesDedicatedExecutorBaseline) {
-  // On the ZeRO-3 timeline with no interference, both executors must agree
-  // on the baseline iteration time.
-  const TimelineParams timeline_params = Gpt20BOnP4d();
-  GenericExecutorParams params;
-  params.timeline = BuildZero3Timeline(timeline_params);
-  params.instance = timeline_params.instance;
-  params.checkpoint_bytes = timeline_params.model.CheckpointBytesPerMachine(16);
-  const GenericExecutionResult result = ExecuteOnTimeline(params);
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_EQ(result.baseline_iteration_time, params.timeline.iteration_time);
-}
-
-TEST(GenericExecutorTest, OversizedCheckpointProlongsIteration) {
-  const TimelineParams timeline_params = Gpt20BOnP4d();
-  GenericExecutorParams params;
-  params.timeline = BuildZero3Timeline(timeline_params);
-  params.instance = timeline_params.instance;
-  // An absurd checkpoint (10x the model) cannot fit the idle spans.
-  params.checkpoint_bytes = 10 * timeline_params.model.CheckpointBytesTotal();
-  const GenericExecutionResult result = ExecuteOnTimeline(params);
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_FALSE(result.partition.fits_within_idle_time);
-  EXPECT_GT(result.iteration_time, result.baseline_iteration_time);
-}
-
-TEST(GenericExecutorTest, SingleReplicaIsFree) {
-  const TimelineParams timeline_params = Gpt20BOnP4d();
-  GenericExecutorParams params;
-  params.timeline = BuildDataParallelTimeline(timeline_params);
-  params.instance = timeline_params.instance;
-  params.checkpoint_bytes = timeline_params.model.CheckpointBytesPerMachine(16);
-  params.num_replicas = 1;
-  const GenericExecutionResult result = ExecuteOnTimeline(params);
-  ASSERT_TRUE(result.status.ok());
-  EXPECT_TRUE(result.partition.chunks.empty());
-  EXPECT_EQ(result.iteration_time, result.baseline_iteration_time);
-}
 
 // ---------------------------------------------------------------------------
 // Trainium
@@ -195,11 +197,8 @@ TEST(TrainiumTest, Zero3CheckpointingStillFree) {
   params.model = Gpt2_20B();
   params.instance = Trn1_32xlarge();
   params.num_machines = 16;
-  GenericExecutorParams exec;
-  exec.timeline = BuildZero3Timeline(params);
-  exec.instance = params.instance;
-  exec.checkpoint_bytes = params.model.CheckpointBytesPerMachine(16);
-  const GenericExecutionResult result = ExecuteOnTimeline(exec);
+  const ExecutionResult result =
+      ExecuteIterationWithCheckpoint(GeminiOn(ParallelismStrategy::kZero3, params));
   ASSERT_TRUE(result.status.ok());
   EXPECT_LT(result.overhead_fraction, 0.01);
   EXPECT_TRUE(result.partition.fits_within_idle_time);

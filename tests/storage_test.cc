@@ -121,13 +121,6 @@ TEST_F(CpuStoreTest, HostOwnerFailsWhenCpuMemoryExhausted) {
   EXPECT_EQ(store_.HostOwner(1, GiB(300)).code(), StatusCode::kResourceExhausted);
 }
 
-TEST_F(CpuStoreTest, DropOwnerFreesMemory) {
-  ASSERT_TRUE(store_.HostOwner(0, GiB(75)).ok());
-  store_.DropOwner(0);
-  EXPECT_EQ(machine_.cpu_memory_used(), 0);
-  EXPECT_FALSE(store_.Hosts(0));
-}
-
 TEST_F(CpuStoreTest, ChunkedWriteCommitsWhenComplete) {
   ASSERT_TRUE(store_.HostOwner(2, 1000).ok());
   ASSERT_TRUE(store_.BeginWrite(2, 5).ok());
