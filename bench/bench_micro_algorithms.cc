@@ -3,8 +3,9 @@
 // partitioning, the timeline generator (which prices its collectives with
 // the ring cost model), checkpoint serialization, the event queue (distinct
 // timestamps, and the control plane's timer storm), the KV store's liveness
-// work per heartbeat (lease expiry check and the root's health scan), and the
-// delta write path (building a delta, replaying a redo log).
+// work per heartbeat (lease expiry check and the root's health scan), the
+// delta write path (building a delta, replaying a redo log), and the trainer
+// stepping between captures.
 #include <benchmark/benchmark.h>
 
 #include <functional>
@@ -26,6 +27,7 @@
 #include "src/storage/serializer.h"
 #include "src/training/model_config.h"
 #include "src/training/timeline.h"
+#include "src/training/trainer.h"
 
 namespace gemini {
 namespace {
@@ -200,6 +202,34 @@ void BM_RedoLogMaterialize(benchmark::State& state) {
                           static_cast<int64_t>(head.payload.size_bytes()));
 }
 BENCHMARK(BM_RedoLogMaterialize);
+
+// The trainer alone: 64 ranks of 65,536 floats (256 KiB), every rank
+// captured (and the capture dropped) after every `steps per capture` steps.
+// Arguments: percent of chunks a step touches (100 = dense; else 1,024-float
+// chunks), steps per capture. `s_per_step` is the host time per step.
+void BM_TrainerStepsPerCapture(benchmark::State& state) {
+  constexpr int kRanks = 64;
+  const int64_t touched_percent = state.range(0);
+  const int64_t steps_per_capture = state.range(1);
+  ShardedTrainer trainer(Gpt2_10B(), kRanks, 65536, /*seed=*/3);
+  if (touched_percent < 100) {
+    trainer.SetSparseUpdates(static_cast<double>(touched_percent) / 100.0, 1024);
+  }
+  for (auto _ : state) {
+    for (int64_t step = 0; step < steps_per_capture; ++step) {
+      trainer.Step();
+    }
+    for (int rank = 0; rank < kRanks; ++rank) {
+      benchmark::DoNotOptimize(trainer.MakeCheckpoint(rank).payload_crc);
+    }
+  }
+  state.counters["s_per_step"] =
+      benchmark::Counter(static_cast<double>(state.iterations() * steps_per_capture),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_TrainerStepsPerCapture)
+    ->ArgsProduct({{100, 25}, {1, 4, 16}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SimulatorScheduleRun(benchmark::State& state) {
   const int events = static_cast<int>(state.range(0));

@@ -110,67 +110,60 @@ class IterationWalk final : public IterationNic {
   TimeNs last_copy_end_ = 0;
 };
 
-}  // namespace
+// What an execution needs that does not depend on the checkpoint traffic
+// size: the strategy's nominal timeline and the partitioner's inputs.
+// ChooseCheckpointFrequency builds it once and varies only the bytes.
+struct ExecutionSetup {
+  IterationTimeline nominal;
+  PartitionParams partition;
+  int pipeline_depth = 1;
+};
 
-ExecutionResult ExecuteIterationWithCheckpoint(const ExecutorParams& params) {
+ExecutionSetup PrepareExecution(const ExecutorParams& params) {
+  ExecutionSetup setup;
+  setup.nominal = BuildTimelineFor(params.strategy, params.timeline);
+  PartitionParams& partition = setup.partition;
+  partition.idle_spans =
+      params.profiled_spans.empty() ? setup.nominal.idle_spans : params.profiled_spans;
+  partition.num_remote_replicas = params.num_replicas - 1;
+  partition.reserved_buffer = params.reserved_buffer_per_gpu * params.timeline.instance.num_gpus;
+  partition.bandwidth = params.timeline.instance.network_bandwidth;
+  partition.alpha = params.timeline.comm_alpha;
+  partition.gamma = params.gamma;
+  // Pipelined: p sub-buffers; every other scheme stages through one.
+  setup.pipeline_depth = params.scheme == InterleaveScheme::kPipelined ? params.num_buffers : 1;
+  partition.num_buffers = setup.pipeline_depth;
+  return setup;
+}
+
+Bytes FullCheckpointBytes(const ExecutorParams& params) {
+  return params.checkpoint_bytes_override > 0
+             ? params.checkpoint_bytes_override
+             : params.timeline.model.CheckpointBytesPerMachine(params.timeline.num_machines);
+}
+
+// One iteration carrying `checkpoint_bytes` per replica.
+ExecutionResult Execute(const ExecutorParams& params, ExecutionSetup& setup,
+                        Bytes checkpoint_bytes) {
   ExecutionResult result;
   result.status = Status::Ok();
 
   const InstanceSpec& instance = params.timeline.instance;
-  const IterationTimeline nominal = BuildTimelineFor(params.strategy, params.timeline);
-  result.baseline_iteration_time = nominal.iteration_time;
+  result.baseline_iteration_time = setup.nominal.iteration_time;
 
   if (params.scheme == InterleaveScheme::kNone) {
-    result.iteration_time = nominal.iteration_time;
+    result.iteration_time = setup.nominal.iteration_time;
     result.overhead_fraction = 0.0;
     return result;
   }
 
-  const std::vector<IdleSpan>& spans =
-      params.profiled_spans.empty() ? nominal.idle_spans : params.profiled_spans;
-
-  const Bytes checkpoint_bytes =
-      params.checkpoint_bytes_override > 0
-          ? params.checkpoint_bytes_override
-          : params.timeline.model.CheckpointBytesPerMachine(params.timeline.num_machines);
-  const Bytes reserved_machine = params.reserved_buffer_per_gpu * instance.num_gpus;
-
-  PartitionParams partition_params;
-  partition_params.idle_spans = spans;
-  partition_params.checkpoint_bytes = checkpoint_bytes;
-  partition_params.num_remote_replicas = params.num_replicas - 1;
-  partition_params.reserved_buffer = reserved_machine;
-  partition_params.bandwidth = instance.network_bandwidth;
-  partition_params.alpha = params.timeline.comm_alpha;
-  partition_params.gamma = params.gamma;
-
-  int pipeline_depth = params.num_buffers;
-  StatusOr<PartitionResult> partition = InternalError("unset");
-  switch (params.scheme) {
-    case InterleaveScheme::kBlocking:
-      // Whole checkpoint streamed up front through a single staging buffer.
-      partition_params.num_buffers = 1;
-      pipeline_depth = 1;
-      partition = PartitionCheckpoint(partition_params);
-      break;
-    case InterleaveScheme::kNaiveInterleave:
-      partition_params.num_buffers = 1;
-      pipeline_depth = 1;
-      partition = PartitionOneChunkPerSpan(partition_params);
-      break;
-    case InterleaveScheme::kInterleaveNoPipeline:
-      partition_params.num_buffers = 1;
-      pipeline_depth = 1;
-      partition = PartitionCheckpoint(partition_params);
-      break;
-    case InterleaveScheme::kPipelined:
-      partition_params.num_buffers = params.num_buffers;
-      pipeline_depth = params.num_buffers;
-      partition = PartitionCheckpoint(partition_params);
-      break;
-    case InterleaveScheme::kNone:
-      break;  // Handled above.
-  }
+  const std::vector<IdleSpan>& spans = setup.partition.idle_spans;
+  setup.partition.checkpoint_bytes = checkpoint_bytes;
+  // Blocking streams the whole checkpoint up front through a single staging
+  // buffer; the naive scheme sends one chunk per span.
+  StatusOr<PartitionResult> partition = params.scheme == InterleaveScheme::kNaiveInterleave
+                                            ? PartitionOneChunkPerSpan(setup.partition)
+                                            : PartitionCheckpoint(setup.partition);
   if (!partition.ok()) {
     result.status = partition.status();
     return result;
@@ -202,7 +195,7 @@ ExecutionResult ExecuteIterationWithCheckpoint(const ExecutorParams& params) {
   }
 
   IterationWalk walk(instance, params.timeline.comm_alpha, result.partition.chunks,
-                     std::move(requests), pipeline_depth);
+                     std::move(requests), setup.pipeline_depth);
   const TimeNs update_end = walk.Run(params, params.scheme == InterleaveScheme::kBlocking);
 
   result.checkpoint_network_done = walk.last_recv_end();
@@ -220,18 +213,21 @@ ExecutionResult ExecuteIterationWithCheckpoint(const ExecutorParams& params) {
   return result;
 }
 
+}  // namespace
+
+ExecutionResult ExecuteIterationWithCheckpoint(const ExecutorParams& params) {
+  ExecutionSetup setup = PrepareExecution(params);
+  return Execute(params, setup, FullCheckpointBytes(params));
+}
+
 FrequencyDecision ChooseCheckpointFrequency(const ExecutorParams& params, double max_overhead,
                                             int max_interval) {
-  const Bytes full = params.checkpoint_bytes_override > 0
-                         ? params.checkpoint_bytes_override
-                         : params.timeline.model.CheckpointBytesPerMachine(
-                               params.timeline.num_machines);
+  const Bytes full = FullCheckpointBytes(params);
+  ExecutionSetup setup = PrepareExecution(params);
   FrequencyDecision decision;
   for (int interval = 1; interval <= max_interval; ++interval) {
-    ExecutorParams attempt = params;
-    attempt.checkpoint_bytes_override = (full + interval - 1) / interval;
     decision.interval_iterations = interval;
-    decision.execution = ExecuteIterationWithCheckpoint(attempt);
+    decision.execution = Execute(params, setup, (full + interval - 1) / interval);
     if (!decision.execution.status.ok()) {
       return decision;  // OOM etc.: surfacing beats looping.
     }

@@ -26,6 +26,10 @@ bool ChunkTouched(uint64_t seed, int64_t iteration, int rank, size_t chunk, doub
   return static_cast<double>(x >> 11) * 0x1.0p-53 < fraction;
 }
 
+// Elements per tile of a catch-up pass: 16 KiB of floats, so a tile stays in
+// L1 while every pending step and its CRC go over it.
+constexpr size_t kTileElements = 4096;
+
 }  // namespace
 
 ShardedTrainer::ShardedTrainer(const ModelConfig& model, int num_machines, int payload_elements,
@@ -42,6 +46,7 @@ ShardedTrainer::ShardedTrainer(const ModelConfig& model, int num_machines, int p
     ApplyUpdate(seed_, /*iteration=*/-1, rank, 0, shard.live->size(), shard.live->data(),
                 shard.live->data());
   }
+  shard_iterations_.assign(static_cast<size_t>(num_machines), 0);
   ResetCrcTables();
 }
 
@@ -55,6 +60,10 @@ void ShardedTrainer::set_metrics(MetricsRegistry* metrics) {
 void ShardedTrainer::SetSparseUpdates(double fraction, size_t chunk_elements) {
   assert(fraction > 0.0);
   assert(chunk_elements >= 1);
+  // Pending steps were taken under the old rule.
+  for (int rank = 0; rank < num_machines_; ++rank) {
+    CatchUp(rank, /*checksum=*/false);
+  }
   sparse_fraction_ = fraction;
   sparse_chunk_elements_ = chunk_elements;
   // The CRC block grid follows the update mode.
@@ -83,22 +92,18 @@ std::vector<uint8_t> ShardedTrainer::TakeDirtyChunks(int rank) {
   if (!dirty_tracking_enabled()) {
     return {};
   }
+  CatchUp(rank, /*checksum=*/false);
   auto& bits = dirty_.at(static_cast<size_t>(rank));
   std::vector<uint8_t> taken = bits;
   std::fill(bits.begin(), bits.end(), 0);
   return taken;
 }
 
-void ShardedTrainer::MarkAllDirty(int rank) {
+void ShardedTrainer::MarkRangeDirty(int rank, size_t begin, size_t end) const {
   if (dirty_tracking_enabled()) {
     auto& bits = dirty_.at(static_cast<size_t>(rank));
-    std::fill(bits.begin(), bits.end(), 1);
-  }
-}
-
-void ShardedTrainer::MarkChunkDirty(int rank, size_t chunk) {
-  if (dirty_tracking_enabled()) {
-    dirty_.at(static_cast<size_t>(rank)).at(chunk) = 1;
+    std::fill(bits.begin() + static_cast<std::ptrdiff_t>(begin / dirty_chunk_elements_),
+              bits.begin() + static_cast<std::ptrdiff_t>((end - 1) / dirty_chunk_elements_ + 1), 1);
   }
 }
 
@@ -122,60 +127,67 @@ void ShardedTrainer::ResetCrcTables() {
   stale_blocks_.assign(shards_.size() * crc_blocks_per_rank_, 1);
 }
 
-void ShardedTrainer::UpdateShardsAtCurrentIteration() {
-  for (int rank = 0; rank < num_machines_; ++rank) {
-    Shard& shard = shards_[static_cast<size_t>(rank)];
-    std::shared_ptr<std::vector<float>> out = WriteBuffer(shard);
-    const float* in = shard.live->data();
-    const size_t elements = shard.live->size();
-    if (sparse_fraction_ >= 1.0) {
-      ApplyUpdate(seed_, iteration_, rank, 0, elements, in, out->data());
-      shard.live = std::move(out);
-      stale_blocks_[static_cast<size_t>(rank)] = 1;  // One block per rank when dense.
-      MarkAllDirty(rank);
+void ShardedTrainer::CatchUp(int rank, bool checksum) const {
+  int64_t& next = shard_iterations_[static_cast<size_t>(rank)];
+  if (next == iteration_) {
+    return;
+  }
+  Shard& shard = shards_[static_cast<size_t>(rank)];
+  std::shared_ptr<std::vector<float>> out = WriteBuffer(shard);
+  const float* in = shard.live->data();
+  const size_t elements = shard.live->size();
+  const size_t block = CrcBlockElements();
+  const bool dense = sparse_fraction_ >= 1.0;
+  uint32_t* crcs = block_crcs_.data() + static_cast<size_t>(rank) * crc_blocks_per_rank_;
+  uint8_t* stale = stale_blocks_.data() + static_cast<size_t>(rank) * crc_blocks_per_rank_;
+  for (size_t b = 0; b < crc_blocks_per_rank_; ++b) {
+    const size_t begin = b * block;
+    const size_t end = std::min(elements, begin + block);
+    // Sparse mode: only touched chunks see an iteration's update (and its
+    // decay) — the MoE-style workload where most expert shards are frozen
+    // per step. Dense mode touches its one block every iteration.
+    touching_.clear();
+    for (int64_t iteration = next; iteration < iteration_; ++iteration) {
+      if (dense || ChunkTouched(seed_, iteration, rank, b, sparse_fraction_)) {
+        touching_.push_back(iteration);
+      }
+    }
+    if (touching_.empty()) {
+      // Written out of place, an untouched block is copied; either way its
+      // CRC table entry still holds.
+      if (out->data() != in) {
+        std::memcpy(out->data() + begin, in + begin, (end - begin) * sizeof(float));
+      }
       continue;
     }
-    // Sparse mode: only touched chunks see the update (and its decay) this
-    // iteration — the MoE-style workload where most expert shards are
-    // frozen per step. Written out of place, untouched chunks are copied;
-    // either way their CRC table entries still hold.
-    const size_t num_chunks = (elements + sparse_chunk_elements_ - 1) / sparse_chunk_elements_;
-    for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
-      const size_t begin = chunk * sparse_chunk_elements_;
-      const size_t end = std::min(elements, begin + sparse_chunk_elements_);
-      if (!ChunkTouched(seed_, iteration_, rank, chunk, sparse_fraction_)) {
-        if (out->data() != in) {
-          std::memcpy(out->data() + begin, in + begin, (end - begin) * sizeof(float));
-        }
-        continue;
+    uint32_t crc = 0;
+    for (size_t tile = begin; tile < end; tile += kTileElements) {
+      const size_t count = std::min(kTileElements, end - tile);
+      const float* from = in + tile;
+      float* to = out->data() + tile;
+      for (const int64_t iteration : touching_) {
+        ApplyUpdate(seed_, iteration, rank, tile, count, from, to);
+        from = to;
       }
-      ApplyUpdate(seed_, iteration_, rank, begin, end - begin, in + begin, out->data() + begin);
-      // The next capture checksums it; a step does no CRC work.
-      stale_blocks_[static_cast<size_t>(rank) * crc_blocks_per_rank_ + chunk] = 1;
-      if (dirty_tracking_enabled()) {
-        if (dirty_chunk_elements_ == sparse_chunk_elements_) {
-          MarkChunkDirty(rank, chunk);
-        } else {
-          // Different granularities: mark every tracking chunk the touched
-          // element range overlaps (conservative superset).
-          for (size_t e = begin; e < end; e += dirty_chunk_elements_) {
-            MarkChunkDirty(rank, e / dirty_chunk_elements_);
-          }
-          MarkChunkDirty(rank, (end - 1) / dirty_chunk_elements_);
-        }
+      if (checksum) {
+        crc = Crc32Update(crc, to, count * sizeof(float));
       }
     }
-    shard.live = std::move(out);
+    crcs[b] = crc;
+    stale[b] = checksum ? 0 : 1;
+    MarkRangeDirty(rank, begin, end);
   }
+  shard.live = std::move(out);
+  next = iteration_;
 }
 
 void ShardedTrainer::Step() {
-  UpdateShardsAtCurrentIteration();
   ++iteration_;
   steps_counter_->Increment();
 }
 
 const std::vector<float>& ShardedTrainer::shard(int rank) const {
+  CatchUp(rank, /*checksum=*/false);
   return *shards_.at(static_cast<size_t>(rank)).live;
 }
 
@@ -192,13 +204,15 @@ Checkpoint ShardedTrainer::MakeCheckpoint(int rank) const {
   checkpoint.owner_rank = rank;
   checkpoint.iteration = iteration_;
   checkpoint.logical_bytes = checkpoint_bytes_per_machine();
+  CatchUp(rank, /*checksum=*/true);
   const Shard& shard = shards_.at(static_cast<size_t>(rank));
   checkpoint.payload = PayloadRef(std::shared_ptr<const std::vector<float>>(shard.live));
   const size_t block = CrcBlockElements();
   const size_t elements = shard.live->size();
   uint32_t* crcs = block_crcs_.data() + static_cast<size_t>(rank) * crc_blocks_per_rank_;
   uint8_t* stale = stale_blocks_.data() + static_cast<size_t>(rank) * crc_blocks_per_rank_;
-  // Only the blocks written since the previous capture are read.
+  // Only the blocks stale for a reason other than this capture's catch-up
+  // are read again.
   for (size_t b = 0; b < crc_blocks_per_rank_; ++b) {
     if (stale[b] != 0) {
       const size_t begin = b * block;
@@ -224,11 +238,12 @@ Status ShardedTrainer::RestoreShard(const Checkpoint& checkpoint) {
   std::shared_ptr<std::vector<float>> out = WriteBuffer(shard);
   std::copy(checkpoint.payload.begin(), checkpoint.payload.end(), out->begin());
   shard.live = std::move(out);
+  shard_iterations_[static_cast<size_t>(checkpoint.owner_rank)] = iteration_;
   const size_t first_block = static_cast<size_t>(checkpoint.owner_rank) * crc_blocks_per_rank_;
   std::fill_n(stale_blocks_.begin() + first_block, crc_blocks_per_rank_, 1);
   // A restore can land arbitrarily far from any delta base; every chunk is
   // potentially changed until the next full snapshot seals a new base.
-  MarkAllDirty(checkpoint.owner_rank);
+  MarkRangeDirty(checkpoint.owner_rank, 0, shard.live->size());
   return Status::Ok();
 }
 
@@ -261,6 +276,7 @@ Status ShardedTrainer::RestoreAll(const std::vector<Checkpoint>& checkpoints) {
                     TraceAttr::Int("to_iteration", iteration)});
   }
   iteration_ = iteration;
+  std::fill(shard_iterations_.begin(), shard_iterations_.end(), iteration);
   return Status::Ok();
 }
 
@@ -269,10 +285,7 @@ Status ShardedTrainer::ReplayTo(int64_t target_iteration) {
     return InvalidArgumentError("replay target is behind the current iteration");
   }
   const int64_t replayed = target_iteration - iteration_;
-  while (iteration_ < target_iteration) {
-    UpdateShardsAtCurrentIteration();
-    ++iteration_;
-  }
+  iteration_ = target_iteration;
   if (replayed > 0) {
     replayed_iterations_counter_->Increment(replayed);
     if (tracer_ != nullptr) {

@@ -44,8 +44,11 @@ class ShardedTrainer {
     return model_.CheckpointBytesPerMachine(num_machines_);
   }
 
-  // Applies one deterministic optimizer step to every shard and advances the
-  // iteration counter.
+  // Advances the iteration counter by one deterministic optimizer step. O(1):
+  // the update is deferred, and each shard applies every step it has not
+  // seen yet the first time it is read (shard(), MakeCheckpoint(),
+  // TakeDirtyChunks(), SetSparseUpdates()), so k steps between two reads of
+  // a shard cost one pass over it, not k.
   void Step();
 
   // Sparse-update workload mode (MoE-style: only "touched" chunks change per
@@ -53,39 +56,46 @@ class ShardedTrainer {
   // `fraction` under a deterministic hash; untouched chunks are frozen for
   // that iteration. `fraction >= 1.0` (the default) is the dense path,
   // bit-identical to a trainer that never heard of sparsity. Step() and
-  // ReplayTo() share the same predicate, so replay stays bit-exact.
+  // ReplayTo() share the same predicate, so replay stays bit-exact. Steps
+  // taken before the call are applied under the rule they were taken with.
   void SetSparseUpdates(double fraction, size_t chunk_elements);
   double sparse_update_fraction() const { return sparse_fraction_; }
 
   // Chunk-granular dirty tracking for incremental checkpoints: once enabled,
   // every chunk possibly modified since the owner's last TakeDirtyChunks()
-  // call has its change bit set (Step/ReplayTo mark touched chunks, restores
-  // mark everything — the bits are a conservative superset of real changes;
-  // content-level dedupe happens in BuildDeltaCheckpoint).
+  // call has its change bit set (the steps Step/ReplayTo defer mark their
+  // touched chunks when applied, restores mark everything — the bits are a
+  // conservative superset of real changes; content-level dedupe happens in
+  // BuildDeltaCheckpoint).
   void EnableDirtyTracking(size_t chunk_elements);
   bool dirty_tracking_enabled() const { return dirty_chunk_elements_ > 0; }
   size_t dirty_chunk_count() const;
-  // Returns the accumulated change bits for `rank` and clears them.
+  // Returns the accumulated change bits for `rank` (pending steps applied
+  // first) and clears them.
   std::vector<uint8_t> TakeDirtyChunks(int rank);
 
-  // `rank`'s current model states. The reference is valid only until the
-  // next Step(), Restore*() or ReplayTo(): a write while a capture holds the
-  // buffer moves the states to another one.
+  // `rank`'s current model states, brought up to the current iteration first.
+  // The reference is valid only until the next Restore*(), or the next read
+  // of this rank after a Step() or ReplayTo(): a write while a capture holds
+  // the buffer moves the states to another one.
   const std::vector<float>& shard(int rank) const;
 
   // Snapshot of `rank`'s model states at the current iteration. Copy-free:
   // the checkpoint shares the live shard buffer (copy-on-write — the next
   // write to this rank goes to a recycled buffer while any capture holds it).
-  // Its payload_crc is combined from the shard's block CRCs; only the blocks
-  // written since the previous capture are checksummed again, so a sparse
-  // step's untouched chunks are not re-read.
+  // Its payload_crc is combined from the shard's block CRCs. The pending
+  // steps are applied here, and each block they write is checksummed while
+  // it is still in cache; only blocks stale for another reason (a restore,
+  // a read by shard()) are read again, so a sparse step's untouched chunks
+  // are not re-read.
   Checkpoint MakeCheckpoint(int rank) const;
 
   // Buffers allocated across the per-rank pools: live shards plus captures
   // still held downstream. Flat once the capture pattern is steady.
   size_t allocated_buffers() const;
 
-  // Restores one rank's shard; fails when the checkpoint belongs to a
+  // Restores one rank's shard, dropping its pending steps: the next step
+  // applies to the restored states. Fails when the checkpoint belongs to a
   // different rank or has a mismatched payload size.
   Status RestoreShard(const Checkpoint& checkpoint);
 
@@ -95,9 +105,10 @@ class ShardedTrainer {
 
   // Replays the deterministic update forward to `target_iteration` (the
   // gradient-log replay of Checkmate-style recovery: the same (iteration,
-  // rank, element) deltas produce bit-exactly the pre-failure states). No-op
-  // when already at or past the target. Replayed steps count under
-  // "trainer.replayed_iterations", not "trainer.steps".
+  // rank, element) deltas produce bit-exactly the pre-failure states). Like
+  // Step(), it only advances the counter; the next read of each shard applies
+  // the replayed steps. No-op when already at or past the target. Replayed
+  // steps count under "trainer.replayed_iterations", not "trainer.steps".
   Status ReplayTo(int64_t target_iteration);
 
  private:
@@ -109,20 +120,24 @@ class ShardedTrainer {
     std::shared_ptr<std::vector<float>> live;
   };
 
-  // One optimizer step over every shard at `iteration_` (dense or sparse);
-  // shared by Step() and the ReplayTo() loop so both trajectories are
-  // bit-identical.
-  void UpdateShardsAtCurrentIteration();
+  // Applies `rank`'s pending steps, [shard_iterations_[rank], iteration_),
+  // in one pass over the shard: block by block (a block is the sparse chunk,
+  // or the whole shard when dense), each L1-sized tile of a block takes every
+  // pending step that touches the block before the next tile is read. With
+  // `checksum`, each written block is CRC'd tile by tile while hot and its
+  // stale bit cleared; without, its stale bit is set. Logically const: a
+  // read sees the same states whether or not the steps were applied earlier.
+  void CatchUp(int rank, bool checksum) const;
   // The buffer `shard`'s next states go to: the live one when no capture
   // holds it (in place), else a free pool buffer with unspecified contents.
   static std::shared_ptr<std::vector<float>> WriteBuffer(Shard& shard);
-  // Block size of the shards' CRC tables: the sparse chunk, else the whole
-  // shard.
+  // Block size of the shards' CRC tables and of the update rule: the sparse
+  // chunk, else the whole shard.
   size_t CrcBlockElements() const;
   // Sizes the CRC tables for the current update mode, all stale.
   void ResetCrcTables();
-  void MarkAllDirty(int rank);
-  void MarkChunkDirty(int rank, size_t chunk);
+  // Marks every tracking chunk that elements [begin, end) overlap.
+  void MarkRangeDirty(int rank, size_t begin, size_t end) const;
 
   ModelConfig model_;
   int num_machines_;
@@ -133,20 +148,29 @@ class ShardedTrainer {
   // 0 = dirty tracking off.
   size_t dirty_chunk_elements_ = 0;
   // Per-rank change bits (one byte per chunk), accumulated since the rank's
-  // last TakeDirtyChunks().
-  std::vector<std::vector<uint8_t>> dirty_;
+  // last TakeDirtyChunks(). A pending step marks its chunks when applied.
+  mutable std::vector<std::vector<uint8_t>> dirty_;
   RunTracer* tracer_ = nullptr;
   // Hot-path metric handles (resolved once in set_metrics).
   Counter* steps_counter_ = DiscardCounter();
   Counter* restores_counter_ = DiscardCounter();
   Counter* rollback_iterations_counter_ = DiscardCounter();
   Counter* replayed_iterations_counter_ = DiscardCounter();
-  // One pool per rank keeps each pool's linear Acquire scan short.
-  std::vector<Shard> shards_;
+  // One pool per rank keeps each pool's linear Acquire scan short. Mutable,
+  // like the per-rank iterations and the CRC tables below, because reads
+  // apply pending steps (CatchUp).
+  mutable std::vector<Shard> shards_;
+  // The iteration whose step each rank's live buffer takes next; the rank's
+  // steps in [shard_iterations_[rank], iteration_) are pending.
+  mutable std::vector<int64_t> shard_iterations_;
+  // Scratch for CatchUp: the pending iterations that touch the current
+  // block. A member so a steady capture loop does not allocate.
+  mutable std::vector<int64_t> touching_;
   // CRC tables of every rank's live buffer, rank-major: entry
   // rank * crc_blocks_per_rank_ + b is the CRC of block b (blocks of
-  // CrcBlockElements()) unless its stale bit is set. A step sets the bit of
-  // each block it writes, a restore sets the rank's bits, and the next
+  // CrcBlockElements()) unless its stale bit is set. A capture checksums the
+  // blocks its catch-up writes as it writes them; a catch-up for any other
+  // reader sets their bits, a restore sets the rank's bits, and the next
   // capture checksums the stale blocks and clears their bits, so CRC work
   // follows captures, not steps. One table for all ranks keeps the
   // constructor at two allocations however many ranks there are.

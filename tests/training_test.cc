@@ -3,6 +3,7 @@
 // recovery-replay and copy-on-write capture properties.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 
@@ -534,6 +535,260 @@ TEST(TrainerTest, RestoreAndReplayLeaveHeldCaptureUntouched) {
   }
   for (int rank = 0; rank < 3; ++rank) {
     EXPECT_EQ(trainer.shard(rank), reference.shard(rank)) << "rank " << rank;
+  }
+}
+
+// The parent's eager trainer, kept as the reference for the deferred one:
+// every Step() and every replayed iteration runs the per-iteration loop below
+// over every shard at once, marking the dirty chunks it writes. No captures,
+// so it always writes in place.
+bool ReferenceChunkTouched(uint64_t seed, int64_t iteration, int rank, size_t chunk,
+                           double fraction) {
+  uint64_t x = seed ^ 0xD1B54A32D192ED03ULL;
+  x ^= static_cast<uint64_t>(iteration) * 0x9E3779B97F4A7C15ULL;
+  x ^= (static_cast<uint64_t>(rank) + 1) * 0xBF58476D1CE4E5B9ULL;
+  x ^= (static_cast<uint64_t>(chunk) + 1) * 0x94D049BB133111EBULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  x ^= x >> 31;
+  return static_cast<double>(x >> 11) * 0x1.0p-53 < fraction;
+}
+
+struct EagerTrainer {
+  EagerTrainer(int num_machines, size_t elements, uint64_t seed)
+      : seed(seed), shards(static_cast<size_t>(num_machines)) {
+    for (int rank = 0; rank < num_machines; ++rank) {
+      std::vector<float>& shard = shards[static_cast<size_t>(rank)];
+      shard.assign(elements, 0.0f);
+      ApplyUpdate(seed, -1, rank, 0, elements, shard.data(), shard.data());
+    }
+  }
+
+  void EnableDirtyTracking(size_t chunk_elements) {
+    dirty_chunk_elements = chunk_elements;
+    const size_t chunks = (shards.front().size() + chunk_elements - 1) / chunk_elements;
+    dirty.assign(shards.size(), std::vector<uint8_t>(chunks, 1));
+  }
+  void MarkChunkDirty(int rank, size_t chunk) {
+    if (dirty_chunk_elements > 0) {
+      dirty[static_cast<size_t>(rank)].at(chunk) = 1;
+    }
+  }
+
+  void UpdateShardsAtCurrentIteration() {
+    for (int rank = 0; rank < static_cast<int>(shards.size()); ++rank) {
+      std::vector<float>& shard = shards[static_cast<size_t>(rank)];
+      const size_t elements = shard.size();
+      if (sparse_fraction >= 1.0) {
+        ApplyUpdate(seed, iteration, rank, 0, elements, shard.data(), shard.data());
+        if (dirty_chunk_elements > 0) {
+          std::fill(dirty[static_cast<size_t>(rank)].begin(),
+                    dirty[static_cast<size_t>(rank)].end(), 1);
+        }
+        continue;
+      }
+      const size_t num_chunks = (elements + sparse_chunk_elements - 1) / sparse_chunk_elements;
+      for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
+        const size_t begin = chunk * sparse_chunk_elements;
+        const size_t end = std::min(elements, begin + sparse_chunk_elements);
+        if (!ReferenceChunkTouched(seed, iteration, rank, chunk, sparse_fraction)) {
+          continue;
+        }
+        ApplyUpdate(seed, iteration, rank, begin, end - begin, shard.data() + begin,
+                    shard.data() + begin);
+        if (dirty_chunk_elements > 0) {
+          for (size_t e = begin; e < end; e += dirty_chunk_elements) {
+            MarkChunkDirty(rank, e / dirty_chunk_elements);
+          }
+          MarkChunkDirty(rank, (end - 1) / dirty_chunk_elements);
+        }
+      }
+    }
+  }
+
+  void Step() {
+    UpdateShardsAtCurrentIteration();
+    ++iteration;
+  }
+  void ReplayTo(int64_t target) {
+    while (iteration < target) {
+      Step();
+    }
+  }
+  void RestoreShard(const Checkpoint& checkpoint) {
+    shards[static_cast<size_t>(checkpoint.owner_rank)] = checkpoint.payload.ToVector();
+    if (dirty_chunk_elements > 0) {
+      std::fill(dirty[static_cast<size_t>(checkpoint.owner_rank)].begin(),
+                dirty[static_cast<size_t>(checkpoint.owner_rank)].end(), 1);
+    }
+  }
+  void RestoreAll(const std::vector<Checkpoint>& checkpoints) {
+    for (const Checkpoint& checkpoint : checkpoints) {
+      RestoreShard(checkpoint);
+    }
+    iteration = checkpoints.front().iteration;
+  }
+  std::vector<uint8_t> TakeDirtyChunks(int rank) {
+    if (dirty_chunk_elements == 0) {
+      return {};
+    }
+    std::vector<uint8_t> taken = dirty[static_cast<size_t>(rank)];
+    std::fill(dirty[static_cast<size_t>(rank)].begin(), dirty[static_cast<size_t>(rank)].end(),
+              0);
+    return taken;
+  }
+
+  uint64_t seed;
+  int64_t iteration = 0;
+  double sparse_fraction = 1.0;
+  size_t sparse_chunk_elements = 1;
+  size_t dirty_chunk_elements = 0;
+  std::vector<std::vector<float>> shards;
+  std::vector<std::vector<uint8_t>> dirty;
+};
+
+bool SameBits(const float* data, size_t size, const std::vector<float>& want) {
+  return size == want.size() && std::memcmp(data, want.data(), size * sizeof(float)) == 0;
+}
+
+// Deferred steps (each shard catches up when read, fusing the update with the
+// capture's CRC) against the eager per-iteration loop, over seeded random
+// sequences of every trainer call: dense and sparse shards (some spanning
+// several catch-up tiles), dirty tracking at the sparse chunk size and at
+// another, update-mode switches with steps pending, captures held (so later
+// writes go out of place) or dropped (in place), restores and replays.
+// Every read compares bytes, payload_crc, dirty bits and the iteration; at
+// the end every held capture must still hold the bytes it was taken with.
+TEST(TrainerTest, DeferredStepsMatchEagerLoop) {
+  Rng rng(0xDEFE);
+  int failures = 0;
+  for (int trial = 0; trial < 1200 && failures < 5; ++trial) {
+    const int machines = static_cast<int>(rng.UniformInt(1, 3));
+    const size_t elements = rng.Bernoulli(0.15) ? static_cast<size_t>(rng.UniformInt(4090, 9000))
+                                                : static_cast<size_t>(rng.UniformInt(1, 300));
+    const uint64_t seed = rng.NextU64Below(1000);
+    const auto random_mode = [&](size_t* chunk) {
+      *chunk = rng.Bernoulli(0.1) ? static_cast<size_t>(rng.UniformInt(4000, 6000))
+                                  : static_cast<size_t>(rng.UniformInt(1, 64));
+      return rng.Bernoulli(0.3) ? 1.0 : 0.1 + 0.8 * rng.NextDouble();
+    };
+    ShardedTrainer trainer(Gpt2_10B(), machines, static_cast<int>(elements), seed);
+    EagerTrainer reference(machines, elements, seed);
+    size_t chunk = 1;
+    const double fraction = random_mode(&chunk);
+    if (fraction < 1.0) {
+      trainer.SetSparseUpdates(fraction, chunk);
+      reference.sparse_fraction = fraction;
+      reference.sparse_chunk_elements = chunk;
+    }
+    if (rng.Bernoulli(0.6)) {
+      const size_t dirty_chunk =
+          rng.Bernoulli(0.5) ? chunk : static_cast<size_t>(rng.UniformInt(1, 100));
+      trainer.EnableDirtyTracking(dirty_chunk);
+      reference.EnableDirtyTracking(dirty_chunk);
+    }
+
+    struct Held {
+      Checkpoint capture;
+      std::vector<float> bytes;
+    };
+    std::vector<Held> held;
+    std::vector<Checkpoint> base_set;
+    const auto check = [&](bool ok, const std::string& what) {
+      if (!ok) {
+        ++failures;
+        ADD_FAILURE() << "trial " << trial << ": " << what;
+      }
+      return ok;
+    };
+    for (int op = 0; op < 40; ++op) {
+      const int rank = static_cast<int>(rng.UniformInt(0, machines - 1));
+      const std::string at = " (op " + std::to_string(op) + ", rank " + std::to_string(rank) + ")";
+      switch (rng.UniformInt(0, 9)) {
+        case 0:
+        case 1:
+        case 2:
+          trainer.Step();
+          reference.Step();
+          break;
+        case 3: {
+          const Checkpoint capture = trainer.MakeCheckpoint(rank);
+          const std::vector<float>& want = reference.shards[static_cast<size_t>(rank)];
+          check(SameBits(capture.payload.data(), capture.payload.size(), want),
+                "capture bytes" + at);
+          check(capture.payload_crc == Crc32(want.data(), want.size() * sizeof(float)),
+                "capture payload_crc" + at);
+          check(capture.iteration == reference.iteration, "capture iteration" + at);
+          if (rng.Bernoulli(0.5)) {
+            held.push_back({capture, want});
+            if (held.size() > 4) {
+              held.erase(held.begin());
+            }
+          }
+          break;
+        }
+        case 4: {
+          const std::vector<float>& got = trainer.shard(rank);
+          check(SameBits(got.data(), got.size(), reference.shards[static_cast<size_t>(rank)]),
+                "shard bytes" + at);
+          break;
+        }
+        case 5:
+          check(trainer.TakeDirtyChunks(rank) == reference.TakeDirtyChunks(rank),
+                "dirty bits" + at);
+          break;
+        case 6: {
+          size_t next_chunk = 1;
+          const double next_fraction = random_mode(&next_chunk);
+          trainer.SetSparseUpdates(next_fraction, next_chunk);
+          reference.sparse_fraction = next_fraction;
+          reference.sparse_chunk_elements = next_chunk;
+          break;
+        }
+        case 7:
+          if (!base_set.empty() && rng.Bernoulli(0.5)) {
+            check(trainer.RestoreAll(base_set).ok(), "RestoreAll" + at);
+            reference.RestoreAll(base_set);
+          } else {
+            base_set.clear();
+            for (int r = 0; r < machines; ++r) {
+              base_set.push_back(trainer.MakeCheckpoint(r));
+            }
+          }
+          break;
+        case 8:
+          if (!held.empty()) {
+            const Checkpoint& source =
+                held[static_cast<size_t>(rng.UniformInt(0, static_cast<int64_t>(held.size()) - 1))]
+                    .capture;
+            check(trainer.RestoreShard(source).ok(), "RestoreShard" + at);
+            reference.RestoreShard(source);
+          }
+          break;
+        default: {
+          const int64_t target = trainer.iteration() + rng.UniformInt(0, 4);
+          check(trainer.ReplayTo(target).ok(), "ReplayTo" + at);
+          reference.ReplayTo(target);
+          break;
+        }
+      }
+      check(trainer.iteration() == reference.iteration, "iteration" + at);
+    }
+    for (int rank = 0; rank < machines; ++rank) {
+      const std::vector<float>& got = trainer.shard(rank);
+      check(SameBits(got.data(), got.size(), reference.shards[static_cast<size_t>(rank)]),
+            "final shard bytes, rank " + std::to_string(rank));
+      const Checkpoint capture = trainer.MakeCheckpoint(rank);
+      check(capture.payload_crc == capture.ComputePayloadCrc(),
+            "final payload_crc, rank " + std::to_string(rank));
+      check(trainer.TakeDirtyChunks(rank) == reference.TakeDirtyChunks(rank),
+            "final dirty bits, rank " + std::to_string(rank));
+    }
+    for (const Held& h : held) {
+      check(SameBits(h.capture.payload.data(), h.capture.payload.size(), h.bytes) &&
+                h.capture.IntegrityOk(),
+            "held capture changed after it was taken");
+    }
   }
 }
 
