@@ -625,6 +625,57 @@ TEST(GeminiSystemTest, KvLeaderMachineFailureIsDetectedWithinOneRenewalAndElecti
   }
 }
 
+TEST(GeminiSystemTest, ScriptedFailuresPinDetectionResumeAndControlPlaneCounts) {
+  // Four scripted failures on 64 machines: a software crash, a hardware
+  // loss, the KV leader's machine, and a hardware loss at exactly one of the
+  // dead rank's keepalive instants (workers start at t = 0 and renew every
+  // 3 s, so 60 min is one; the injection is scheduled before that tick is,
+  // so the death comes first and the tick does not renew). Every detection
+  // and resume instant and the control plane's counts are pinned: a change
+  // to how health leases are renewed must leave the modeled run identical.
+  GeminiConfig config = SmallConfig();
+  config.num_machines = 64;
+  GeminiSystem system(config);
+  ASSERT_TRUE(system.Initialize().ok());
+  ASSERT_TRUE(system.TrainUntil(1).ok());
+  const std::optional<int> kv_leader = system.kvstore().LeaderRank();
+  ASSERT_TRUE(kv_leader.has_value());
+  FailureInjector& injector = system.failure_injector();
+  injector.InjectAt(Minutes(5), FailureType::kSoftware, {9});
+  injector.InjectAt(Minutes(20) + Millis(1500), FailureType::kHardware, {17});
+  injector.InjectAt(Minutes(40) + Millis(500), FailureType::kHardware, {*kv_leader});
+  const TimeNs tick_instant = Minutes(60);
+  ASSERT_EQ(tick_instant % config.agent.keepalive_interval, 0);
+  injector.InjectAt(tick_instant, FailureType::kHardware, {40});
+  const auto report = system.TrainUntil(60);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->iterations_completed, 60);
+  // Captured from a run that simulated every keepalive as a timer event.
+  struct Expected {
+    int rank;
+    TimeNs detected_at;
+    TimeNs resumed_at;
+  };
+  const std::vector<Expected> expected = {
+      {9, 305000100000, 605322680646},
+      {17, 1215000100000, 1515697780646},
+      {*kv_leader, 2415000100000, 2715697780646},
+      {40, 3610000100000, 3910697780646},
+  };
+  ASSERT_EQ(report->recoveries.size(), expected.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    const RecoveryRecord& recovery = report->recoveries[i];
+    EXPECT_EQ(recovery.failed_ranks, (std::vector<int>{expected[i].rank})) << "record " << i;
+    EXPECT_EQ(recovery.failure_detected_at, expected[i].detected_at) << "record " << i;
+    EXPECT_EQ(recovery.training_resumed_at, expected[i].resumed_at) << "record " << i;
+  }
+  const MetricsRegistry& metrics = system.metrics();
+  EXPECT_EQ(metrics.counter_value("kv.proposals"), 203);
+  EXPECT_EQ(metrics.counter_value("agent.lease_acquired"), 67);
+  EXPECT_EQ(metrics.counter_value("agent.keepalives"), 117801);
+  ExpectStateMatchesReference(system, config, 60);
+}
+
 TEST(GeminiSystemTest, StandbyMachinesShortenHardwareDowntime) {
   // At 16 machines the per-machine serialization (~150 s) no longer masks
   // the ASG provisioning delay (4-7 min), so standby machines visibly
