@@ -4,16 +4,19 @@
 // the ring cost model), checkpoint serialization, the event queue (distinct
 // timestamps, and the control plane's timer storm), the KV store's liveness
 // work per heartbeat (lease expiry check and the root's health scan), the
-// delta write path (building a delta, replaying a redo log), and the trainer
+// whole control plane of agents on the store, the delta write path (building a delta, replaying a redo log), and the trainer
 // stepping between captures.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
 #include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "src/agent/root_agent.h"
 #include "src/agent/worker_agent.h"
+#include "src/cluster/cluster.h"
 #include "src/cluster/fabric.h"
 #include "src/common/rng.h"
 #include "src/kvstore/kv_store.h"
@@ -244,10 +247,11 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorScheduleRun)->Arg(1000)->Arg(100000);
 
-// The control plane's event mix: N same-period timers that all fire at one
-// instant (agent keepalives and health scans), plus one Raft-style election
-// timer cancelled and re-armed at a random deadline on every heartbeat. Each
-// benchmark iteration simulates one period.
+// An engine stress shape: N same-period timers that all fire at one instant,
+// plus one Raft-style election timer cancelled and re-armed at a random
+// deadline on every heartbeat. Each benchmark iteration simulates one period.
+// (The agents' keepalives no longer tick while their leases renew by rule;
+// BM_KvControlPlaneAgents measures the control plane as it now runs.)
 void BM_SimulatorTimerStorm(benchmark::State& state) {
   const int timers = static_cast<int>(state.range(0));
   const TimeNs period = Millis(100);
@@ -314,6 +318,51 @@ void BM_KvControlPlane(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) * keys);
 }
 BENCHMARK(BM_KvControlPlane)->Arg(256)->Arg(1024);
+
+// The control plane as the system runs it: N WorkerAgents, and the RootAgent
+// the first promoted worker starts, on a 3-node store. Each benchmark
+// iteration simulates one minute of steady state: health leases renew by
+// rule, so what is left is Raft heartbeats, root scans and expiry checks.
+// Reports simulated events and host ns per simulated second.
+void BM_KvControlPlaneAgents(benchmark::State& state) {
+  const int machines = static_cast<int>(state.range(0));
+  Simulator sim;
+  Cluster cluster(sim, machines, P4d24xlarge(), FabricConfig{});
+  KvStoreCluster kv(
+      sim, cluster.fabric(), {0, 1, 2},
+      [&cluster](int rank) { return cluster.machine(rank).alive(); }, KvStoreConfig{},
+      /*seed=*/13);
+  kv.Start();
+  const AgentConfig config;
+  std::unique_ptr<RootAgent> root;
+  std::vector<std::unique_ptr<WorkerAgent>> workers;
+  for (int rank = 0; rank < machines; ++rank) {
+    workers.push_back(std::make_unique<WorkerAgent>(sim, cluster, kv, rank, config));
+    workers.back()->set_on_promoted_to_root([&, rank] {
+      root = std::make_unique<RootAgent>(sim, cluster, kv, rank, config,
+                                         [](const FailureReport&) {});
+      root->Start();
+    });
+    workers.back()->Start();
+  }
+  sim.RunUntil(Minutes(1));
+  if (root == nullptr || kv.List(kHealthKeyPrefix).size() != static_cast<size_t>(machines)) {
+    state.SkipWithError("control plane did not settle");
+    return;
+  }
+  const TimeNs span = Minutes(1);
+  int64_t events = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    events += sim.RunUntil(sim.now() + span);
+  }
+  const double host_ns =
+      std::chrono::duration<double, std::nano>(std::chrono::steady_clock::now() - start).count();
+  const double sim_seconds = ToSeconds(span) * static_cast<double>(state.iterations());
+  state.counters["events_per_sim_s"] = static_cast<double>(events) / sim_seconds;
+  state.counters["host_ns_per_sim_s"] = host_ns / sim_seconds;
+}
+BENCHMARK(BM_KvControlPlaneAgents)->Arg(256)->Arg(1024);
 
 }  // namespace
 }  // namespace gemini

@@ -70,11 +70,13 @@ cmake --build build-release -j
 echo "==> release pass: ctest"
 (cd build-release && ctest --output-on-failure -j"$(nproc)")
 
-# Keeps the event engine's micro cases (distinct timestamps, and the control
-# plane's same-period timer storm), the KV store's per-heartbeat liveness work
-# (expiry check and health scan over 256 and 1024 leased keys) and the delta
-# write path's (building a delta, replaying an 8-link redo log) building and
-# running. Not a speed gate.
+# Keeps the event engine's micro cases (distinct timestamps, and a
+# same-period timer storm), the KV store's per-heartbeat liveness work
+# (expiry check and health scan over 256 and 1024 leased keys), the whole
+# control plane (256 and 1024 agents on the store for a simulated minute,
+# leases renewing by rule; `KvControlPlane` matches both KV cases) and the
+# delta write path's (building a delta, replaying an 8-link redo log) building
+# and running. Not a speed gate.
 echo "==> release pass: simulator, KV control-plane and delta-path micro-benchmarks (smoke)"
 ./build-release/bench/bench_micro_algorithms \
   --benchmark_filter='Simulator|KvControlPlane|RedoLog|DeltaCheckpoint' --benchmark_min_time=0.01

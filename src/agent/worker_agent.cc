@@ -14,7 +14,12 @@ WorkerAgent::WorkerAgent(Simulator& sim, Cluster& cluster, KvStoreCluster& kv, i
                                                       [this] { OnRootPollTick(); });
 }
 
-WorkerAgent::~WorkerAgent() { Stop(); }
+WorkerAgent::~WorkerAgent() {
+  // Stop() counts the keepalives a renewal rule covered, but the registry may
+  // already be gone: a destroyed agent records nothing.
+  set_metrics(nullptr);
+  Stop();
+}
 
 void WorkerAgent::set_metrics(MetricsRegistry* metrics) {
   lease_acquired_counter_ = CounterHandle(metrics, "agent.lease_acquired");
@@ -38,6 +43,7 @@ void WorkerAgent::Start() {
 
 void WorkerAgent::Stop() {
   started_ = false;
+  kv_.EndLeaseRule(lease_);
   lease_ = kNoLease;
   keepalive_timer_->Stop();
   root_poll_timer_->Stop();
@@ -85,6 +91,7 @@ void WorkerAgent::PublishStatus(const std::string& status) {
       }
       GEMINI_LOG(kWarning) << "worker " << rank_ << ": health publish failed (" << put_status
                            << "); will retry on next keepalive";
+      kv_.EndLeaseRule(lease_);
       return;
     }
     publish_retry_pending_ = false;
@@ -110,19 +117,54 @@ void WorkerAgent::OnKeepAliveTick() {
   }
   keepalives_counter_->Increment();
   kv_.LeaseKeepAlive(lease_, [this](Status status) {
-    if (!status.ok() && started_ && machine_ok()) {
+    if (!status.ok()) {
       // Lease may have expired during a KV leader change; reacquire.
       lease_ = kNoLease;
       return;
     }
-    if (publish_retry_pending_ && started_ && machine_ok()) {
+    if (publish_retry_pending_) {
       publish_retries_counter_->Increment();
       if (tracer_ != nullptr) {
         tracer_->Event("agent_publish_retry", "agent", {TraceAttr::Int("rank", rank_)});
       }
       PublishStatus(last_status_);
+      return;
     }
+    FollowRenewalRule();
   });
+}
+
+void WorkerAgent::FollowRenewalRule() {
+  // Until something changes, every later tick would only move the deadline.
+  const Status status = kv_.LeaseRenewByRule(
+      lease_, rank_, config_.keepalive_interval,
+      [this](TimeNs last_tick) { OnRenewalRuleEnded(last_tick); });
+  if (!status.ok()) {
+    return;  // A TTL no longer than the interval: keep ticking.
+  }
+  keepalive_timer_->Stop();
+  on_rule_ = true;
+  rule_counted_through_ = sim_.now();
+}
+
+void WorkerAgent::OnRenewalRuleEnded(TimeNs last_tick) {
+  CountRuledTicksThrough(last_tick);
+  on_rule_ = false;
+  if (started_) {
+    keepalive_timer_->StartAt(last_tick + config_.keepalive_interval);
+  }
+}
+
+void WorkerAgent::CountRuledKeepalives() {
+  if (on_rule_) {
+    CountRuledTicksThrough(
+        LastRuledTick(rule_counted_through_, config_.keepalive_interval, sim_));
+  }
+}
+
+void WorkerAgent::CountRuledTicksThrough(TimeNs last_tick) {
+  keepalives_counter_->Increment((last_tick - rule_counted_through_) / config_.keepalive_interval);
+  rule_counted_through_ = last_tick;
 }
 
 void WorkerAgent::OnRootPollTick() {

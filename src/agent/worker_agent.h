@@ -3,7 +3,14 @@
 // One per training machine. Publishes the machine's health status to the
 // distributed key-value store under a heartbeat lease: a hardware failure
 // silences the keepalive, the lease expires, and the key disappears — which
-// is exactly how the root agent detects dead machines. Software failures
+// is exactly how the root agent detects dead machines. A keepalive that
+// succeeds with no publish retry pending hands the lease to a renewal rule
+// (KvStoreCluster::LeaseRenewByRule): the store treats it as renewed on every
+// later tick instant, and the keepalive timer stops. When the rule ends (the
+// machine dies, the lease is revoked, the KV leader changes, a publish fails,
+// the agent stops) the timer restarts on the same phase, so every real tick
+// lands where it always did; the ticks the rule covered are added to
+// "agent.keepalives" then and on CountRuledKeepalives. Software failures
 // (training process crash, agent alive) are reported explicitly in the key's
 // value. Worker agents also track the root agent's leadership key, and when it
 // disappears they campaign to promote one of themselves to root. A worker
@@ -61,6 +68,12 @@ class WorkerAgent {
   // Called when the training process restarts after recovery.
   void ReportHealthy();
 
+  // Adds the keepalives the renewal rule has covered so far to
+  // "agent.keepalives". Call it before reading the counter mid-run.
+  void CountRuledKeepalives();
+  // True while the lease renews by rule and the keepalive timer is stopped.
+  bool on_renewal_rule() const { return on_rule_; }
+
   // Invoked when this agent wins the root election (set by the system).
   void set_on_promoted_to_root(std::function<void()> callback) {
     on_promoted_ = std::move(callback);
@@ -68,8 +81,7 @@ class WorkerAgent {
 
   // Optional sink for "agent.*" counters; may stay null. Counter handles are
   // resolved here, once, per the hot-path metric convention
-  // (src/obs/metrics.h) — the keepalive counter fires every few simulated
-  // seconds for the whole run.
+  // (src/obs/metrics.h).
   void set_metrics(MetricsRegistry* metrics);
   // Optional trace sink: publish failures/retries become "agent" track
   // instants (the flight recorder's pre-failure context); may stay null.
@@ -82,6 +94,10 @@ class WorkerAgent {
   void AcquireLeaseAndPublish();
   void PublishStatus(const std::string& status);
   void OnKeepAliveTick();
+  void FollowRenewalRule();
+  void OnRenewalRuleEnded(TimeNs last_tick);
+  // Counts the rule's ticks after the last counted one, through `last_tick`.
+  void CountRuledTicksThrough(TimeNs last_tick);
   void OnRootPollTick();
   void OnRootKeyEvent(const WatchEvent& event);
 
@@ -96,7 +112,11 @@ class WorkerAgent {
   // Set when a health publish fails (KV leader change, quorum blip); the next
   // keepalive tick republishes so the root never acts on a stale status.
   bool publish_retry_pending_ = false;
+  // Runs only while the lease is off its renewal rule.
   std::unique_ptr<RepeatingTimer> keepalive_timer_;
+  bool on_rule_ = false;
+  // The rule's last counted tick: at first its start, a real tick.
+  TimeNs rule_counted_through_ = 0;
   // Runs only while no live root is known.
   std::unique_ptr<RepeatingTimer> root_poll_timer_;
   // The watch on kRootKey, registered when a live root is first seen (not in

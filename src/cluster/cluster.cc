@@ -56,7 +56,7 @@ Cluster::Cluster(Simulator& sim, int num_machines, const InstanceSpec& spec,
   assert(num_machines > 0);
   machines_.reserve(static_cast<size_t>(num_machines));
   for (int rank = 0; rank < num_machines; ++rank) {
-    machines_.push_back(std::make_unique<Machine>(rank, /*incarnation=*/0, spec));
+    machines_.push_back(std::make_unique<Machine>(rank, /*incarnation=*/0, spec, &fabric_));
   }
   fabric_.set_liveness_check([this](int rank) { return machine(rank).alive(); });
 }
@@ -64,7 +64,7 @@ Cluster::Cluster(Simulator& sim, int num_machines, const InstanceSpec& spec,
 Machine& Cluster::ReplaceMachine(int rank) {
   auto& slot = machines_.at(static_cast<size_t>(rank));
   const int incarnation = slot->incarnation() + 1;
-  slot = std::make_unique<Machine>(rank, incarnation, *spec_);
+  slot = std::make_unique<Machine>(rank, incarnation, *spec_, &fabric_);
   return *slot;
 }
 

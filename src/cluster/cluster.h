@@ -43,7 +43,8 @@ class PcieEngine {
 class Cluster {
  public:
   // Builds `num_machines` machines of the given instance type sharing one
-  // fabric. The fabric's liveness check is wired to machine health.
+  // fabric. The fabric's liveness check is wired to machine health, and every
+  // machine announces its deaths and revivals to the fabric's listeners.
   Cluster(Simulator& sim, int num_machines, const InstanceSpec& spec, FabricConfig fabric_config);
 
   int size() const { return static_cast<int>(machines_.size()); }
@@ -57,7 +58,8 @@ class Cluster {
   PcieEngine& pcie() { return pcie_; }
 
   // Installs a fresh machine (next incarnation) at `rank`, as the cloud
-  // operator does when replacing failed hardware.
+  // operator does when replacing failed hardware. The swap itself notifies
+  // no listener: whoever replaces a machine restarts what ran on it.
   Machine& ReplaceMachine(int rank);
 
   // Ranks currently in each health state.

@@ -17,6 +17,22 @@ void Fabric::set_liveness_check(std::function<bool(int rank)> alive) {
   alive_ = std::move(alive);
 }
 
+uint64_t Fabric::AddLivenessListener(std::function<void(int rank, bool alive)> listener) {
+  assert(listener);
+  liveness_listeners_.emplace_back(next_listener_id_, std::move(listener));
+  return next_listener_id_++;
+}
+
+void Fabric::RemoveLivenessListener(uint64_t id) {
+  std::erase_if(liveness_listeners_, [id](const auto& entry) { return entry.first == id; });
+}
+
+void Fabric::NotifyLivenessChanged(int rank, bool alive) {
+  for (const auto& [id, listener] : liveness_listeners_) {
+    listener(rank, alive);
+  }
+}
+
 void Fabric::set_partition_check(std::function<bool(int src, int dst)> connected) {
   partition_ = std::move(connected);
 }

@@ -15,7 +15,9 @@
 #ifndef SRC_CLUSTER_FABRIC_H_
 #define SRC_CLUSTER_FABRIC_H_
 
+#include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/common/status.h"
@@ -52,6 +54,14 @@ class Fabric {
   // Predicate consulted at transfer completion; a dead endpoint fails the
   // transfer with kUnavailable. Defaults to "always alive".
   void set_liveness_check(std::function<bool(int rank)> alive);
+
+  // Liveness listeners run, in registration order, each time a rank dies or
+  // comes back: the cluster's machines announce it from
+  // Machine::set_health. A listener must not add or remove listeners.
+  // Returns an id for RemoveLivenessListener.
+  uint64_t AddLivenessListener(std::function<void(int rank, bool alive)> listener);
+  void RemoveLivenessListener(uint64_t id);
+  void NotifyLivenessChanged(int rank, bool alive);
 
   // Network partition predicate: when set, a pair (src, dst) for which it
   // returns false exchanges no traffic — control messages are dropped and
@@ -95,6 +105,8 @@ class Fabric {
   std::vector<Nic> nics_;
   std::function<bool(int)> alive_;
   std::function<bool(int, int)> partition_;
+  uint64_t next_listener_id_ = 1;
+  std::vector<std::pair<uint64_t, std::function<void(int, bool)>>> liveness_listeners_;
 };
 
 }  // namespace gemini

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cassert>
 
+#include "src/cluster/fabric.h"
 #include "src/common/logging.h"
 
 namespace gemini {
@@ -35,11 +36,19 @@ void Gpu::Free(Bytes bytes) {
   used_ -= bytes;
 }
 
-Machine::Machine(int rank, int incarnation, const InstanceSpec& spec)
-    : rank_(rank), incarnation_(incarnation), spec_(&spec) {
+Machine::Machine(int rank, int incarnation, const InstanceSpec& spec, Fabric* fabric)
+    : rank_(rank), incarnation_(incarnation), spec_(&spec), fabric_(fabric) {
   gpus_.reserve(static_cast<size_t>(spec.num_gpus));
   for (int i = 0; i < spec.num_gpus; ++i) {
     gpus_.emplace_back(spec.gpu_memory_per_gpu);
+  }
+}
+
+void Machine::set_health(MachineHealth health) {
+  const bool was_alive = alive();
+  health_ = health;
+  if (fabric_ != nullptr && alive() != was_alive) {
+    fabric_->NotifyLivenessChanged(rank_, alive());
   }
 }
 

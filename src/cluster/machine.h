@@ -50,9 +50,13 @@ class Gpu {
   Bytes used_ = 0;
 };
 
+class Fabric;
+
 class Machine {
  public:
-  Machine(int rank, int incarnation, const InstanceSpec& spec);
+  // A machine on `fabric` (may be null) announces its deaths and revivals
+  // through the fabric's liveness listeners.
+  Machine(int rank, int incarnation, const InstanceSpec& spec, Fabric* fabric = nullptr);
 
   int rank() const { return rank_; }
   // Distinguishes successive machines occupying the same rank.
@@ -62,7 +66,7 @@ class Machine {
   MachineHealth health() const { return health_; }
   bool alive() const { return health_ != MachineHealth::kDead; }
   bool process_running() const { return health_ == MachineHealth::kHealthy; }
-  void set_health(MachineHealth health) { health_ = health; }
+  void set_health(MachineHealth health);
 
   int num_gpus() const { return static_cast<int>(gpus_.size()); }
   Gpu& gpu(int index) { return gpus_.at(static_cast<size_t>(index)); }
@@ -90,6 +94,7 @@ class Machine {
   int rank_;
   int incarnation_;
   const InstanceSpec* spec_;
+  Fabric* fabric_;
   MachineHealth health_ = MachineHealth::kHealthy;
   std::vector<Gpu> gpus_;
   Bytes cpu_used_ = 0;

@@ -274,6 +274,7 @@ StatusOr<TrainingReport> GeminiSystem::TrainUntil(int64_t target_iterations,
       return InternalError("simulation deadlocked: event queue drained while training");
     }
   }
+  CountRuledKeepalives();
   report_.wall_time = sim_.now() - run_started_at_;
   report_.iterations_completed = trainer_->iteration();
   return report_;
@@ -282,6 +283,12 @@ StatusOr<TrainingReport> GeminiSystem::TrainUntil(int64_t target_iterations,
 void GeminiSystem::FinishRun() {
   running_ = false;
   CancelInFlightIteration();
+}
+
+void GeminiSystem::CountRuledKeepalives() {
+  for (const auto& worker : workers_) {
+    worker->CountRuledKeepalives();
+  }
 }
 
 void GeminiSystem::CancelInFlightIteration() {
@@ -622,6 +629,7 @@ void GeminiSystem::OnFailureDetected(const FailureReport& report) {
                  TraceAttr::Int("num_ranks", static_cast<int64_t>(report.ranks.size())),
                  TraceAttr::Int("iteration", trainer_->iteration())});
   if (config_.flight_recorder_capacity > 0) {
+    CountRuledKeepalives();
     flight_recorder_.Dump("failure_detected", sim_.now(), &metrics_);
   }
   GEMINI_LOG(kInfo) << "recovery: handling " << FailureTypeName(report.type) << " failure of "
@@ -1089,6 +1097,7 @@ void GeminiSystem::ResumeTraining() {
   tracer_.Event("training_resumed", "recovery",
                 {TraceAttr::Int("iteration", recovery_case.rollback_iteration)});
   if (config_.flight_recorder_capacity > 0) {
+    CountRuledKeepalives();
     flight_recorder_.Dump("recovery_complete", sim_.now(), &metrics_);
   }
   const std::vector<int> replaced = recovery_case.replaced;

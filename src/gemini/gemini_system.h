@@ -307,6 +307,10 @@ class GeminiSystem : public PolicyHost {
   void OnIterationComplete();
   void MaybePersistentCheckpoint();
   void FinishRun();
+  // Brings "agent.keepalives" up to date with the ticks renewal rules have
+  // covered (WorkerAgent::CountRuledKeepalives); run before the registry is
+  // read: when TrainUntil returns and before a flight dump.
+  void CountRuledKeepalives();
   // Drops the in-flight iteration's end and its checkpoint commit.
   void CancelInFlightIteration();
 

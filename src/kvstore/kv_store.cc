@@ -10,6 +10,14 @@
 
 namespace gemini {
 
+TimeNs LastRuledTick(TimeNs start, TimeNs period, const Simulator& sim) {
+  const TimeNs now = sim.now();
+  // A tick due now was armed at now - period; it ran first unless the
+  // current event was scheduled before that.
+  const TimeNs through = sim.scheduled_at() >= now - period ? now : now - 1;
+  return through <= start ? start : start + (through - start) / period * period;
+}
+
 // ---------------------------------------------------------------------------
 // KvStoreCluster
 // ---------------------------------------------------------------------------
@@ -30,9 +38,30 @@ KvStoreCluster::KvStoreCluster(Simulator& sim, Fabric& fabric, std::vector<int> 
     nodes_.push_back(std::make_unique<KvNode>(*this, static_cast<int>(i),
                                               server_ranks_[i], seeder.NextU64()));
   }
+  liveness_listener_ = fabric_.AddLivenessListener(
+      [this](int rank, bool alive) { OnLivenessChanged(rank, alive); });
 }
 
-KvStoreCluster::~KvStoreCluster() = default;
+KvStoreCluster::~KvStoreCluster() { fabric_.RemoveLivenessListener(liveness_listener_); }
+
+void KvStoreCluster::OnLivenessChanged(int rank, bool alive) {
+  for (const auto& node : nodes_) {
+    if (node->rank() == rank && node->role() == KvNode::Role::kLeader) {
+      // The serving leader may change: every rule ends.
+      EndLeaseRules(std::nullopt);
+      return;
+    }
+  }
+  if (!alive) {
+    EndLeaseRules(rank);
+  }
+}
+
+void KvStoreCluster::EndLeaseRules(std::optional<int> holder) {
+  for (auto& node : nodes_) {
+    node->EndRules(holder);
+  }
+}
 
 void KvStoreCluster::Start() {
   for (auto& node : nodes_) {
@@ -146,6 +175,24 @@ void KvStoreCluster::LeaseKeepAlive(LeaseId lease, ProposeCallback done) {
   done(leader->RenewLease(lease));
 }
 
+Status KvStoreCluster::LeaseRenewByRule(LeaseId lease, int holder_rank, TimeNs period,
+                                        std::function<void(TimeNs last_tick)> ended) {
+  KvNode* leader = Leader();
+  if (leader == nullptr) {
+    return UnavailableError("kvstore: no leader");
+  }
+  return leader->RenewByRule(lease, holder_rank, period, std::move(ended));
+}
+
+void KvStoreCluster::EndLeaseRule(LeaseId lease) {
+  for (auto& node : nodes_) {
+    const auto it = node->leases_.find(lease);
+    if (it != node->leases_.end() && it->second.period > 0) {
+      node->EndRule(it->second);
+    }
+  }
+}
+
 void KvStoreCluster::LeaseRevoke(LeaseId lease, ProposeCallback done) {
   KvNode* leader = Leader();
   if (leader == nullptr) {
@@ -240,6 +287,7 @@ bool KvNode::alive() const { return cluster_.alive_(rank_); }
 void KvNode::Start() { ResetElectionTimer(); }
 
 void KvNode::ResetAndRestart() {
+  EndRules(std::nullopt);
   role_ = Role::kFollower;
   term_ = 0;
   voted_for_.reset();
@@ -360,6 +408,7 @@ void KvNode::OnRequestVoteReply(uint64_t term, bool granted) {
 }
 
 void KvNode::BecomeFollower(uint64_t term) {
+  EndRules(std::nullopt);
   role_ = Role::kFollower;
   term_ = term;
   voted_for_.reset();
@@ -385,6 +434,8 @@ void KvNode::BecomeLeader() {
                             {TraceAttr::Int("rank", rank_),
                              TraceAttr::Int("term", static_cast<int64_t>(term_))});
   }
+  // Keepalives now reach this node: rules served by any other end here.
+  cluster_.EndLeaseRules(std::nullopt);
   role_ = Role::kLeader;
   leader_index_ = index_;
   const size_t n = cluster_.server_ranks_.size();
@@ -599,6 +650,9 @@ void KvNode::ApplyOp(const KvOp& op, uint64_t index, std::vector<WatchEvent>& ev
     case KvOpType::kLeaseRevoke: {
       auto lease = leases_.find(op.lease);
       if (lease != leases_.end()) {
+        if (lease->second.period > 0) {
+          EndRule(lease->second);
+        }
         for (const std::string& key : lease->second.keys) {
           auto it = state_.find(key);
           if (it != state_.end() && it->second.lease == op.lease) {
@@ -622,6 +676,60 @@ Status KvNode::RenewLease(LeaseId lease_id) {
   return Status::Ok();
 }
 
+Status KvNode::RenewByRule(LeaseId lease_id, int holder, TimeNs period,
+                           std::function<void(TimeNs)> ended) {
+  auto lease = leases_.find(lease_id);
+  if (lease == leases_.end()) {
+    return NotFoundError("kvstore: lease not found: " + std::to_string(lease_id));
+  }
+  LeaseState& state = lease->second;
+  if (period <= 0 || period >= state.ttl) {
+    return InvalidArgumentError("kvstore: a renewal rule needs 0 < period < TTL");
+  }
+  if (state.period == 0) {
+    ++ruled_leases_;
+  }
+  state.deadline = cluster_.sim_.now() + state.ttl;
+  state.period = period;
+  state.holder = holder;
+  state.rule_ended = std::move(ended);
+  return Status::Ok();
+}
+
+void KvNode::EndRule(LeaseState& lease) {
+  const TimeNs last_tick = LastRuledTick(lease.deadline - lease.ttl, lease.period, cluster_.sim_);
+  lease.deadline = last_tick + lease.ttl;
+  lease.period = 0;
+  --ruled_leases_;
+  lease_deadline_bound_ = std::min(lease_deadline_bound_, lease.deadline);
+  const std::function<void(TimeNs)> ended = std::move(lease.rule_ended);
+  lease.rule_ended = nullptr;
+  ended(last_tick);
+}
+
+void KvNode::EndRules(std::optional<int> holder) {
+  if (ruled_leases_ == 0) {
+    return;
+  }
+  for (auto& [id, lease] : leases_) {
+    if (lease.period > 0 && (!holder.has_value() || lease.holder == *holder)) {
+      EndRule(lease);
+    }
+  }
+}
+
+TimeNs KvNode::LeaseDeadline(LeaseId lease_id) const {
+  const auto lease = leases_.find(lease_id);
+  if (lease == leases_.end()) {
+    return kNoLeaseDeadline;
+  }
+  const LeaseState& state = lease->second;
+  if (state.period == 0) {
+    return state.deadline;
+  }
+  return LastRuledTick(state.deadline - state.ttl, state.period, cluster_.sim_) + state.ttl;
+}
+
 void KvNode::ExpireLeases() {
   const TimeNs now = cluster_.sim_.now();
   if (now <= lease_deadline_bound_) {
@@ -630,6 +738,9 @@ void KvNode::ExpireLeases() {
   ++lease_table_walks_;
   TimeNs earliest = kNoLeaseDeadline;
   for (const auto& [id, lease] : leases_) {
+    if (lease.period > 0) {
+      continue;  // Renewed every period < TTL: it cannot have lapsed.
+    }
     if (lease.deadline < now) {
       KvOp op;
       op.type = KvOpType::kLeaseRevoke;

@@ -21,16 +21,42 @@
 // grants, revokes, puts and deletes, never with renewals. It is not compacted:
 // a multi-hour run keeps every one of those entries.
 //
+// Renewal rules. A holder whose keepalives would only move a deadline hands
+// the leader a rule instead of ticking (LeaseRenewByRule): "renewed now and
+// every `period` after". The leader's lease table keeps the period, and the
+// lease's deadline is the last such tick at or before now, plus the TTL.
+// Nothing evaluates it per tick: ExpireLeases skips a ruled lease (with
+// period < TTL it cannot lapse), BecomeLeader ends every rule before it
+// re-extends deadlines, and LeaseDeadline evaluates it for tests. Anything
+// that could make one of those ticks fail ends the rule: the holder's machine
+// dying, the lease's revocation, a change of serving leader (any
+// BecomeLeader; the serving leader's BecomeFollower, ResetAndRestart, death
+// or revival), or EndLeaseRule from the holder (it stops, or a publish
+// failed). Ending fixes the deadline at the last tick the
+// rule covered and tells the holder which tick that was, so its real ticks
+// resume on the same phase. The store learns of deaths from its fabric's
+// liveness listeners (Machine::set_health); a store whose `alive` predicate
+// changes without them must not hold ruled leases.
+//
+// A tick due at the very instant a rule ends counts as covered when, as an
+// event, it would have run first. The tick would have been armed one period
+// earlier, so it counts when the ending event was scheduled at or after that
+// (Simulator::scheduled_at). A death injected ahead of time at a tick instant
+// therefore beats that tick; a death set between two RunUntil calls does not.
+//
 // Expiry costs nothing while no lease can have lapsed. Each node keeps a lower
 // bound on its earliest lease deadline. Renewals and promotion only raise
-// deadlines, so only a grant lowers the bound. The leader's heartbeat skips
-// the lease table while the bound has not passed. Once it has, one walk
-// revokes the lowest expired lease id (one revoke per tick) or, finding none,
-// raises the bound to the true earliest deadline.
+// deadlines, so only a grant or the end of a rule lowers the bound. With a
+// period below the TTL a ruled lease cannot lapse, so it stays out of the
+// bound while its rule lasts. The leader's heartbeat skips the lease table
+// while the bound has not passed. Once it has, one walk revokes the lowest
+// expired lease id (one revoke per tick) or, finding none, raises the bound to
+// the true earliest deadline.
 #ifndef SRC_KVSTORE_KV_STORE_H_
 #define SRC_KVSTORE_KV_STORE_H_
 
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
@@ -56,6 +82,10 @@ struct KvStoreConfig {
 };
 
 class KvNode;
+
+// The last tick of a renewal rule (ticks at start + k * period, k >= 0) that
+// has run by now in event order; see "Renewal rules" above.
+TimeNs LastRuledTick(TimeNs start, TimeNs period, const Simulator& sim);
 
 // The cluster of KV nodes. Owns all nodes, the watch registry, and routing.
 class KvStoreCluster {
@@ -108,6 +138,15 @@ class KvStoreCluster {
   // `done` runs before this returns, with kNotFound when the lease is unknown
   // or already revoked (the holder must grant a new one).
   void LeaseKeepAlive(LeaseId lease, ProposeCallback done);
+  // Renews `lease` on the leader now and by rule every `period` after, with
+  // no event, until the rule ends (see "Renewal rules" above). `ended` then
+  // runs once with the last tick the rule covered; it must not call into the
+  // store. Fails like LeaseKeepAlive, and with kInvalidArgument unless
+  // `period` is below the lease's TTL.
+  Status LeaseRenewByRule(LeaseId lease, int holder_rank, TimeNs period,
+                          std::function<void(TimeNs last_tick)> ended);
+  // Ends `lease`'s rule, if it has one.
+  void EndLeaseRule(LeaseId lease);
   void LeaseRevoke(LeaseId lease, ProposeCallback done);
 
   // Linearizable-enough read from the leader's applied state.
@@ -135,6 +174,9 @@ class KvStoreCluster {
   friend class KvNode;
 
   KvNode* Leader() const;
+  // Ends every rule held by `holder`, or every rule with no holder given.
+  void EndLeaseRules(std::optional<int> holder);
+  void OnLivenessChanged(int rank, bool alive);
   void EmitWatchEvents(const std::vector<WatchEvent>& events);
   // Runs watch `watch_id`'s callback on `event`, if the watch still exists.
   void DeliverWatchEvent(uint64_t watch_id, const WatchEvent& event);
@@ -157,6 +199,7 @@ class KvStoreCluster {
     WatchCallback callback;
   };
   std::map<uint64_t, WatchReg> watches_;
+  uint64_t liveness_listener_ = 0;
 };
 
 // One Raft participant. Public for tests; application code uses the cluster.
@@ -165,9 +208,15 @@ class KvNode {
   enum class Role { kFollower, kCandidate, kLeader };
 
   struct LeaseState {
+    // For a ruled lease: the deadline its rule started from (LeaseDeadline
+    // evaluates the rule).
     TimeNs deadline = 0;
     TimeNs ttl = 0;
     std::vector<std::string> keys;
+    // Renewal rule, on the serving leader only; period 0 means none.
+    TimeNs period = 0;
+    int holder = -1;
+    std::function<void(TimeNs last_tick)> rule_ended;
   };
 
   KvNode(KvStoreCluster& cluster, int index, int rank, uint64_t seed);
@@ -188,6 +237,9 @@ class KvNode {
   uint64_t last_applied() const { return last_applied_; }
   const std::map<std::string, KvEntry>& applied_state() const { return state_; }
   const std::map<LeaseId, LeaseState>& leases() const { return leases_; }
+  // The lease's deadline with its rule, if any, evaluated at now;
+  // kNoLeaseDeadline for an unknown lease.
+  TimeNs LeaseDeadline(LeaseId lease) const;
   // A lower bound on every lease's deadline (kNoLeaseDeadline with no
   // leases): the expiry check walks the lease table only once `now` passes
   // it.
@@ -235,6 +287,14 @@ class KvNode {
   void ApplyOp(const KvOp& op, uint64_t index, std::vector<WatchEvent>& events);
   // Leader-only: sets the lease's deadline to now + TTL.
   Status RenewLease(LeaseId lease_id);
+  // Leader-only: renews the lease now and puts it on a renewal rule.
+  Status RenewByRule(LeaseId lease_id, int holder, TimeNs period,
+                     std::function<void(TimeNs)> ended);
+  // Fixes a ruled lease's deadline at its rule's last covered tick, lowers
+  // the bound to it and tells the holder.
+  void EndRule(LeaseState& lease);
+  // Ends the rules held by `holder` (all rules without one).
+  void EndRules(std::optional<int> holder);
   // Leader-only: proposes the revocation of the lowest expired lease id, if
   // the deadline bound says one may have expired.
   void ExpireLeases();
@@ -271,6 +331,7 @@ class KvNode {
   std::map<LeaseId, LeaseState> leases_;
   TimeNs lease_deadline_bound_ = kNoLeaseDeadline;
   int64_t lease_table_walks_ = 0;
+  int ruled_leases_ = 0;
 
   EventId election_timer_{};
   EventId heartbeat_timer_{};

@@ -31,6 +31,7 @@ EventId Simulator::ScheduleAt(TimeNs when, EventCallback fn) {
   }
   Slot& s = slots_[slot];
   s.fn = std::move(fn);
+  s.scheduled_at = now_;
   s.next = kNone;
   const uint64_t seq = next_seq_++;
 
@@ -123,6 +124,7 @@ bool Simulator::RunOne() {
   Slot& s = slots_[slot];
   bucket.head = s.next;
   now_ = top.when;
+  scheduled_at_ = s.scheduled_at;
   // Move the callback out and free its slot before running it: the callback
   // may schedule (growing slots_) or cancel other events, and its own id must
   // already read as run.
@@ -137,6 +139,7 @@ int64_t Simulator::Run() {
   while (RunOne()) {
     ++n;
   }
+  scheduled_at_ = now_;
   return n;
 }
 
@@ -149,6 +152,7 @@ int64_t Simulator::RunUntil(TimeNs deadline) {
     ++n;
   }
   now_ = deadline;
+  scheduled_at_ = deadline;
   return n;
 }
 

@@ -40,6 +40,12 @@ class Simulator {
 
   TimeNs now() const { return now_; }
 
+  // When the running event was scheduled; between events, when the last one
+  // run was, except that Run and RunUntil leave it at now, having run every
+  // event due. Equal-time events run in scheduling order, so an event due now
+  // that was scheduled before this time has already run.
+  TimeNs scheduled_at() const { return scheduled_at_; }
+
   // Schedules `fn` to run at absolute time `when` (>= now()).
   EventId ScheduleAt(TimeNs when, EventCallback fn);
 
@@ -72,6 +78,7 @@ class Simulator {
 
   struct Slot {
     EventCallback fn;  // empty once cancelled
+    TimeNs scheduled_at = 0;
     // Bumped whenever the slot is freed, so ids of earlier occupants go stale.
     uint32_t generation = 1;
     uint32_t next = kNone;  // next slot in the same bucket
@@ -101,6 +108,7 @@ class Simulator {
   void FreeSlot(uint32_t slot);
 
   TimeNs now_ = 0;
+  TimeNs scheduled_at_ = 0;
   uint64_t next_seq_ = 1;
   std::vector<Slot> slots_;
   std::vector<uint32_t> free_slots_;

@@ -16,12 +16,14 @@ RepeatingTimer::~RepeatingTimer() {
   Stop();
 }
 
-void RepeatingTimer::Start(bool fire_now) {
+void RepeatingTimer::Start(bool fire_now) { StartAt(sim_.now() + (fire_now ? 0 : period_)); }
+
+void RepeatingTimer::StartAt(TimeNs first_tick) {
   if (running_) {
     return;
   }
   running_ = true;
-  Arm(fire_now ? 0 : period_);
+  Arm(first_tick);
 }
 
 void RepeatingTimer::Stop() {
@@ -32,8 +34,8 @@ void RepeatingTimer::Stop() {
   }
 }
 
-void RepeatingTimer::Arm(TimeNs delay) {
-  pending_ = sim_.ScheduleAfter(delay, [this] { Tick(); });
+void RepeatingTimer::Arm(TimeNs when) {
+  pending_ = sim_.ScheduleAt(when, [this] { Tick(); });
 }
 
 void RepeatingTimer::Tick() {
@@ -46,7 +48,7 @@ void RepeatingTimer::Tick() {
   // on_tick_ may have stopped the timer, or stopped and restarted it, which
   // armed it already.
   if (running_ && !pending_.valid()) {
-    Arm(period_);
+    Arm(sim_.now() + period_);
   }
 }
 

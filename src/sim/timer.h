@@ -24,12 +24,14 @@ class RepeatingTimer {
 
   // First tick fires `period` from now (or immediately if fire_now).
   void Start(bool fire_now = false);
+  // First tick fires at `first_tick` (>= now), then every period.
+  void StartAt(TimeNs first_tick);
   void Stop();
   bool running() const { return running_; }
   TimeNs period() const { return period_; }
 
  private:
-  void Arm(TimeNs delay);
+  void Arm(TimeNs when);
   void Tick();
 
   Simulator& sim_;

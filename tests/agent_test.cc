@@ -14,6 +14,7 @@
 #include "src/cluster/cluster.h"
 #include "src/kvstore/kv_store.h"
 #include "src/obs/metrics.h"
+#include "src/sim/timer.h"
 
 namespace gemini {
 namespace {
@@ -334,6 +335,175 @@ TEST_F(AgentTest, LiveAgentRegrantsRevokedLease) {
   ASSERT_TRUE(after.ok()) << "live agent never recovered its health key";
   EXPECT_EQ(after->value, kStatusHealthy);
   EXPECT_NE(after->lease, before->lease);
+}
+
+// ---------------------------------------------------------------------------
+// Renewal rules against the keepalive ticks they stand for.
+// ---------------------------------------------------------------------------
+
+// Rank 3's health key on a 4-machine cluster, kept alive by its WorkerAgent
+// (on a renewal rule once a keepalive succeeds) or by a test-side timer on the
+// agent's phase that grants and renews through the one-shot LeaseKeepAlive.
+// Rank 3 dies at `at`: set between RunUntil calls, or injected by an event
+// scheduled at the start. Returns the instant its key expired.
+TimeNs HealthKeyExpiry(bool agent, bool inject, TimeNs at) {
+  Simulator sim;
+  Cluster cluster(sim, 4, P4d24xlarge(), FabricConfig{});
+  KvStoreCluster kv(
+      sim, cluster.fabric(), {0, 1, 2},
+      [&cluster](int rank) { return cluster.machine(rank).alive(); }, KvStoreConfig{},
+      /*seed=*/77);
+  FailureInjector injector(sim, cluster, /*seed=*/3);
+  kv.Start();
+  const AgentConfig config;
+  const std::string key = std::string(kHealthKeyPrefix) + "3";
+  TimeNs expired_at = -1;
+  kv.Watch(key, [&](const WatchEvent& event) {
+    if (event.type == WatchEventType::kExpired) {
+      expired_at = sim.now();
+    }
+  });
+  LeaseId lease = kNoLease;
+  RepeatingTimer ticks(sim, config.keepalive_interval, [&] {
+    if (!cluster.machine(3).alive()) {
+      return;
+    }
+    if (lease == kNoLease) {
+      kv.LeaseGrant(config.health_lease_ttl, [&](StatusOr<LeaseId> granted) {
+        if (granted.ok()) {
+          lease = *granted;
+          kv.Put(key, kStatusHealthy, lease, [](Status) {});
+        }
+      });
+      return;
+    }
+    kv.LeaseKeepAlive(lease, [&](Status status) {
+      if (!status.ok()) {
+        lease = kNoLease;
+      }
+    });
+  });
+  WorkerAgent worker(sim, cluster, kv, 3, config);
+  if (agent) {
+    worker.Start();
+  } else {
+    ticks.Start();
+  }
+  if (inject) {
+    injector.InjectAt(at, FailureType::kHardware, {3});
+  }
+  sim.RunUntil(at - 1);
+  EXPECT_EQ(worker.on_renewal_rule(), agent);
+  sim.RunUntil(at);
+  if (!inject) {
+    cluster.machine(3).set_health(MachineHealth::kDead);
+  }
+  EXPECT_FALSE(worker.on_renewal_rule());
+  sim.RunUntil(at + Seconds(30));
+  return expired_at;
+}
+
+TEST(RenewalRuleAgentTest, DeadHoldersKeyExpiresWhenTickingWouldHaveExpiredIt) {
+  // On a tick, between ticks, and one TTL after a tick (27 s + 10 s).
+  for (const TimeNs at : {Seconds(30), Seconds(31) + Millis(500), Seconds(37)}) {
+    for (const bool inject : {false, true}) {
+      const TimeNs ticked = HealthKeyExpiry(/*agent=*/false, inject, at);
+      ASSERT_GT(ticked, at);
+      EXPECT_EQ(HealthKeyExpiry(/*agent=*/true, inject, at), ticked)
+          << "death at " << ToSeconds(at) << (inject ? " s injected" : " s set");
+    }
+  }
+  // At a tick instant the injection, scheduled first, beats the tick: that
+  // tick does not renew, so the key expires one keepalive interval earlier.
+  EXPECT_EQ(HealthKeyExpiry(true, /*inject=*/false, Seconds(30)) -
+                HealthKeyExpiry(true, /*inject=*/true, Seconds(30)),
+            AgentConfig{}.keepalive_interval);
+}
+
+TEST_F(AgentTest, FailedPublishIsRetriedOnTheNextTickInstant) {
+  MetricsRegistry metrics;
+  workers_[3]->set_metrics(&metrics);
+  StartWorkers();
+  Settle(Seconds(31));
+  ASSERT_TRUE(workers_[3]->on_renewal_rule());
+  // With the KV leader gone the publish fails at once; a new leader is
+  // elected within a second, and worker 3's next tick (33 s) retries.
+  cluster_->machine(*kv_->LeaderRank()).set_health(MachineHealth::kDead);
+  workers_[3]->ReportProcessDown();
+  EXPECT_EQ(metrics.counter_value("agent.publish_failures"), 1);
+  EXPECT_FALSE(workers_[3]->on_renewal_rule());
+  sim_.RunUntil(Seconds(33) - 1);
+  ASSERT_TRUE(kv_->LeaderRank().has_value());
+  EXPECT_EQ(metrics.counter_value("agent.publish_retries"), 0);
+  sim_.RunUntil(Seconds(33));
+  EXPECT_EQ(metrics.counter_value("agent.publish_retries"), 1);
+  Settle(Seconds(1));
+  EXPECT_EQ(kv_->Get(std::string(kHealthKeyPrefix) + "3")->value, kStatusProcessDown);
+  // With nothing left to retry, the next tick puts the lease back on a rule.
+  Settle(AgentConfig{}.keepalive_interval);
+  EXPECT_TRUE(workers_[3]->on_renewal_rule());
+}
+
+TEST_F(AgentTest, LeaderChangeWithoutADeathEndsEveryRule) {
+  StartWorkers();
+  Settle(Seconds(31));
+  const int old_leader = *kv_->LeaderRank();
+  for (const auto& worker : workers_) {
+    ASSERT_TRUE(worker->on_renewal_rule());
+  }
+  // Cut the leader off; it stays alive and believes it leads, but the
+  // majority side elects a new one, which every keepalive must now reach.
+  cluster_->fabric().set_partition_check(
+      [old_leader](int src, int dst) { return src != old_leader && dst != old_leader; });
+  for (int i = 0; i < 5000 && kv_->LeaderRank() == old_leader; ++i) {
+    sim_.RunUntil(sim_.now() + Millis(1));
+  }
+  ASSERT_NE(kv_->LeaderRank(), old_leader);
+  for (const auto& worker : workers_) {
+    EXPECT_FALSE(worker->on_renewal_rule()) << "worker " << worker->rank();
+  }
+  // Keys outlive the new leader's TTL from its election: renewals reach it.
+  Settle(Seconds(30));
+  EXPECT_EQ(kv_->List(kHealthKeyPrefix).size(), 4u);
+
+  // Healing lets the old leader hear the higher term and step down; a rule
+  // the new leader serves does not outlive its own step-down either.
+  cluster_->fabric().set_partition_check(nullptr);
+  Settle(Seconds(5));
+  const int leader = *kv_->LeaderRank();
+  for (const auto& worker : workers_) {
+    ASSERT_TRUE(worker->on_renewal_rule());
+  }
+  const int follower = leader == 0 ? 1 : 0;
+  cluster_->fabric().set_partition_check(
+      [follower](int src, int dst) { return src != follower && dst != follower; });
+  Settle(Seconds(3));  // The cut-off follower times out and raises its term.
+  cluster_->fabric().set_partition_check(nullptr);
+  // Stop at the step-down, before the next election completes.
+  for (int i = 0; i < 200000 && kv_->node(leader).role() == KvNode::Role::kLeader; ++i) {
+    sim_.RunUntil(sim_.now() + Micros(10));
+  }
+  ASSERT_NE(kv_->node(leader).role(), KvNode::Role::kLeader);
+  for (const auto& worker : workers_) {
+    EXPECT_FALSE(worker->on_renewal_rule()) << "worker " << worker->rank();
+  }
+}
+
+TEST_F(AgentTest, KeepalivesCountTheTicksARuleCovered) {
+  MetricsRegistry metrics;
+  workers_[3]->set_metrics(&metrics);
+  StartWorkers();
+  // The 3 s tick grants the lease; 6 s, 9 s, ..., 60 s are keepalives.
+  sim_.RunUntil(Seconds(60));
+  ASSERT_TRUE(workers_[3]->on_renewal_rule());
+  workers_[3]->CountRuledKeepalives();
+  EXPECT_EQ(metrics.counter_value("agent.keepalives"), 19);
+  workers_[3]->CountRuledKeepalives();
+  EXPECT_EQ(metrics.counter_value("agent.keepalives"), 19);
+  // Stopping counts the rest: 63 s and 66 s.
+  sim_.RunUntil(Seconds(67));
+  workers_[3]->Stop();
+  EXPECT_EQ(metrics.counter_value("agent.keepalives"), 21);
 }
 
 // A root agent on 12 machines: health keys with one- and two-digit ranks

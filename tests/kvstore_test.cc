@@ -7,10 +7,13 @@
 #include <utility>
 #include <vector>
 
+#include "src/agent/failure_injector.h"
+#include "src/cluster/cluster.h"
 #include "src/cluster/fabric.h"
 #include "src/kvstore/kv_store.h"
 #include "src/obs/metrics.h"
 #include "src/sim/simulator.h"
+#include "src/sim/timer.h"
 
 namespace gemini {
 namespace {
@@ -397,7 +400,7 @@ TEST_F(KvStoreTest, ShortLeaseGrantedAfterLongOnesExpiresOnItsOwnTick) {
   const TimeNs granted_at = sim_.now();
   const std::vector<LeaseId> short_lease = GrantLeases(*kv_, sim_, ttl, 1);
   ASSERT_EQ(short_lease.size(), 1u);
-  const TimeNs deadline = leader.leases().at(short_lease[0]).deadline;
+  const TimeNs deadline = leader.LeaseDeadline(short_lease[0]);
   EXPECT_EQ(deadline, granted_at + ttl);
   EXPECT_EQ(leader.lease_deadline_bound(), deadline);
   kv_->Put("/short", "v", short_lease[0], [](Status) {});
@@ -434,7 +437,7 @@ TEST_F(KvStoreTest, LeasesExpiringInOneTickAreRevokedOnConsecutiveTicksLowestIdF
   ASSERT_EQ(ids.size(), 2u);
   ASSERT_LT(ids[0], ids[1]);
   const KvNode& leader = kv_->node(*kv_->LeaderRank());
-  ASSERT_EQ(leader.leases().at(ids[0]).deadline, leader.leases().at(ids[1]).deadline);
+  ASSERT_EQ(leader.LeaseDeadline(ids[0]), leader.LeaseDeadline(ids[1]));
   // Keys in the opposite order to lease ids: revocation follows the ids.
   kv_->Put("/z", "v", ids[0], [](Status) {});
   kv_->Put("/a", "v", ids[1], [](Status) {});
@@ -478,7 +481,7 @@ TEST_F(KvStoreTest, ExpiryAfterFailoverWaitsForPromotionReextension) {
   }
   const KvNode& leader = kv_->node(*kv_->LeaderRank());
   const TimeNs deadline = leader.lease_deadline_bound();
-  EXPECT_EQ(deadline, leader.leases().at(ids[0]).deadline);
+  EXPECT_EQ(deadline, leader.LeaseDeadline(ids[0]));
   EXPECT_GT(deadline, sim_.now() + ttl - Millis(1));
   sim_.RunUntil(deadline);
   EXPECT_TRUE(kv_->Get("/health/9").ok()) << "expired before the promotion's full TTL";
@@ -501,7 +504,7 @@ TEST_F(KvStoreTest, ResetAndRestartClearsLeaseDeadlineBound) {
   }
   ASSERT_GE(follower, 0);
   KvNode& node = kv_->node(follower);
-  const TimeNs deadline = node.leases().at(ids[0]).deadline;
+  const TimeNs deadline = node.LeaseDeadline(ids[0]);
   EXPECT_EQ(node.lease_deadline_bound(), deadline);
   node.ResetAndRestart();
   EXPECT_EQ(node.lease_deadline_bound(), kNoLeaseDeadline);
@@ -800,6 +803,170 @@ TEST_F(FiveNodeKvTest, SurvivesTwoNodeFailures) {
   Settle(Seconds(3));
   ASSERT_TRUE(kv_->LeaderRank().has_value());
   EXPECT_EQ(kv_->Get("/k")->value, "v");
+}
+
+// ---------------------------------------------------------------------------
+// Renewal rules against the keepalive ticks they stand for.
+// ---------------------------------------------------------------------------
+
+// A 3-node store on a 5-machine cluster. Machine 3 holds one lease with a key
+// on it, renewed at kFirstTick and every kPeriod after: by rule, or by a
+// test-side timer calling LeaseKeepAlive while the machine is alive.
+class RuledLeaseWorld {
+ public:
+  static constexpr TimeNs kTtl = Seconds(10);
+  static constexpr TimeNs kPeriod = Seconds(3);
+  static constexpr TimeNs kFirstTick = Seconds(3);
+  static constexpr int kHolder = 3;
+
+  explicit RuledLeaseWorld(bool ruled)
+      : cluster_(sim_, 5, P4d24xlarge(), FabricConfig{}),
+        kv_(sim_, cluster_.fabric(), {0, 1, 2},
+            [this](int rank) { return cluster_.machine(rank).alive(); }, KvStoreConfig{},
+            /*seed=*/1234),
+        injector_(sim_, cluster_, /*seed=*/5),
+        ticks_(sim_, kPeriod, [this] {
+          if (cluster_.machine(kHolder).alive()) {
+            kv_.LeaseKeepAlive(lease_, [](Status) {});
+          }
+        }) {
+    kv_.Start();
+    sim_.RunUntil(Seconds(2));
+    kv_.LeaseGrant(kTtl, [this](StatusOr<LeaseId> lease) {
+      lease_ = *lease;
+      kv_.Put("/health/3", "ok", lease_, [](Status) {});
+    });
+    kv_.Watch("/health/3", [this](const WatchEvent& event) {
+      if (event.type == WatchEventType::kExpired) {
+        expired_at_ = sim_.now();
+      }
+    });
+    sim_.RunUntil(Seconds(2) + Millis(10));
+    if (!ruled) {
+      ticks_.StartAt(kFirstTick);
+      return;
+    }
+    sim_.ScheduleAt(kFirstTick, [this] {
+      EXPECT_TRUE(kv_.LeaseRenewByRule(lease_, kHolder, kPeriod,
+                                       [this](TimeNs last_tick) { rule_last_tick_ = last_tick; })
+                      .ok());
+    });
+  }
+
+  Simulator& sim() { return sim_; }
+  Cluster& cluster() { return cluster_; }
+  KvStoreCluster& kv() { return kv_; }
+  FailureInjector& injector() { return injector_; }
+  LeaseId lease() const { return lease_; }
+  const KvNode& leader() { return kv_.node(*kv_.LeaderRank()); }
+  TimeNs expired_at() const { return expired_at_; }
+  TimeNs rule_last_tick() const { return rule_last_tick_; }
+
+ private:
+  Simulator sim_;
+  Cluster cluster_;
+  KvStoreCluster kv_;
+  FailureInjector injector_;
+  RepeatingTimer ticks_;
+  LeaseId lease_ = kNoLease;
+  TimeNs expired_at_ = -1;
+  TimeNs rule_last_tick_ = -1;
+};
+
+struct HolderDeath {
+  TimeNs deadline = 0;  // The leader's view right after the death.
+  TimeNs expired_at = -1;
+  TimeNs rule_last_tick = -1;
+};
+
+// Kills the holder at `at` (between RunUntil calls with set_health, or by an
+// injection scheduled at the start) and runs until its key has expired.
+HolderDeath KillHolder(bool ruled, bool inject, TimeNs at) {
+  RuledLeaseWorld world(ruled);
+  if (inject) {
+    world.injector().InjectAt(at, FailureType::kHardware, {RuledLeaseWorld::kHolder});
+  }
+  world.sim().RunUntil(at);
+  if (!inject) {
+    world.cluster().machine(RuledLeaseWorld::kHolder).set_health(MachineHealth::kDead);
+  }
+  HolderDeath death;
+  death.deadline = world.leader().LeaseDeadline(world.lease());
+  world.sim().RunUntil(at + Seconds(20));
+  death.expired_at = world.expired_at();
+  death.rule_last_tick = world.rule_last_tick();
+  return death;
+}
+
+TEST(RenewalRuleTest, HolderDeathRevokesARuledLeaseWhenTicksWouldHave) {
+  // On a tick, between ticks, and one TTL after a tick (27 s + 10 s).
+  for (const TimeNs at : {Seconds(30), Seconds(31) + Millis(500), Seconds(37)}) {
+    for (const bool inject : {false, true}) {
+      const HolderDeath ticked = KillHolder(/*ruled=*/false, inject, at);
+      const HolderDeath ruled = KillHolder(/*ruled=*/true, inject, at);
+      const std::string where =
+          "death at " + std::to_string(ToSeconds(at)) + (inject ? " s injected" : " s set");
+      ASSERT_GT(ticked.expired_at, at) << where;
+      EXPECT_EQ(ruled.expired_at, ticked.expired_at) << where;
+      EXPECT_EQ(ruled.deadline, ticked.deadline) << where;
+      EXPECT_EQ(ruled.rule_last_tick + RuledLeaseWorld::kTtl, ruled.deadline) << where;
+    }
+  }
+  // The tie at a tick instant follows event order: an injection scheduled
+  // ahead of time beats the tick, a death set after RunUntil does not.
+  EXPECT_EQ(KillHolder(true, /*inject=*/true, Seconds(30)).rule_last_tick, Seconds(27));
+  EXPECT_EQ(KillHolder(true, /*inject=*/false, Seconds(30)).rule_last_tick, Seconds(30));
+}
+
+TEST(RenewalRuleTest, SteadyRuleWalksNoLeaseTableAndNeverLapses) {
+  RuledLeaseWorld world(/*ruled=*/true);
+  // The grant's deadline passes once, and that walk finds nothing to bound.
+  world.sim().RunUntil(Seconds(20));
+  const KvNode& leader = world.leader();
+  EXPECT_EQ(leader.lease_deadline_bound(), kNoLeaseDeadline);
+  const int64_t walks = leader.lease_table_walks();
+  world.sim().RunUntil(Minutes(10) + Seconds(1));
+  EXPECT_EQ(leader.lease_table_walks(), walks);
+  EXPECT_EQ(leader.LeaseDeadline(world.lease()), Minutes(10) + RuledLeaseWorld::kTtl);
+  EXPECT_EQ(world.expired_at(), -1);
+  EXPECT_EQ(world.rule_last_tick(), -1) << "nothing ended the rule";
+}
+
+TEST(RenewalRuleTest, LeaderChangeAndRevokeEndTheRule) {
+  RuledLeaseWorld world(/*ruled=*/true);
+  world.sim().RunUntil(Seconds(31));
+  const int old_leader = *world.kv().LeaderRank();
+  world.cluster().machine(old_leader).set_health(MachineHealth::kDead);
+  EXPECT_EQ(world.rule_last_tick(), Seconds(30));
+  EXPECT_EQ(world.kv().node(old_leader).LeaseDeadline(world.lease()), Seconds(40));
+
+  // A revoke's commit ends a rule on the new leader.
+  world.sim().RunUntil(Seconds(33));
+  ASSERT_TRUE(world.kv().LeaderRank().has_value());
+  TimeNs ended_at = -1;
+  ASSERT_TRUE(world.kv()
+                  .LeaseRenewByRule(world.lease(), RuledLeaseWorld::kHolder,
+                                    RuledLeaseWorld::kPeriod,
+                                    [&](TimeNs) { ended_at = world.sim().now(); })
+                  .ok());
+  world.kv().LeaseRevoke(world.lease(), [](Status) {});
+  world.sim().RunUntil(Seconds(34));
+  EXPECT_GT(ended_at, Seconds(33));
+  EXPECT_LT(ended_at, Seconds(34));
+}
+
+TEST(RenewalRuleTest, RuleNeedsAPeriodBelowTheTtl) {
+  RuledLeaseWorld world(/*ruled=*/false);
+  EXPECT_EQ(world.kv()
+                .LeaseRenewByRule(world.lease(), RuledLeaseWorld::kHolder, RuledLeaseWorld::kTtl,
+                                  [](TimeNs) {})
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(world.kv()
+                .LeaseRenewByRule(world.lease() + 100, RuledLeaseWorld::kHolder,
+                                  RuledLeaseWorld::kPeriod, [](TimeNs) {})
+                .code(),
+            StatusCode::kNotFound);
 }
 
 }  // namespace
