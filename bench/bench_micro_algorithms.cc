@@ -248,10 +248,12 @@ void BM_SimulatorScheduleRun(benchmark::State& state) {
 BENCHMARK(BM_SimulatorScheduleRun)->Arg(1000)->Arg(100000);
 
 // An engine stress shape: N same-period timers that all fire at one instant,
-// plus one Raft-style election timer cancelled and re-armed at a random
-// deadline on every heartbeat. Each benchmark iteration simulates one period.
-// (The agents' keepalives no longer tick while their leases renew by rule;
-// BM_KvControlPlaneAgents measures the control plane as it now runs.)
+// plus a timer cancelled and re-armed at a random deadline on every period,
+// as a Raft follower's election timer is on each heartbeat it receives. Each
+// benchmark iteration simulates one period. (Neither shape runs in the
+// system's steady state any more: keepalives renew by rule and an idle KV
+// store runs no heartbeat rounds; BM_KvControlPlaneAgents measures the
+// control plane as it now runs.)
 void BM_SimulatorTimerStorm(benchmark::State& state) {
   const int timers = static_cast<int>(state.range(0));
   const TimeNs period = Millis(100);
@@ -285,8 +287,9 @@ BENCHMARK(BM_SimulatorTimerStorm)->Arg(256)->Arg(1024);
 
 // The KV store's liveness work with N machines' health keys, each under its
 // own lease: each benchmark iteration runs a 3-node store for one heartbeat
-// period (the leader's expiry check and replication heartbeats), then reads
-// every health key in place, as the root agent's scan does.
+// period, then reads every health key in place, as the root agent's scan
+// does. The log is idle and no lease is due within a day, so the store is
+// quiet: the period runs no heartbeat round, and what is timed is the scan.
 void BM_KvControlPlane(benchmark::State& state) {
   const int keys = static_cast<int>(state.range(0));
   Simulator sim;
@@ -322,7 +325,8 @@ BENCHMARK(BM_KvControlPlane)->Arg(256)->Arg(1024);
 // The control plane as the system runs it: N WorkerAgents, and the RootAgent
 // the first promoted worker starts, on a 3-node store. Each benchmark
 // iteration simulates one minute of steady state: health leases renew by
-// rule, so what is left is Raft heartbeats, root scans and expiry checks.
+// rule and the idle store runs no heartbeat rounds, so what is left is root
+// scans.
 // Reports simulated events and host ns per simulated second.
 void BM_KvControlPlaneAgents(benchmark::State& state) {
   const int machines = static_cast<int>(state.range(0));

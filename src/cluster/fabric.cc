@@ -17,24 +17,27 @@ void Fabric::set_liveness_check(std::function<bool(int rank)> alive) {
   alive_ = std::move(alive);
 }
 
-uint64_t Fabric::AddLivenessListener(std::function<void(int rank, bool alive)> listener) {
-  assert(listener);
-  liveness_listeners_.emplace_back(next_listener_id_, std::move(listener));
+uint64_t Fabric::AddListener(Listener listener) {
+  assert(listener.liveness_changed && listener.partition_changed);
+  listeners_.emplace_back(next_listener_id_, std::move(listener));
   return next_listener_id_++;
 }
 
-void Fabric::RemoveLivenessListener(uint64_t id) {
-  std::erase_if(liveness_listeners_, [id](const auto& entry) { return entry.first == id; });
+void Fabric::RemoveListener(uint64_t id) {
+  std::erase_if(listeners_, [id](const auto& entry) { return entry.first == id; });
 }
 
 void Fabric::NotifyLivenessChanged(int rank, bool alive) {
-  for (const auto& [id, listener] : liveness_listeners_) {
-    listener(rank, alive);
+  for (const auto& [id, listener] : listeners_) {
+    listener.liveness_changed(rank, alive);
   }
 }
 
 void Fabric::set_partition_check(std::function<bool(int src, int dst)> connected) {
   partition_ = std::move(connected);
+  for (const auto& [id, listener] : listeners_) {
+    listener.partition_changed();
+  }
 }
 
 TimeNs Fabric::Transfer(int src_rank, int dst_rank, Bytes bytes, const TransferOptions& options,
@@ -76,15 +79,20 @@ void Fabric::Local(TimeNs duration, DoneCallback done) {
 }
 
 void Fabric::SendControl(int src_rank, int dst_rank, EventCallback deliver) {
-  assert(src_rank >= 0 && src_rank < num_ranks());
-  assert(dst_rank >= 0 && dst_rank < num_ranks());
   // A dead source cannot send; a dead destination silently drops the message
   // (checked at delivery time so failures mid-flight are respected).
   if (!alive_(src_rank)) {
     return;
   }
-  sim_.ScheduleAfter(config_.control_delay,
-                     [this, src_rank, dst_rank, deliver = std::move(deliver)]() mutable {
+  SendControlSentAt(sim_.now(), src_rank, dst_rank, std::move(deliver));
+}
+
+void Fabric::SendControlSentAt(TimeNs sent_at, int src_rank, int dst_rank, EventCallback deliver) {
+  assert(src_rank >= 0 && src_rank < num_ranks());
+  assert(dst_rank >= 0 && dst_rank < num_ranks());
+  assert(sent_at + config_.control_delay >= sim_.now());
+  sim_.ScheduleAt(sent_at + config_.control_delay,
+                  [this, src_rank, dst_rank, deliver = std::move(deliver)]() mutable {
     if (!alive_(dst_rank) || !Connected(src_rank, dst_rank)) {
       return;
     }

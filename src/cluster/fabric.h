@@ -55,18 +55,24 @@ class Fabric {
   // transfer with kUnavailable. Defaults to "always alive".
   void set_liveness_check(std::function<bool(int rank)> alive);
 
-  // Liveness listeners run, in registration order, each time a rank dies or
-  // comes back: the cluster's machines announce it from
-  // Machine::set_health. A listener must not add or remove listeners.
-  // Returns an id for RemoveLivenessListener.
-  uint64_t AddLivenessListener(std::function<void(int rank, bool alive)> listener);
-  void RemoveLivenessListener(uint64_t id);
+  // Listeners run, in registration order, each time a rank dies or comes
+  // back (the cluster's machines announce it from Machine::set_health) and
+  // each time the partition predicate is set or cleared. A listener must not
+  // add or remove listeners. Returns an id for RemoveListener.
+  struct Listener {
+    std::function<void(int rank, bool alive)> liveness_changed;
+    std::function<void()> partition_changed;
+  };
+  uint64_t AddListener(Listener listener);
+  void RemoveListener(uint64_t id);
   void NotifyLivenessChanged(int rank, bool alive);
 
   // Network partition predicate: when set, a pair (src, dst) for which it
   // returns false exchanges no traffic — control messages are dropped and
-  // bulk transfers fail at completion time. Pass nullptr to heal.
+  // bulk transfers fail at completion time. Pass nullptr to heal. Setting or
+  // clearing it tells the listeners.
   void set_partition_check(std::function<bool(int src, int dst)> connected);
+  bool has_partition_check() const { return static_cast<bool>(partition_); }
 
   // Queues a bulk transfer src->dst. Start = max(now, src TX free, dst RX
   // free); completion = start + alpha + bytes/(B*efficiency). `done` runs at
@@ -80,6 +86,10 @@ class Fabric {
 
   // Delivers a control message (no bandwidth use) after control_delay.
   void SendControl(int src_rank, int dst_rank, EventCallback deliver);
+  // Delivers a control message that `src_rank`, alive then, sent at
+  // `sent_at`, no more than control_delay ago: a sender that simulated its
+  // sends by rule puts the ones still in flight back on the wire.
+  void SendControlSentAt(TimeNs sent_at, int src_rank, int dst_rank, EventCallback deliver);
 
   // Earliest time a bulk transfer src->dst could begin.
   TimeNs EarliestStart(int src_rank, int dst_rank) const;
@@ -106,7 +116,7 @@ class Fabric {
   std::function<bool(int)> alive_;
   std::function<bool(int, int)> partition_;
   uint64_t next_listener_id_ = 1;
-  std::vector<std::pair<uint64_t, std::function<void(int, bool)>>> liveness_listeners_;
+  std::vector<std::pair<uint64_t, Listener>> listeners_;
 };
 
 }  // namespace gemini

@@ -55,7 +55,7 @@ class Fabric;
 class Machine {
  public:
   // A machine on `fabric` (may be null) announces its deaths and revivals
-  // through the fabric's liveness listeners.
+  // through the fabric's listeners.
   Machine(int rank, int incarnation, const InstanceSpec& spec, Fabric* fabric = nullptr);
 
   int rank() const { return rank_; }

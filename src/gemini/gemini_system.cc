@@ -265,14 +265,20 @@ StatusOr<TrainingReport> GeminiSystem::TrainUntil(int64_t target_iterations,
   last_persistent_checkpoint_at_ = sim_.now();
   StartNextIteration();
   while (running_) {
-    if (sim_deadline > 0 && sim_.now() >= sim_deadline) {
+    const std::optional<TimeNs> next = sim_.NextEventTime();
+    if (!next.has_value()) {
+      return InternalError("simulation deadlocked: event queue drained while training");
+    }
+    if (sim_deadline > 0 && *next > sim_deadline) {
+      // Every event due by the deadline has run; the run ends exactly there.
+      if (sim_.now() < sim_deadline) {
+        sim_.RunUntil(sim_deadline);
+      }
       GEMINI_LOG(kWarning) << "training stopped at the simulated-time deadline";
       FinishRun();
       break;
     }
-    if (!sim_.Step()) {
-      return InternalError("simulation deadlocked: event queue drained while training");
-    }
+    sim_.Step();
   }
   CountRuledKeepalives();
   report_.wall_time = sim_.now() - run_started_at_;

@@ -225,8 +225,9 @@ class GeminiSystem : public PolicyHost {
 
   // Runs training until `target_iterations` iterations have completed
   // (across failures and rollbacks). A non-zero `sim_deadline` bounds the
-  // simulated time: exceeding it returns the report so far (e.g. a failure
-  // storm that takes out the KV quorum would otherwise never finish).
+  // simulated time: every event due by it runs, and then the report so far
+  // returns with now() at the deadline (e.g. a failure storm that takes out
+  // the KV quorum would otherwise never finish).
   StatusOr<TrainingReport> TrainUntil(int64_t target_iterations, TimeNs sim_deadline = 0);
 
   // ---- Observability ------------------------------------------------------

@@ -158,4 +158,11 @@ int64_t Simulator::RunUntil(TimeNs deadline) {
 
 bool Simulator::Step() { return RunOne(); }
 
+std::optional<TimeNs> Simulator::NextEventTime() {
+  if (!SkipDead()) {
+    return std::nullopt;
+  }
+  return heap_.front().when;
+}
+
 }  // namespace gemini

@@ -18,6 +18,7 @@
 #define SRC_SIM_SIMULATOR_H_
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "src/common/units.h"
@@ -68,6 +69,10 @@ class Simulator {
 
   // Runs at most one event. Returns false when the queue is empty.
   bool Step();
+
+  // When the next event is due, or nullopt when none is queued. Drops
+  // cancelled events from the front of the queue.
+  std::optional<TimeNs> NextEventTime();
 
   // Number of events still queued: those waiting to run plus cancelled ones
   // whose slot the queue has not reached yet.

@@ -109,6 +109,11 @@ TEST_P(KvChurnFuzz, CommittedDataSurvivesMembershipChurn) {
       [&](int rank) { return alive[static_cast<size_t>(rank)]; }, KvStoreConfig{},
       rng.NextU64());
   kv.Start();
+  // Flips a rank's liveness and announces it, as Machine::set_health does.
+  const auto set_alive = [&](int rank, bool up) {
+    alive[static_cast<size_t>(rank)] = up;
+    fabric.NotifyLivenessChanged(rank, up);
+  };
 
   std::map<std::string, std::string> committed;
   int sequence = 0;
@@ -118,9 +123,9 @@ TEST_P(KvChurnFuzz, CommittedDataSurvivesMembershipChurn) {
     const int alive_count =
         static_cast<int>(std::count(alive.begin(), alive.end(), true));
     if (alive[static_cast<size_t>(victim)] && alive_count > 3 && rng.Bernoulli(0.5)) {
-      alive[static_cast<size_t>(victim)] = false;
+      set_alive(victim, false);
     } else if (!alive[static_cast<size_t>(victim)]) {
-      alive[static_cast<size_t>(victim)] = true;
+      set_alive(victim, true);
       kv.node(victim).ResetAndRestart();
     }
     // Let the cluster settle, then write if a leader exists.
@@ -140,7 +145,7 @@ TEST_P(KvChurnFuzz, CommittedDataSurvivesMembershipChurn) {
   // Heal everything and verify all acknowledged writes survived.
   for (size_t rank = 0; rank < alive.size(); ++rank) {
     if (!alive[rank]) {
-      alive[rank] = true;
+      set_alive(static_cast<int>(rank), true);
       kv.node(static_cast<int>(rank)).ResetAndRestart();
     }
   }
