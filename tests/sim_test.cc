@@ -144,6 +144,19 @@ TEST(SimulatorTest, RunUntilAdvancesClockOnEmptyQueue) {
   EXPECT_EQ(sim.now(), Seconds(10));
 }
 
+TEST(SimulatorTest, NextEventTimeSkipsCancelledEvents) {
+  Simulator sim;
+  EXPECT_FALSE(sim.NextEventTime().has_value());
+  const EventId first = sim.ScheduleAt(Seconds(1), [] {});
+  sim.ScheduleAt(Seconds(2), [] {});
+  EXPECT_EQ(sim.NextEventTime(), Seconds(1));
+  sim.Cancel(first);
+  EXPECT_EQ(sim.NextEventTime(), Seconds(2));
+  EXPECT_EQ(sim.now(), 0);
+  sim.Run();
+  EXPECT_FALSE(sim.NextEventTime().has_value());
+}
+
 TEST(SimulatorTest, EventsCanScheduleMoreEvents) {
   Simulator sim;
   int depth = 0;
