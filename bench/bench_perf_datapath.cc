@@ -25,6 +25,7 @@
 #include "src/storage/serializer.h"
 #include "src/training/trainer.h"
 #include "src/training/update_kernel.h"
+#include "tests/crc32_reference.h"
 
 // Sanitizer instrumentation skews the cost of table loads vs. intrinsics vs.
 // plain loops arbitrarily (slicing-by-8 can measure *slower* than the
@@ -48,15 +49,16 @@ double SecondsSince(Clock::time_point start) {
   return std::chrono::duration<double>(Clock::now() - start).count();
 }
 
-// CRC throughput of each kernel in MB/s, over a buffer large enough to defeat
-// caches of the lookup tables' surroundings. The kernels take turns in short
-// windows and each keeps its best window: a burst of load from another
-// process then costs one window of one kernel, not one side of a ratio.
-std::vector<double> CrcThroughputsMbPerSec(const std::vector<Crc32UpdateFn>& kernels) {
-  constexpr size_t kBufferBytes = 8 << 20;
+// CRC throughput of each kernel in MB/s over one buffer of `buffer_bytes`:
+// 8 MiB outruns the caches, and a 16 KiB tile stays in L1 the way a capture's
+// freshly written tile does. The kernels take turns in short windows and each
+// keeps its best window: a burst of load from another process then costs one
+// window of one kernel, not one side of a ratio.
+std::vector<double> CrcThroughputsMbPerSec(const std::vector<Crc32UpdateFn>& kernels,
+                                           size_t buffer_bytes) {
   constexpr int kRounds = 10;
   constexpr double kWindowSeconds = 0.025;
-  std::vector<uint8_t> buffer(kBufferBytes);
+  std::vector<uint8_t> buffer(buffer_bytes);
   Rng rng(0x63726331ULL);
   for (auto& byte : buffer) {
     byte = static_cast<uint8_t>(rng.UniformInt(0, 255));
@@ -78,7 +80,7 @@ std::vector<double> CrcThroughputsMbPerSec(const std::vector<Crc32UpdateFn>& ker
         elapsed = SecondsSince(start);
       } while (elapsed < kWindowSeconds);
       best[k] = std::max(
-          best[k], static_cast<double>(passes) * static_cast<double>(kBufferBytes) / elapsed / 1e6);
+          best[k], static_cast<double>(passes) * static_cast<double>(buffer_bytes) / elapsed / 1e6);
     }
   }
   // Keep the checksum observable so the loops cannot be dropped.
@@ -228,17 +230,31 @@ int main() {
   BenchReporter reporter("perf_datapath", "Checkpoint data-path wall-clock",
                          "harness perf trajectory (Section 5 data path)");
 
-  // The dispatch-selected kernel (hardware where the CPU has it), the
-  // portable slicing-by-8 fallback, and the bytewise reference, timed
-  // through the same loop so the ratios are apples-to-apples.
+  // Every kernel this CPU supports (slicing-by-8 last) and the bytewise
+  // reference, timed through the same loop so the ratios are
+  // apples-to-apples; the dispatch-selected kernel is one of them.
   const std::string crc_impl = gemini::Crc32ImplementationName();
   const bool hw_active = crc_impl != "slicing-by-8";
   std::cout << "active CRC implementation: " << crc_impl << "\n";
-  const std::vector<double> crc_throughputs = gemini::CrcThroughputsMbPerSec(
-      {gemini::Crc32ActiveKernel(), &gemini::Crc32UpdateSlicing8, &gemini::Crc32UpdateBytewise});
-  const double crc_mb_s = crc_throughputs[0];
-  const double crc_slicing_mb_s = crc_throughputs[1];
-  const double crc_bytewise_mb_s = crc_throughputs[2];
+  const std::vector<gemini::Crc32Kernel>& kernels = gemini::Crc32SupportedKernels();
+  std::vector<gemini::Crc32UpdateFn> timed;
+  for (const gemini::Crc32Kernel& kernel : kernels) {
+    timed.push_back(kernel.fn);
+  }
+  timed.push_back(&gemini::Crc32UpdateBytewise);
+  const std::vector<double> crc_throughputs = gemini::CrcThroughputsMbPerSec(timed, 8 << 20);
+  const std::vector<double> crc_tile_throughputs = gemini::CrcThroughputsMbPerSec(timed, 16 << 10);
+  double crc_mb_s = 0.0;
+  for (size_t k = 0; k < kernels.size(); ++k) {
+    const std::string key = std::string("crc.") + kernels[k].name;
+    reporter.Metric(key + ".mb_s", crc_throughputs[k]);
+    reporter.Metric(key + ".tile_mb_s", crc_tile_throughputs[k]);
+    if (kernels[k].fn == gemini::Crc32ActiveKernel()) {
+      crc_mb_s = crc_throughputs[k];
+    }
+  }
+  const double crc_slicing_mb_s = crc_throughputs[kernels.size() - 1];
+  const double crc_bytewise_mb_s = crc_throughputs.back();
   const double crc_speedup =
       crc_bytewise_mb_s > 0.0 ? crc_slicing_mb_s / crc_bytewise_mb_s : 0.0;
   const double hw_speedup = crc_slicing_mb_s > 0.0 ? crc_mb_s / crc_slicing_mb_s : 0.0;
@@ -246,6 +262,7 @@ int main() {
   reporter.Metric("crc.throughput_mb_s", crc_mb_s);
   reporter.Metric("crc.slicing8_mb_s", crc_slicing_mb_s);
   reporter.Metric("crc.bytewise_mb_s", crc_bytewise_mb_s);
+  reporter.Metric("crc.bytewise.tile_mb_s", crc_tile_throughputs.back());
   reporter.Metric("crc.speedup_vs_bytewise", crc_speedup);
   reporter.Metric("crc.hw_speedup_vs_slicing8", hw_speedup);
 

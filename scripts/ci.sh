@@ -74,12 +74,14 @@ echo "==> release pass: ctest"
 # same-period timer storm), the KV store's per-heartbeat liveness work
 # (expiry check and health scan over 256 and 1024 leased keys), the whole
 # control plane (256 and 1024 agents on the store for a simulated minute,
-# leases renewing by rule; `KvControlPlane` matches both KV cases) and the
-# delta write path's (building a delta, replaying an 8-link redo log) building
-# and running. Not a speed gate.
-echo "==> release pass: simulator, KV control-plane and delta-path micro-benchmarks (smoke)"
+# leases renewing by rule; `KvControlPlane` matches both KV cases), the
+# delta write path's (building a delta, replaying an 8-link redo log) and the
+# trainer's (deferred steps and the fused update + CRC capture pass at 1, 4
+# and 16 steps per capture) building and running. Not a speed gate.
+echo "==> release pass: simulator, KV control-plane, delta-path and trainer micro-benchmarks (smoke)"
 ./build-release/bench/bench_micro_algorithms \
-  --benchmark_filter='Simulator|KvControlPlane|RedoLog|DeltaCheckpoint' --benchmark_min_time=0.01
+  --benchmark_filter='Simulator|KvControlPlane|RedoLog|DeltaCheckpoint|TrainerStepsPerCapture' \
+  --benchmark_min_time=0.01
 
 echo "==> sanitizer pass: configure + build (address,undefined)"
 cmake -B build-asan -S . -DGEMINI_SANITIZE=address,undefined >/dev/null
@@ -145,17 +147,18 @@ fi
 
 # Smoke-run the data-path bench from the Release tree: its shape check gates
 # the slice-by-8 CRC speedup (>= 3x over the byte-wise reference), the
-# hardware CRC speedup (>= 2x over slicing-by-8 where dispatched), and a
+# dispatched hardware CRC speedup (>= 2x over slicing-by-8), and a
 # nonzero capture->replicate->commit wall-clock at every payload size.
 echo "==> bench smoke: bench_perf_datapath (Release)"
 ./build-release/bench/bench_perf_datapath
 
 # Forced-fallback leg: the GEMINI_DISABLE_HWCRC environment variable makes
-# the Release binaries skip the hardware (PCLMUL / ARMv8-CRC) kernels at
-# dispatch, and the CRC/serialization-sensitive suites re-run on the portable
-# slicing-by-8 path, so it stays bit-identical and green on machines without
-# those instructions. The bench must report the fallback as the active
-# implementation.
+# the Release binaries skip the hardware (VPCLMUL 512-bit, PCLMUL and ARMv8-CRC)
+# kernels at dispatch, and the CRC/serialization-sensitive suites re-run on
+# the portable slicing-by-8 path, so it stays bit-identical and green on
+# machines without those instructions. (The Crc32 tests still compare every
+# kernel the CPU supports with the bytewise reference.) The bench must report
+# the fallback as the active implementation.
 echo "==> forced-fallback pass: CRC/serializer/replicator suites (GEMINI_DISABLE_HWCRC=1)"
 GEMINI_DISABLE_HWCRC=1 ./build-release/tests/common_test --gtest_filter='Crc32*'
 GEMINI_DISABLE_HWCRC=1 ./build-release/tests/storage_test

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cstdlib>
 #include <cstring>
+#include <vector>
 
 // Hardware kernels are compiled only where the ISA extension exists; other
 // hosts compile slicing-by-8 alone. The *runtime* choice additionally checks
@@ -56,6 +57,33 @@ SlicingTables BuildTables() {
 const SlicingTables& Tables() {
   static const SlicingTables tables = BuildTables();
   return tables;
+}
+
+// The portable kernel, and the tail of the folding kernels.
+uint32_t Crc32UpdateSlicing8(uint32_t crc, const void* data, size_t length) {
+  const auto* bytes = static_cast<const uint8_t*>(data);
+  const auto& t = Tables().t;
+  uint32_t c = crc ^ 0xFFFFFFFFu;
+  // The sliced loop folds the CRC register into the first four input bytes,
+  // which is only correct when the 32-bit load below matches the register's
+  // byte order; a big-endian target runs the byte loop alone.
+  while (std::endian::native == std::endian::little && length >= 8) {
+    uint32_t lo;
+    uint32_t hi;
+    std::memcpy(&lo, bytes, sizeof(lo));
+    std::memcpy(&hi, bytes + 4, sizeof(hi));
+    lo ^= c;
+    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
+        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
+        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
+    bytes += 8;
+    length -= 8;
+  }
+  const auto& table = t[0];
+  while (length-- > 0) {
+    c = table[(c ^ *bytes++) & 0xFFu] ^ (c >> 8);
+  }
+  return c ^ 0xFFFFFFFFu;
 }
 
 // v(x)·x mod P in the reflected domain (bit 31 is x^0). Branch-free: the
@@ -139,75 +167,48 @@ class ZeroBytesOperator {
 // PCLMUL folding for the *IEEE* polynomial (Gopal et al., "Fast CRC
 // Computation for Generic Polynomials Using PCLMULQDQ", reflected domain).
 // SSE4.2's crc32 instruction is useless here — it hard-wires the Castagnoli
-// polynomial — so the reduction is built from carry-less multiplies instead:
-// four 128-bit lanes fold 64 input bytes per step, the lanes collapse to one,
-// remaining 16-byte blocks fold in, and a Barrett reduction brings the
-// 128-bit remainder down to the 32-bit CRC.
+// polynomial — so the reduction is built from carry-less multiplies instead.
+// Each fold constant is the reflected x^(d±32) mod P for a fold distance of
+// d bits (the low qword takes d+32): k1/k2 fold across 512 bits, k3/k4 across
+// 128, k5 shifts 64->96 bits, and `poly` packs P(x) with its Barrett inverse
+// mu.
 //
-// Operates on the *raw* shift-register state (no 0xFFFFFFFF pre/post
-// conditioning) and requires length >= 64 with length % 16 == 0; the
-// dispatch wrapper below handles conditioning and the tail.
-__attribute__((target("pclmul,sse4.1"))) uint32_t Crc32PclmulKernel(uint32_t state,
-                                                                    const uint8_t* bytes,
-                                                                    size_t length) {
-  // Folding constants for the reflected IEEE polynomial: k1/k2 fold across
-  // 512 bits, k3/k4 across 128, k5 shifts 64->96 bits, and `poly` packs
-  // P(x) with its Barrett inverse mu.
-  const __m128i k1k2 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+// The kernels operate on the *raw* shift-register state (no 0xFFFFFFFF
+// pre/post conditioning) and want whole 16-byte blocks; the dispatch wrappers
+// below handle conditioning, short buffers and the tail.
+constexpr int64_t kFold512Lo = 0x0154442bd4;
+constexpr int64_t kFold512Hi = 0x01c6e41596;
+
+// One fold step of a 128-bit lane across the distance its constant encodes:
+// lane.lo·k.lo ⊕ lane.hi·k.hi ⊕ next.
+__attribute__((target("pclmul,sse4.1"), always_inline)) inline __m128i Fold128(__m128i lane,
+                                                                              __m128i k,
+                                                                              __m128i next) {
+  const __m128i lo = _mm_clmulepi64_si128(lane, k, 0x00);
+  const __m128i hi = _mm_clmulepi64_si128(lane, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(hi, lo), next);
+}
+
+// The shared tail of both x86 kernels: collapses four 128-bit lanes that sit
+// 128 bits apart into one, folds in the remaining 16-byte blocks, and brings
+// the 128-bit remainder down to the 32-bit CRC (128 -> 64 bits, then a
+// Barrett reduction).
+__attribute__((target("pclmul,sse4.1"), always_inline)) inline uint32_t CollapseAndReduce(
+    __m128i lane0, __m128i lane1, __m128i lane2, __m128i lane3, const uint8_t* bytes,
+    size_t length) {
   const __m128i k3k4 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
   const __m128i k5 = _mm_set_epi64x(0, 0x0163cd6124);
   const __m128i poly = _mm_set_epi64x(0x01f7011641, 0x01db710641);
 
-  __m128i lane0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x00));
-  __m128i lane1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x10));
-  __m128i lane2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x20));
-  __m128i lane3 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x30));
-  lane0 = _mm_xor_si128(lane0, _mm_cvtsi32_si128(static_cast<int>(state)));
-  bytes += 64;
-  length -= 64;
-
-  while (length >= 64) {
-    const __m128i f0 = _mm_clmulepi64_si128(lane0, k1k2, 0x00);
-    const __m128i f1 = _mm_clmulepi64_si128(lane1, k1k2, 0x00);
-    const __m128i f2 = _mm_clmulepi64_si128(lane2, k1k2, 0x00);
-    const __m128i f3 = _mm_clmulepi64_si128(lane3, k1k2, 0x00);
-    lane0 = _mm_clmulepi64_si128(lane0, k1k2, 0x11);
-    lane1 = _mm_clmulepi64_si128(lane1, k1k2, 0x11);
-    lane2 = _mm_clmulepi64_si128(lane2, k1k2, 0x11);
-    lane3 = _mm_clmulepi64_si128(lane3, k1k2, 0x11);
-    lane0 = _mm_xor_si128(_mm_xor_si128(lane0, f0),
-                          _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x00)));
-    lane1 = _mm_xor_si128(_mm_xor_si128(lane1, f1),
-                          _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x10)));
-    lane2 = _mm_xor_si128(_mm_xor_si128(lane2, f2),
-                          _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x20)));
-    lane3 = _mm_xor_si128(_mm_xor_si128(lane3, f3),
-                          _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x30)));
-    bytes += 64;
-    length -= 64;
-  }
-
-  // Collapse the four lanes into one 128-bit remainder. (A plain array, not
-  // an initializer_list: vector types as template arguments draw GCC's
-  // ignored-attributes warning.)
-  __m128i acc = lane0;
-  const __m128i tail_lanes[3] = {lane1, lane2, lane3};
-  for (const __m128i& lane : tail_lanes) {
-    const __m128i lo = _mm_clmulepi64_si128(acc, k3k4, 0x00);
-    acc = _mm_clmulepi64_si128(acc, k3k4, 0x11);
-    acc = _mm_xor_si128(_mm_xor_si128(acc, lo), lane);
-  }
-
+  __m128i acc = Fold128(lane0, k3k4, lane1);
+  acc = Fold128(acc, k3k4, lane2);
+  acc = Fold128(acc, k3k4, lane3);
   while (length >= 16) {
-    const __m128i lo = _mm_clmulepi64_si128(acc, k3k4, 0x00);
-    acc = _mm_clmulepi64_si128(acc, k3k4, 0x11);
-    acc = _mm_xor_si128(_mm_xor_si128(acc, lo),
-                        _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes)));
+    acc = Fold128(acc, k3k4, _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes)));
     bytes += 16;
     length -= 16;
   }
 
-  // 128 -> 64 bits, then Barrett reduction to the 32-bit CRC.
   const __m128i mask32 = _mm_setr_epi32(-1, 0, -1, 0);
   __m128i folded = _mm_clmulepi64_si128(acc, k3k4, 0x10);
   acc = _mm_xor_si128(_mm_srli_si128(acc, 8), folded);
@@ -226,17 +227,103 @@ __attribute__((target("pclmul,sse4.1"))) uint32_t Crc32PclmulKernel(uint32_t sta
   return static_cast<uint32_t>(_mm_extract_epi32(acc, 1));
 }
 
-uint32_t Crc32UpdatePclmul(uint32_t crc, const void* data, size_t length) {
-  if (length < 64) {
-    return Crc32UpdateSlicing8(crc, data, length);
+// Four 128-bit lanes fold 64 input bytes per step. Requires length >= 64.
+__attribute__((target("pclmul,sse4.1"))) uint32_t Crc32PclmulKernel(uint32_t state,
+                                                                    const uint8_t* bytes,
+                                                                    size_t length) {
+  const __m128i k1k2 = _mm_set_epi64x(kFold512Hi, kFold512Lo);
+  __m128i lane0 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x00));
+  __m128i lane1 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x10));
+  __m128i lane2 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x20));
+  __m128i lane3 = _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x30));
+  lane0 = _mm_xor_si128(lane0, _mm_cvtsi32_si128(static_cast<int>(state)));
+  bytes += 64;
+  length -= 64;
+
+  while (length >= 64) {
+    lane0 = Fold128(lane0, k1k2, _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x00)));
+    lane1 = Fold128(lane1, k1k2, _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x10)));
+    lane2 = Fold128(lane2, k1k2, _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x20)));
+    lane3 = Fold128(lane3, k1k2, _mm_loadu_si128(reinterpret_cast<const __m128i*>(bytes + 0x30)));
+    bytes += 64;
+    length -= 64;
+  }
+  return CollapseAndReduce(lane0, lane1, lane2, lane3, bytes, length);
+}
+
+// One fold step of four 128-bit lanes at once (VPCLMULQDQ on 512-bit
+// registers); the three-way XOR is one ternary-logic instruction.
+__attribute__((target("avx512f,avx512bw,avx512vl,vpclmulqdq,pclmul,sse4.1"),
+               always_inline)) inline __m512i
+Fold512(__m512i lanes, __m512i k, __m512i next) {
+  const __m512i lo = _mm512_clmulepi64_epi128(lanes, k, 0x00);
+  const __m512i hi = _mm512_clmulepi64_epi128(lanes, k, 0x11);
+  return _mm512_ternarylogic_epi64(hi, lo, next, 0x96);
+}
+
+// Four 512-bit lanes fold 256 input bytes per step. The lanes then collapse
+// to one across 512 bits (k1/k2 in every 128-bit lane), which folds in the
+// remaining 64-byte blocks, and its four 128-bit lanes go to the shared
+// tail. Requires length >= 256.
+__attribute__((target("avx512f,avx512bw,avx512vl,vpclmulqdq,pclmul,sse4.1"))) uint32_t
+Crc32VpclmulKernel(uint32_t state, const uint8_t* bytes, size_t length) {
+  // Reflected x^(2048+32) and x^(2048-32) mod P: a fold across 2048 bits.
+  // (Constants are spelled out per lane: GCC 12's broadcast and lane-extract
+  // intrinsics draw -Wuninitialized.)
+  const __m512i k2048 = _mm512_set_epi64(0x01322d1430, 0x011542778a, 0x01322d1430, 0x011542778a,
+                                         0x01322d1430, 0x011542778a, 0x01322d1430, 0x011542778a);
+  const __m512i k512 = _mm512_set_epi64(kFold512Hi, kFold512Lo, kFold512Hi, kFold512Lo,
+                                        kFold512Hi, kFold512Lo, kFold512Hi, kFold512Lo);
+  __m512i lanes0 = _mm512_loadu_si512(bytes + 0x00);
+  __m512i lanes1 = _mm512_loadu_si512(bytes + 0x40);
+  __m512i lanes2 = _mm512_loadu_si512(bytes + 0x80);
+  __m512i lanes3 = _mm512_loadu_si512(bytes + 0xC0);
+  lanes0 = _mm512_xor_si512(lanes0,
+                            _mm512_zextsi128_si512(_mm_cvtsi32_si128(static_cast<int>(state))));
+  bytes += 256;
+  length -= 256;
+
+  while (length >= 256) {
+    lanes0 = Fold512(lanes0, k2048, _mm512_loadu_si512(bytes + 0x00));
+    lanes1 = Fold512(lanes1, k2048, _mm512_loadu_si512(bytes + 0x40));
+    lanes2 = Fold512(lanes2, k2048, _mm512_loadu_si512(bytes + 0x80));
+    lanes3 = Fold512(lanes3, k2048, _mm512_loadu_si512(bytes + 0xC0));
+    bytes += 256;
+    length -= 256;
+  }
+
+  __m512i acc = Fold512(lanes0, k512, lanes1);
+  acc = Fold512(acc, k512, lanes2);
+  acc = Fold512(acc, k512, lanes3);
+  while (length >= 64) {
+    acc = Fold512(acc, k512, _mm512_loadu_si512(bytes));
+    bytes += 64;
+    length -= 64;
+  }
+  alignas(64) __m128i lanes[4];
+  _mm512_store_si512(lanes, acc);
+  return CollapseAndReduce(lanes[0], lanes[1], lanes[2], lanes[3], bytes, length);
+}
+
+// Runs `kernel` over the whole 16-byte blocks of a buffer of at least
+// `min_length` bytes; the tail (< 16 bytes) continues through the table loop
+// on the same register state, and shorter buffers go to `shorter`.
+template <uint32_t (*kernel)(uint32_t, const uint8_t*, size_t), size_t min_length,
+          Crc32UpdateFn shorter>
+uint32_t Crc32UpdateFolding(uint32_t crc, const void* data, size_t length) {
+  if (length < min_length) {
+    return shorter(crc, data, length);
   }
   const auto* bytes = static_cast<const uint8_t*>(data);
-  // The folding kernel wants whole 16-byte blocks; the tail (< 16 bytes)
-  // continues through the table loop on the same register state.
   const size_t folded = length & ~static_cast<size_t>(15);
-  const uint32_t state = Crc32PclmulKernel(crc ^ 0xFFFFFFFFu, bytes, folded);
+  const uint32_t state = kernel(crc ^ 0xFFFFFFFFu, bytes, folded);
   return Crc32UpdateSlicing8(state ^ 0xFFFFFFFFu, bytes + folded, length - folded);
 }
+
+constexpr Crc32UpdateFn kCrc32UpdatePclmul =
+    &Crc32UpdateFolding<&Crc32PclmulKernel, 64, &Crc32UpdateSlicing8>;
+constexpr Crc32UpdateFn kCrc32UpdateVpclmul =
+    &Crc32UpdateFolding<&Crc32VpclmulKernel, 256, kCrc32UpdatePclmul>;
 
 #elif defined(GEMINI_CRC32_HW_ARM)
 
@@ -275,11 +362,6 @@ __attribute__((target("+crc"))) uint32_t Crc32UpdateArm(uint32_t crc, const void
 
 #endif  // hardware kernels
 
-struct Crc32Dispatch {
-  Crc32UpdateFn fn;
-  const char* name;
-};
-
 // Runtime override: any value other than "" / "0" forces the portable path
 // even on capable hardware (the CI fallback leg sets this).
 bool HwCrcDisabledByEnv() {
@@ -287,70 +369,42 @@ bool HwCrcDisabledByEnv() {
   return value != nullptr && *value != '\0' && std::strcmp(value, "0") != 0;
 }
 
-Crc32Dispatch ResolveCrc32Dispatch() {
-  if (!HwCrcDisabledByEnv()) {
+std::vector<Crc32Kernel> ResolveSupportedKernels() {
+  std::vector<Crc32Kernel> kernels;
 #if defined(GEMINI_CRC32_HW_X86)
-    if (__builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1")) {
-      return {&Crc32UpdatePclmul, "x86-pclmul"};
-    }
-#elif defined(GEMINI_CRC32_HW_ARM)
-    if ((getauxval(AT_HWCAP) & HWCAP_CRC32) != 0) {
-      return {&Crc32UpdateArm, "armv8-crc32"};
-    }
-#endif
+  const bool pclmul = __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  if (pclmul && __builtin_cpu_supports("avx512f") && __builtin_cpu_supports("avx512bw") &&
+      __builtin_cpu_supports("avx512vl") && __builtin_cpu_supports("vpclmulqdq")) {
+    kernels.push_back({"x86-vpclmul", kCrc32UpdateVpclmul});
   }
-  return {&Crc32UpdateSlicing8, "slicing-by-8"};
+  if (pclmul) {
+    kernels.push_back({"x86-pclmul", kCrc32UpdatePclmul});
+  }
+#elif defined(GEMINI_CRC32_HW_ARM)
+  if ((getauxval(AT_HWCAP) & HWCAP_CRC32) != 0) {
+    kernels.push_back({"armv8-crc32", &Crc32UpdateArm});
+  }
+#endif
+  kernels.push_back({"slicing-by-8", &Crc32UpdateSlicing8});
+  return kernels;
 }
 
-const Crc32Dispatch& ActiveCrc32() {
+const Crc32Kernel& ActiveCrc32() {
   // Resolved once, on first use, thread-safely (magic static).
-  static const Crc32Dispatch dispatch = ResolveCrc32Dispatch();
-  return dispatch;
+  static const Crc32Kernel active = HwCrcDisabledByEnv() ? Crc32SupportedKernels().back()
+                                                         : Crc32SupportedKernels().front();
+  return active;
 }
 
 }  // namespace
 
-uint32_t Crc32UpdateBytewise(uint32_t crc, const void* data, size_t length) {
-  const auto* bytes = static_cast<const uint8_t*>(data);
-  const auto& table = Tables().t[0];
-  uint32_t c = crc ^ 0xFFFFFFFFu;
-  for (size_t i = 0; i < length; ++i) {
-    c = table[(c ^ bytes[i]) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
-uint32_t Crc32UpdateSlicing8(uint32_t crc, const void* data, size_t length) {
-  // The sliced kernel folds the CRC register into the first four input bytes,
-  // which is only correct when the 32-bit load below matches the register's
-  // byte order; on a big-endian target, fall back to the reference loop.
-  if constexpr (std::endian::native != std::endian::little) {
-    return Crc32UpdateBytewise(crc, data, length);
-  }
-  const auto* bytes = static_cast<const uint8_t*>(data);
-  const auto& t = Tables().t;
-  uint32_t c = crc ^ 0xFFFFFFFFu;
-  while (length >= 8) {
-    uint32_t lo;
-    uint32_t hi;
-    std::memcpy(&lo, bytes, sizeof(lo));
-    std::memcpy(&hi, bytes + 4, sizeof(hi));
-    lo ^= c;
-    c = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^ t[5][(lo >> 16) & 0xFFu] ^
-        t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^ t[2][(hi >> 8) & 0xFFu] ^
-        t[1][(hi >> 16) & 0xFFu] ^ t[0][hi >> 24];
-    bytes += 8;
-    length -= 8;
-  }
-  const auto& table = t[0];
-  while (length-- > 0) {
-    c = table[(c ^ *bytes++) & 0xFFu] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
-}
-
 uint32_t Crc32Update(uint32_t crc, const void* data, size_t length) {
   return ActiveCrc32().fn(crc, data, length);
+}
+
+const std::vector<Crc32Kernel>& Crc32SupportedKernels() {
+  static const std::vector<Crc32Kernel> kernels = ResolveSupportedKernels();
+  return kernels;
 }
 
 Crc32UpdateFn Crc32ActiveKernel() { return ActiveCrc32().fn; }

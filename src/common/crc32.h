@@ -1,19 +1,22 @@
 // CRC-32 (IEEE 802.3 polynomial), used to integrity-check serialized
 // checkpoints: a recovery path must never silently load corrupted state.
 //
-// Three bit-identical implementations, selected once at startup through a
-// function-pointer dispatch table:
-//  * hardware — PCLMUL carry-less-multiply folding on x86-64 (SSE4.2's crc32
-//    instruction computes CRC-32C, the *Castagnoli* polynomial, so the IEEE
-//    polynomial must be folded with PCLMULQDQ instead of silently changing
-//    the checksum), or the ARMv8 `__crc32*` instructions on aarch64 (those
-//    do use the IEEE polynomial). Gated on CPUID / HWCAP at startup.
-//  * slicing-by-8 — the portable production path (eight 256-entry tables,
-//    eight input bytes folded per step); the fallback everywhere hardware is
-//    absent or disabled at runtime (the GEMINI_DISABLE_HWCRC environment
-//    variable).
-//  * bytewise — the textbook one-byte-per-step table loop, kept as the
-//    reference the tests (and the perf bench) compare everything against.
+// Bit-identical kernels, one selected at startup through a function pointer,
+// the first this CPU supports in this order:
+//  * x86-vpclmul — VPCLMULQDQ on 512-bit registers folds four 512-bit lanes,
+//    256 bytes per step; gated on AVX-512F/BW/VL + VPCLMULQDQ.
+//  * x86-pclmul / armv8-crc32 — PCLMULQDQ carry-less-multiply folding of four
+//    128-bit lanes on x86-64 (SSE4.2's crc32 instruction computes CRC-32C,
+//    the *Castagnoli* polynomial, so the IEEE polynomial must be folded with
+//    PCLMULQDQ instead of silently changing the checksum), or the ARMv8
+//    `__crc32*` instructions on aarch64 (those do use the IEEE polynomial).
+//    Gated on CPUID / HWCAP.
+//  * slicing-by-8 — the portable path (eight 256-entry tables, eight input
+//    bytes folded per step); the fallback everywhere hardware is absent or
+//    disabled at runtime (the GEMINI_DISABLE_HWCRC environment variable).
+// The folding kernels hand short buffers to the next kernel down the list.
+// The tests and the perf bench compare every kernel with a bytewise
+// reference loop (tests/crc32_reference.h).
 //
 // Combining: CRC-32 is linear, so the CRC of a concatenation follows from
 // the parts' CRCs and the second part's length (zlib's crc32_combine):
@@ -29,6 +32,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 namespace gemini {
 
@@ -48,26 +52,27 @@ uint32_t Crc32Combine(uint32_t crc_a, uint32_t crc_b, size_t length_b);
 // Crc32 of the buffer; 0 when total_bytes is 0.
 uint32_t Crc32FromBlocks(const uint32_t* block_crcs, size_t block_bytes, size_t total_bytes);
 
-// Reference implementation: the textbook one-byte-per-step table loop.
-// Bit-identical to Crc32Update for every input; exists so equivalence is
-// testable and every speedup is measurable.
-uint32_t Crc32UpdateBytewise(uint32_t crc, const void* data, size_t length);
-
-// The portable slicing-by-8 kernel, callable directly so the dispatch
-// equivalence tests and the perf bench can compare hardware against it even
-// when the hardware path is the active one.
-uint32_t Crc32UpdateSlicing8(uint32_t crc, const void* data, size_t length);
-
-// Function-pointer type of the kernels above (and of Crc32ActiveKernel).
+// Function-pointer type of the kernels (and of Crc32ActiveKernel).
 using Crc32UpdateFn = uint32_t (*)(uint32_t crc, const void* data, size_t length);
+
+struct Crc32Kernel {
+  const char* name;
+  Crc32UpdateFn fn;
+};
+
+// Every kernel this CPU can run, in dispatch order: the fastest first,
+// slicing-by-8 always last. GEMINI_DISABLE_HWCRC does not shorten the list;
+// it only makes the dispatch pick the last entry. Resolved once.
+const std::vector<Crc32Kernel>& Crc32SupportedKernels();
 
 // The dispatch-selected kernel itself. Calling it is equivalent to
 // Crc32Update without the (already tiny) dispatch-load indirection; exposed
 // so benches can time exactly what production uses.
 Crc32UpdateFn Crc32ActiveKernel();
 
-// Name of the dispatch-selected implementation: "x86-pclmul", "armv8-crc32",
-// or "slicing-by-8". Stable across the process lifetime (resolved once).
+// Name of the dispatch-selected kernel: "x86-vpclmul", "x86-pclmul",
+// "armv8-crc32" or "slicing-by-8". Stable across the process lifetime
+// (resolved once).
 const char* Crc32ImplementationName();
 
 }  // namespace gemini

@@ -6,25 +6,32 @@
 namespace gemini {
 namespace {
 
-inline float UpdateDelta(uint64_t seed, int64_t iteration, int rank, size_t element) {
-  uint64_t x = seed;
-  x ^= static_cast<uint64_t>(iteration) * 0x9E3779B97F4A7C15ULL;
-  x ^= (static_cast<uint64_t>(rank) + 1) * 0xBF58476D1CE4E5B9ULL;
-  x ^= (static_cast<uint64_t>(element) + 1) * 0x94D049BB133111EBULL;
+// C3 of the element term (update_kernel.h), which the loop steps by.
+constexpr uint64_t kElementStep = 0x94D049BB133111EBULL;
+
+// UpdateDelta's finalizer and map to [-0.5, 0.5), given the mixed key x. The
+// int64 -> float conversion is the only rounding (update_kernel.h).
+inline float MixToDelta(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
   x ^= x >> 31;
-  // Map to [-0.5, 0.5).
-  return static_cast<float>(static_cast<double>(x >> 11) * 0x1.0p-53 - 0.5);
+  return static_cast<float>(static_cast<int64_t>(x >> 11) - (int64_t{1} << 52)) * 0x1.0p-53f;
 }
 
 // The one loop body, inlined into each variant. In place (`in == out`) the
 // vectorizer's overlap check passes: each element is read before it is written.
+// The element term (first + i + 1) * kElementStep advances by one addition per
+// element (wrapping mod 2^64, like the product): GCC does not strength-reduce
+// the multiply itself, and it is one of the three 64-bit lane multiplies.
 __attribute__((always_inline)) inline void UpdateLoop(uint64_t seed, int64_t iteration, int rank,
                                                       size_t first, size_t count, const float* in,
                                                       float* out) {
+  const uint64_t base = seed ^ (static_cast<uint64_t>(iteration) * 0x9E3779B97F4A7C15ULL) ^
+                        ((static_cast<uint64_t>(rank) + 1) * 0xBF58476D1CE4E5B9ULL);
+  uint64_t element_term = (static_cast<uint64_t>(first) + 1) * kElementStep;
   for (size_t i = 0; i < count; ++i) {
-    out[i] = in[i] * 0.999f + UpdateDelta(seed, iteration, rank, first + i);
+    out[i] = in[i] * 0.999f + MixToDelta(base ^ element_term);
+    element_term += kElementStep;
   }
 }
 

@@ -13,6 +13,7 @@
 #include "src/common/status.h"
 #include "src/common/table_printer.h"
 #include "src/common/units.h"
+#include "tests/crc32_reference.h"
 
 namespace gemini {
 namespace {
@@ -389,62 +390,76 @@ TEST(Crc32Test, ImplementationNameIsKnownAndStable) {
   const char* name = Crc32ImplementationName();
   ASSERT_NE(name, nullptr);
   const std::string impl(name);
-  EXPECT_TRUE(impl == "x86-pclmul" || impl == "armv8-crc32" || impl == "slicing-by-8")
+  EXPECT_TRUE(impl == "x86-vpclmul" || impl == "x86-pclmul" || impl == "armv8-crc32" ||
+              impl == "slicing-by-8")
       << impl;
   // Resolved once: every later call reports the same implementation.
   EXPECT_EQ(std::string(Crc32ImplementationName()), impl);
   EXPECT_EQ(Crc32ActiveKernel(), Crc32ActiveKernel());
+  // The active kernel is one of the supported ones, and slicing-by-8 is
+  // always supported, last.
+  const std::vector<Crc32Kernel>& kernels = Crc32SupportedKernels();
+  ASSERT_FALSE(kernels.empty());
+  EXPECT_EQ(std::string(kernels.back().name), "slicing-by-8");
+  EXPECT_TRUE(std::any_of(kernels.begin(), kernels.end(), [&](const Crc32Kernel& kernel) {
+    return kernel.fn == Crc32ActiveKernel() && impl == kernel.name;
+  }));
 }
 
 TEST(Crc32Test, DispatchedKernelsAgreeOnRandomizedBuffers) {
-  // All three implementations (hardware when dispatched, slicing-by-8,
-  // bytewise) must be bit-identical on random lengths up to 1 MiB, at
-  // unaligned starting offsets, and with nonzero running CRCs. The hardware
-  // kernels only engage above their small-buffer cutoffs, so the length
-  // distribution mixes tiny tails with multi-fold bodies.
+  // Every kernel this CPU can run (not only the dispatched one) must be
+  // bit-identical to the bytewise reference: on every length up to 600 bytes
+  // and on multiples of 256 +- 15 (each folding kernel's cutoffs and block
+  // remainders), on random lengths up to 1 MiB, at unaligned starting
+  // offsets, and with nonzero running CRCs.
   Rng rng(0xD15Fa7c4);
-  const Crc32UpdateFn active = Crc32ActiveKernel();
   std::vector<uint8_t> arena(1 << 20);
   for (auto& byte : arena) {
     byte = static_cast<uint8_t>(rng.UniformInt(0, 255));
   }
-  for (int trial = 0; trial < 64; ++trial) {
-    const size_t offset = static_cast<size_t>(rng.UniformInt(0, 31));
-    const size_t max_length = arena.size() - offset;
-    // Half the trials stress the small/cutoff lengths, half the long ones.
-    const size_t length = trial % 2 == 0
-                              ? static_cast<size_t>(rng.UniformInt(0, 192))
-                              : static_cast<size_t>(rng.UniformInt(
-                                    0, static_cast<int>(max_length)));
-    const uint8_t* data = arena.data() + offset;
-    const uint32_t seed_crc =
-        trial % 3 == 0 ? 0u : static_cast<uint32_t>(rng.NextU64Below(1ull << 32));
-    const uint32_t reference = Crc32UpdateBytewise(seed_crc, data, length);
-    EXPECT_EQ(Crc32UpdateSlicing8(seed_crc, data, length), reference)
-        << "slicing8 trial " << trial << " offset " << offset << " length " << length;
-    EXPECT_EQ(active(seed_crc, data, length), reference)
-        << Crc32ImplementationName() << " trial " << trial << " offset " << offset
-        << " length " << length;
+  std::vector<size_t> lengths;
+  for (size_t length = 0; length <= 600; ++length) {
+    lengths.push_back(length);
+  }
+  for (size_t blocks = 1; blocks <= 40; ++blocks) {
+    for (size_t delta = 0; delta <= 30; ++delta) {
+      lengths.push_back(256 * blocks + delta - 15);
+    }
+  }
+  for (int trial = 0; trial < 32; ++trial) {
+    lengths.push_back(static_cast<size_t>(rng.UniformInt(0, static_cast<int>(arena.size()) - 32)));
+  }
+  for (const Crc32Kernel& kernel : Crc32SupportedKernels()) {
+    for (size_t trial = 0; trial < lengths.size(); ++trial) {
+      const size_t length = lengths[trial];
+      const size_t offset = static_cast<size_t>(rng.UniformInt(0, 31));
+      const uint8_t* data = arena.data() + offset;
+      const uint32_t seed_crc =
+          trial % 8 == 0 ? 0u : static_cast<uint32_t>(rng.NextU64Below(1ull << 32));
+      ASSERT_EQ(kernel.fn(seed_crc, data, length), Crc32UpdateBytewise(seed_crc, data, length))
+          << kernel.name << " offset " << offset << " length " << length << " crc " << seed_crc;
+    }
   }
 }
 
 TEST(Crc32Test, DispatchedKernelChainsAcrossArbitrarySplits) {
-  // Incremental updates through the dispatched kernel must agree with the
+  // Incremental updates through every supported kernel must agree with the
   // bytewise reference at any split point, including splits inside the
-  // hardware kernels' fold blocks.
+  // folding kernels' blocks.
   Rng rng(0x5E63E575);
   std::vector<uint8_t> data(4096 + 21);
   for (auto& byte : data) {
     byte = static_cast<uint8_t>(rng.UniformInt(0, 255));
   }
   const uint32_t reference = Crc32UpdateBytewise(0, data.data(), data.size());
-  const Crc32UpdateFn active = Crc32ActiveKernel();
-  for (int trial = 0; trial < 48; ++trial) {
-    const size_t split = static_cast<size_t>(
-        rng.UniformInt(0, static_cast<int>(data.size())));
-    uint32_t crc = active(0, data.data(), split);
-    crc = active(crc, data.data() + split, data.size() - split);
-    EXPECT_EQ(crc, reference) << "split at " << split;
+  for (const Crc32Kernel& kernel : Crc32SupportedKernels()) {
+    for (int trial = 0; trial < 48; ++trial) {
+      const size_t split = static_cast<size_t>(
+          rng.UniformInt(0, static_cast<int>(data.size())));
+      uint32_t crc = kernel.fn(0, data.data(), split);
+      crc = kernel.fn(crc, data.data() + split, data.size() - split);
+      EXPECT_EQ(crc, reference) << kernel.name << " split at " << split;
+    }
   }
 }
 

@@ -454,6 +454,56 @@ TEST(TrainerTest, CaptureCrcMatchesBytes) {
   }
 }
 
+// The update as it was first written, one element at a time: the reference
+// both kernel variants share no code with. The kernel strength-reduces the
+// element term to an induction variable and maps the hash to [-0.5, 0.5)
+// through int64 -> float; this keeps the multiply and the double expression.
+float ReferenceUpdateDelta(uint64_t seed, int64_t iteration, int rank, size_t element) {
+  uint64_t x = seed;
+  x ^= static_cast<uint64_t>(iteration) * 0x9E3779B97F4A7C15ULL;
+  x ^= (static_cast<uint64_t>(rank) + 1) * 0xBF58476D1CE4E5B9ULL;
+  x ^= (static_cast<uint64_t>(element) + 1) * 0x94D049BB133111EBULL;
+  x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
+  x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
+  x ^= x >> 31;
+  return static_cast<float>(static_cast<double>(x >> 11) * 0x1.0p-53 - 0.5);
+}
+
+// Both variants against the per-element reference over random seeds,
+// iterations (including -1, the initial state's), ranks and counts 0-40,
+// with `first` both small and within 40 of 2^64, so the element term wraps.
+TEST(UpdateKernelTest, VariantsMatchPerElementReference) {
+  constexpr size_t kMaxCount = 40;
+  Rng rng(0x0DE17A);
+  std::vector<float> input(kMaxCount);
+  for (int trial = 0; trial < 400; ++trial) {
+    const uint64_t seed = rng.NextU64();
+    const int64_t iteration = trial % 4 == 0 ? -1 : rng.UniformInt(0, int64_t{1} << 40);
+    const int rank = static_cast<int>(rng.UniformInt(0, 4095));
+    const size_t count = static_cast<size_t>(rng.UniformInt(0, kMaxCount));
+    const size_t first = trial % 2 == 0 ? static_cast<size_t>(rng.UniformInt(0, 1 << 30))
+                                        : ~size_t{0} - static_cast<size_t>(rng.UniformInt(0, 40));
+    for (float& value : input) {
+      value = static_cast<float>(rng.UniformDouble(-4.0, 4.0));
+    }
+    std::vector<float> want(kMaxCount, -1.0f);
+    for (size_t i = 0; i < count; ++i) {
+      // volatile rounds the product to float, as the kernel's TU (built without
+      // multiply-add contraction) does.
+      const volatile float scaled = input[i] * 0.999f;
+      want[i] = scaled + ReferenceUpdateDelta(seed, iteration, rank, first + i);
+    }
+    for (const auto variant : {&ApplyUpdatePortable, &ApplyUpdate}) {
+      std::vector<float> got(kMaxCount, -1.0f);
+      variant(seed, iteration, rank, first, count, input.data(), got.data());
+      ASSERT_EQ(std::memcmp(want.data(), got.data(), kMaxCount * sizeof(float)), 0)
+          << (variant == &ApplyUpdate ? UpdateKernelName() : "portable") << " seed " << seed
+          << " iteration " << iteration << " rank " << rank << " first " << first << " count "
+          << count;
+    }
+  }
+}
+
 // The dispatched variant (AVX-512 where the CPU has it) against the portable
 // one at every vector-remainder length and misalignment, in place and out of
 // place. Elements outside [begin, begin + length) must stay untouched.
