@@ -106,32 +106,18 @@ void RootAgent::OnScanTick() {
   // Hardware failures subsume concurrent software failures: replacement and
   // group-based retrieval handle both (Section 6.2 case analysis).
   if (!hardware_failed.empty()) {
-    for (const int rank : hardware_failed) {
-      handled_.insert(rank);
-    }
-    FailureReport report;
-    report.type = FailureType::kHardware;
-    report.ranks = hardware_failed;
-    report.detected_at = sim_.now();
-    GEMINI_LOG(kInfo) << "root agent: detected hardware failure on " << hardware_failed.size()
-                      << " machine(s) at " << FormatDuration(sim_.now());
-    failures_reported_counter_->Increment();
-    on_failure_(report);
-    return;
+    Report(FailureType::kHardware, std::move(hardware_failed));
+  } else if (!software_failed.empty()) {
+    Report(FailureType::kSoftware, std::move(software_failed));
   }
-  if (!software_failed.empty()) {
-    for (const int rank : software_failed) {
-      handled_.insert(rank);
-    }
-    FailureReport report;
-    report.type = FailureType::kSoftware;
-    report.ranks = software_failed;
-    report.detected_at = sim_.now();
-    GEMINI_LOG(kInfo) << "root agent: detected software failure on " << software_failed.size()
-                      << " machine(s) at " << FormatDuration(sim_.now());
-    failures_reported_counter_->Increment();
-    on_failure_(report);
-  }
+}
+
+void RootAgent::Report(FailureType type, std::vector<int> ranks) {
+  handled_.insert(ranks.begin(), ranks.end());
+  GEMINI_LOG(kInfo) << "root agent: detected " << FailureTypeName(type) << " failure on "
+                    << ranks.size() << " machine(s) at " << FormatDuration(sim_.now());
+  failures_reported_counter_->Increment();
+  on_failure_(FailureReport{.type = type, .ranks = std::move(ranks), .detected_at = sim_.now()});
 }
 
 }  // namespace gemini

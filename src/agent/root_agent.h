@@ -64,6 +64,8 @@ class RootAgent {
 
  private:
   void OnScanTick();
+  // Marks `ranks` handled and reports them as one failure of `type`.
+  void Report(FailureType type, std::vector<int> ranks);
 
   Simulator& sim_;
   Cluster& cluster_;

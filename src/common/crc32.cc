@@ -2,14 +2,12 @@
 
 #include <array>
 #include <bit>
-#include <cstdlib>
 #include <cstring>
 #include <vector>
 
 // Hardware kernels are compiled only where the ISA extension exists; other
 // hosts compile slicing-by-8 alone. The *runtime* choice additionally checks
-// CPUID/HWCAP and the GEMINI_DISABLE_HWCRC environment variable, once, at
-// first use.
+// CPUID/HWCAP, once, at first use.
 #if defined(__GNUC__)
 #if defined(__x86_64__)
 #define GEMINI_CRC32_HW_X86 1
@@ -362,13 +360,6 @@ __attribute__((target("+crc"))) uint32_t Crc32UpdateArm(uint32_t crc, const void
 
 #endif  // hardware kernels
 
-// Runtime override: any value other than "" / "0" forces the portable path
-// even on capable hardware (the CI fallback leg sets this).
-bool HwCrcDisabledByEnv() {
-  const char* value = std::getenv("GEMINI_DISABLE_HWCRC");
-  return value != nullptr && *value != '\0' && std::strcmp(value, "0") != 0;
-}
-
 std::vector<Crc32Kernel> ResolveSupportedKernels() {
   std::vector<Crc32Kernel> kernels;
 #if defined(GEMINI_CRC32_HW_X86)
@@ -391,8 +382,7 @@ std::vector<Crc32Kernel> ResolveSupportedKernels() {
 
 const Crc32Kernel& ActiveCrc32() {
   // Resolved once, on first use, thread-safely (magic static).
-  static const Crc32Kernel active = HwCrcDisabledByEnv() ? Crc32SupportedKernels().back()
-                                                         : Crc32SupportedKernels().front();
+  static const Crc32Kernel active = Crc32SupportedKernels().front();
   return active;
 }
 

@@ -12,8 +12,7 @@
 //    `__crc32*` instructions on aarch64 (those do use the IEEE polynomial).
 //    Gated on CPUID / HWCAP.
 //  * slicing-by-8 — the portable path (eight 256-entry tables, eight input
-//    bytes folded per step); the fallback everywhere hardware is absent or
-//    disabled at runtime (the GEMINI_DISABLE_HWCRC environment variable).
+//    bytes folded per step); the fallback everywhere hardware is absent.
 // The folding kernels hand short buffers to the next kernel down the list.
 // The tests and the perf bench compare every kernel with a bytewise
 // reference loop (tests/crc32_reference.h).
@@ -61,8 +60,7 @@ struct Crc32Kernel {
 };
 
 // Every kernel this CPU can run, in dispatch order: the fastest first,
-// slicing-by-8 always last. GEMINI_DISABLE_HWCRC does not shorten the list;
-// it only makes the dispatch pick the last entry. Resolved once.
+// slicing-by-8 always last; the dispatch picks the first. Resolved once.
 const std::vector<Crc32Kernel>& Crc32SupportedKernels();
 
 // The dispatch-selected kernel itself. Calling it is equivalent to

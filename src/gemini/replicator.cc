@@ -13,14 +13,6 @@
 namespace gemini {
 namespace {
 
-// Assembly buffers recycled across replication passes (double-buffer aware:
-// a buffer still pinned by a store's completed state is never handed out).
-// The simulator is single-threaded, so one process-wide pool is safe.
-PayloadPool& AssemblyPool() {
-  static PayloadPool pool;
-  return pool;
-}
-
 // Shared completion state across all streams of one snapshot.
 struct Outcome {
   ReplicationOutcome result;
@@ -70,8 +62,9 @@ std::vector<ChunkAssignment> TileChunks(Bytes total, Bytes chunk_bytes) {
 
 // One source->holder chunk stream with a p-deep send window. Every chunk
 // moves the same way — fabric transfer, auditor note, PCIe staging into the
-// holder's CPU memory — and lands the same way: assembled into the holder's
-// ongoing buffer (AppendChunk), then committed as one replica (CommitWrite).
+// holder's CPU memory — and the stream counts what landed. The holder's store
+// is touched once, after the last chunk: the CRC-checked source payload lands
+// whole with WriteComplete, sharing its buffer.
 struct Stream : std::enable_shared_from_this<Stream> {
   Cluster* cluster = nullptr;
   std::shared_ptr<Outcome> outcome;
@@ -81,48 +74,24 @@ struct Stream : std::enable_shared_from_this<Stream> {
                         // foreground replication, any holder for re-protection).
   int dest = -1;
   // Re-protection streams run concurrently with foreground checkpointing: a
-  // newer commit clobbering this stream's in-progress write means the
-  // redundancy goal was already met, so losing that race is success.
+  // newer commit ending this stream means the redundancy goal was already
+  // met, so losing that race is success.
   bool tolerate_supersede = false;
+  // The holder slot's seal when the stream opened: a full write or a fresh
+  // hosting of the slot since then ends the stream at its next landed chunk.
+  uint64_t seal = 0;
   std::vector<ChunkAssignment> chunks;
   size_t next_send = 0;
   size_t landed_chunks = 0;
-  // Received-side assembly target, leased from the pool for this stream's
-  // lifetime and frozen into the committed checkpoint.
-  std::shared_ptr<std::vector<float>> assembled;
-  // Elements written through SliceFor; must tile the payload exactly.
-  size_t assembled_elements = 0;
+  Bytes landed_bytes = 0;
+  // Set when a superseded stream ends early: chunks still in flight land
+  // into nothing and must not count the stream finished again.
+  bool ended = false;
 
   // True when a write-path error just means a newer checkpoint landed first.
   bool Superseded() const {
     return tolerate_supersede &&
            store->LatestIteration(snapshot.owner_rank) >= snapshot.iteration;
-  }
-
-  // Payload slice [begin, end) corresponding to chunk k's byte range. Exact
-  // integer arithmetic: element i covers logical bytes [i*total/count,
-  // (i+1)*total/count), so floor(offset*count/total) maps a byte offset to
-  // its element. Because each stream's chunk offsets are contiguous
-  // (offset_{k+1} = offset_k + bytes_k, covering [0, total)), chunk k's end
-  // equals chunk k+1's begin and the slices tile the payload with no overlap
-  // or gap — the double-rounded version this replaces could do both.
-  std::pair<size_t, size_t> SliceFor(const ChunkAssignment& chunk) const {
-    const auto total = static_cast<uint64_t>(snapshot.logical_bytes);
-    const auto count = static_cast<uint64_t>(snapshot.payload.size());
-    if (total == 0 || count == 0) {
-      return {0, 0};
-    }
-    assert(chunk.offset >= 0 && chunk.bytes >= 0 &&
-           chunk.offset + chunk.bytes <= snapshot.logical_bytes);
-    // 128-bit intermediate: offset*count can exceed 2^63 for TiB-scale
-    // logical sizes with large test payloads.
-    using U128 = unsigned __int128;
-    const auto begin =
-        static_cast<size_t>(static_cast<U128>(chunk.offset) * count / total);
-    const auto end = static_cast<size_t>(
-        static_cast<U128>(chunk.offset + chunk.bytes) * count / total);
-    assert(begin <= end && end <= count);
-    return {begin, end};
   }
 
   void SendNext() {
@@ -162,52 +131,55 @@ struct Stream : std::enable_shared_from_this<Stream> {
   }
 
   void OnChunkCopied(const ChunkAssignment& chunk) {
-    if (outcome->failed) {
+    if (outcome->failed || ended) {
       return;
     }
-    const Status appended = store->AppendChunk(snapshot.owner_rank, chunk.bytes);
-    if (!appended.ok()) {
-      EndOnWriteError(appended);
+    const Status landed = Land(chunk);
+    if (!landed.ok()) {
+      EndOnWriteError(landed);
       return;
     }
-    const auto [begin, end] = SliceFor(chunk);
-    std::copy(snapshot.payload.begin() + static_cast<std::ptrdiff_t>(begin),
-              snapshot.payload.begin() + static_cast<std::ptrdiff_t>(end),
-              assembled->begin() + static_cast<std::ptrdiff_t>(begin));
-    assembled_elements += end - begin;
-    if (++landed_chunks < chunks.size()) {
+    if (landed_chunks < chunks.size()) {
       SendNext();  // Replenish the send window.
-      return;
-    }
-    const Status committed = CommitReplica();
-    if (!committed.ok()) {
-      EndOnWriteError(committed);
       return;
     }
     outcome->commits_counter->Increment();
     outcome->StreamFinished(cluster->sim().now());
   }
 
-  Status CommitReplica() {
-    // The chunk slices must have tiled the payload exactly — a mis-rounded
-    // slice map would commit a replica that differs from the source.
-    assert(assembled_elements == snapshot.payload.size());
-    Checkpoint received = snapshot;  // O(1): metadata + shared payload ref.
-    received.payload =
-        PayloadRef(std::shared_ptr<const std::vector<float>>(std::move(assembled)));
+  // Counts one landed chunk into the holder's ongoing buffer and, after the
+  // last one, commits the replica.
+  Status Land(const ChunkAssignment& chunk) {
+    if (store->Seal(snapshot.owner_rank) != seal) {
+      return FailedPreconditionError("holder slot for rank " +
+                                     std::to_string(snapshot.owner_rank) +
+                                     " was written or hosted anew mid-stream");
+    }
+    landed_bytes += chunk.bytes;
+    if (landed_bytes > snapshot.logical_bytes) {
+      return InvalidArgumentError("chunk overflows the ongoing checkpoint buffer");
+    }
+    if (++landed_chunks < chunks.size()) {
+      return Status::Ok();
+    }
     // Integrity gate: the digest stamped at capture must match the bytes
-    // this stream reassembled.
-    if (received.payload_crc != 0 &&
-        Crc32(received.payload.data(), received.payload.size_bytes()) !=
-            received.payload_crc) {
-      return DataLossError("replica assembled for rank " + std::to_string(snapshot.owner_rank) +
+    // this stream moved.
+    if (snapshot.payload_crc != 0 &&
+        Crc32(snapshot.payload.data(), snapshot.payload.size_bytes()) != snapshot.payload_crc) {
+      return DataLossError("replica streamed for rank " + std::to_string(snapshot.owner_rank) +
                            " failed its pre-commit CRC check");
     }
-    return store->CommitWrite(std::move(received));
+    if (landed_bytes != snapshot.logical_bytes) {
+      return DataLossError("commit with incomplete checkpoint: received " +
+                           FormatBytes(landed_bytes) + " of " +
+                           FormatBytes(snapshot.logical_bytes));
+    }
+    return store->WriteComplete(snapshot);
   }
 
   void EndOnWriteError(Status status) {
     if (Superseded()) {
+      ended = true;
       outcome->StreamFinished(cluster->sim().now());
       return;
     }
@@ -234,7 +206,9 @@ struct Pass {
   // Opens a replica stream into the holder's ongoing buffer.
   Status AddReplica(CpuCheckpointStore* store, const Checkpoint& snapshot, int source, int dest,
                     std::vector<ChunkAssignment> chunks, bool tolerate_supersede = false) {
-    GEMINI_RETURN_IF_ERROR(store->BeginWrite(snapshot.owner_rank, snapshot.iteration));
+    if (!store->Hosts(snapshot.owner_rank)) {
+      return FailedPreconditionError("owner not hosted on this machine");
+    }
     auto stream = std::make_shared<Stream>();
     stream->cluster = cluster;
     stream->outcome = outcome;
@@ -243,8 +217,8 @@ struct Pass {
     stream->source = source;
     stream->dest = dest;
     stream->tolerate_supersede = tolerate_supersede;
+    stream->seal = store->Seal(snapshot.owner_rank);
     stream->chunks = std::move(chunks);
-    stream->assembled = AssemblyPool().Acquire(snapshot.payload.size());
     streams.push_back(std::move(stream));
     return Status::Ok();
   }

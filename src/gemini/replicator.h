@@ -4,13 +4,15 @@
 // move; this component actually moves them: every machine streams its
 // checkpoint to its placement-assigned holders chunk by chunk through
 // Fabric transfers, each received chunk is staged through the machine's
-// PCIe engine into the CpuCheckpointStore's in-progress buffer
-// (BeginWrite / AppendChunk / CommitWrite), and the local replica is staged
-// through the local PCIe path. Payload bytes are sliced proportionally to
-// chunk sizes so the committed checkpoints are bit-identical to the source.
-// Every stream has one landing step: AppendChunk per received chunk, then
-// CommitWrite of the assembled, CRC-checked replica. Deltas never ride a
-// stream; GeminiSystem lands them with CpuCheckpointStore::WriteDelta.
+// PCIe engine into the holder's ongoing buffer, and the local replica is
+// staged through the local PCIe path. A stream counts its landed bytes
+// itself; after its last chunk it runs the pre-commit CRC gate over the
+// source payload and lands that payload whole with
+// CpuCheckpointStore::WriteComplete, so every holder shares the source's
+// buffer. A full write or a fresh hosting of the holder's slot while the
+// stream is in flight (CpuCheckpointStore::Seal) ends it at its next landed
+// chunk. Deltas never ride a stream; GeminiSystem lands them with
+// CpuCheckpointStore::WriteDelta.
 //
 // GeminiSystem uses the executor's timing for foreground checkpoints and
 // calls only ReprotectReplicas, to refill replaced machines after recovery.
@@ -73,8 +75,9 @@ void ReplicateSnapshot(Cluster& cluster, const PlacementPlan& placement,
 // per-transfer burst (callers pass the Algorithm-2 max chunk size so the
 // traffic keeps fitting the idle spans it was planned for). Replicas the
 // target already holds at (or past) the source's iteration are skipped, and
-// a stream that loses a race with a newer foreground checkpoint commit
-// counts as satisfied — the redundancy goal was met by the newer write.
+// a stream ended by a full write that left the target at (or past) its
+// iteration counts as satisfied — the redundancy goal was met by the newer
+// write. Any other full write mid-stream fails the pass.
 // `done` fires once per call, with the first hard error or Ok.
 void ReprotectReplicas(Cluster& cluster, const PlacementPlan& placement,
                        std::vector<CpuCheckpointStore*> stores,

@@ -187,67 +187,54 @@ std::optional<int> KvStoreCluster::LeaderRank() const {
   return leader->rank();
 }
 
-void KvStoreCluster::Put(const std::string& key, const std::string& value, LeaseId lease,
-                         ProposeCallback done) {
+void KvStoreCluster::ProposeToLeader(KvOp op, ProposeCallback done) {
   KvNode* leader = Leader();
   if (leader == nullptr) {
     done(UnavailableError("kvstore: no leader"));
     return;
   }
+  op.issue_time = sim_.now();
+  leader->Propose(std::move(op), std::move(done));
+}
+
+void KvStoreCluster::Put(const std::string& key, const std::string& value, LeaseId lease,
+                         ProposeCallback done) {
   KvOp op;
   op.type = KvOpType::kPut;
   op.key = key;
   op.value = value;
   op.lease = lease;
-  op.issue_time = sim_.now();
-  leader->Propose(std::move(op), std::move(done));
+  ProposeToLeader(std::move(op), std::move(done));
 }
 
 void KvStoreCluster::PutIfAbsent(const std::string& key, const std::string& value, LeaseId lease,
                                  ProposeCallback done) {
-  KvNode* leader = Leader();
-  if (leader == nullptr) {
-    done(UnavailableError("kvstore: no leader"));
-    return;
-  }
   KvOp op;
   op.type = KvOpType::kPut;
   op.key = key;
   op.value = value;
   op.lease = lease;
   op.if_absent = true;
-  op.issue_time = sim_.now();
-  leader->Propose(std::move(op), std::move(done));
+  ProposeToLeader(std::move(op), std::move(done));
 }
 
 void KvStoreCluster::Delete(const std::string& key, ProposeCallback done) {
-  KvNode* leader = Leader();
-  if (leader == nullptr) {
-    done(UnavailableError("kvstore: no leader"));
-    return;
-  }
   KvOp op;
   op.type = KvOpType::kDelete;
   op.key = key;
-  op.issue_time = sim_.now();
-  leader->Propose(std::move(op), std::move(done));
+  ProposeToLeader(std::move(op), std::move(done));
 }
 
 void KvStoreCluster::LeaseGrant(TimeNs ttl, LeaseCallback done) {
-  KvNode* leader = Leader();
-  if (leader == nullptr) {
-    done(UnavailableError("kvstore: no leader"));
-    return;
-  }
-  KvOp op;
-  op.type = KvOpType::kLeaseGrant;
-  op.ttl = ttl;
-  op.issue_time = sim_.now();
   // The lease id is the grant's log index. A deposed leader fails its
   // pending callbacks (BecomeFollower), so an OK callback always reports the
   // entry this leader appended.
-  const LeaseId id = leader->LastLogIndex() + 1;
-  leader->Propose(std::move(op), [id, done = std::move(done)](Status status) {
+  const KvNode* leader = Leader();
+  const LeaseId id = leader == nullptr ? kNoLease : leader->LastLogIndex() + 1;
+  KvOp op;
+  op.type = KvOpType::kLeaseGrant;
+  op.ttl = ttl;
+  ProposeToLeader(std::move(op), [id, done = std::move(done)](Status status) {
     if (!status.ok()) {
       done(std::move(status));
       return;
@@ -284,16 +271,10 @@ void KvStoreCluster::EndLeaseRule(LeaseId lease) {
 }
 
 void KvStoreCluster::LeaseRevoke(LeaseId lease, ProposeCallback done) {
-  KvNode* leader = Leader();
-  if (leader == nullptr) {
-    done(UnavailableError("kvstore: no leader"));
-    return;
-  }
   KvOp op;
   op.type = KvOpType::kLeaseRevoke;
   op.lease = lease;
-  op.issue_time = sim_.now();
-  leader->Propose(std::move(op), std::move(done));
+  ProposeToLeader(std::move(op), std::move(done));
 }
 
 StatusOr<KvEntry> KvStoreCluster::Get(const std::string& key) const {

@@ -202,6 +202,9 @@ class KvStoreCluster {
   friend class KvNode;
 
   KvNode* Leader() const;
+  // Every client write's route: answers `done` with kUnavailable when no
+  // node leads, else stamps the issue time and proposes `op` on the leader.
+  void ProposeToLeader(KvOp op, ProposeCallback done);
   // Ends every rule held by `holder`, or every rule with no holder given.
   void EndLeaseRules(std::optional<int> holder);
   void OnLivenessChanged(int rank, bool alive);

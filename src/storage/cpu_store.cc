@@ -7,7 +7,6 @@ namespace gemini {
 void CpuCheckpointStore::set_metrics(MetricsRegistry* metrics) {
   commits_counter_ = CounterHandle(metrics, "cpu_store.commits");
   bytes_committed_counter_ = CounterHandle(metrics, "cpu_store.bytes_committed");
-  aborts_counter_ = CounterHandle(metrics, "cpu_store.aborts");
   crc_failures_counter_ = CounterHandle(metrics, "cpu_store.crc_failures");
   corruptions_counter_ = CounterHandle(metrics, "cpu_store.corruptions");
   delta_commits_counter_ = CounterHandle(metrics, "cpu_store.delta_commits");
@@ -45,64 +44,9 @@ Status CpuCheckpointStore::HostOwner(int owner_rank, Bytes replica_bytes) {
   Slot slot;
   slot.replica_bytes = replica_bytes;
   slot.log.set_config(log_config_);
+  slot.seal = ++last_seal_;
   slots_.emplace(owner_rank, std::move(slot));
   reserved_ += needed;
-  return Status::Ok();
-}
-
-Status CpuCheckpointStore::BeginWrite(int owner_rank, int64_t iteration) {
-  auto it = slots_.find(owner_rank);
-  if (it == slots_.end()) {
-    return FailedPreconditionError("owner not hosted on this machine");
-  }
-  Slot& slot = it->second;
-  slot.writing = true;
-  slot.writing_iteration = iteration;
-  slot.received = 0;
-  return Status::Ok();
-}
-
-Status CpuCheckpointStore::AppendChunk(int owner_rank, Bytes chunk_bytes) {
-  auto it = slots_.find(owner_rank);
-  if (it == slots_.end()) {
-    return FailedPreconditionError("owner not hosted on this machine");
-  }
-  Slot& slot = it->second;
-  if (!slot.writing) {
-    return FailedPreconditionError("no write in progress");
-  }
-  slot.received += chunk_bytes;
-  if (slot.received > slot.replica_bytes) {
-    return InvalidArgumentError("chunk overflows the ongoing checkpoint buffer");
-  }
-  return Status::Ok();
-}
-
-Status CpuCheckpointStore::CommitWrite(Checkpoint checkpoint) {
-  auto it = slots_.find(checkpoint.owner_rank);
-  if (it == slots_.end()) {
-    return FailedPreconditionError("owner not hosted on this machine");
-  }
-  Slot& slot = it->second;
-  if (!slot.writing) {
-    return FailedPreconditionError("no write in progress");
-  }
-  if (slot.received != checkpoint.logical_bytes) {
-    return DataLossError("commit with incomplete checkpoint: received " +
-                         FormatBytes(slot.received) + " of " +
-                         FormatBytes(checkpoint.logical_bytes));
-  }
-  if (slot.writing_iteration != checkpoint.iteration) {
-    return InvalidArgumentError("commit iteration does not match BeginWrite");
-  }
-  const Bytes committed_bytes = checkpoint.logical_bytes;
-  // A full commit seals a new redo-log base; any older chain is subsumed.
-  slot.log.Reset(std::move(checkpoint));
-  slot.writing = false;
-  slot.writing_iteration = -1;
-  slot.received = 0;
-  commits_counter_->Increment();
-  bytes_committed_counter_->Increment(committed_bytes);
   return Status::Ok();
 }
 
@@ -152,23 +96,27 @@ Status CpuCheckpointStore::CorruptChainDelta(int owner_rank, size_t chain_index,
   return Status::Ok();
 }
 
-void CpuCheckpointStore::AbortWrite(int owner_rank) {
-  auto it = slots_.find(owner_rank);
+Status CpuCheckpointStore::WriteComplete(Checkpoint checkpoint) {
+  auto it = slots_.find(checkpoint.owner_rank);
   if (it == slots_.end()) {
-    return;
+    return FailedPreconditionError("owner not hosted on this machine");
   }
-  if (it->second.writing) {
-    aborts_counter_->Increment();
+  Slot& slot = it->second;
+  const Bytes committed_bytes = checkpoint.logical_bytes;
+  if (committed_bytes > slot.replica_bytes) {
+    return InvalidArgumentError("checkpoint overflows the hosted replica buffer");
   }
-  it->second.writing = false;
-  it->second.writing_iteration = -1;
-  it->second.received = 0;
+  // A full commit seals a new redo-log base; any older chain is subsumed.
+  slot.log.Reset(std::move(checkpoint));
+  slot.seal = ++last_seal_;
+  commits_counter_->Increment();
+  bytes_committed_counter_->Increment(committed_bytes);
+  return Status::Ok();
 }
 
-Status CpuCheckpointStore::WriteComplete(Checkpoint checkpoint) {
-  GEMINI_RETURN_IF_ERROR(BeginWrite(checkpoint.owner_rank, checkpoint.iteration));
-  GEMINI_RETURN_IF_ERROR(AppendChunk(checkpoint.owner_rank, checkpoint.logical_bytes));
-  return CommitWrite(std::move(checkpoint));
+uint64_t CpuCheckpointStore::Seal(int owner_rank) const {
+  auto it = slots_.find(owner_rank);
+  return it == slots_.end() ? 0 : it->second.seal;
 }
 
 std::optional<Checkpoint> CpuCheckpointStore::LatestImpl(int owner_rank,

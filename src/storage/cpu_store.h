@@ -5,7 +5,9 @@
 // Per the paper's implementation (Section 7.1), each hosted owner has two
 // buffers — one holding the last *completed* checkpoint and one receiving
 // the *ongoing* checkpoint — so a failure mid-checkpoint always leaves a
-// complete checkpoint behind. Committing swaps the buffers.
+// complete checkpoint behind. The ongoing half is what a replica in flight
+// occupies (a replicator stream counts its own landed bytes); the store
+// itself only ever sees whole replicas, each landed by one WriteComplete.
 //
 // Memory is accounted against the host Machine's CPU memory; hosting is
 // rejected when 2x the replica size does not fit.
@@ -42,17 +44,15 @@ class CpuCheckpointStore {
   Status HostOwner(int owner_rank, Bytes replica_bytes);
   bool Hosts(int owner_rank) const { return slots_.contains(owner_rank); }
 
-  // Write path: Begin marks the ongoing buffer as receiving `iteration`;
-  // AppendChunk accumulates arrived bytes; Commit requires all bytes present
-  // and atomically publishes the checkpoint. Abort drops a partial write.
-  Status BeginWrite(int owner_rank, int64_t iteration);
-  Status AppendChunk(int owner_rank, Bytes chunk_bytes);
-  Status CommitWrite(Checkpoint checkpoint);
-  void AbortWrite(int owner_rank);
-
-  // Convenience for paths where arrival is not chunk-timed (e.g. local
-  // GPU->CPU copies whose timing is handled by the caller).
+  // Lands one whole replica: atomically publishes `checkpoint` as the
+  // owner's completed state (sharing its payload buffer). Fails for an
+  // unhosted owner or a checkpoint larger than the hosted replica size.
   Status WriteComplete(Checkpoint checkpoint);
+
+  // Changes whenever the owner's slot is hosted anew or takes a full write
+  // (0 when not hosted); WriteDelta leaves it alone. A stream in flight
+  // notes it when it opens and ends if it has moved by a landed chunk.
+  uint64_t Seal(int owner_rank) const;
 
   // Every hosted owner's completed state is a redo log: a full commit seals a
   // new base (RedoLog::Reset), WriteDelta appends epoch-sealed deltas on top,
@@ -107,10 +107,7 @@ class CpuCheckpointStore {
     // Completed state: the sealed base of the last full commit plus the
     // epoch-sealed deltas on top of it (no base until the first commit).
     RedoLog log;
-    // Ongoing write state.
-    bool writing = false;
-    int64_t writing_iteration = -1;
-    Bytes received = 0;
+    uint64_t seal = 0;
   };
 
   // Serves the owner's newest state: the materialized base+chain (nullopt
@@ -122,7 +119,6 @@ class CpuCheckpointStore {
   // Hot-path metric handles (resolved once in set_metrics).
   Counter* commits_counter_ = DiscardCounter();
   Counter* bytes_committed_counter_ = DiscardCounter();
-  Counter* aborts_counter_ = DiscardCounter();
   Counter* crc_failures_counter_ = DiscardCounter();
   Counter* corruptions_counter_ = DiscardCounter();
   Counter* delta_commits_counter_ = DiscardCounter();
@@ -132,6 +128,9 @@ class CpuCheckpointStore {
   Gauge* chain_length_gauge_ = DiscardGauge();
   std::map<int, Slot> slots_;
   Bytes reserved_ = 0;
+  // Last seal handed out; never reset, so a slot hosted after
+  // ResetForMachine never reuses an earlier seal.
+  uint64_t last_seal_ = 0;
 };
 
 }  // namespace gemini

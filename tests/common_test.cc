@@ -464,8 +464,8 @@ TEST(Crc32Test, DispatchedKernelChainsAcrossArbitrarySplits) {
 }
 
 // Combining is kernel-independent arithmetic, so it must agree with every
-// kernel's CRC of the concatenation: the dispatched one (the slicing-by-8
-// fallback when GEMINI_DISABLE_HWCRC is set) and the bytewise reference.
+// kernel's CRC of the concatenation: the dispatched one and the bytewise
+// reference.
 TEST(Crc32Test, CombineMatchesConcatenation) {
   Rng rng(0xC0B1);
   std::vector<uint8_t> data(600);

@@ -121,43 +121,6 @@ TEST_F(CpuStoreTest, HostOwnerFailsWhenCpuMemoryExhausted) {
   EXPECT_EQ(store_.HostOwner(1, GiB(300)).code(), StatusCode::kResourceExhausted);
 }
 
-TEST_F(CpuStoreTest, ChunkedWriteCommitsWhenComplete) {
-  ASSERT_TRUE(store_.HostOwner(2, 1000).ok());
-  ASSERT_TRUE(store_.BeginWrite(2, 5).ok());
-  ASSERT_TRUE(store_.AppendChunk(2, 400).ok());
-  ASSERT_TRUE(store_.AppendChunk(2, 600).ok());
-  ASSERT_TRUE(store_.CommitWrite(MakeCheckpoint(2, 5, 1000)).ok());
-  EXPECT_EQ(store_.LatestIteration(2), 5);
-}
-
-TEST_F(CpuStoreTest, CommitWithMissingBytesFails) {
-  ASSERT_TRUE(store_.HostOwner(2, 1000).ok());
-  ASSERT_TRUE(store_.BeginWrite(2, 5).ok());
-  ASSERT_TRUE(store_.AppendChunk(2, 400).ok());
-  EXPECT_EQ(store_.CommitWrite(MakeCheckpoint(2, 5, 1000)).code(), StatusCode::kDataLoss);
-}
-
-TEST_F(CpuStoreTest, ChunkOverflowFails) {
-  ASSERT_TRUE(store_.HostOwner(2, 1000).ok());
-  ASSERT_TRUE(store_.BeginWrite(2, 5).ok());
-  EXPECT_EQ(store_.AppendChunk(2, 1500).code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(CpuStoreTest, DoubleBufferKeepsCompletedWhileWriting) {
-  // The core crash-consistency property: an in-progress checkpoint never
-  // clobbers the completed one.
-  ASSERT_TRUE(store_.HostOwner(2, 1000).ok());
-  ASSERT_TRUE(store_.WriteComplete(MakeCheckpoint(2, 5, 1000)).ok());
-  ASSERT_TRUE(store_.BeginWrite(2, 6).ok());
-  ASSERT_TRUE(store_.AppendChunk(2, 500).ok());
-  // Failure strikes mid-write: the previous checkpoint must still be there.
-  const std::optional<Checkpoint> latest = store_.Latest(2);
-  ASSERT_TRUE(latest.has_value());
-  EXPECT_EQ(latest->iteration, 5);
-  store_.AbortWrite(2);
-  EXPECT_EQ(store_.LatestIteration(2), 5);
-}
-
 TEST_F(CpuStoreTest, CommitSwapsBuffers) {
   ASSERT_TRUE(store_.HostOwner(2, 1000).ok());
   ASSERT_TRUE(store_.WriteComplete(MakeCheckpoint(2, 5, 1000)).ok());
@@ -165,17 +128,35 @@ TEST_F(CpuStoreTest, CommitSwapsBuffers) {
   EXPECT_EQ(store_.LatestIteration(2), 6);
 }
 
-TEST_F(CpuStoreTest, WriteToUnhostedOwnerFails) {
-  EXPECT_EQ(store_.BeginWrite(9, 1).code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(store_.AppendChunk(9, 1).code(), StatusCode::kFailedPrecondition);
+TEST_F(CpuStoreTest, OversizedWriteFails) {
+  ASSERT_TRUE(store_.HostOwner(2, 1000).ok());
+  EXPECT_EQ(store_.WriteComplete(MakeCheckpoint(2, 5, 1500)).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(store_.LatestIteration(2), -1);
 }
 
-TEST_F(CpuStoreTest, CommitIterationMismatchFails) {
+TEST_F(CpuStoreTest, SealMovesOnFullWriteAndFreshHostingOnly) {
+  EXPECT_EQ(store_.Seal(2), 0u);
   ASSERT_TRUE(store_.HostOwner(2, 1000).ok());
-  ASSERT_TRUE(store_.BeginWrite(2, 5).ok());
-  ASSERT_TRUE(store_.AppendChunk(2, 1000).ok());
-  EXPECT_EQ(store_.CommitWrite(MakeCheckpoint(2, 7, 1000)).code(),
-            StatusCode::kInvalidArgument);
+  const uint64_t hosted = store_.Seal(2);
+  EXPECT_NE(hosted, 0u);
+  ASSERT_TRUE(store_.HostOwner(2, 1000).ok());  // Idempotent: same slot.
+  EXPECT_EQ(store_.Seal(2), hosted);
+  ASSERT_TRUE(store_.WriteComplete(MakeCheckpoint(2, 5, 1000)).ok());
+  const uint64_t written = store_.Seal(2);
+  EXPECT_NE(written, hosted);
+  // A slot hosted again on a replacement machine never reuses a seal.
+  Machine replacement(0, 1, P4d24xlarge());
+  store_.ResetForMachine(replacement);
+  ASSERT_TRUE(store_.HostOwner(2, 1000).ok());
+  EXPECT_NE(store_.Seal(2), hosted);
+  EXPECT_NE(store_.Seal(2), written);
+}
+
+TEST_F(CpuStoreTest, WriteToUnhostedOwnerFails) {
+  EXPECT_EQ(store_.WriteComplete(MakeCheckpoint(9, 1, 1000)).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_EQ(store_.LatestIteration(9), -1);
 }
 
 TEST_F(CpuStoreTest, ResetForMachineDropsEverything) {
