@@ -4,8 +4,9 @@
 // the ring cost model), checkpoint serialization, the event queue (distinct
 // timestamps, and the control plane's timer storm), the KV store's liveness
 // work per heartbeat (lease expiry check and the root's health scan), the
-// whole control plane of agents on the store, the delta write path (building a delta, replaying a redo log), and the trainer
-// stepping between captures.
+// whole control plane of agents on the store, the delta write path (building
+// a delta, replaying a redo log, and the capture -> delta -> chain-append
+// loop of a CPU-tier commit), and the trainer stepping between captures.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
@@ -205,6 +206,54 @@ void BM_RedoLogMaterialize(benchmark::State& state) {
                           static_cast<int64_t>(head.payload.size_bytes()));
 }
 BENCHMARK(BM_RedoLogMaterialize);
+
+// The CPU tier's per-commit write path as GeminiSystem runs it: 8 ranks of
+// 65,536 floats, each iteration one step, then per rank a capture, a delta
+// of the chunks the step touched (BuildMarkedDelta, against the previous
+// capture's identity), and an append to the rank's redo log, folded at 8
+// links. Each capture stays held until the rank's next one, as a staged
+// snapshot is; the logs' sealed bases hold the first. Argument: percent of
+// 1,024-float chunks a step touches (100 = dense updates, so every chunk is
+// copied into every delta). `s_per_commit` is the host time per rank.
+void BM_CaptureDeltaAppend(benchmark::State& state) {
+  constexpr int kRanks = 8;
+  constexpr size_t kChunk = 1024;
+  const int64_t touched_percent = state.range(0);
+  ShardedTrainer trainer(Gpt2_10B(), kRanks, 65536, /*seed=*/5);
+  if (touched_percent < 100) {
+    trainer.SetSparseUpdates(static_cast<double>(touched_percent) / 100.0, kChunk);
+  }
+  trainer.EnableDirtyTracking(kChunk);
+  std::vector<RedoLog> logs(kRanks, RedoLog(RedoLogConfig{/*max_chain_length=*/8, 0}));
+  std::vector<Checkpoint> staged(kRanks);
+  for (int rank = 0; rank < kRanks; ++rank) {
+    staged[static_cast<size_t>(rank)] = trainer.MakeCheckpoint(rank);
+    trainer.TakeDirtyChunks(rank);
+    logs[static_cast<size_t>(rank)].Reset(staged[static_cast<size_t>(rank)]);
+  }
+  for (auto _ : state) {
+    trainer.Step();
+    for (int rank = 0; rank < kRanks; ++rank) {
+      Checkpoint& held = staged[static_cast<size_t>(rank)];
+      const DeltaBase base = DeltaBaseOf(held);
+      held = Checkpoint{};
+      held = trainer.MakeCheckpoint(rank);
+      StatusOr<DeltaCheckpoint> delta =
+          BuildMarkedDelta(base, held, kChunk, trainer.TakeDirtyChunks(rank));
+      RedoLog& log = logs[static_cast<size_t>(rank)];
+      if (!delta.ok() || !log.Append(std::move(delta).value()).ok() ||
+          (log.NeedsCompaction() && !log.Compact().ok())) {
+        state.SkipWithError("commit failed");
+        return;
+      }
+    }
+  }
+  state.counters["s_per_commit"] =
+      benchmark::Counter(static_cast<double>(state.iterations() * kRanks),
+                         benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+  state.counters["trainer_buffers"] = static_cast<double>(trainer.allocated_buffers());
+}
+BENCHMARK(BM_CaptureDeltaAppend)->Arg(25)->Arg(100)->Unit(benchmark::kMicrosecond);
 
 // The trainer alone: 64 ranks of 65,536 floats (256 KiB), every rank
 // captured (and the capture dropped) after every `steps per capture` steps.

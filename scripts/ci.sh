@@ -75,12 +75,13 @@ echo "==> release pass: ctest"
 # (expiry check and health scan over 256 and 1024 leased keys), the whole
 # control plane (256 and 1024 agents on the store for a simulated minute,
 # leases renewing by rule; `KvControlPlane` matches both KV cases), the
-# delta write path's (building a delta, replaying an 8-link redo log) and the
-# trainer's (deferred steps and the fused update + CRC capture pass at 1, 4
-# and 16 steps per capture) building and running. Not a speed gate.
+# delta write path's (building a delta, replaying an 8-link redo log, and
+# the capture -> delta -> chain-append loop at 25% and 100% touched chunks)
+# and the trainer's (deferred steps and the fused update + CRC capture pass
+# at 1, 4 and 16 steps per capture) building and running. Not a speed gate.
 echo "==> release pass: simulator, KV control-plane, delta-path and trainer micro-benchmarks (smoke)"
 ./build-release/bench/bench_micro_algorithms \
-  --benchmark_filter='Simulator|KvControlPlane|RedoLog|DeltaCheckpoint|TrainerStepsPerCapture' \
+  --benchmark_filter='Simulator|KvControlPlane|RedoLog|DeltaCheckpoint|CaptureDeltaAppend|TrainerStepsPerCapture' \
   --benchmark_min_time=0.01
 
 echo "==> sanitizer pass: configure + build (address,undefined)"
@@ -157,5 +158,11 @@ echo "==> bench smoke: bench_perf_datapath (Release)"
 # record for every injected failure, and identical results across runs.
 echo "==> bench smoke: perfbench ctrl_scale"
 python3 perfbench/run.py --workload ctrl_scale --seed 1 --seconds 1 --trace 0
+
+# The recovery workload is the only end-to-end run of the delta write path,
+# peer retrieval and re-protection; its exit status covers the same checks,
+# so a recovered shard that is not bit-exact fails here.
+echo "==> bench smoke: perfbench recovery_storm"
+python3 perfbench/run.py --workload recovery_storm --seed 1 --seconds 1 --trace 0
 
 echo "==> done"

@@ -19,6 +19,16 @@ namespace {
 constexpr TimeNs kReprotectionRetryDelay = Seconds(5);
 constexpr int kReprotectionMaxAttempts = 3;
 
+// The built delta, or nullopt (-> full write, logged) when the build failed.
+std::optional<DeltaCheckpoint> DeltaOrFull(StatusOr<DeltaCheckpoint> delta, int owner_rank) {
+  if (!delta.ok()) {
+    GEMINI_LOG(kWarning) << "delta build for owner " << owner_rank << " failed ("
+                         << delta.status() << "); writing a full snapshot";
+    return std::nullopt;
+  }
+  return std::move(delta).value();
+}
+
 }  // namespace
 
 Status GeminiConfig::Validate() const {
@@ -461,9 +471,7 @@ void GeminiSystem::OnCheckpointCommit(int64_t snapshot_iteration) {
     if (!cluster_->machine(owner).alive()) {
       continue;
     }
-    const std::vector<uint8_t>& hint = dirty_accum_[static_cast<size_t>(owner)];
-    const std::optional<DeltaCheckpoint> delta = MaybeBuildDelta(
-        delta_bases_[static_cast<size_t>(owner)], snapshot, hint.empty() ? nullptr : &hint);
+    const std::optional<DeltaCheckpoint> delta = MaybeBuildMarkedDelta(snapshot);
     for (const int holder : placement_.replica_sets[static_cast<size_t>(owner)]) {
       if (!cluster_->machine(holder).alive()) {
         continue;
@@ -487,7 +495,7 @@ void GeminiSystem::OnCheckpointCommit(int64_t snapshot_iteration) {
     }
     incremental_committed_bytes_ += delta.has_value() ? delta->delta_bytes : snapshot.logical_bytes;
     incremental_full_equivalent_bytes_ += snapshot.logical_bytes;
-    delta_bases_[static_cast<size_t>(owner)] = snapshot;
+    delta_bases_[static_cast<size_t>(owner)] = DeltaBaseOf(snapshot);
     auto& accum = dirty_accum_[static_cast<size_t>(owner)];
     std::fill(accum.begin(), accum.end(), 0);
   }
@@ -527,7 +535,7 @@ void GeminiSystem::MaybePersistentCheckpoint() {
     // preserves arrival order, so each delta lands on the chain head it was
     // sealed against.
     std::optional<DeltaCheckpoint> delta =
-        MaybeBuildDelta(persistent_bases_[static_cast<size_t>(rank)], full, nullptr);
+        MaybeBuildDelta(persistent_bases_[static_cast<size_t>(rank)], full);
     if (delta.has_value()) {
       max_rank_bytes = std::max(max_rank_bytes, delta->delta_bytes);
       persistent_->SaveDelta(std::move(*delta), config_.num_machines, [this, rank](Status status) {
@@ -572,20 +580,28 @@ void GeminiSystem::AccumulateDirtyBits(int owner_rank) {
 }
 
 std::optional<DeltaCheckpoint> GeminiSystem::MaybeBuildDelta(
-    const std::optional<Checkpoint>& base, const Checkpoint& current,
-    const std::vector<uint8_t>* dirty_hint) const {
+    const std::optional<Checkpoint>& base, const Checkpoint& current) const {
   if (!config_.incremental.enabled || !base.has_value() || current.iteration <= base->iteration ||
       base->payload.size() != current.payload.size()) {
     return std::nullopt;
   }
-  StatusOr<DeltaCheckpoint> delta = BuildDeltaCheckpoint(
-      *base, current, static_cast<size_t>(config_.incremental.chunk_elements), dirty_hint);
-  if (!delta.ok()) {
-    GEMINI_LOG(kWarning) << "delta build for owner " << current.owner_rank << " failed ("
-                         << delta.status() << "); writing a full snapshot";
+  return DeltaOrFull(BuildDeltaCheckpoint(
+                         *base, current, static_cast<size_t>(config_.incremental.chunk_elements)),
+                     current.owner_rank);
+}
+
+std::optional<DeltaCheckpoint> GeminiSystem::MaybeBuildMarkedDelta(const Checkpoint& current) const {
+  const std::optional<DeltaBase>& base = delta_bases_[static_cast<size_t>(current.owner_rank)];
+  if (!config_.incremental.enabled || !base.has_value() || current.iteration <= base->iteration) {
     return std::nullopt;
   }
-  return std::move(delta).value();
+  // Every chunk a step touched since the base is marked, and no step leaves
+  // a touched chunk bit-identical (each element moves to x * 0.999f + d with
+  // a fresh hash d), so the marks are the changed chunks: no byte compare.
+  return DeltaOrFull(
+      BuildMarkedDelta(*base, current, static_cast<size_t>(config_.incremental.chunk_elements),
+                       dirty_accum_[static_cast<size_t>(current.owner_rank)]),
+      current.owner_rank);
 }
 
 void GeminiSystem::ResetIncrementalBases() {

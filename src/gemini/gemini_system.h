@@ -43,6 +43,7 @@
 #include "src/policy/protection_policy.h"
 #include "src/schedule/executor.h"
 #include "src/storage/cpu_store.h"
+#include "src/storage/delta.h"
 #include "src/storage/persistent_store.h"
 #include "src/storage/serializer.h"
 #include "src/training/model_config.h"
@@ -319,12 +320,15 @@ class GeminiSystem : public PolicyHost {
   // Folds the owner's freshly taken dirty bits into the accumulator covering
   // the window since its last sealed base.
   void AccumulateDirtyBits(int owner_rank);
-  // Builds the delta taking `base` to `current` for a CPU-tier commit or a
-  // persistent save; nullopt (-> full write) when the mode is off or no
+  // Builds the delta taking `base` to `current` for a persistent save, by
+  // byte compare; nullopt (-> full write) when the mode is off or no
   // compatible base exists.
   std::optional<DeltaCheckpoint> MaybeBuildDelta(const std::optional<Checkpoint>& base,
-                                                 const Checkpoint& current,
-                                                 const std::vector<uint8_t>* dirty_hint) const;
+                                                 const Checkpoint& current) const;
+  // Builds the CPU-tier delta taking the owner's sealed base to `current`
+  // from the dirty bits accumulated since that base; nullopt (-> full
+  // write) when the mode is off or the owner has no base.
+  std::optional<DeltaCheckpoint> MaybeBuildMarkedDelta(const Checkpoint& current) const;
   // Invalidates every delta base after recovery rewires store contents; the
   // next block re-seals full bases everywhere.
   void ResetIncrementalBases();
@@ -471,10 +475,11 @@ class GeminiSystem : public PolicyHost {
   TimeNs iteration_started_at_ = 0;
 
   // ---- Delta bases (kept in both modes; deltas are built only when on) ----
-  // Per-owner diff base: the last full snapshot whose replication to the CPU
-  // tier committed, plus the dirty bits accumulated since it was captured
-  // (empty while dirty tracking is off).
-  std::vector<std::optional<Checkpoint>> delta_bases_;
+  // Per-owner diff base: the identity of the last snapshot whose replication
+  // to the CPU tier committed (not its bytes: a held snapshot would force
+  // the trainer's next step out of place), plus the dirty bits accumulated
+  // since it was captured (empty while dirty tracking is off).
+  std::vector<std::optional<DeltaBase>> delta_bases_;
   std::vector<std::vector<uint8_t>> dirty_accum_;
   // Last full state *scheduled* to the persistent tier per rank; the store's
   // FIFO preserves arrival order, so schedule-order sealing is safe.

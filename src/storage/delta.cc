@@ -23,6 +23,77 @@ Bytes ProrateBytes(Bytes logical_bytes, size_t moved_elements, size_t payload_el
                              static_cast<double>(payload_elements)));
 }
 
+// Checks what both builders require of their inputs: a nonzero chunk size,
+// forward progress, and (when `marks` is non-null) one mark per chunk.
+Status CheckDeltaInputs(int64_t base_iteration, const Checkpoint& current,
+                        size_t chunk_elements, const std::vector<uint8_t>* marks) {
+  if (chunk_elements == 0) {
+    return InvalidArgumentError("delta chunk_elements must be >= 1");
+  }
+  if (current.iteration <= base_iteration) {
+    return InvalidArgumentError("delta must move forward in iterations");
+  }
+  const size_t num_chunks = (current.payload.size() + chunk_elements - 1) / chunk_elements;
+  if (marks != nullptr && marks->size() != num_chunks) {
+    return InvalidArgumentError("dirty hint size does not match chunk count");
+  }
+  return Status::Ok();
+}
+
+// Elements per tile of the assembly copy: 16 KiB of floats, so each tile is
+// checksummed while it is still in L1.
+constexpr size_t kTileElements = 4096;
+
+// The delta taking `base` to `current` that ships the chunks `ship` marks:
+// one pass copies them into a single buffer the delta owns, CRCing each tile
+// as it lands, and each chunk then views its part of that buffer.
+DeltaCheckpoint AssembleDelta(const DeltaBase& base, const Checkpoint& current,
+                              size_t chunk_elements, const std::vector<uint8_t>& ship) {
+  const size_t elements = current.payload.size();
+  auto chunk_size = [&](size_t chunk) {
+    return std::min(chunk_elements, elements - chunk * chunk_elements);
+  };
+  DeltaCheckpoint delta;
+  size_t total = 0;
+  for (size_t chunk = 0; chunk < ship.size(); ++chunk) {
+    if (ship[chunk] != 0) {
+      total += chunk_size(chunk);
+      delta.chunks.push_back(DeltaChunk{chunk, PayloadRef(), 0});
+    }
+  }
+  delta.owner_rank = current.owner_rank;
+  delta.iteration = current.iteration;
+  delta.base_iteration = base.iteration;
+  delta.base_crc = base.payload_crc;
+  delta.state_crc = current.payload_crc != 0 ? current.payload_crc : current.ComputePayloadCrc();
+  delta.logical_bytes = current.logical_bytes;
+  delta.delta_bytes = ProrateBytes(current.logical_bytes, total, elements);
+  delta.chunk_elements = chunk_elements;
+  delta.payload_elements = elements;
+
+  // Appended, not zero-filled first: each tile is written once, then read
+  // back by its CRC while still in L1.
+  std::vector<float> owned;
+  owned.reserve(total);
+  for (DeltaChunk& chunk : delta.chunks) {
+    const float* from = current.payload.data() + chunk.chunk_index * chunk_elements;
+    const size_t count = chunk_size(chunk.chunk_index);
+    for (size_t tile = 0; tile < count; tile += kTileElements) {
+      const size_t tile_elements = std::min(kTileElements, count - tile);
+      const size_t at = owned.size();
+      owned.insert(owned.end(), from + tile, from + tile + tile_elements);
+      chunk.crc = Crc32Update(chunk.crc, owned.data() + at, tile_elements * sizeof(float));
+    }
+  }
+  const PayloadRef buffer(std::move(owned));
+  size_t offset = 0;
+  for (DeltaChunk& chunk : delta.chunks) {
+    chunk.data = buffer.Slice(offset, chunk_size(chunk.chunk_index));
+    offset += chunk.data.size();
+  }
+  return delta;
+}
+
 // Replays `links` on top of `base` with one copy of the base: every link is
 // applied in place and gated exactly like a standalone apply of that link to
 // the previous link's result. The full-state CRC each link is checked
@@ -123,38 +194,25 @@ StatusOr<Checkpoint> FoldDeltas(const Checkpoint& base, std::span<const DeltaChe
 
 }  // namespace
 
+DeltaBase DeltaBaseOf(const Checkpoint& checkpoint) {
+  return DeltaBase{checkpoint.iteration, checkpoint.payload_crc != 0
+                                             ? checkpoint.payload_crc
+                                             : checkpoint.ComputePayloadCrc()};
+}
+
 StatusOr<DeltaCheckpoint> BuildDeltaCheckpoint(const Checkpoint& base, const Checkpoint& current,
                                                size_t chunk_elements,
                                                const std::vector<uint8_t>* dirty_hint) {
-  if (chunk_elements == 0) {
-    return InvalidArgumentError("delta chunk_elements must be >= 1");
-  }
   if (base.owner_rank != current.owner_rank) {
     return InvalidArgumentError("delta base and current belong to different owners");
   }
   if (base.payload.size() != current.payload.size()) {
     return InvalidArgumentError("delta base and current payload sizes differ");
   }
-  if (current.iteration <= base.iteration) {
-    return InvalidArgumentError("delta must move forward in iterations");
-  }
+  GEMINI_RETURN_IF_ERROR(CheckDeltaInputs(base.iteration, current, chunk_elements, dirty_hint));
   const size_t elements = current.payload.size();
-  const size_t num_chunks = (elements + chunk_elements - 1) / chunk_elements;
-  if (dirty_hint != nullptr && dirty_hint->size() != num_chunks) {
-    return InvalidArgumentError("dirty hint size does not match chunk count");
-  }
-
-  DeltaCheckpoint delta;
-  delta.owner_rank = current.owner_rank;
-  delta.iteration = current.iteration;
-  delta.base_iteration = base.iteration;
-  delta.base_crc = base.payload_crc != 0 ? base.payload_crc : base.ComputePayloadCrc();
-  delta.state_crc = current.payload_crc != 0 ? current.payload_crc : current.ComputePayloadCrc();
-  delta.logical_bytes = current.logical_bytes;
-  delta.chunk_elements = chunk_elements;
-  delta.payload_elements = elements;
-
-  for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
+  std::vector<uint8_t> ship((elements + chunk_elements - 1) / chunk_elements, 0);
+  for (size_t chunk = 0; chunk < ship.size(); ++chunk) {
     // The trainer's dirty bits are a superset of the truly changed chunks,
     // so an unhinted chunk is known-clean and skipped without comparison.
     if (dirty_hint != nullptr && (*dirty_hint)[chunk] == 0) {
@@ -162,18 +220,19 @@ StatusOr<DeltaCheckpoint> BuildDeltaCheckpoint(const Checkpoint& base, const Che
     }
     const size_t begin = chunk * chunk_elements;
     const size_t count = std::min(chunk_elements, elements - begin);
-    const PayloadRef current_slice = current.payload.Slice(begin, count);
     // Content-wise dedupe: a dirty bit whose write was a no-op compares
-    // equal here and ships nothing. Only shipped chunks are checksummed.
-    if (std::memcmp(base.payload.data() + begin, current_slice.data(), count * sizeof(float)) ==
-        0) {
-      continue;
-    }
-    delta.chunks.push_back(DeltaChunk{
-        chunk, current_slice, Crc32(current_slice.data(), current_slice.size_bytes())});
+    // equal here and ships nothing.
+    ship[chunk] = std::memcmp(base.payload.data() + begin, current.payload.data() + begin,
+                              count * sizeof(float)) != 0;
   }
-  delta.delta_bytes = ProrateBytes(delta.logical_bytes, delta.delta_elements(), elements);
-  return delta;
+  return AssembleDelta(DeltaBaseOf(base), current, chunk_elements, ship);
+}
+
+StatusOr<DeltaCheckpoint> BuildMarkedDelta(const DeltaBase& base, const Checkpoint& current,
+                                           size_t chunk_elements,
+                                           const std::vector<uint8_t>& marked) {
+  GEMINI_RETURN_IF_ERROR(CheckDeltaInputs(base.iteration, current, chunk_elements, &marked));
+  return AssembleDelta(base, current, chunk_elements, marked);
 }
 
 StatusOr<Checkpoint> ApplyDeltaCheckpoint(const Checkpoint& base, const DeltaCheckpoint& delta) {
@@ -301,8 +360,8 @@ Status RedoLog::CorruptDelta(size_t chain_index, size_t bit_index) {
   for (DeltaChunk& chunk : delta.chunks) {
     const size_t chunk_bits = chunk.data.size_bytes() * 8;
     if (bit < chunk_bits) {
-      // Copy-on-write: the slice shares its buffer with the builder's
-      // snapshot (and possibly sibling replicas); detach before flipping.
+      // Copy-on-write: the slice shares the delta's buffer with its other
+      // chunks and with sibling holders' copies; detach before flipping.
       auto* bytes = reinterpret_cast<uint8_t*>(chunk.data.MutableData());
       bytes[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
       return Status::Ok();

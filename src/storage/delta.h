@@ -2,13 +2,18 @@
 //
 // A DeltaCheckpoint encodes the difference between two full checkpoints of
 // the same shard as a list of (chunk index, PayloadRef slice) pairs, one per
-// changed fixed-size chunk. Chunks are selected by content, not just by the
-// trainer's dirty bits: each candidate chunk's bytes are compared against the
-// base, so a dirty bit that turned out to be a no-op write is deduplicated
-// away, and only shipped chunks are checksummed. Every chunk carries its own
-// CRC32 and the delta carries the full-state CRC of the post-apply shard, so
-// application is verifiable at both granularities — recovery must never
-// silently materialize a corrupted state.
+// shipped fixed-size chunk. Building a delta is two steps: choosing the
+// chunks, then one assembly pass that copies every shipped chunk into a
+// single buffer the delta owns, checksumming each chunk as it lands. So a
+// delta never pins the snapshot it was built from, and the trainer's next
+// step can write that snapshot's live buffer in place. Chunks are chosen
+// either by content (BuildDeltaCheckpoint: each candidate chunk is compared
+// with the base's bytes, so a no-op write ships nothing) or by the caller's
+// marks alone (BuildMarkedDelta: the base is known only by its identity, so
+// no base bytes need be kept). Every chunk carries its own CRC32 and the
+// delta carries the full-state CRC of the post-apply shard, so application
+// is verifiable at both granularities — recovery must never silently
+// materialize a corrupted state.
 //
 // A RedoLog is the epoch-sealed append-only chain the CPU checkpoint store
 // keeps per hosted owner (the persistent tier applies each delta on arrival
@@ -39,9 +44,10 @@
 
 namespace gemini {
 
-// One changed chunk: `data` views the new contents of chunk `chunk_index`
-// (elements [chunk_index*chunk_elements, ...+data.size())), `crc` is the
-// CRC32 of those bytes, recorded at build time.
+// One shipped chunk: `data` views the new contents of chunk `chunk_index`
+// (elements [chunk_index*chunk_elements, ...+data.size())) inside the buffer
+// the delta owns (shared by all its chunks, and by every copy of the delta),
+// `crc` is the CRC32 of those bytes, recorded as they were copied in.
 struct DeltaChunk {
   size_t chunk_index = 0;
   PayloadRef data;
@@ -79,6 +85,17 @@ struct DeltaCheckpoint {
   }
 };
 
+// What a delta binds to of its base: the iteration and payload CRC of the
+// state it applies on top of.
+struct DeltaBase {
+  int64_t iteration = -1;
+  uint32_t payload_crc = 0;
+};
+
+// `checkpoint`'s identity as a delta base (its CRC computed when none was
+// recorded).
+DeltaBase DeltaBaseOf(const Checkpoint& checkpoint);
+
 // Builds the delta taking `base` to `current` (same owner, same payload
 // size, current.iteration > base.iteration). `dirty_hint`, when non-null,
 // is a per-chunk changed-bit vector (chunk i possibly changed when
@@ -88,6 +105,15 @@ struct DeltaCheckpoint {
 StatusOr<DeltaCheckpoint> BuildDeltaCheckpoint(const Checkpoint& base, const Checkpoint& current,
                                                size_t chunk_elements,
                                                const std::vector<uint8_t>* dirty_hint = nullptr);
+
+// Builds the delta taking the state `base` identifies to `current`,
+// shipping exactly the chunks `marked` flags (marked[i] != 0), with no byte
+// compare: the caller vouches that every chunk changed since `base` is
+// marked (RedoLog::Materialize's full-state CRC gate catches one that was
+// not). Requires current.iteration > base.iteration and one mark per chunk.
+StatusOr<DeltaCheckpoint> BuildMarkedDelta(const DeltaBase& base, const Checkpoint& current,
+                                           size_t chunk_elements,
+                                           const std::vector<uint8_t>& marked);
 
 // Applies `delta` on top of `base`, verifying (1) the base binding
 // (iteration + base payload CRC), (2) every chunk's CRC against its bytes,
@@ -156,8 +182,9 @@ class RedoLog {
   Status CorruptBase(size_t bit_index);
 
   // Fault injection: flips one payload bit inside the chain's
-  // `chain_index`-th delta (copy-on-write — other holders of the slices are
-  // unaffected). The stale chunk CRC then fails the apply gate.
+  // `chain_index`-th delta. Copy-on-write: the flipped chunk detaches from
+  // the buffer its delta shares with every other holder's copy, so sibling
+  // chains are unaffected. The stale chunk CRC then fails the apply gate.
   Status CorruptDelta(size_t chain_index, size_t bit_index);
 
  private:

@@ -65,8 +65,11 @@ class ShardedTrainer {
   // every chunk possibly modified since the owner's last TakeDirtyChunks()
   // call has its change bit set (the steps Step/ReplayTo defer mark their
   // touched chunks when applied, restores mark everything — the bits are a
-  // conservative superset of real changes; content-level dedupe happens in
-  // BuildDeltaCheckpoint).
+  // conservative superset of real changes). A step changes every element of
+  // a chunk it touches, so between restores the bits are exactly the
+  // changed chunks, and GeminiSystem ships them to the CPU tier as they are
+  // (BuildMarkedDelta); only the persistent tier's BuildDeltaCheckpoint
+  // compares bytes.
   void EnableDirtyTracking(size_t chunk_elements);
   bool dirty_tracking_enabled() const { return dirty_chunk_elements_ > 0; }
   size_t dirty_chunk_count() const;

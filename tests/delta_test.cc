@@ -166,6 +166,80 @@ TEST(DeltaApplyTest, TailChunkShorterThanChunkElementsRoundTrips) {
   EXPECT_EQ(*applied, next);
 }
 
+// ---- Delta payload ownership ----------------------------------------------
+
+// Every chunk of a built delta views one buffer the delta owns, never the
+// snapshot it was built from, so holding the delta never pins the snapshot.
+void ExpectOwnsItsChunks(const DeltaCheckpoint& delta, const Checkpoint& current) {
+  ASSERT_FALSE(delta.chunks.empty());
+  for (const DeltaChunk& chunk : delta.chunks) {
+    EXPECT_TRUE(chunk.data.SharesBufferWith(delta.chunks.front().data))
+        << "chunk " << chunk.chunk_index << " is not in the delta's buffer";
+    EXPECT_FALSE(chunk.data.SharesBufferWith(current.payload))
+        << "chunk " << chunk.chunk_index << " still views the snapshot";
+    EXPECT_EQ(chunk.crc, Crc32(chunk.data.data(), chunk.data.size_bytes()));
+  }
+}
+
+TEST(DeltaOwnershipTest, BuiltChunksShareOneBufferApartFromTheSnapshot) {
+  // 10 chunks of 8 plus a 4-element tail, so the owned buffer packs a short
+  // chunk after full ones.
+  const Checkpoint base = MakeCheckpoint(0, 3, 84);
+  const Checkpoint next = MutateChunks(base, 4, 8, {0, 4, 10});
+  const auto compared = BuildDeltaCheckpoint(base, next, 8);
+  ASSERT_TRUE(compared.ok()) << compared.status();
+  ExpectOwnsItsChunks(*compared, next);
+  std::vector<uint8_t> marks(11, 0);
+  marks[0] = marks[4] = marks[10] = 1;
+  const auto marked = BuildMarkedDelta(DeltaBaseOf(base), next, 8, marks);
+  ASSERT_TRUE(marked.ok()) << marked.status();
+  ExpectOwnsItsChunks(*marked, next);
+  ASSERT_EQ(marked->chunks.size(), 3u);
+  EXPECT_EQ(marked->chunks[2].data.size(), 4u);
+  EXPECT_EQ(marked->delta_elements(), compared->delta_elements());
+  const auto applied = ApplyDeltaCheckpoint(base, *marked);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  EXPECT_EQ(*applied, next);
+}
+
+TEST(MarkedDeltaTest, ShipsExactlyTheMarkedChunksWithoutComparing) {
+  const Checkpoint base = MakeCheckpoint(0, 3, 64);
+  const Checkpoint next = MutateChunks(base, 4, 8, {5});
+  // Chunk 1 is marked but unchanged: with no byte compare it ships anyway,
+  // and the applied state is still exact.
+  std::vector<uint8_t> marks(8, 0);
+  marks[1] = marks[5] = 1;
+  const auto delta = BuildMarkedDelta(DeltaBaseOf(base), next, 8, marks);
+  ASSERT_TRUE(delta.ok()) << delta.status();
+  ASSERT_EQ(delta->chunks.size(), 2u);
+  EXPECT_EQ(delta->chunks[0].chunk_index, 1u);
+  EXPECT_EQ(delta->chunks[1].chunk_index, 5u);
+  EXPECT_EQ(delta->delta_bytes, base.logical_bytes / 4);
+  EXPECT_EQ(delta->base_crc, base.payload_crc);
+  EXPECT_EQ(delta->state_crc, next.payload_crc);
+  const auto applied = ApplyDeltaCheckpoint(base, *delta);
+  ASSERT_TRUE(applied.ok()) << applied.status();
+  EXPECT_EQ(*applied, next);
+
+  // A changed chunk left unmarked fails the full-state gate on apply.
+  std::vector<uint8_t> missing(8, 0);
+  missing[1] = 1;
+  const auto short_delta = BuildMarkedDelta(DeltaBaseOf(base), next, 8, missing);
+  ASSERT_TRUE(short_delta.ok()) << short_delta.status();
+  EXPECT_EQ(ApplyDeltaCheckpoint(base, *short_delta).status().code(), StatusCode::kDataLoss);
+}
+
+TEST(MarkedDeltaTest, RejectsMalformedInputs) {
+  const Checkpoint base = MakeCheckpoint(0, 3, 64);
+  const Checkpoint next = MutateChunks(base, 4, 8, {1});
+  const std::vector<uint8_t> marks(8, 1);
+  EXPECT_FALSE(BuildMarkedDelta(DeltaBaseOf(base), next, 0, marks).ok()) << "chunk_elements 0";
+  EXPECT_FALSE(BuildMarkedDelta(DeltaBaseOf(next), base, 8, marks).ok())
+      << "backward in iterations";
+  EXPECT_FALSE(BuildMarkedDelta(DeltaBaseOf(base), next, 8, std::vector<uint8_t>(3, 1)).ok())
+      << "mark count mismatch";
+}
+
 // ---- Redo log -------------------------------------------------------------
 
 TEST(RedoLogTest, AppendEnforcesEpochSealing) {
@@ -591,6 +665,35 @@ TEST_F(CpuStoreDeltaTest, CorruptLatestUnderALiveChainFailsUnlessADeltaRewroteTh
   EXPECT_EQ(metrics_.counter_value("cpu_store.crc_failures"), 1);
 }
 
+TEST_F(CpuStoreDeltaTest, CorruptChainDeltaOnOneHolderNeverLeaksToItsSibling) {
+  // GeminiSystem hands one delta to every holder; bit-rot injected into one
+  // holder's chain must stay there, and the sibling's chain must still
+  // materialize the exact state.
+  Machine other_machine(1, 0, P4d24xlarge());
+  CpuCheckpointStore sibling(other_machine);
+  store_.ConfigureRedoLog(RedoLogConfig{});
+  sibling.ConfigureRedoLog(RedoLogConfig{});
+  const Checkpoint c1 = MakeCheckpoint(0, 1, 64);
+  const Checkpoint c2 = MutateChunks(c1, 2, 8, {2, 6});
+  const auto delta = BuildDeltaCheckpoint(c1, c2, 8);
+  ASSERT_TRUE(delta.ok()) << delta.status();
+  for (CpuCheckpointStore* holder : {&store_, &sibling}) {
+    ASSERT_TRUE(holder->HostOwner(0, MiB(64)).ok());
+    ASSERT_TRUE(holder->WriteComplete(c1).ok());
+    ASSERT_TRUE(holder->WriteDelta(*delta).ok());
+  }
+  // Element 8 of the delta is the first element of its second chunk.
+  ASSERT_TRUE(store_.CorruptChainDelta(0, /*chain_index=*/0, /*bit_index=*/8 * 32 + 6).ok());
+  EXPECT_FALSE(store_.LatestVerified(0).has_value());
+  const auto clean = sibling.LatestVerified(0);
+  ASSERT_TRUE(clean.has_value());
+  EXPECT_EQ(*clean, c2);
+  EXPECT_EQ(clean->payload_crc, c2.payload_crc);
+  EXPECT_EQ(Crc32(delta->chunks[1].data.data(), delta->chunks[1].data.size_bytes()),
+            delta->chunks[1].crc)
+      << "the flip reached the delta the holders were handed";
+}
+
 // ---- Persistent store delta head ------------------------------------------
 
 class PersistentDeltaTest : public ::testing::Test {
@@ -855,6 +958,28 @@ TEST(DeltaEndToEndTest, IncrementalRecoveryBitExactVsFullSnapshotRecovery) {
     EXPECT_EQ(shards[1][static_cast<size_t>(rank)], reference.shard(rank))
         << "delta-chain run diverged at rank " << rank;
   }
+}
+
+// A committed delta owns its chunks and the CPU tier keeps only its base's
+// identity, so no capture outlives its commit: a sparse rank's next step
+// writes the live buffer in place, and each rank's pool settles at the live
+// buffer plus the one the persistent tier's seed still holds.
+TEST(DeltaEndToEndTest, SparseIncrementalCapturesSettleAtTwoBuffersPerRank) {
+  GeminiConfig config = EndToEndConfig(/*incremental=*/true);
+  config.payload_elements = 65536;
+  config.seed = 7;
+  config.incremental.chunk_elements = 1024;
+  GeminiSystem system(config);
+  ASSERT_TRUE(system.Initialize().ok());
+  for (const int64_t iterations : {10, 20, 40}) {
+    const auto report = system.TrainUntil(iterations);
+    ASSERT_TRUE(report.ok()) << report.status();
+    ASSERT_EQ(report->iterations_completed, iterations);
+    EXPECT_EQ(system.trainer().allocated_buffers(),
+              2 * static_cast<size_t>(config.num_machines))
+        << "after " << iterations << " iterations";
+  }
+  EXPECT_GT(system.Snapshot().delta_commits, 0);
 }
 
 }  // namespace
