@@ -159,6 +159,23 @@ echo "==> bench smoke: bench_perf_datapath (Release)"
 echo "==> bench smoke: perfbench ctrl_scale"
 python3 perfbench/run.py --workload ctrl_scale --seed 1 --seconds 1 --trace 0
 
+# The control plane skips work by rule and by cache: leases renew by rule,
+# an idle Raft log runs no heartbeat rounds, and a root scan walks the health
+# keys only after the KV leader applied something. Each claims to leave the
+# modeled run unchanged, so the seed-1 counts of the traced run are pinned.
+echo "==> bench smoke: perfbench ctrl_scale --trace 1 counts (seed 1)"
+python3 perfbench/run.py --workload ctrl_scale --seed 1 --seconds 1 --trace 1 | tail -n 1 |
+  python3 -c '
+import json, sys
+metrics = json.load(sys.stdin)["metrics"]
+expected = {"agent.root_scans": 481, "kvstore.proposals": 771, "kvstore.commit_index": 771,
+            "agent.keepalives": 206585, "sim.events": 4604, "gemini.recoveries.remote_cpu": 1}
+wrong = {name: metrics[name]["value"] for name, value in expected.items()
+         if metrics[name]["value"] != value}
+if wrong:
+    sys.exit(f"FAIL: ctrl_scale seed-1 counts moved: {wrong} (expected {expected})")
+'
+
 # The recovery workload is the only end-to-end run of the delta write path,
 # peer retrieval and re-protection; its exit status covers the same checks,
 # so a recovered shard that is not bit-exact fails here.

@@ -8,12 +8,6 @@
 #include "src/common/logging.h"
 
 namespace gemini {
-namespace {
-
-// What one scan read from a rank's health key.
-enum class Health : uint8_t { kMissing, kHealthy, kProcessDown };
-
-}  // namespace
 
 RootAgent::RootAgent(Simulator& sim, Cluster& cluster, KvStoreCluster& kv, int rank,
                      AgentConfig config, std::function<void(const FailureReport&)> on_failure)
@@ -66,39 +60,29 @@ void RootAgent::OnScanTick() {
   if (sim_.now() < started_at_ + config_.health_lease_ttl + config_.root_scan_interval) {
     return;
   }
-  std::vector<Health> health(static_cast<size_t>(cluster_.size()), Health::kMissing);
-  const bool read = kv_.VisitPrefix(
-      kHealthKeyPrefix, [&health](const std::string& key, const KvEntry& entry) {
-        constexpr size_t kPrefixLength = sizeof(kHealthKeyPrefix) - 1;
-        const char* last = key.data() + key.size();
-        int rank = -1;
-        const auto [end, error] = std::from_chars(key.data() + kPrefixLength, last, rank);
-        if (error != std::errc{} || end != last || rank < 0 ||
-            static_cast<size_t>(rank) >= health.size()) {
-          return;  // Not a health key of this cluster.
-        }
-        health[static_cast<size_t>(rank)] =
-            entry.value == kStatusProcessDown ? Health::kProcessDown : Health::kHealthy;
-      });
   // While the KV store has no leader (e.g. its leader's machine just died)
   // nothing can be read, and an empty scan would make every rank look
   // failed. Scan again on the next tick.
-  if (!read) {
+  const std::optional<uint64_t> applied = kv_.AppliedIndex();
+  if (!applied.has_value()) {
     return;
+  }
+  if (applied != walked_index_) {
+    WalkHealthKeys();
+    walked_index_ = applied;
   }
   root_scans_counter_->Increment();
   std::vector<int> hardware_failed;
   std::vector<int> software_failed;
-  for (int rank = 0; rank < cluster_.size(); ++rank) {
+  for (const auto& [rank, status] : unhealthy_) {
     if (handled_.contains(rank)) {
       continue;
     }
-    const Health status = health[static_cast<size_t>(rank)];
     if (status == Health::kMissing) {
       // Lease expired: the machine stopped heartbeating => hardware failure.
       heartbeat_misses_counter_->Increment();
       hardware_failed.push_back(rank);
-    } else if (status == Health::kProcessDown) {
+    } else {
       software_failed.push_back(rank);
     }
   }
@@ -109,6 +93,29 @@ void RootAgent::OnScanTick() {
     Report(FailureType::kHardware, std::move(hardware_failed));
   } else if (!software_failed.empty()) {
     Report(FailureType::kSoftware, std::move(software_failed));
+  }
+}
+
+void RootAgent::WalkHealthKeys() {
+  ++health_walks_;
+  std::vector<Health> health(static_cast<size_t>(cluster_.size()), Health::kMissing);
+  kv_.VisitPrefix(kHealthKeyPrefix, [&health](const std::string& key, const KvEntry& entry) {
+    constexpr size_t kPrefixLength = sizeof(kHealthKeyPrefix) - 1;
+    const char* last = key.data() + key.size();
+    int rank = -1;
+    const auto [end, error] = std::from_chars(key.data() + kPrefixLength, last, rank);
+    if (error != std::errc{} || end != last || rank < 0 ||
+        static_cast<size_t>(rank) >= health.size()) {
+      return;  // Not a health key of this cluster.
+    }
+    health[static_cast<size_t>(rank)] =
+        entry.value == kStatusProcessDown ? Health::kProcessDown : Health::kHealthy;
+  });
+  unhealthy_.clear();
+  for (int rank = 0; rank < cluster_.size(); ++rank) {
+    if (health[static_cast<size_t>(rank)] != Health::kHealthy) {
+      unhealthy_.emplace_back(rank, health[static_cast<size_t>(rank)]);
+    }
   }
 }
 

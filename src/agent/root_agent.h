@@ -1,21 +1,26 @@
 // GEMINI root agent (paper Section 3.2 and 6).
 //
 // Runs on one training machine (the root machine) alongside its worker
-// agent. Every scan period it reads the health keys in the distributed KV
-// store in place, records each rank's status by rank, and classifies failures
-// (missing key after its lease expired => hardware; value "process_down" =>
-// software). It reports them, in ascending rank order, to the recovery
-// coordinator (the GeminiSystem), which interacts with the cloud operator
-// and directs checkpoint retrieval. A scan costs one pass over the keys and
-// one over the ranks, and copies no key or value. The root holds the
-// root-leadership key under its own lease, so workers watching that key
-// detect root death and promote one of themselves.
+// agent. Every scan period it classifies failures from the health keys in the
+// distributed KV store (missing key after its lease expired => hardware;
+// value "process_down" => software) and reports them, in ascending rank
+// order, to the recovery coordinator (the GeminiSystem), which interacts with
+// the cloud operator and directs checkpoint retrieval. A scan walks the keys
+// in place only when the KV leader's applied index differs from the one its
+// last walk read; equal indices mean equal applied state, so otherwise it
+// reuses that walk's short list of missing and down ranks. Between failures a
+// scan therefore costs one index read. The root holds the root-leadership key
+// under its own lease, so workers watching that key detect root death and
+// promote one of themselves.
 #ifndef SRC_AGENT_ROOT_AGENT_H_
 #define SRC_AGENT_ROOT_AGENT_H_
 
+#include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <set>
+#include <utility>
 #include <vector>
 
 #include "src/agent/failure_injector.h"
@@ -62,8 +67,16 @@ class RootAgent {
   // (src/obs/metrics.h) — the scan counter fires every scan period.
   void set_metrics(MetricsRegistry* metrics);
 
+  // Walks of the health keys so far (tests): at most one per applied index.
+  int64_t health_walks() const { return health_walks_; }
+
  private:
+  // What a walk read from a rank's health key.
+  enum class Health : uint8_t { kMissing, kHealthy, kProcessDown };
+
   void OnScanTick();
+  // Reads every health key into `unhealthy_`.
+  void WalkHealthKeys();
   // Marks `ranks` handled and reports them as one failure of `type`.
   void Report(FailureType type, std::vector<int> ranks);
 
@@ -84,6 +97,11 @@ class RootAgent {
   // Ranks are only reported missing after the store had a chance to expire
   // their lease (avoids false positives at startup).
   TimeNs started_at_ = 0;
+  // The applied index the last walk read, and the ranks it found missing or
+  // down, ascending.
+  std::optional<uint64_t> walked_index_;
+  std::vector<std::pair<int, Health>> unhealthy_;
+  int64_t health_walks_ = 0;
 };
 
 }  // namespace gemini

@@ -278,6 +278,8 @@ class GeminiSystem : public PolicyHost {
   ProtectionPolicy& policy() { return *policy_; }
   const ProtectionPolicy& policy() const { return *policy_; }
   int root_rank() const { return root_rank_; }
+  // Null until a worker wins the root election.
+  const RootAgent* root_agent() const { return root_agent_.get(); }
   int64_t current_iteration() const { return trainer_ != nullptr ? trainer_->iteration() : 0; }
 
   // ---- PolicyHost (the slice policies program against) --------------------

@@ -306,6 +306,14 @@ bool KvStoreCluster::VisitPrefix(const std::string& prefix, const KvVisitor& vis
   return true;
 }
 
+std::optional<uint64_t> KvStoreCluster::AppliedIndex() const {
+  const KvNode* leader = Leader();
+  if (leader == nullptr) {
+    return std::nullopt;
+  }
+  return leader->last_applied();
+}
+
 uint64_t KvStoreCluster::Watch(const std::string& prefix, WatchCallback callback) {
   const uint64_t id = next_watch_id_++;
   watches_[id] = WatchReg{prefix, std::move(callback)};

@@ -185,6 +185,11 @@ class KvStoreCluster {
   // key order and in place: nothing is copied. Returns false, visiting
   // nothing, when no leader exists. `visit` must not write to the store.
   bool VisitPrefix(const std::string& prefix, const KvVisitor& visit) const;
+  // The applied index of the leader the reads above use, or nullopt when no
+  // node leads. Equal indices mean equal applied state: every change (put,
+  // delete, revoke on expiry) is a log entry, and committed entries are the
+  // same on every node.
+  std::optional<uint64_t> AppliedIndex() const;
 
   // Registers a watch on a key prefix. Events are emitted when ops commit
   // and delivered control_delay later. Delivery is at-least-once across

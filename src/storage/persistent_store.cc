@@ -33,6 +33,19 @@ void PersistentStore::MakeDurable(Checkpoint checkpoint, int expected_world_size
   heads_[owner] = checkpoint;  // Shares the payload buffer, not the handle.
   shards_[iteration][owner] = std::move(checkpoint);
   expected_world_[iteration] = expected_world_size;
+  Prune();
+}
+
+void PersistentStore::Prune() {
+  const int64_t newest = LatestCompleteIteration();
+  for (auto it = shards_.begin(); it != shards_.end() && it->first < newest;) {
+    if (reading_.contains(it->first)) {
+      ++it;
+      continue;
+    }
+    expected_world_.erase(it->first);
+    it = shards_.erase(it);
+  }
 }
 
 TimeNs PersistentStore::ScheduleTransfer(Bytes bytes, std::function<void()> at_completion) {
@@ -92,7 +105,16 @@ TimeNs PersistentStore::SaveDelta(DeltaCheckpoint delta, int expected_world_size
 TimeNs PersistentStore::Retrieve(int owner_rank, int64_t iteration,
                                  std::function<void(StatusOr<Checkpoint>)> done) {
   retrievals_counter_->Increment();
-  return TryRetrieve(owner_rank, iteration, /*attempt=*/0, std::move(done));
+  // Every attempt re-reads the set, so it stays until the final outcome.
+  ++reading_[iteration];
+  return TryRetrieve(owner_rank, iteration, /*attempt=*/0,
+                     [this, iteration, done = std::move(done)](StatusOr<Checkpoint> result) {
+                       if (--reading_[iteration] == 0) {
+                         reading_.erase(iteration);
+                         Prune();
+                       }
+                       done(std::move(result));
+                     });
 }
 
 TimeNs PersistentStore::TryRetrieve(int owner_rank, int64_t iteration, int attempt,
@@ -196,6 +218,14 @@ std::optional<Checkpoint> PersistentStore::Peek(int owner_rank, int64_t iteratio
     return std::nullopt;
   }
   return by_owner->second;
+}
+
+std::vector<int64_t> PersistentStore::retained_iterations() const {
+  std::vector<int64_t> iterations;
+  for (const auto& [iteration, owners] : shards_) {
+    iterations.push_back(iteration);
+  }
+  return iterations;
 }
 
 }  // namespace gemini

@@ -11,6 +11,11 @@
 // the owner's newest durable shard at arrival. The tier keeps no delta
 // chain: every durable shard is a full shard.
 //
+// Retention is bounded: once a set completes, every older set goes, except
+// one that a retrieval still in flight (or retrying) reads. So the store
+// holds the newest complete set, any newer sets still being written, and the
+// sets being read.
+//
 // Bandwidth, request latency and the retrieval retry schedule are the
 // calibrated constants in src/common/calibration.h.
 #ifndef SRC_STORAGE_PERSISTENT_STORE_H_
@@ -19,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <optional>
+#include <vector>
 
 #include "src/common/calibration.h"
 #include "src/common/status.h"
@@ -85,6 +91,9 @@ class PersistentStore {
   // Immediate (zero-time) lookup used by analysis code and tests.
   std::optional<Checkpoint> Peek(int owner_rank, int64_t iteration) const;
 
+  // Iterations that still hold durable shards, ascending (tests).
+  std::vector<int64_t> retained_iterations() const;
+
   // Zero-time durable write, used to seed the initial (pre-training) global
   // checkpoint during job setup.
   void SeedImmediate(Checkpoint checkpoint, int expected_world_size);
@@ -107,6 +116,9 @@ class PersistentStore {
 
   // Makes `checkpoint` durable and its owner's head.
   void MakeDurable(Checkpoint checkpoint, int expected_world_size);
+  // Erases every set older than the newest complete one that no retrieval
+  // reads.
+  void Prune();
 
   Simulator& sim_;
   // Per-owner newest durable shard, the base the next delta applies to.
@@ -126,6 +138,8 @@ class PersistentStore {
   // iteration -> owner -> shard; complete-set tracking by expected world.
   std::map<int64_t, std::map<int, Checkpoint>> shards_;
   std::map<int64_t, int> expected_world_;
+  // iteration -> retrievals of it in flight; Prune keeps these sets.
+  std::map<int64_t, int> reading_;
 };
 
 }  // namespace gemini

@@ -3,6 +3,9 @@
 // the failure injector.
 #include <gtest/gtest.h>
 
+#include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -578,6 +581,113 @@ TEST_F(RootAgentScanTest, SendsNothingWhileKvHasNoLeader) {
   EXPECT_FALSE(kv_->LeaderRank().has_value());
   EXPECT_TRUE(reports_.empty());
   EXPECT_EQ(metrics_.counter_value("agent.root_scans"), scans);
+}
+
+TEST_F(RootAgentScanTest, ValueFlipsShowAtTheFirstScanAfterTheyCommit) {
+  // Rank 4's value flips healthy -> process_down -> healthy; no health key
+  // is added or removed. Scans run every 5 s from t = 0.
+  const TimeNs period = AgentConfig{}.root_scan_interval;
+  const auto next_scan_after = [period](TimeNs t) { return (t / period + 1) * period; };
+  const auto settle_until_value_is = [this](const char* status) {
+    const std::string key = std::string(kHealthKeyPrefix) + "4";
+    while (kv_->Get(key)->value != status) {
+      Settle(Millis(1));
+    }
+    return sim_.now();
+  };
+  Settle(Seconds(31));
+  ASSERT_TRUE(reports_.empty());
+  const int64_t walks = root_->health_walks();
+
+  workers_[4]->ReportProcessDown();
+  const TimeNs down_at = settle_until_value_is(kStatusProcessDown);
+  sim_.RunUntil(next_scan_after(down_at));
+  ASSERT_EQ(reports_.size(), 1u);
+  EXPECT_EQ(reports_[0].type, FailureType::kSoftware);
+  EXPECT_EQ(reports_[0].ranks, std::vector<int>{4});
+  EXPECT_EQ(reports_[0].detected_at, next_scan_after(down_at));
+
+  // Re-armed once the healthy status has committed: a scan that still read
+  // process_down would report rank 4 again.
+  workers_[4]->ReportHealthy();
+  const TimeNs healthy_at = settle_until_value_is(kStatusHealthy);
+  root_->ClearHandled({4});
+  sim_.RunUntil(next_scan_after(healthy_at) + Seconds(20));
+  EXPECT_EQ(reports_.size(), 1u);
+  // One walk per committed flip, and none on the scans between.
+  EXPECT_EQ(root_->health_walks(), walks + 2);
+}
+
+TEST_F(RootAgentScanTest, KvLeaderFailoverScansReportWhatAFreshWalkReads) {
+  // The KV leader's machine dies. At every scan for a minute after, the
+  // root walks exactly when the serving leader's applied index differs from
+  // the one its last walk read, and reports what a fresh List of the health
+  // keys at that instant classifies, given the ranks reported so far.
+  const TimeNs period = AgentConfig{}.root_scan_interval;
+  Settle(Seconds(31));
+  const int kv_leader = *kv_->LeaderRank();
+  ASSERT_NE(kv_leader, kRootRank);
+  std::optional<uint64_t> walked_index = kv_->AppliedIndex();
+  int64_t walks = root_->health_walks();
+  std::set<int> handled;
+  cluster_->machine(kv_leader).set_health(MachineHealth::kDead);
+  int failover_walks = 0;
+  for (TimeNs scan = Seconds(35); scan <= Seconds(95); scan += period) {
+    const size_t reported = reports_.size();
+    sim_.RunUntil(scan);
+    const std::optional<uint64_t> applied = kv_->AppliedIndex();
+    if (!applied.has_value()) {
+      EXPECT_EQ(reports_.size(), reported) << "no leader, yet a report at " << scan;
+      continue;
+    }
+    const bool walked = applied != walked_index;
+    EXPECT_EQ(root_->health_walks(), walks + (walked ? 1 : 0)) << "scan at " << scan;
+    failover_walks += walked ? 1 : 0;
+    walks = root_->health_walks();
+    walked_index = applied;
+
+    std::vector<int> hardware;
+    std::vector<int> software;
+    const std::map<std::string, KvEntry> health = kv_->List(kHealthKeyPrefix);
+    for (int rank = 0; rank < kMachines; ++rank) {
+      const auto entry = health.find(std::string(kHealthKeyPrefix) + std::to_string(rank));
+      if (handled.contains(rank)) {
+        continue;
+      }
+      if (entry == health.end()) {
+        hardware.push_back(rank);
+      } else if (entry->second.value == kStatusProcessDown) {
+        software.push_back(rank);
+      }
+    }
+    const std::vector<int>& expected = hardware.empty() ? software : hardware;
+    if (expected.empty()) {
+      EXPECT_EQ(reports_.size(), reported) << "scan at " << scan;
+      continue;
+    }
+    ASSERT_EQ(reports_.size(), reported + 1) << "scan at " << scan;
+    EXPECT_EQ(reports_.back().type,
+              hardware.empty() ? FailureType::kSoftware : FailureType::kHardware);
+    EXPECT_EQ(reports_.back().ranks, expected);
+    EXPECT_EQ(reports_.back().detected_at, scan);
+    handled.insert(expected.begin(), expected.end());
+  }
+  // The dead leader's key expired under the new leader: walked and reported.
+  EXPECT_GE(failover_walks, 1);
+  ASSERT_EQ(reports_.size(), 1u);
+  EXPECT_EQ(reports_[0].ranks, std::vector<int>{kv_leader});
+}
+
+TEST_F(RootAgentScanTest, SettledScansWalkNothing) {
+  Settle(Seconds(31));
+  const int64_t walks = root_->health_walks();
+  const int64_t scans = metrics_.counter_value("agent.root_scans");
+  ASSERT_GT(walks, 0);
+  // Ten minutes without a KV write: 120 counted scans, no walk.
+  Settle(Minutes(10));
+  EXPECT_EQ(metrics_.counter_value("agent.root_scans"), scans + 120);
+  EXPECT_EQ(root_->health_walks(), walks);
+  EXPECT_TRUE(reports_.empty());
 }
 
 // ---------------------------------------------------------------------------

@@ -735,6 +735,43 @@ TEST(GeminiSystemTest, ScriptedKvLeaderFailurePinsElectionInstants) {
   EXPECT_EQ(system.metrics().counter_value("kv.elections_won"), 2);
 }
 
+TEST(GeminiSystemTest, RootScansWalkTheHealthKeysOnlyAfterKvWrites) {
+  // The scripted 64-machine run above, read for the root's scans: a scan
+  // walks the health keys only when the KV leader's applied index moved since
+  // the last walk, so the walks are bounded by the log's length and are a
+  // small share of the counted scans.
+  GeminiConfig config = SmallConfig();
+  config.num_machines = 64;
+  GeminiSystem system(config);
+  ASSERT_TRUE(system.Initialize().ok());
+  ASSERT_TRUE(system.TrainUntil(1).ok());
+  const std::optional<int> kv_leader = system.kvstore().LeaderRank();
+  ASSERT_TRUE(kv_leader.has_value());
+  FailureInjector& injector = system.failure_injector();
+  injector.InjectAt(Minutes(5), FailureType::kSoftware, {9});
+  injector.InjectAt(Minutes(20) + Millis(1500), FailureType::kHardware, {17});
+  injector.InjectAt(Minutes(40) + Millis(500), FailureType::kHardware, {*kv_leader});
+  injector.InjectAt(Minutes(60), FailureType::kHardware, {40});
+  const auto report = system.TrainUntil(60);
+  ASSERT_TRUE(report.ok()) << report.status();
+  ASSERT_EQ(report->recoveries.size(), 4u);
+  const RootAgent* root = system.root_agent();
+  ASSERT_NE(root, nullptr);
+  const std::optional<int> leader = system.kvstore().LeaderRank();
+  ASSERT_TRUE(leader.has_value());
+  uint64_t commit_index = 0;
+  for (int i = 0; i < system.kvstore().num_nodes(); ++i) {
+    if (system.kvstore().server_ranks()[static_cast<size_t>(i)] == *leader) {
+      commit_index = system.kvstore().node(i).commit_index();
+    }
+  }
+  const int64_t scans = system.metrics().counter_value("agent.root_scans");
+  // 9 walks, 203 log entries and 1,098 scans when written.
+  EXPECT_GT(root->health_walks(), 0);
+  EXPECT_LE(static_cast<uint64_t>(root->health_walks()), commit_index);
+  EXPECT_LT(root->health_walks() * 20, scans);
+}
+
 TEST(GeminiSystemTest, StandbyMachinesShortenHardwareDowntime) {
   // At 16 machines the per-machine serialization (~150 s) no longer masks
   // the ASG provisioning delay (4-7 min), so standby machines visibly

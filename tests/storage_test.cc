@@ -2,6 +2,9 @@
 // (double buffering), and the persistent store.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <vector>
+
 #include "src/cluster/instance_spec.h"
 #include "src/cluster/machine.h"
 #include "src/common/calibration.h"
@@ -365,6 +368,26 @@ TEST_F(PersistentStoreTest, RetrieveMissingShardIsNotFound) {
   EXPECT_EQ(result.code(), StatusCode::kNotFound);
 }
 
+TEST_F(PersistentStoreTest, RetentionHoldsTheNewestCompleteSetAndTheOneBeingWritten) {
+  // 30 two-rank sets queued through the FIFO at once: at every completion
+  // the store holds at most the newest complete set and the one filling.
+  constexpr int64_t kSets = 30;
+  size_t most_retained = 0;
+  for (int64_t iteration = 1; iteration <= kSets; ++iteration) {
+    for (int rank = 0; rank < 2; ++rank) {
+      store_->Save(MakeCheckpoint(rank, iteration, 1000), 2, [&](Status status) {
+        EXPECT_TRUE(status.ok());
+        most_retained = std::max(most_retained, store_->retained_iterations().size());
+      });
+    }
+  }
+  sim_.Run();
+  EXPECT_LE(most_retained, 2u);
+  EXPECT_EQ(store_->LatestCompleteIteration(), kSets);
+  EXPECT_EQ(store_->retained_iterations(), std::vector<int64_t>{kSets});
+  EXPECT_TRUE(store_->Peek(1, kSets).has_value());
+}
+
 // ---------------------------------------------------------------------------
 // PersistentStore retrieval retry cascade
 // ---------------------------------------------------------------------------
@@ -435,6 +458,33 @@ TEST_F(PersistentRetryTest, CorruptShardFailsCrcAcrossAllAttempts) {
   EXPECT_EQ(metrics_.counter_value("persistent_store.crc_failures"), 4);
   EXPECT_EQ(metrics_.counter_value("persistent_store.retries"), 3);
   EXPECT_EQ(metrics_.counter_value("persistent_store.corruptions"), 1);
+}
+
+TEST_F(PersistentRetryTest, NewerSetCompletingDuringARetryKeepsTheSetBeingRead) {
+  const Checkpoint original = MakeCheckpoint(0, 3, 1'000'000, 32);
+  store_->SeedImmediate(original, 1);
+  // The first two attempts fail, so every retry re-reads iteration 3 after
+  // iteration 4 has completed.
+  store_->set_fault_hook([](int, int64_t, int attempt) {
+    return attempt < 2 ? UnavailableError("injected link flap") : Status::Ok();
+  });
+  std::optional<Checkpoint> fetched;
+  store_->Retrieve(0, 3, [&](StatusOr<Checkpoint> result) {
+    ASSERT_TRUE(result.ok()) << result.status();
+    fetched = std::move(result).value();
+  });
+  std::vector<int64_t> retained_at_save;
+  store_->Save(MakeCheckpoint(0, 4, 1000), 1, [&](Status status) {
+    EXPECT_TRUE(status.ok());
+    retained_at_save = store_->retained_iterations();
+  });
+  sim_.Run();
+  EXPECT_EQ(retained_at_save, (std::vector<int64_t>{3, 4}));
+  ASSERT_TRUE(fetched.has_value());
+  EXPECT_EQ(*fetched, original);
+  EXPECT_EQ(metrics_.counter_value("persistent_store.retries"), 2);
+  // Once the read ends, nothing holds iteration 3.
+  EXPECT_EQ(store_->retained_iterations(), std::vector<int64_t>{4});
 }
 
 TEST_F(PersistentRetryTest, MissingShardIsPermanentAndNeverRetried) {
